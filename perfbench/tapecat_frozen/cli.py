@@ -1,0 +1,286 @@
+"""Command-line front end: run machines, dump shape tables, trace causal
+explanations, and drive the law-checking suites.
+
+Exit codes: 0 success, 1 config parse error, 2 validation or check failure,
+3 disagreement between the rule engine and the colimit engine.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+import click
+
+from .colimit import GlueError, density_check
+from .fincat import FinCatPresentation, canonical_dense_subcategory, validate_category, validate_functor
+from .kan import equivalence_sweep, evaluate, evaluate_traced, explain
+from .machine import (
+    MachineConfigError,
+    MachineSpec,
+    adjunction_sweep,
+    apply,
+    functoriality_sweep,
+    parse_machine,
+    shape_category,
+    shape_table,
+    validate_machine,
+)
+from .tape import AlphabetMismatch, TapeString, windows
+
+EXIT_PARSE = 1
+EXIT_CHECK = 2
+EXIT_MISMATCH = 3
+
+SUITES = ("category", "functor", "density", "adjunction", "equivalence", "all")
+MUTATIONS = ("none", "shift-window", "drop-shape-object")
+
+
+@dataclass
+class RunConfig:
+    machine_file: Path
+    input: TapeString
+    steps: int
+    engine: str
+    trace: bool
+    mutate: str = "none"
+
+
+def _load_machine(path: Path) -> MachineSpec:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        click.echo(f"error: cannot read {path}: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
+    try:
+        return parse_machine(text)
+    except MachineConfigError as exc:
+        click.echo(f"error: {path}: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
+
+
+def _parse_input(spec: MachineSpec, text: str) -> TapeString:
+    cells = "" if text in ("", "(empty)") else text
+    try:
+        return TapeString(spec.alphabet, cells)
+    except AlphabetMismatch as exc:
+        click.echo(f"error: input: {exc}", err=True)
+        sys.exit(EXIT_CHECK)
+
+
+def _parse_range(text: str) -> tuple[int, int]:
+    try:
+        if ".." in text:
+            start_s, stop_s = text.split("..", 1)
+            return int(start_s), int(stop_s)
+        cell = int(text)
+        return cell, cell + 1
+    except ValueError:
+        click.echo(f"error: bad cell range {text!r}; use START..STOP or CELL", err=True)
+        sys.exit(EXIT_CHECK)
+
+
+def _mutated_shape(spec: MachineSpec, mutate: str):
+    shape = shape_category(spec)
+    if mutate == "drop-shape-object":
+        victim = next(o for o in shape.objects if o.generator.length == 1)
+        shape = shape.without_object(victim.name)
+    return shape
+
+
+@click.group()
+def main() -> None:
+    """Tape machines evaluated by rule and by categorical gluing."""
+
+
+@main.command()
+@click.argument("machine_file", type=click.Path(exists=True, path_type=Path))
+@click.argument("input_string")
+@click.option("--steps", default=1, show_default=True, type=click.IntRange(min=0))
+@click.option("--engine", default="both", show_default=True,
+              type=click.Choice(["oracle", "categorical", "both"]))
+@click.option("--trace", is_flag=True, help="Print the evaluation diagram per step.")
+@click.option("--mutate", default="none", type=click.Choice(MUTATIONS), hidden=True,
+              help="Seed a fault for negative testing.")
+def run(machine_file: Path, input_string: str, steps: int, engine: str,
+        trace: bool, mutate: str) -> None:
+    """Print the trajectory of INPUT_STRING under the machine."""
+    spec = _load_machine(machine_file)
+    config = RunConfig(machine_file, _parse_input(spec, input_string),
+                       steps, engine, trace, mutate)
+    shape = None
+    if config.engine in ("categorical", "both"):
+        shape = _mutated_shape(spec, config.mutate)
+    x = config.input
+    click.echo(str(x))
+    for _ in range(config.steps):
+        oracle_value = apply(spec, x) if config.engine in ("oracle", "both") else None
+        cat_value = None
+        if shape is not None:
+            try:
+                if config.trace:
+                    cat_value, step_trace = evaluate_traced(shape, x)
+                else:
+                    cat_value = evaluate(shape, x)
+            except GlueError as exc:
+                click.echo(f"engine mismatch at {x}: categorical engine failed: {exc}",
+                           err=True)
+                sys.exit(EXIT_MISMATCH)
+        if oracle_value is not None and cat_value is not None and oracle_value != cat_value:
+            click.echo(f"engine mismatch at {x}: rule gives {oracle_value}, "
+                       f"gluing gives {cat_value}", err=True)
+            sys.exit(EXIT_MISMATCH)
+        x = oracle_value if oracle_value is not None else cat_value
+        click.echo(str(x))
+        if config.trace and shape is not None:
+            for line in step_trace.render().splitlines():
+                click.echo(f"  {line}")
+
+
+@main.command()
+@click.argument("machine_file", type=click.Path(exists=True, path_type=Path))
+@click.option("--generator", "generator_text", default=None,
+              help="Dump the explaining windows of one generator.")
+@click.option("--all", "dump_all", is_flag=True,
+              help="Dump the whole precomputed shape category.")
+def table(machine_file: Path, generator_text: str | None, dump_all: bool) -> None:
+    """Print shape tables or the full precomputed shape category."""
+    spec = _load_machine(machine_file)
+    if dump_all:
+        shape = shape_category(spec)
+        click.echo(shape.presentation.dumps(), nl=False)
+        return
+    if generator_text is None:
+        click.echo("error: give --generator or --all", err=True)
+        sys.exit(EXIT_CHECK)
+    generator = _parse_input(spec, generator_text)
+    for window in sorted(shape_table(spec, generator), key=lambda s: s.cells):
+        click.echo(str(window))
+
+
+@main.command("explain")
+@click.argument("machine_file", type=click.Path(exists=True, path_type=Path))
+@click.argument("input_string")
+@click.argument("cell_range")
+def explain_cmd(machine_file: Path, input_string: str, cell_range: str) -> None:
+    """Print the causal neighbourhood of updated cells START..STOP."""
+    spec = _load_machine(machine_file)
+    x = _parse_input(spec, input_string)
+    start, stop = _parse_range(cell_range)
+    try:
+        expl = explain(spec, x, start, stop)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_CHECK)
+    click.echo(str(expl))
+
+
+def _check_category(spec: MachineSpec, dense) -> list[tuple[str, bool, str]]:
+    results = []
+    report = validate_category(dense.presentation)
+    results.append(("category generators", report.ok,
+                    f"objects={len(dense.presentation.objects)} "
+                    f"violations={len(report.violations)}"))
+    shape = shape_category(spec, dense)
+    p_report = validate_category(shape.presentation)
+    results.append(("category shapes", p_report.ok,
+                    f"objects={len(shape.objects)} violations={len(p_report.violations)}"))
+    round_trip = FinCatPresentation.loads(shape.presentation.dumps())
+    results.append(("category shape-round-trip",
+                    round_trip.dumps() == shape.presentation.dumps(), "lossless"))
+    return results
+
+
+def _check_functor(spec: MachineSpec, dense, max_len: int) -> list[tuple[str, bool, str]]:
+    results = []
+    inc = validate_functor(dense.inclusion)
+    results.append(("functor inclusion", inc.ok, f"violations={len(inc.violations)}"))
+    shape = shape_category(spec, dense)
+    gen = validate_functor(shape.generator_functor(dense))
+    win = validate_functor(shape.window_functor())
+    results.append(("functor shape-projections", gen.ok and win.ok,
+                    f"violations={len(gen.violations) + len(win.violations)}"))
+    sweep = functoriality_sweep(spec, max_len)
+    detail = f"cases={sweep.cases}"
+    if not sweep.ok:
+        detail += f" first: {sweep.failures[0]}"
+    results.append((f"functor update max_len={max_len}", sweep.ok, detail))
+    return results
+
+
+def _check_density(spec: MachineSpec, dense, max_len: int) -> list[tuple[str, bool, str]]:
+    results = []
+    for n in range(max_len + 1):
+        count = 0
+        first_failure = None
+        for cells in windows(spec.alphabet, n):
+            verdict = density_check(TapeString(spec.alphabet, cells), dense)
+            count += 1
+            if not verdict.ok and first_failure is None:
+                first_failure = f"{cells or '(empty)'}: {verdict.detail}"
+        detail = f"inputs={count}" if first_failure is None else first_failure
+        results.append((f"density len={n}", first_failure is None, detail))
+    return results
+
+
+def _check_adjunction(spec: MachineSpec, dense, max_len: int,
+                      mutate: str) -> list[tuple[str, bool, str]]:
+    sweep = adjunction_sweep(spec, max_len, dense, mutate=(mutate == "shift-window"))
+    detail = f"cases={sweep.cases}"
+    if not sweep.ok:
+        detail += f" first: {sweep.failures[0]}"
+    return [(f"adjunction max_state_len={max_len}", sweep.ok, detail)]
+
+
+def _check_equivalence(spec: MachineSpec, max_len: int,
+                       mutate: str) -> list[tuple[str, bool, str]]:
+    shape = _mutated_shape(spec, mutate)
+    report = equivalence_sweep(spec, max_len, shape)
+    detail = str(report)
+    if not report.ok:
+        detail += f" first: {report.mismatches[0]}"
+    return [(f"equivalence max_len={max_len}", report.ok, detail)]
+
+
+@main.command()
+@click.argument("machine_file", type=click.Path(exists=True, path_type=Path))
+@click.option("--suite", default="all", show_default=True, type=click.Choice(SUITES))
+@click.option("--max-len", default=10, show_default=True, type=click.IntRange(min=0),
+              help="State bound for density and equivalence sweeps.")
+@click.option("--functor-len", default=6, show_default=True, type=click.IntRange(min=0))
+@click.option("--adj-len", default=8, show_default=True, type=click.IntRange(min=0))
+@click.option("--mutate", default="none", type=click.Choice(MUTATIONS), hidden=True,
+              help="Seed a fault; the named suite must then fail.")
+def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
+          adj_len: int, mutate: str) -> None:
+    """Run the law-checking suites; nonzero exit on any violation."""
+    spec = _load_machine(machine_file)
+    report = validate_machine(spec)
+    if not report.ok:
+        click.echo(str(report), err=True)
+        sys.exit(EXIT_CHECK)
+    dense = canonical_dense_subcategory(spec.alphabet)
+    started = time.perf_counter()
+    results: list[tuple[str, bool, str]] = []
+    if suite in ("category", "all"):
+        results += _check_category(spec, dense)
+    if suite in ("functor", "all"):
+        results += _check_functor(spec, dense, functor_len)
+    if suite in ("density", "all"):
+        results += _check_density(spec, dense, max_len)
+    if suite in ("adjunction", "all"):
+        results += _check_adjunction(spec, dense, adj_len, mutate)
+    if suite in ("equivalence", "all"):
+        results += _check_equivalence(spec, max_len, mutate)
+    failed = False
+    for name, ok, detail in results:
+        click.echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        failed = failed or not ok
+    click.echo(f"elapsed={time.perf_counter() - started:.2f}s", err=True)
+    sys.exit(EXIT_CHECK if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,674 @@
+"""Locally deterministic update machines on tape strings.
+
+A machine is a radius-r local rule applied to every window of a string; the
+update drops r cells from each end, so a string shorter than a full window
+updates to the empty string.  Around this sit the causal-structure
+operations: the neighbourhood through which all influence on an updated
+part must pass, a bounded checker for its universal property, and the
+finite shape category of (generator, explaining window) pairs that the
+colimit evaluator is compiled from.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Iterator, Mapping
+
+from . import tape
+from .fincat import (
+    DenseSubcategory,
+    FinCatPresentation,
+    FunctorData,
+    TapeCategory,
+    ValidationReport,
+    canonical_dense_subcategory,
+)
+from .tape import Alphabet, AlphabetMismatch, InvalidOccurrence, Occurrence, TapeString
+
+
+class MachineError(Exception):
+    pass
+
+
+class MachineConfigError(MachineError):
+    """The machine config file does not parse."""
+
+
+class TargetMismatch(MachineError):
+    """The part to explain does not live in the update of the given state."""
+
+
+@dataclass(frozen=True)
+class MachineSpec:
+    """A finite alphabet, a radius, and a total local rule on windows."""
+
+    alphabet: Alphabet
+    radius: int
+    rule: tuple[tuple[str, str], ...]
+
+    def __init__(self, alphabet: Alphabet, radius: int,
+                 rule: Mapping[str, str] | tuple[tuple[str, str], ...]) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "radius", radius)
+        entries = tuple(sorted(rule.items())) if isinstance(rule, Mapping) else tuple(rule)
+        object.__setattr__(self, "rule", entries)
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+
+    @cached_property
+    def rule_map(self) -> dict[str, str]:
+        return dict(self.rule)
+
+    @property
+    def window_len(self) -> int:
+        return 2 * self.radius + 1
+
+
+def validate_machine(spec: MachineSpec) -> ValidationReport:
+    """Report missing rule windows, bad symbols, and malformed entries."""
+    report = ValidationReport("machine")
+    seen: set[str] = set()
+    for window, out in spec.rule:
+        if window in seen:
+            report.add("duplicate-window", f"window {window!r} bound twice")
+        seen.add(window)
+        if len(window) != spec.window_len:
+            report.add("window-length", f"window {window!r} is not {spec.window_len} cells")
+        elif any(c not in spec.alphabet for c in window):
+            report.add("bad-symbol", f"window {window!r} uses symbols outside the alphabet")
+        if len(out) != 1 or out not in spec.alphabet:
+            report.add("bad-symbol", f"output {out!r} for window {window!r} is not a symbol")
+    for window in tape.windows(spec.alphabet, spec.window_len):
+        if window not in seen:
+            report.add("missing-window", f"no rule entry for window {window!r}")
+    return report
+
+
+@lru_cache(maxsize=None)
+def _update_cells(spec: MachineSpec, cells: str) -> str:
+    w = spec.window_len
+    if len(cells) < w:
+        return ""
+    rule = spec.rule_map
+    try:
+        return "".join(rule[cells[i : i + w]] for i in range(len(cells) - w + 1))
+    except KeyError as exc:
+        raise MachineError(f"rule has no entry for window {exc.args[0]!r}") from None
+
+
+def apply(spec: MachineSpec, x: TapeString) -> TapeString:
+    """Update a string: rule applied to every window, ends dropped.
+
+    Strings with fewer cells than a full window update to the empty string.
+    """
+    if x.alphabet != spec.alphabet:
+        raise AlphabetMismatch(f"{x} is not over the machine alphabet")
+    return TapeString(spec.alphabet, _update_cells(spec, x.cells))
+
+
+def apply_morphism(spec: MachineSpec, f: Occurrence) -> Occurrence:
+    """The update's action on an occurrence: same offset, shrunken strings.
+
+    When the updated source is empty the result is the canonical occurrence
+    out of the empty string.
+    """
+    ux = apply(spec, f.source)
+    uy = apply(spec, f.target)
+    if ux.is_empty():
+        return Occurrence(ux, uy, 0)
+    try:
+        return Occurrence(ux, uy, f.offset)
+    except InvalidOccurrence:
+        raise InvalidOccurrence(
+            f"updated image of ({f}) is not an occurrence; malformed input?"
+        ) from None
+
+
+# ---------------------------------------------------------------------------
+# causal neighbourhoods
+
+
+@dataclass(frozen=True)
+class Explanation:
+    """A part of an updated state together with its causal neighbourhood.
+
+    ``part`` places A in the update of a state X; ``window`` is the stretch
+    of X that determines A (one radius wider on each side); ``unit`` places
+    A in the update of the window.  Updating the window and composing with
+    the unit recovers the part.
+    """
+
+    part: Occurrence
+    window: Occurrence
+    unit: Occurrence
+
+    @property
+    def state(self) -> TapeString:
+        return self.window.target
+
+    def check(self, spec: MachineSpec) -> list[str]:
+        """All violated coherence conditions (empty when sound)."""
+        problems: list[str] = []
+        a = self.part.source
+        if self.unit.source != a:
+            problems.append("unit does not start from the explained part")
+        if self.part.target != apply(spec, self.state):
+            problems.append("part does not live in the update of the state")
+        if apply(spec, self.window.source) != self.unit.target:
+            problems.append("unit does not land in the update of the window")
+        if a.is_empty():
+            if not self.window.source.is_empty():
+                problems.append("empty part explained by a nonempty window")
+        elif self.window.source.length != a.length + 2 * spec.radius:
+            problems.append("window is not part length plus twice the radius")
+        try:
+            recovered = tape.compose(self.unit, apply_morphism(spec, self.window))
+        except (InvalidOccurrence, tape.NonComposable):
+            problems.append("unit square does not compose")
+        else:
+            if recovered != self.part:
+                problems.append("updated window composed with unit differs from the part")
+        return problems
+
+    def __str__(self) -> str:
+        return f"part:   {self.part}\nwindow: {self.window}\nunit:   {self.unit}"
+
+
+def causal_neighbourhood(spec: MachineSpec, p: Occurrence, x: TapeString) -> Explanation:
+    """The minimal stretch of x through which all influence on p passed.
+
+    For a nonempty part at offset k, that is the window of x spanning
+    [k, k + len(part) + 2r); it updates exactly to the part, giving a unit
+    at offset 0.  The empty part is explained by the empty window.
+    """
+    if p.target != apply(spec, x):
+        raise TargetMismatch(f"({p}) does not live in the update of {x}")
+    a = p.source
+    if a.is_empty():
+        window = Occurrence(TapeString.empty(spec.alphabet), x, 0)
+    else:
+        n = x.segment(p.offset, p.offset + a.length + 2 * spec.radius)
+        window = Occurrence(n, x, p.offset)
+    unit = Occurrence(a, apply(spec, window.source), 0)
+    return Explanation(p, window, unit)
+
+
+def shifted_explanation(spec: MachineSpec, p: Occurrence, x: TapeString) -> Explanation:
+    """Fault injection: the explaining window displaced by one cell.
+
+    Shifts right when that fits, otherwise left; the unit is kept at offset
+    0 without validation.  Returns the honest explanation unchanged when the
+    window fills the whole state (no room to shift).
+    """
+    honest = causal_neighbourhood(spec, p, x)
+    n_len = honest.window.source.length
+    if honest.part.source.is_empty() or n_len == x.length:
+        return honest
+    offset = honest.window.offset + 1
+    if offset + n_len > x.length:
+        offset = honest.window.offset - 1
+    n = x.segment(offset, offset + n_len)
+    window = Occurrence(n, x, offset)
+    unit = Occurrence.unchecked(p.source, apply(spec, n), 0)
+    return Explanation(p, window, unit)
+
+
+@dataclass(frozen=True)
+class CandidateExplanation:
+    """Any causal neighbourhood candidate: a morphism g with a map from the
+    part into the update of its source, over a map of states."""
+
+    g: Occurrence
+    a: Occurrence
+    b: Occurrence
+
+
+@dataclass(frozen=True)
+class Mediator:
+    """A factorization of a candidate through the chosen neighbourhood."""
+
+    u: Occurrence
+    v: Occurrence
+
+
+@dataclass
+class UniversalityFailure:
+    candidate: CandidateExplanation
+    mediators: int
+
+    def __str__(self) -> str:
+        return (f"candidate g=({self.candidate.g}) a=({self.candidate.a}) "
+                f"b=({self.candidate.b}) has {self.mediators} mediators")
+
+
+@dataclass
+class UniversalityReport:
+    part: Occurrence
+    state: TapeString
+    max_m: int
+    max_z: int
+    candidates: int = 0
+    failures: list[UniversalityFailure] | None = None
+
+    def __post_init__(self) -> None:
+        if self.failures is None:
+            self.failures = []
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def __str__(self) -> str:
+        status = "ok" if self.ok else f"{len(self.failures)} failure(s)"
+        return (f"universality of ({self.part}) over {self.state} "
+                f"[max_m={self.max_m} max_z={self.max_z}]: "
+                f"{self.candidates} candidate(s), {status}")
+
+
+def _contexts(alphabet: Alphabet, budget: int) -> Iterator[tuple[str, str]]:
+    for total in range(budget + 1):
+        for left_len in range(total + 1):
+            for left in tape.windows(alphabet, left_len):
+                for right in tape.windows(alphabet, total - left_len):
+                    yield left, right
+
+
+def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
+                       max_m: int | None = None, max_z: int | None = None,
+                       explanation: Explanation | None = None) -> UniversalityReport:
+    """Bounded search for counterexamples to the neighbourhood's universality.
+
+    Enumerates every candidate explanation of p with source of length
+    <= max_m occurring in a state of length <= max_z, and counts the
+    factorizations through the given (default: computed) explanation.  The
+    check passes when every candidate has exactly one.
+    """
+    if p.target != apply(spec, x):
+        raise TargetMismatch(f"({p}) does not live in the update of {x}")
+    expl = explanation if explanation is not None else causal_neighbourhood(spec, p, x)
+    a_cells = p.source.cells
+    if max_m is None:
+        max_m = len(a_cells) + 2 * spec.radius + 2
+    if max_z is None:
+        max_z = x.length + 2
+    report = UniversalityReport(p, x, max_m, max_z)
+
+    n_cells = expl.window.source.cells
+    n_off = expl.window.offset
+    unit_off = expl.unit.offset
+    un_len = len(expl.unit.target)
+    x_cells = x.cells
+    p_off = p.offset
+
+    for left, right in _contexts(spec.alphabet, max_z - x.length):
+        if not x_cells and left:
+            continue  # empty state: each host arises once, with the canonical leg
+        z_cells = left + x_cells + right
+        b_off = len(left)
+        x_offsets = [0] if not x_cells else _find_all(x_cells, z_cells)
+        spans: list[tuple[int, str]] = [(0, "")]
+        spans += [
+            (i, z_cells[i : i + m])
+            for m in range(1, min(max_m, len(z_cells)) + 1)
+            for i in range(len(z_cells) - m + 1)
+        ]
+        for g_off, m_cells in spans:
+            um = _update_cells(spec, m_cells)
+            if a_cells:
+                a_off = p_off + b_off - g_off
+                if a_off < 0 or a_off + len(a_cells) > len(um) \
+                        or um[a_off : a_off + len(a_cells)] != a_cells:
+                    continue
+            else:
+                a_off = 0
+            report.candidates += 1
+            mediators = 0
+            u_offsets = [0] if not n_cells else _find_all(n_cells, m_cells)
+            for u_off in u_offsets:
+                for v_off in x_offsets:
+                    if v_off != b_off:
+                        continue
+                    if n_cells and u_off + g_off != n_off + v_off:
+                        continue
+                    uu_off = u_off if un_len else 0
+                    comp_off = 0 if not a_cells else unit_off + uu_off
+                    if comp_off == a_off:
+                        mediators += 1
+            if mediators != 1:
+                alphabet = spec.alphabet
+                z = TapeString(alphabet, z_cells)
+                m = TapeString(alphabet, m_cells)
+                candidate = CandidateExplanation(
+                    Occurrence(m, z, g_off if m_cells else 0),
+                    Occurrence(p.source, TapeString(alphabet, um), a_off),
+                    Occurrence(x, z, b_off if x_cells else 0),
+                )
+                report.failures.append(UniversalityFailure(candidate, mediators))
+    return report
+
+
+def _find_all(needle: str, haystack: str) -> list[int]:
+    out = []
+    i = haystack.find(needle)
+    while i >= 0:
+        out.append(i)
+        i = haystack.find(needle, i + 1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# shape tables and the precomputed shape category
+
+
+def shape_table(spec: MachineSpec, a: TapeString) -> set[TapeString]:
+    """All windows that update exactly to `a`.
+
+    For a nonempty part these have length len(a) + 2r; the empty part is
+    explained by the empty window alone.
+    """
+    if a.alphabet != spec.alphabet:
+        raise AlphabetMismatch(f"{a} is not over the machine alphabet")
+    if a.is_empty():
+        return {a}
+    n_len = a.length + 2 * spec.radius
+    return {
+        TapeString(spec.alphabet, w)
+        for w in tape.windows(spec.alphabet, n_len)
+        if _update_cells(spec, w) == a.cells
+    }
+
+
+def minimality_violations(spec: MachineSpec, a: TapeString) -> list[tuple[TapeString, TapeString, int]]:
+    """Proper sub-windows of an explaining window that also update to `a`.
+
+    Empty for sound machines: a shorter window updates to a shorter string,
+    which is why the full window is the universal explanation.
+    """
+    found = []
+    for n in sorted(shape_table(spec, a), key=lambda s: s.cells):
+        for length in range(n.length):
+            for start in range(n.length - length + 1):
+                sub = n.segment(start, start + length)
+                if apply(spec, sub) == a:
+                    found.append((n, sub, start))
+    return found
+
+
+@dataclass(frozen=True)
+class ShapeObject:
+    """A generator together with one window that explains it."""
+
+    name: str
+    generator: TapeString
+    window: TapeString
+
+
+@dataclass(frozen=True)
+class ShapeMorphism:
+    name: str
+    src: str
+    dst: str
+    offset: int
+
+
+class ShapeCategory:
+    """The finite category of (generator, explaining window) pairs.
+
+    Morphisms are the simultaneous occurrences of a generator in a larger
+    generator and of its window in the larger window, at the same offset.
+    It depends only on the machine and the generators, never on any input
+    state, so it is precomputed once and handed to the colimit evaluator.
+    """
+
+    def __init__(self, alphabet: Alphabet, radius: int,
+                 objects: tuple[ShapeObject, ...],
+                 morphisms: tuple[ShapeMorphism, ...]) -> None:
+        self.alphabet = alphabet
+        self.radius = radius
+        self.objects = objects
+        self.morphisms = morphisms
+        self._by_name = {o.name: o for o in objects}
+
+    def object(self, name: str) -> ShapeObject:
+        return self._by_name[name]
+
+    def objects_for(self, generator: TapeString) -> list[ShapeObject]:
+        return [o for o in self.objects if o.generator == generator]
+
+    def without_object(self, name: str) -> ShapeCategory:
+        """A corrupted copy with one object (and its morphisms) deleted;
+        for fault-injection tests."""
+        objects = tuple(o for o in self.objects if o.name != name)
+        morphisms = tuple(m for m in self.morphisms if m.src != name and m.dst != name)
+        return ShapeCategory(self.alphabet, self.radius, objects, morphisms)
+
+    @cached_property
+    def presentation(self) -> FinCatPresentation:
+        cat = FinCatPresentation()
+        for o in self.objects:
+            cat.add_object(o.name)
+        for m in self.morphisms:
+            cat.add_morphism(m.name, m.src, m.dst)
+        for o in self.objects:
+            cat.set_identity(o.name, _shape_mor_name(o.name, o.name, 0))
+        by_key = {(m.src, m.dst, m.offset): m.name for m in self.morphisms}
+        for m1 in self.morphisms:
+            for m2 in self.morphisms:
+                if m1.dst != m2.src:
+                    continue
+                src = self._by_name[m1.src]
+                off = 0 if src.generator.is_empty() else m1.offset + m2.offset
+                cat.set_composite(m2.name, m1.name, by_key[(m1.src, m2.dst, off)])
+        return cat
+
+    def generator_functor(self, dense: DenseSubcategory) -> FunctorData:
+        """Projection onto generators, landing in the dense subcategory."""
+        obj_map = {o.name: str(o.generator) for o in self.objects}
+        mor_map = {}
+        for m in self.morphisms:
+            src, dst = self._by_name[m.src], self._by_name[m.dst]
+            off = 0 if src.generator.is_empty() else m.offset
+            mor_map[m.name] = f"{src.generator}>{dst.generator}@{off}"
+        return FunctorData(self.presentation, dense.presentation, obj_map, mor_map)
+
+    def window_functor(self) -> FunctorData:
+        """Projection onto windows, landing in the tape category."""
+        obj_map = {o.name: o.window for o in self.objects}
+        mor_map = {}
+        for m in self.morphisms:
+            src, dst = self._by_name[m.src], self._by_name[m.dst]
+            off = 0 if src.window.is_empty() else m.offset
+            mor_map[m.name] = Occurrence(src.window, dst.window, off)
+        return FunctorData(self.presentation, TapeCategory(self.alphabet), obj_map, mor_map)
+
+
+def _shape_obj_name(a: TapeString, n: TapeString) -> str:
+    return f"({a.cells}|{n.cells})"
+
+
+def _shape_mor_name(src: str, dst: str, offset: int) -> str:
+    return f"{src}>{dst}@{offset}"
+
+
+def shape_category(spec: MachineSpec, dense: DenseSubcategory | None = None) -> ShapeCategory:
+    """Precompute the shape category of a machine over the canonical
+    generators: one object per (generator, explaining window) pair, one
+    morphism per aligned double occurrence."""
+    if dense is None:
+        dense = canonical_dense_subcategory(spec.alphabet)
+    if dense.alphabet != spec.alphabet:
+        raise AlphabetMismatch("generators and machine use different alphabets")
+    objects: list[ShapeObject] = []
+    for a in dense.strings:
+        for n in sorted(shape_table(spec, a), key=lambda s: s.cells):
+            objects.append(ShapeObject(_shape_obj_name(a, n), a, n))
+    morphisms: list[ShapeMorphism] = []
+    for src in objects:
+        for dst in objects:
+            if src.generator.is_empty():
+                offsets = [0]
+            else:
+                gen_offsets = set(_find_all(src.generator.cells, dst.generator.cells))
+                win_offsets = set(_find_all(src.window.cells, dst.window.cells))
+                offsets = sorted(gen_offsets & win_offsets)
+            for j in offsets:
+                morphisms.append(ShapeMorphism(_shape_mor_name(src.name, dst.name, j),
+                                               src.name, dst.name, j))
+    return ShapeCategory(spec.alphabet, spec.radius, tuple(objects), tuple(morphisms))
+
+
+# ---------------------------------------------------------------------------
+# whole-machine sweeps (drive the checkers over bounded fragments)
+
+
+@dataclass
+class SweepOutcome:
+    name: str
+    cases: int
+    failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def __str__(self) -> str:
+        status = "ok" if self.ok else f"FAIL ({len(self.failures)})"
+        return f"{self.name}: cases={self.cases} {status}"
+
+
+def functoriality_sweep(spec: MachineSpec, max_len: int) -> SweepOutcome:
+    """Exhaustively check that updating preserves identities and composition
+    for all occurrences among strings up to max_len."""
+    outcome = SweepOutcome(f"functoriality max_len={max_len}", 0, [])
+    strings = tape.all_strings(spec.alphabet, max_len)
+    morphisms: list[Occurrence] = []
+    for a in strings:
+        ua = apply(spec, a)
+        uid = apply_morphism(spec, tape.identity(a))
+        outcome.cases += 1
+        if uid != tape.identity(ua):
+            outcome.failures.append(f"U(id_{a}) != id_U({a})")
+        for b in strings:
+            if a.length <= b.length:
+                morphisms.extend(tape.hom(a, b))
+    by_dom: dict[str, list[Occurrence]] = {}
+    for m in morphisms:
+        by_dom.setdefault(m.source.cells, []).append(m)
+    for f in morphisms:
+        for g in by_dom.get(f.target.cells, ()):
+            outcome.cases += 1
+            lhs = apply_morphism(spec, tape.compose(f, g))
+            rhs = tape.compose(apply_morphism(spec, f), apply_morphism(spec, g))
+            if lhs != rhs:
+                outcome.failures.append(f"U(({f});({g})) != U({f});U({g})")
+    return outcome
+
+
+def adjunction_sweep(spec: MachineSpec, max_state_len: int,
+                     dense: DenseSubcategory | None = None,
+                     max_m: int | None = None, max_z: int | None = None,
+                     mutate: bool = False) -> SweepOutcome:
+    """Run the universality check for every generator part of every updated
+    state up to max_state_len.  With mutate=True the explanations are
+    displaced first; the sweep must then fail."""
+    if dense is None:
+        dense = canonical_dense_subcategory(spec.alphabet)
+    outcome = SweepOutcome(f"adjunction max_state_len={max_state_len}", 0, [])
+    for x in tape.all_strings(spec.alphabet, max_state_len):
+        ux = apply(spec, x)
+        for a in dense.strings:
+            for p in tape.hom(a, ux):
+                expl = shifted_explanation(spec, p, x) if mutate else None
+                report = universality_check(spec, p, x, max_m, max_z, explanation=expl)
+                outcome.cases += 1
+                if not report.ok:
+                    outcome.failures.append(str(report.failures[0]))
+    return outcome
+
+
+def coherence_sweep(spec: MachineSpec, max_state_len: int) -> SweepOutcome:
+    """Check the explanation invariants for every part of every updated
+    state up to max_state_len."""
+    outcome = SweepOutcome(f"explanations max_state_len={max_state_len}", 0, [])
+    for x in tape.all_strings(spec.alphabet, max_state_len):
+        ux = apply(spec, x)
+        parts = [Occurrence(TapeString.empty(spec.alphabet), ux, 0)]
+        parts += [
+            Occurrence(ux.segment(s, e), ux, s)
+            for s in range(ux.length)
+            for e in range(s + 1, ux.length + 1)
+        ]
+        for p in parts:
+            expl = causal_neighbourhood(spec, p, x)
+            outcome.cases += 1
+            problems = expl.check(spec)
+            if problems:
+                outcome.failures.append(f"({p}) over {x}: {problems[0]}")
+            if not p.source.is_empty() and apply(spec, expl.window.source) != p.source:
+                outcome.failures.append(f"({p}) over {x}: window does not update to part")
+    return outcome
+
+
+# ---------------------------------------------------------------------------
+# machine config files
+
+
+def format_machine(spec: MachineSpec) -> str:
+    lines = [f"alphabet: {spec.alphabet}", f"radius: {spec.radius}", "rule:"]
+    lines += [f"  {window} -> {out}" for window, out in spec.rule]
+    return "\n".join(lines) + "\n"
+
+
+def parse_machine(text: str) -> MachineSpec:
+    """Parse the plain-text machine config (alphabet, radius, rule table).
+
+    Rejects duplicate and missing windows: a partial rule would silently
+    break functoriality.
+    """
+    alphabet: Alphabet | None = None
+    radius: int | None = None
+    rule: dict[str, str] = {}
+    in_rule = False
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("alphabet:"):
+            symbols = tuple(line[len("alphabet:"):].split())
+            try:
+                alphabet = Alphabet(symbols)
+            except ValueError as exc:
+                raise MachineConfigError(f"line {lineno}: {exc}") from None
+            in_rule = False
+        elif line.startswith("radius:"):
+            try:
+                radius = int(line[len("radius:"):].strip())
+            except ValueError:
+                raise MachineConfigError(f"line {lineno}: radius is not an integer") from None
+            if radius < 0:
+                raise MachineConfigError(f"line {lineno}: radius must be >= 0")
+            in_rule = False
+        elif line == "rule:":
+            in_rule = True
+        elif in_rule:
+            parts = line.split()
+            if len(parts) != 3 or parts[1] != "->":
+                raise MachineConfigError(f"line {lineno}: expected 'WINDOW -> SYMBOL'")
+            window, out = parts[0], parts[2]
+            if window in rule:
+                raise MachineConfigError(f"line {lineno}: duplicate window {window!r}")
+            rule[window] = out
+        else:
+            raise MachineConfigError(f"line {lineno}: unrecognized line {raw!r}")
+    if alphabet is None:
+        raise MachineConfigError("missing 'alphabet:' line")
+    if radius is None:
+        raise MachineConfigError("missing 'radius:' line")
+    if not rule:
+        raise MachineConfigError("missing 'rule:' table")
+    spec = MachineSpec(alphabet, radius, rule)
+    report = validate_machine(spec)
+    if not report.ok:
+        raise MachineConfigError(str(report))
+    return spec
