@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -26,7 +25,6 @@ from .machine import (
     parse_machine,
     shape_category,
     shape_table,
-    validate_machine,
 )
 from .tape import AlphabetMismatch, TapeString, windows
 
@@ -36,16 +34,6 @@ EXIT_MISMATCH = 3
 
 SUITES = ("category", "functor", "density", "adjunction", "equivalence", "all")
 MUTATIONS = ("none", "shift-window", "drop-shape-object")
-
-
-@dataclass
-class RunConfig:
-    machine_file: Path
-    input: TapeString
-    steps: int
-    engine: str
-    trace: bool
-    mutate: str = "none"
 
 
 def _load_machine(path: Path) -> MachineSpec:
@@ -108,19 +96,17 @@ def run(machine_file: Path, input_string: str, steps: int, engine: str,
         trace: bool, mutate: str) -> None:
     """Print the trajectory of INPUT_STRING under the machine."""
     spec = _load_machine(machine_file)
-    config = RunConfig(machine_file, _parse_input(spec, input_string),
-                       steps, engine, trace, mutate)
+    x = _parse_input(spec, input_string)
     shape = None
-    if config.engine in ("categorical", "both"):
-        shape = _mutated_shape(spec, config.mutate)
-    x = config.input
+    if engine in ("categorical", "both"):
+        shape = _mutated_shape(spec, mutate)
     click.echo(str(x))
-    for _ in range(config.steps):
-        oracle_value = apply(spec, x) if config.engine in ("oracle", "both") else None
+    for _ in range(steps):
+        oracle_value = apply(spec, x) if engine in ("oracle", "both") else None
         cat_value = None
         if shape is not None:
             try:
-                if config.trace:
+                if trace:
                     cat_value, step_trace = evaluate_traced(shape, x)
                 else:
                     cat_value = evaluate(shape, x)
@@ -134,7 +120,7 @@ def run(machine_file: Path, input_string: str, steps: int, engine: str,
             sys.exit(EXIT_MISMATCH)
         x = oracle_value if oracle_value is not None else cat_value
         click.echo(str(x))
-        if config.trace and shape is not None:
+        if trace and shape is not None:
             for line in step_trace.render().splitlines():
                 click.echo(f"  {line}")
 
@@ -257,10 +243,6 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
           adj_len: int, mutate: str) -> None:
     """Run the law-checking suites; nonzero exit on any violation."""
     spec = _load_machine(machine_file)
-    report = validate_machine(spec)
-    if not report.ok:
-        click.echo(str(report), err=True)
-        sys.exit(EXIT_CHECK)
     dense = canonical_dense_subcategory(spec.alphabet)
     started = time.perf_counter()
     results: list[tuple[str, bool, str]] = []

@@ -253,7 +253,12 @@ class DensityResult:
 
 def canonical_diagram(x: TapeString, dense: DenseSubcategory) -> TapeDiagram:
     """One node per occurrence of a generator in x, edges from all comma
-    morphisms over the identity of x."""
+    morphisms over the identity of x.
+
+    Such a morphism from one occurrence to another exists exactly when the
+    first span lies inside the second (always, for an empty first source),
+    and it is then the unique occurrence at the difference of the offsets.
+    """
     if dense.alphabet != x.alphabet:
         raise MalformedDiagram("string and generators use different alphabets")
     nodes: list[tuple[str, TapeString]] = []
@@ -265,10 +270,11 @@ def canonical_diagram(x: TapeString, dense: DenseSubcategory) -> TapeDiagram:
             occs.append((node_id, o))
     edges: list[tuple[str, str, Occurrence]] = []
     for id1, o1 in occs:
+        n = len(o1.source)
         for id2, o2 in occs:
-            for a in tape.hom(o1.source, o2.source):
-                if tape.compose(a, o2) == o1:
-                    edges.append((id1, id2, a))
+            d = o1.offset - o2.offset if n else 0
+            if 0 <= d and d + n <= len(o2.source):
+                edges.append((id1, id2, Occurrence(o1.source, o2.source, d)))
     return TapeDiagram.build(x.alphabet, nodes, edges)
 
 

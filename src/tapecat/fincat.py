@@ -494,9 +494,6 @@ class DenseSubcategory:
     presentation: FinCatPresentation
     inclusion: FunctorData
 
-    def generator_name(self, s: TapeString) -> str:
-        return str(s)
-
 
 def canonical_dense_subcategory(alphabet: Alphabet) -> DenseSubcategory:
     """Generators dense in the tape category: any string is glued from its

@@ -33,7 +33,7 @@ from .machine import (
     causal_neighbourhood,
     shape_category,
 )
-from .tape import AlphabetMismatch, Occurrence, TapeString
+from .tape import AlphabetMismatch, Occurrence, TapeString, find_all
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def _indexed_diagram(shape: ShapeCategory, x_cells: str):
     node_index: dict[tuple[int, int], int] = {}
     placements: list[list[int]] = []
     for k, window in enumerate(compiled.windows):
-        offs = [0] if not window else _find_all(window, x_cells)
+        offs = [0] if not window else find_all(window, x_cells)
         placements.append(offs)
         for q in offs:
             node_index[(k, q)] = len(nodes)
@@ -150,15 +150,6 @@ def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, Ev
     output = glue(diagram)
     trace = EvalTrace(x, shape, indexed, trace_edges, diagram, output)
     return output.value, trace
-
-
-def _find_all(needle: str, haystack: str) -> list[int]:
-    out = []
-    i = haystack.find(needle)
-    while i >= 0:
-        out.append(i)
-        i = haystack.find(needle, i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .fincat import (
     ValidationReport,
     canonical_dense_subcategory,
 )
-from .tape import Alphabet, AlphabetMismatch, InvalidOccurrence, Occurrence, TapeString
+from .tape import Alphabet, AlphabetMismatch, InvalidOccurrence, Occurrence, TapeString, find_all
 
 
 class MachineError(Exception):
@@ -66,9 +66,15 @@ class MachineSpec:
 
 
 def validate_machine(spec: MachineSpec) -> ValidationReport:
-    """Report missing rule windows, bad symbols, and malformed entries."""
+    """Report missing rule windows, bad symbols, and malformed entries.
+
+    Totality is decided by counting distinct well-formed windows, so the
+    window space is never enumerated: the first missing window, in alphabet
+    order, is among the first len(rule) + 1 windows.
+    """
     report = ValidationReport("machine")
     seen: set[str] = set()
+    well_formed: set[str] = set()
     for window, out in spec.rule:
         if window in seen:
             report.add("duplicate-window", f"window {window!r} bound twice")
@@ -77,11 +83,16 @@ def validate_machine(spec: MachineSpec) -> ValidationReport:
             report.add("window-length", f"window {window!r} is not {spec.window_len} cells")
         elif any(c not in spec.alphabet for c in window):
             report.add("bad-symbol", f"window {window!r} uses symbols outside the alphabet")
+        else:
+            well_formed.add(window)
         if len(out) != 1 or out not in spec.alphabet:
             report.add("bad-symbol", f"output {out!r} for window {window!r} is not a symbol")
-    for window in tape.windows(spec.alphabet, spec.window_len):
-        if window not in seen:
-            report.add("missing-window", f"no rule entry for window {window!r}")
+    total = len(spec.alphabet) ** spec.window_len
+    if len(well_formed) < total:
+        first = next(w for w in tape.windows(spec.alphabet, spec.window_len)
+                     if w not in well_formed)
+        report.add("missing-window", f"no rule entry for {total - len(well_formed)} of "
+                                     f"{total} windows, the first is {first!r}")
     return report
 
 
@@ -224,14 +235,6 @@ class CandidateExplanation:
     b: Occurrence
 
 
-@dataclass(frozen=True)
-class Mediator:
-    """A factorization of a candidate through the chosen neighbourhood."""
-
-    u: Occurrence
-    v: Occurrence
-
-
 @dataclass
 class UniversalityFailure:
     candidate: CandidateExplanation
@@ -305,8 +308,7 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
         if not x_cells and left:
             continue  # empty state: each host arises once, with the canonical leg
         z_cells = left + x_cells + right
-        b_off = len(left)
-        x_offsets = [0] if not x_cells else _find_all(x_cells, z_cells)
+        b_off = len(left)  # the only state map a mediator may have
         spans: list[tuple[int, str]] = [(0, "")]
         spans += [
             (i, z_cells[i : i + m])
@@ -324,17 +326,14 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
                 a_off = 0
             report.candidates += 1
             mediators = 0
-            u_offsets = [0] if not n_cells else _find_all(n_cells, m_cells)
+            u_offsets = [0] if not n_cells else find_all(n_cells, m_cells)
             for u_off in u_offsets:
-                for v_off in x_offsets:
-                    if v_off != b_off:
-                        continue
-                    if n_cells and u_off + g_off != n_off + v_off:
-                        continue
-                    uu_off = u_off if un_len else 0
-                    comp_off = 0 if not a_cells else unit_off + uu_off
-                    if comp_off == a_off:
-                        mediators += 1
+                if n_cells and u_off + g_off != n_off + b_off:
+                    continue
+                uu_off = u_off if un_len else 0
+                comp_off = 0 if not a_cells else unit_off + uu_off
+                if comp_off == a_off:
+                    mediators += 1
             if mediators != 1:
                 alphabet = spec.alphabet
                 z = TapeString(alphabet, z_cells)
@@ -346,15 +345,6 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
                 )
                 report.failures.append(UniversalityFailure(candidate, mediators))
     return report
-
-
-def _find_all(needle: str, haystack: str) -> list[int]:
-    out = []
-    i = haystack.find(needle)
-    while i >= 0:
-        out.append(i)
-        i = haystack.find(needle, i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +499,8 @@ def shape_category(spec: MachineSpec, dense: DenseSubcategory | None = None) -> 
             if src.generator.is_empty():
                 offsets = [0]
             else:
-                gen_offsets = set(_find_all(src.generator.cells, dst.generator.cells))
-                win_offsets = set(_find_all(src.window.cells, dst.window.cells))
+                gen_offsets = set(find_all(src.generator.cells, dst.generator.cells))
+                win_offsets = set(find_all(src.window.cells, dst.window.cells))
                 offsets = sorted(gen_offsets & win_offsets)
             for j in offsets:
                 morphisms.append(ShapeMorphism(_shape_mor_name(src.name, dst.name, j),

@@ -154,6 +154,17 @@ def identity(a: TapeString) -> Occurrence:
     return Occurrence(a, a, 0)
 
 
+def find_all(needle: str, haystack: str) -> list[int]:
+    """Ascending offsets of every occurrence of a nonempty raw word,
+    overlapping occurrences included."""
+    out = []
+    i = haystack.find(needle)
+    while i >= 0:
+        out.append(i)
+        i = haystack.find(needle, i + 1)
+    return out
+
+
 def hom(a: TapeString, b: TapeString) -> list[Occurrence]:
     """All occurrences of `a` in `b`, ordered by offset.
 
@@ -164,12 +175,7 @@ def hom(a: TapeString, b: TapeString) -> list[Occurrence]:
         raise AlphabetMismatch(f"hom across alphabets {{{a.alphabet}}} and {{{b.alphabet}}}")
     if a.is_empty():
         return [Occurrence(a, b, 0)]
-    out = []
-    start = b.cells.find(a.cells)
-    while start >= 0:
-        out.append(Occurrence(a, b, start))
-        start = b.cells.find(a.cells, start + 1)
-    return out
+    return [Occurrence(a, b, i) for i in find_all(a.cells, b.cells)]
 
 
 def compose(f: Occurrence, g: Occurrence) -> Occurrence:

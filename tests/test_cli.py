@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tapecat
 from tapecat.cli import main
 from tapecat.fincat import FinCatPresentation, validate_category
 
@@ -46,6 +50,18 @@ class TestRun:
         bad.write_text("alphabet: . #\nradius: 1\nrule:\n  ### -> #\n")
         result = runner.invoke(main, ["run", str(bad), "#"])
         assert result.exit_code == 1
+
+    def test_huge_window_space_fails_fast(self, tmp_path):
+        # 2**61 windows: totality must be decided without enumerating them
+        bad = tmp_path / "r30.machine"
+        bad.write_text("alphabet: . #\nradius: 30\nrule:\n  . -> #\n")
+        src = str(Path(tapecat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "tapecat.cli", "run", str(bad), "#"],
+                                capture_output=True, text=True, timeout=10, env=env)
+        assert result.returncode == 1
+        assert "missing-window" in result.stderr
 
     def test_bad_input_symbols_exit_2(self, runner):
         result = runner.invoke(main, ["run", SPREAD, "abc"])

@@ -18,8 +18,8 @@ from tapecat.colimit import (
     glue,
     glue_cells,
 )
-from tapecat.fincat import canonical_dense_subcategory
-from tapecat.tape import DEFAULT_ALPHABET, Occurrence, all_strings, compose
+from tapecat.fincat import TapeCategory, canonical_dense_subcategory, comma_enumerate, constant_functor
+from tapecat.tape import DEFAULT_ALPHABET, Alphabet, Occurrence, all_strings, compose
 
 from .support import brute_offsets, cocones_to, count_mediators, occ, ts
 
@@ -184,6 +184,23 @@ class TestDensity:
         for x in all_strings(DEFAULT_ALPHABET, 6):
             verdict = density_check(x, dense)
             assert verdict.ok, f"{x}: {verdict.detail}"
+
+    def test_canonical_diagram_is_the_comma_category(self):
+        # reference: the comma category (generators over x), enumerated by search
+        def node_id(o):
+            return f"{o.mid.source}@{o.mid.offset}"
+
+        for alphabet, max_len in [(DEFAULT_ALPHABET, 6), (Alphabet(("a", "b", "c")), 4)]:
+            gens = canonical_dense_subcategory(alphabet)
+            for x in all_strings(alphabet, max_len):
+                comma = comma_enumerate(gens.inclusion,
+                                        constant_functor(TapeCategory(alphabet), x))
+                d = canonical_diagram(x, gens)
+                assert [(n.id, n.value) for n in d.nodes] == \
+                    [(node_id(o), o.mid.source) for o in comma.objects]
+                assert [(e.src, e.dst, e.occ) for e in d.edges] == \
+                    [(node_id(m.src), node_id(m.dst), gens.inclusion.on_morphism(m.f_comp))
+                     for m in comma.morphisms]
 
     def test_single_cell_legs_enumerate_cells(self, dense):
         x = ts("#..#")

@@ -6,9 +6,10 @@ import pytest
 
 import tapecat.machine
 from tapecat.colimit import glue
-from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced, explain
+from tapecat.fincat import TapeCategory, comma_enumerate, constant_functor
+from tapecat.kan import _indexed_diagram, equivalence_sweep, evaluate, evaluate_traced, explain
 from tapecat.machine import apply, shape_category
-from tapecat.tape import all_strings, compose
+from tapecat.tape import DEFAULT_ALPHABET, all_strings, compose
 
 from .support import occ, ts
 
@@ -91,6 +92,20 @@ class TestTrace:
             if node.p_obj.generator.length == 1
         }
         assert covered == set(range(value.length))
+
+    def test_diagram_is_the_window_comma_category(self, spread_shape):
+        # reference: (window functor over x), enumerated by search
+        window = spread_shape.window_functor()
+        names = [o.name for o in spread_shape.objects]
+        for x in all_strings(DEFAULT_ALPHABET, 6):
+            comma = comma_enumerate(window, constant_functor(TapeCategory(DEFAULT_ALPHABET), x))
+            nodes, edges, _ = _indexed_diagram(spread_shape, x.cells)
+            assert [(names[k], q) for k, q in nodes] == \
+                [(o.left, o.mid.offset) for o in comma.objects]
+            index = {o: i for i, o in enumerate(comma.objects)}
+            comma_edges = {(index[m.src], index[m.dst], m.f_comp) for m in comma.morphisms}
+            for src, dst, _, mor in edges:
+                assert (src, dst, spread_shape.morphisms[mor].name) in comma_edges
 
     def test_render_is_deterministic(self, spread_shape):
         _, t1 = evaluate_traced(spread_shape, ts("#...#."))

@@ -26,7 +26,7 @@ from tapecat.machine import (
     universality_check,
     validate_machine,
 )
-from tapecat.tape import DEFAULT_ALPHABET, all_strings, identity, windows
+from tapecat.tape import DEFAULT_ALPHABET, all_strings, hom, identity, windows
 
 from .conftest import spread_rule
 from .support import occ, ts
@@ -158,6 +158,19 @@ class TestUniversality:
         report = universality_check(spread, p, ts("#...#."))
         assert report.max_m == 1 + 2 + 2 and report.max_z == 6 + 2
         assert report.ok
+
+    def test_candidate_and_failure_counts(self, spread, dense):
+        candidates = failures = shifted_failures = 0
+        for x in all_strings(DEFAULT_ALPHABET, 5):
+            for a in dense.strings:
+                for p in hom(a, apply(spread, x)):
+                    report = universality_check(spread, p, x)
+                    candidates += report.candidates
+                    failures += len(report.failures)
+                    mutant = shifted_explanation(spread, p, x)
+                    shifted_failures += len(
+                        universality_check(spread, p, x, explanation=mutant).failures)
+        assert (candidates, failures, shifted_failures) == (34577, 0, 14144)
 
     def test_sweep_small(self, spread):
         outcome = adjunction_sweep(spread, 5)

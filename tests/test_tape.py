@@ -75,6 +75,7 @@ class TestHom:
         # derived by brute force: ".." in "..." at 0 and 1
         assert offsets(hom(ts(".."), ts("..."))) == set(brute_offsets("..", "..."))
         assert offsets(hom(ts(".."), ts("..."))) == {0, 1}
+        assert [o.offset for o in hom(ts("##"), ts("####"))] == [0, 1, 2]
 
     def test_alphabet_mismatch_raises(self):
         other = TapeString(Alphabet(("0", "1")), "01")
