@@ -19,6 +19,7 @@ from .kan import equivalence_sweep, evaluate, evaluate_traced, explain
 from .machine import (
     MachineConfigError,
     MachineSpec,
+    ShapeCategory,
     adjunction_sweep,
     apply,
     functoriality_sweep,
@@ -70,8 +71,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         sys.exit(EXIT_CHECK)
 
 
-def _mutated_shape(spec: MachineSpec, mutate: str):
-    shape = shape_category(spec)
+def _mutated_shape(shape: ShapeCategory, mutate: str) -> ShapeCategory:
     if mutate == "drop-shape-object":
         victim = next(o for o in shape.objects if o.generator.length == 1)
         shape = shape.without_object(victim.name)
@@ -99,7 +99,7 @@ def run(machine_file: Path, input_string: str, steps: int, engine: str,
     x = _parse_input(spec, input_string)
     shape = None
     if engine in ("categorical", "both"):
-        shape = _mutated_shape(spec, mutate)
+        shape = _mutated_shape(shape_category(spec), mutate)
     click.echo(str(x))
     for _ in range(steps):
         oracle_value = apply(spec, x) if engine in ("oracle", "both") else None
@@ -163,13 +163,12 @@ def explain_cmd(machine_file: Path, input_string: str, cell_range: str) -> None:
     click.echo(str(expl))
 
 
-def _check_category(spec: MachineSpec, dense) -> list[tuple[str, bool, str]]:
+def _check_category(shape: ShapeCategory, dense) -> list[tuple[str, bool, str]]:
     results = []
     report = validate_category(dense.presentation)
     results.append(("category generators", report.ok,
                     f"objects={len(dense.presentation.objects)} "
                     f"violations={len(report.violations)}"))
-    shape = shape_category(spec, dense)
     p_report = validate_category(shape.presentation)
     results.append(("category shapes", p_report.ok,
                     f"objects={len(shape.objects)} violations={len(p_report.violations)}"))
@@ -179,11 +178,11 @@ def _check_category(spec: MachineSpec, dense) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _check_functor(spec: MachineSpec, dense, max_len: int) -> list[tuple[str, bool, str]]:
+def _check_functor(spec: MachineSpec, shape: ShapeCategory, dense,
+                   max_len: int) -> list[tuple[str, bool, str]]:
     results = []
     inc = validate_functor(dense.inclusion)
     results.append(("functor inclusion", inc.ok, f"violations={len(inc.violations)}"))
-    shape = shape_category(spec, dense)
     gen = validate_functor(shape.generator_functor(dense))
     win = validate_functor(shape.window_functor())
     results.append(("functor shape-projections", gen.ok and win.ok,
@@ -220,9 +219,9 @@ def _check_adjunction(spec: MachineSpec, dense, max_len: int,
     return [(f"adjunction max_state_len={max_len}", sweep.ok, detail)]
 
 
-def _check_equivalence(spec: MachineSpec, max_len: int,
+def _check_equivalence(spec: MachineSpec, shape: ShapeCategory, max_len: int,
                        mutate: str) -> list[tuple[str, bool, str]]:
-    shape = _mutated_shape(spec, mutate)
+    shape = _mutated_shape(shape, mutate)
     report = equivalence_sweep(spec, max_len, shape)
     detail = str(report)
     if not report.ok:
@@ -246,16 +245,18 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
     dense = canonical_dense_subcategory(spec.alphabet)
     started = time.perf_counter()
     results: list[tuple[str, bool, str]] = []
+    if suite in ("category", "functor", "equivalence", "all"):
+        shape = shape_category(spec, dense)
     if suite in ("category", "all"):
-        results += _check_category(spec, dense)
+        results += _check_category(shape, dense)
     if suite in ("functor", "all"):
-        results += _check_functor(spec, dense, functor_len)
+        results += _check_functor(spec, shape, dense, functor_len)
     if suite in ("density", "all"):
         results += _check_density(spec, dense, max_len)
     if suite in ("adjunction", "all"):
         results += _check_adjunction(spec, dense, adj_len, mutate)
     if suite in ("equivalence", "all"):
-        results += _check_equivalence(spec, max_len, mutate)
+        results += _check_equivalence(spec, shape, max_len, mutate)
     failed = False
     for name, ok, detail in results:
         click.echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

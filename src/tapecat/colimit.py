@@ -261,13 +261,16 @@ def canonical_diagram(x: TapeString, dense: DenseSubcategory) -> TapeDiagram:
     """
     if dense.alphabet != x.alphabet:
         raise MalformedDiagram("string and generators use different alphabets")
-    nodes: list[tuple[str, TapeString]] = []
-    occs: list[tuple[str, Occurrence]] = []
-    for s in dense.strings:
-        for o in tape.hom(s, x):
-            node_id = f"{s}@{o.offset}"
-            nodes.append((node_id, s))
-            occs.append((node_id, o))
+    return _comma_diagram(x, _generator_occurrences(x, dense))
+
+
+def _generator_occurrences(x: TapeString, dense: DenseSubcategory) -> list[tuple[str, Occurrence]]:
+    """Every occurrence of a generator in x, with its canonical node id."""
+    return [(f"{s}@{o.offset}", o) for s in dense.strings for o in tape.hom(s, x)]
+
+
+def _comma_diagram(x: TapeString, occs: list[tuple[str, Occurrence]]) -> TapeDiagram:
+    nodes = [(node_id, o.source) for node_id, o in occs]
     edges: list[tuple[str, str, Occurrence]] = []
     for id1, o1 in occs:
         n = len(o1.source)
@@ -281,15 +284,14 @@ def canonical_diagram(x: TapeString, dense: DenseSubcategory) -> TapeDiagram:
 def density_check(x: TapeString, dense: DenseSubcategory) -> DensityResult:
     """Glue the canonical diagram of generator occurrences in x and verify
     the colimit is x itself with the original occurrences as legs."""
-    expected = {f"{s}@{o.offset}": o for s in dense.strings for o in tape.hom(s, x)}
-    diagram = canonical_diagram(x, dense)
+    occs = _generator_occurrences(x, dense)
     try:
-        result = glue(diagram)
+        result = glue(_comma_diagram(x, occs))
     except GlueError as exc:
         return DensityResult(False, f"glue failed: {exc}")
     if result.value != x:
         return DensityResult(False, f"colimit is {result.value}, not {x}", result)
-    for node_id, want in expected.items():
+    for node_id, want in occs:
         if result.legs[node_id] != want:
             return DensityResult(False, f"leg of {node_id} is {result.legs[node_id]}, "
                                         f"expected {want}", result)

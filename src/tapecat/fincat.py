@@ -60,6 +60,7 @@ class FinCatPresentation:
 
     def __init__(self) -> None:
         self.objects: list[str] = []
+        self._object_set: set[str] = set()
         self._morphisms: dict[str, tuple[str, str]] = {}
         self.identities: dict[str, str] = {}
         self.table: dict[tuple[str, str], str] = {}
@@ -69,21 +70,22 @@ class FinCatPresentation:
     def add_object(self, name: str) -> None:
         if not name or any(ch.isspace() for ch in name):
             raise ValueError(f"bad object name {name!r}")
-        if name in self.objects:
+        if name in self._object_set:
             raise ValueError(f"duplicate object {name!r}")
         self.objects.append(name)
+        self._object_set.add(name)
 
     def add_morphism(self, name: str, dom: str, cod: str) -> None:
         if not name or any(ch.isspace() for ch in name):
             raise ValueError(f"bad morphism name {name!r}")
         if name in self._morphisms:
             raise ValueError(f"duplicate morphism {name!r}")
-        if dom not in self.objects or cod not in self.objects:
+        if dom not in self._object_set or cod not in self._object_set:
             raise ValueError(f"morphism {name!r} references unknown objects")
         self._morphisms[name] = (dom, cod)
 
     def set_identity(self, obj: str, name: str) -> None:
-        if obj not in self.objects or name not in self._morphisms:
+        if obj not in self._object_set or name not in self._morphisms:
             raise ValueError(f"identity binding {obj!r} = {name!r} references unknown names")
         self.identities[obj] = name
 
@@ -240,8 +242,9 @@ def validate_category(cat: FinCatPresentation) -> ValidationReport:
     """
     report = ValidationReport("category")
     names = cat.morphisms()
+    objects = set(cat.objects)
     for m, (d, c) in cat._morphisms.items():
-        if d not in cat.objects or c not in cat.objects:
+        if d not in objects or c not in objects:
             report.add("dangling", f"morphism {m} has unknown endpoint")
     for obj in cat.objects:
         ident = cat.identities.get(obj)
@@ -250,12 +253,26 @@ def validate_category(cat: FinCatPresentation) -> ValidationReport:
             continue
         if cat.dom(ident) != obj or cat.cod(ident) != obj:
             report.add("identity-endpoints", f"identity {ident} of {obj} is not an endomorphism")
-    # totality and closure of the table
+    by_dom: dict[str, list[str]] = {}
+    for m in names:
+        by_dom.setdefault(cat.dom(m), []).append(m)
+    # junk: table keys that are not composable pairs of listed morphisms
+    junk_after: dict[str, list[str]] = {}
+    unknown: list[tuple[str, str]] = []
+    for g, f in cat.table:
+        if g not in cat._morphisms or f not in cat._morphisms:
+            unknown.append((g, f))
+        elif cat.cod(f) != cat.dom(g):
+            junk_after.setdefault(f, []).append(g)
+    position = {m: i for i, m in enumerate(names)}
+    # totality and closure of the table, in the order of the pairs (f, g)
     for f in names:
-        for g in names:
+        followers = by_dom.get(cat.cod(f), [])
+        if f in junk_after:
+            followers = sorted(followers + junk_after[f], key=position.__getitem__)
+        for g in followers:
             if cat.cod(f) != cat.dom(g):
-                if (g, f) in cat.table:
-                    report.add("table-junk", f"table binds non-composable pair ({g}, {f})")
+                report.add("table-junk", f"table binds non-composable pair ({g}, {f})")
                 continue
             h = cat.table.get((g, f))
             if h is None:
@@ -266,6 +283,8 @@ def validate_category(cat: FinCatPresentation) -> ValidationReport:
                 continue
             if cat.dom(h) != cat.dom(f) or cat.cod(h) != cat.cod(g):
                 report.add("closure", f"composite {h} of ({g}, {f}) has wrong endpoints")
+    for g, f in unknown:
+        report.add("table-junk", f"table binds non-composable pair ({g}, {f})")
     if not report.ok:
         return report
     # unit laws
@@ -275,9 +294,6 @@ def validate_category(cat: FinCatPresentation) -> ValidationReport:
         if cat.compose(f, cat.identity(cat.cod(f))) != f:
             report.add("unit", f"{f};id != {f}")
     # associativity over all composable triples
-    by_dom: dict[str, list[str]] = {}
-    for m in names:
-        by_dom.setdefault(cat.dom(m), []).append(m)
     for f in names:
         for g in by_dom.get(cat.cod(f), ()):
             fg = cat.compose(f, g)

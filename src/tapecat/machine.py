@@ -55,6 +55,11 @@ class MachineSpec:
         object.__setattr__(self, "rule", entries)
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        # every memo lookup keyed on the spec hashes it; the rule is immutable
+        object.__setattr__(self, "_hash", hash((alphabet, radius, entries)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def rule_map(self) -> dict[str, str]:
@@ -355,18 +360,27 @@ def shape_table(spec: MachineSpec, a: TapeString) -> set[TapeString]:
     """All windows that update exactly to `a`.
 
     For a nonempty part these have length len(a) + 2r; the empty part is
-    explained by the empty window alone.
+    explained by the empty window alone.  The window space is never
+    enumerated: the windows of one cell are the rule windows with that
+    output, and those of a longer part join the windows of its prefix with
+    those of its last cell wherever they agree on 2r overlapping cells (the
+    de Bruijn-graph view of cellular-automaton preimages).
     """
     if a.alphabet != spec.alphabet:
         raise AlphabetMismatch(f"{a} is not over the machine alphabet")
     if a.is_empty():
         return {a}
-    n_len = a.length + 2 * spec.radius
-    return {
-        TapeString(spec.alphabet, w)
-        for w in tape.windows(spec.alphabet, n_len)
-        if _update_cells(spec, w) == a.cells
-    }
+    by_output: dict[str, list[str]] = {}
+    for window, out in spec.rule:
+        by_output.setdefault(out, []).append(window)
+    overlap = 2 * spec.radius
+    found = by_output.get(a.cells[0], [])
+    for cell in a.cells[1:]:
+        by_prefix: dict[str, list[str]] = {}
+        for window in by_output.get(cell, ()):
+            by_prefix.setdefault(window[:overlap], []).append(window[overlap:])
+        found = [w + last for w in found for last in by_prefix.get(w[len(w) - overlap:], ())]
+    return {TapeString(spec.alphabet, w) for w in found}
 
 
 def minimality_violations(spec: MachineSpec, a: TapeString) -> list[tuple[TapeString, TapeString, int]]:
@@ -443,12 +457,13 @@ class ShapeCategory:
         for o in self.objects:
             cat.set_identity(o.name, _shape_mor_name(o.name, o.name, 0))
         by_key = {(m.src, m.dst, m.offset): m.name for m in self.morphisms}
+        by_src: dict[str, list[ShapeMorphism]] = {}
+        for m in self.morphisms:
+            by_src.setdefault(m.src, []).append(m)
         for m1 in self.morphisms:
-            for m2 in self.morphisms:
-                if m1.dst != m2.src:
-                    continue
-                src = self._by_name[m1.src]
-                off = 0 if src.generator.is_empty() else m1.offset + m2.offset
+            from_empty = self._by_name[m1.src].generator.is_empty()
+            for m2 in by_src.get(m1.dst, ()):
+                off = 0 if from_empty else m1.offset + m2.offset
                 cat.set_composite(m2.name, m1.name, by_key[(m1.src, m2.dst, off)])
         return cat
 
@@ -493,18 +508,24 @@ def shape_category(spec: MachineSpec, dense: DenseSubcategory | None = None) -> 
     for a in dense.strings:
         for n in sorted(shape_table(spec, a), key=lambda s: s.cells):
             objects.append(ShapeObject(_shape_obj_name(a, n), a, n))
+    # A nonempty window updates to exactly one generator, so it names its
+    # object: each sub-window of a destination window is one lookup.
+    by_window = {o.window.cells: o for o in objects if o.window.cells}
+    lengths = sorted({len(w) for w in by_window})
+    into: dict[str, list[tuple[ShapeObject, int]]] = {o.name: [] for o in objects}
+    for dst in objects:
+        window, generator = dst.window.cells, dst.generator.cells
+        for n in lengths:
+            for j in range(len(window) - n + 1):
+                src = by_window.get(window[j : j + n])
+                if src is not None and generator.startswith(src.generator.cells, j):
+                    into[src.name].append((dst, j))
     morphisms: list[ShapeMorphism] = []
     for src in objects:
-        for dst in objects:
-            if src.generator.is_empty():
-                offsets = [0]
-            else:
-                gen_offsets = set(find_all(src.generator.cells, dst.generator.cells))
-                win_offsets = set(find_all(src.window.cells, dst.window.cells))
-                offsets = sorted(gen_offsets & win_offsets)
-            for j in offsets:
-                morphisms.append(ShapeMorphism(_shape_mor_name(src.name, dst.name, j),
-                                               src.name, dst.name, j))
+        targets = [(dst, 0) for dst in objects] if src.generator.is_empty() else into[src.name]
+        for dst, j in targets:
+            morphisms.append(ShapeMorphism(_shape_mor_name(src.name, dst.name, j),
+                                           src.name, dst.name, j))
     return ShapeCategory(spec.alphabet, spec.radius, tuple(objects), tuple(morphisms))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from click.testing import CliRunner
 import tapecat
 from tapecat.cli import main
 from tapecat.fincat import FinCatPresentation, validate_category
+from tapecat.machine import MachineSpec, format_machine
+from tapecat.tape import Alphabet, windows
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 SPREAD = str(MACHINES / "spread.machine")
@@ -22,6 +25,13 @@ IDENTITY = str(MACHINES / "identity.machine")
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _src_env() -> dict[str, str]:
+    """The environment for a subprocess that imports this tapecat."""
+    src = str(Path(tapecat.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestRun:
@@ -55,11 +65,8 @@ class TestRun:
         # 2**61 windows: totality must be decided without enumerating them
         bad = tmp_path / "r30.machine"
         bad.write_text("alphabet: . #\nradius: 30\nrule:\n  . -> #\n")
-        src = str(Path(tapecat.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run([sys.executable, "-m", "tapecat.cli", "run", str(bad), "#"],
-                                capture_output=True, text=True, timeout=10, env=env)
+                                capture_output=True, text=True, timeout=10, env=_src_env())
         assert result.returncode == 1
         assert "missing-window" in result.stderr
 
@@ -100,6 +107,19 @@ class TestTable:
     def test_requires_an_option(self, runner):
         result = runner.invoke(main, ["table", SPREAD])
         assert result.exit_code == 2
+
+    def test_radius_3_ternary_compiles_fast(self, tmp_path):
+        # 30,619 morphisms: no all-pairs search over objects or morphisms
+        alpha = Alphabet(("a", "b", "c"))
+        rule = {w: max(w) for w in windows(alpha, 7)}
+        machine = tmp_path / "max3_r3.machine"
+        machine.write_text(format_machine(MachineSpec(alpha, 3, rule)))
+        result = subprocess.run([sys.executable, "-m", "tapecat.cli", "table", str(machine), "--all"],
+                                capture_output=True, text=True, timeout=30, env=_src_env())
+        assert result.returncode == 0
+        kinds = Counter(line.split(" ", 1)[0] for line in result.stdout.splitlines())
+        assert kinds["object"] == 1 + 3 ** 7 + 3 ** 8
+        assert kinds["morphism"] == 30619
 
 
 class TestExplain:

@@ -66,6 +66,56 @@ class TestValidateCategory:
         assert not report.ok
         assert any(v.kind == "closure" for v in report.violations)
 
+    @staticmethod
+    def two_objects_and_f():
+        """A, B and f: A -> B with identities; a lawful category."""
+        cat = FinCatPresentation()
+        for o in ("A", "B"):
+            cat.add_object(o)
+            cat.add_morphism(f"id{o}", o, o)
+            cat.set_identity(o, f"id{o}")
+            cat.set_composite(f"id{o}", f"id{o}", f"id{o}")
+        cat.add_morphism("f", "A", "B")
+        cat.set_composite("f", "idA", "f")
+        cat.set_composite("idB", "f", "f")
+        return cat
+
+    def test_seeded_junk_fault_is_reported(self):
+        cat = self.two_objects_and_f()
+        assert validate_category(cat).ok
+        # f then idA does not compose: cod f = B, dom idA = A
+        cat.set_composite("idA", "f", "f")
+        report = validate_category(cat)
+        assert [str(v) for v in report.violations] == [
+            "table-junk: table binds non-composable pair (idA, f)"]
+
+    def test_junk_key_naming_unknown_morphism_is_reported(self):
+        cat = self.two_objects_and_f()
+        cat.table[("g", "f")] = "f"
+        report = validate_category(cat)
+        assert [str(v) for v in report.violations] == [
+            "table-junk: table binds non-composable pair (g, f)"]
+
+    def test_seeded_missing_fault_is_reported(self):
+        cat = self.two_objects_and_f()
+        del cat.table[("idB", "f")]
+        report = validate_category(cat)
+        assert [str(v) for v in report.violations] == [
+            "table-missing: no composite for f then idB"]
+
+    def test_violations_in_pair_order(self):
+        cat = self.two_objects_and_f()
+        del cat.table[("f", "idA")]
+        cat.set_composite("idA", "idB", "idB")
+        cat.set_composite("idA", "f", "f")
+        report = validate_category(cat)
+        # pairs (f, g) in morphism order, g varying fastest
+        assert [str(v) for v in report.violations] == [
+            "table-missing: no composite for idA then f",
+            "table-junk: table binds non-composable pair (idA, idB)",
+            "table-junk: table binds non-composable pair (idA, f)",
+        ]
+
     def test_missing_identity_is_reported(self):
         cat = FinCatPresentation()
         cat.add_object("A")

@@ -25,11 +25,14 @@ from tapecat.machine import (
     shifted_explanation,
     universality_check,
     validate_machine,
+    _update_cells,
 )
-from tapecat.tape import DEFAULT_ALPHABET, all_strings, hom, identity, windows
+from tapecat.tape import DEFAULT_ALPHABET, TapeString, all_strings, hom, identity, windows
 
 from .conftest import spread_rule
 from .support import occ, ts
+
+MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
 
 
 class TestValidateMachine:
@@ -47,6 +50,20 @@ class TestValidateMachine:
     def test_bad_symbols_reported(self):
         spec = MachineSpec(DEFAULT_ALPHABET, 0, {".": ".", "#": "x"})
         assert any(v.kind == "bad-symbol" for v in validate_machine(spec).violations)
+
+
+class TestMachineSpec:
+    def test_equal_specs_share_a_memo_entry(self):
+        first = MachineSpec(DEFAULT_ALPHABET, 1, spread_rule())
+        second = MachineSpec(DEFAULT_ALPHABET, 1, dict(reversed(spread_rule().items())))
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        want = apply(first, ts("#..#.##..."))
+        before = _update_cells.cache_info()
+        got = apply(second, ts("#..#.##..."))
+        after = _update_cells.cache_info()
+        assert got == want
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestApply:
@@ -214,6 +231,18 @@ class TestShapeTable:
             if not a.is_empty():
                 assert minimality_violations(spread, a) == []
 
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_joins_match_window_enumeration(self, machine, request):
+        spec = request.getfixturevalue(machine)
+        parts = [a for a in all_strings(spec.alphabet, 3) if not a.is_empty()]
+        if machine == "spread":
+            parts.append(ts("#" * 10))
+        for a in parts:
+            # oracle: update every window of the explaining length
+            want = {w for w in windows(spec.alphabet, a.length + 2 * spec.radius)
+                    if apply(spec, TapeString(spec.alphabet, w)) == a}
+            assert {n.cells for n in shape_table(spec, a)} == want, a
+
 
 class TestShapeCategory:
     def test_object_count(self, spread_shape, spread, dense):
@@ -237,21 +266,34 @@ class TestShapeCategory:
         assert validate_functor(spread_shape.generator_functor(dense)).ok
         assert validate_functor(spread_shape.window_functor()).ok
 
-    def test_morphisms_match_brute_force(self, spread_shape):
-        # oracle: enumerate all object pairs and all offsets directly
-        want = set()
-        for src, dst in itertools.product(spread_shape.objects, repeat=2):
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_morphisms_match_brute_force(self, machine, request):
+        shape = shape_category(request.getfixturevalue(machine))
+        # oracle: enumerate all object pairs and all offsets directly, in order
+        want = []
+        for src, dst in itertools.product(shape.objects, repeat=2):
             if src.generator.is_empty():
-                want.add((src.name, dst.name, 0))
+                want.append((src.name, dst.name, 0))
                 continue
             a, g2 = src.generator.cells, dst.generator.cells
             n, w2 = src.window.cells, dst.window.cells
             for j in range(len(g2) - len(a) + 1):
                 if g2[j:j + len(a)] == a and j + len(n) <= len(w2) \
                         and w2[j:j + len(n)] == n:
-                    want.add((src.name, dst.name, j))
-        got = {(m.src, m.dst, m.offset) for m in spread_shape.morphisms}
-        assert got == want
+                    want.append((src.name, dst.name, j))
+        assert [(m.src, m.dst, m.offset) for m in shape.morphisms] == want
+
+    @pytest.mark.parametrize("machine", ["spread", "ternary_machine"])
+    def test_composition_table_matches_all_pairs(self, machine, request):
+        shape = shape_category(request.getfixturevalue(machine))
+        # oracle: every pair of morphisms, composable ones in table order
+        by_key = {(m.src, m.dst, m.offset): m.name for m in shape.morphisms}
+        want = []
+        for m1, m2 in itertools.product(shape.morphisms, repeat=2):
+            if m1.dst == m2.src:
+                off = 0 if shape.object(m1.src).generator.is_empty() else m1.offset + m2.offset
+                want.append(((m2.name, m1.name), by_key[(m1.src, m2.dst, off)]))
+        assert list(shape.presentation.table.items()) == want
 
     def test_specific_morphism_exists(self, spread_shape):
         got = {(m.src, m.dst, m.offset) for m in spread_shape.morphisms}
