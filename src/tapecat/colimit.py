@@ -245,10 +245,6 @@ def glue(diagram: TapeDiagram) -> GlueResult:
 class DensityResult:
     ok: bool
     detail: str
-    result: GlueResult | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def canonical_diagram(x: TapeString, dense: DenseSubcategory) -> TapeDiagram:
@@ -290,9 +286,9 @@ def density_check(x: TapeString, dense: DenseSubcategory) -> DensityResult:
     except GlueError as exc:
         return DensityResult(False, f"glue failed: {exc}")
     if result.value != x:
-        return DensityResult(False, f"colimit is {result.value}, not {x}", result)
+        return DensityResult(False, f"colimit is {result.value}, not {x}")
     for node_id, want in occs:
         if result.legs[node_id] != want:
             return DensityResult(False, f"leg of {node_id} is {result.legs[node_id]}, "
-                                        f"expected {want}", result)
-    return DensityResult(True, "ok", result)
+                                        f"expected {want}")
+    return DensityResult(True, "ok")

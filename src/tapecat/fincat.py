@@ -167,9 +167,6 @@ class TapeCategory:
             raise BoundRequired("the tape category is infinite; give a length bound")
         return tape.all_strings(self.alphabet, max_len)
 
-    def morphisms(self) -> list[Occurrence]:
-        raise BoundRequired("the tape category is infinite; enumerate hom-sets instead")
-
     def dom(self, m: Occurrence) -> TapeString:
         return m.source
 
@@ -303,23 +300,16 @@ def validate_category(cat: FinCatPresentation) -> ValidationReport:
     return report
 
 
-def validate_functor(functor: FunctorData, bound: int | None = None) -> ValidationReport:
+def validate_functor(functor: FunctorData) -> ValidationReport:
     """Check that a functor preserves endpoints, identities and composition.
 
-    Requires a finite source (or a length bound when the source is the tape
-    category) so that the check can be exhaustive.
+    The source must be a finite presentation, so that the check can be
+    exhaustive.
     """
     report = ValidationReport("functor")
     src, tgt = functor.source, functor.target
-    if src.is_finite:
-        objs = list(src.objects)
-        mors = src.morphisms()
-    else:
-        if bound is None:
-            raise BoundRequired("validating a tape-sourced functor needs a length bound")
-        objs = src.objects(bound)
-        mors = [m for a in objs for b in objs for m in src.hom(a, b)]
-    for x in objs:
+    mors = src.morphisms()
+    for x in src.objects:
         fx = functor.on_object(x)
         if isinstance(tgt, TapeCategory):
             if not isinstance(fx, TapeString) or fx.alphabet != tgt.alphabet:

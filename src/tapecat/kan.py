@@ -6,7 +6,8 @@ Gluing that diagram reproduces the updated string, so the update can be
 computed from the precomputed shape category alone.  The evaluator is
 firewalled from the rule table: all rule knowledge reaches it compiled
 into the shape category's objects, which is what keeps the equivalence
-sweep against the direct oracle honest.
+sweep against the direct oracle honest.  A traced evaluation records the
+very diagram evaluate glued; it is not built or glued a second time.
 """
 
 from __future__ import annotations
@@ -16,19 +17,11 @@ import weakref
 from dataclasses import dataclass, field
 
 from . import tape
-from .colimit import (
-    GlueError,
-    GlueResult,
-    TapeDiagram,
-    glue,
-    glue_cells,
-)
+from .colimit import GlueError, glue_cells
 from .machine import (
     Explanation,
     MachineSpec,
     ShapeCategory,
-    ShapeMorphism,
-    ShapeObject,
     apply,
     causal_neighbourhood,
     shape_category,
@@ -36,36 +29,36 @@ from .machine import (
 from .tape import AlphabetMismatch, Occurrence, TapeString, find_all
 
 
-@dataclass(frozen=True)
-class IndexedNode:
-    """One placement of a shape object's window in the input."""
-
-    p_obj: ShapeObject
-    placement: Occurrence
-
-
 @dataclass
 class EvalTrace:
-    """Audit record of one evaluation: the indexed diagram and its gluing."""
+    """Audit record of one evaluation: the diagram evaluate glued, as raw data.
+
+    Nodes are (object index, placement offset) pairs, edges are (source
+    node, target node, offset, morphism index) tuples, and legs hold the
+    offset of each node's generator in the value.
+    """
 
     input: TapeString
     shape: ShapeCategory
-    nodes: list[IndexedNode]
-    edges: list[tuple[int, int, ShapeMorphism, Occurrence]]
-    diagram: TapeDiagram
-    output: GlueResult
+    nodes: list[tuple[int, int]]
+    edges: list[tuple[int, int, int, int]]
+    value: TapeString
+    legs: list[int]
 
     def render(self) -> str:
+        objects = [self.shape.objects[k] for k, _ in self.nodes]
         lines = [f"input: {self.input}"]
         lines.append(f"nodes: {len(self.nodes)}")
-        for k, node in enumerate(self.nodes):
-            lines.append(f"  n{k}: {node.p_obj.name} placed {node.placement}")
+        for k, (p_obj, (_, q)) in enumerate(zip(objects, self.nodes)):
+            lines.append(f"  n{k}: {p_obj.name} placed {Occurrence(p_obj.window, self.input, q)}")
         lines.append(f"edges: {len(self.edges)}")
-        for src, dst, mor, occ in self.edges:
-            lines.append(f"  n{src} -> n{dst} via {mor.name} carrying ({occ})")
-        lines.append(f"value: {self.output.value}")
-        for k in range(len(self.nodes)):
-            lines.append(f"  leg n{k}: {self.output.legs[f'n{k}']}")
+        for src, dst, off, mor_idx in self.edges:
+            occ = Occurrence(objects[src].generator, objects[dst].generator, off)
+            lines.append(f"  n{src} -> n{dst} via {self.shape.morphisms[mor_idx].name} "
+                         f"carrying ({occ})")
+        lines.append(f"value: {self.value}")
+        for k, (p_obj, leg) in enumerate(zip(objects, self.legs)):
+            lines.append(f"  leg n{k}: {Occurrence(p_obj.generator, self.value, leg)}")
         return "\n".join(lines)
 
 
@@ -120,36 +113,26 @@ def _indexed_diagram(shape: ShapeCategory, x_cells: str):
     return nodes, edges, values
 
 
+def _glued(shape: ShapeCategory, x: TapeString):
+    """Place the windows in x and glue their generators once: the value,
+    the raw nodes and edges of the diagram, and the leg offsets."""
+    if x.alphabet != shape.alphabet:
+        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
+    nodes, edges, values = _indexed_diagram(shape, x.cells)
+    cells, legs = glue_cells(values, [(s, d, off) for s, d, off, _ in edges])
+    return TapeString(shape.alphabet, cells), nodes, edges, legs
+
+
 def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     """Update x without consulting any rule: glue the generators of all
     windows placed in x along their aligned inclusions."""
-    if x.alphabet != shape.alphabet:
-        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
-    _, edges, values = _indexed_diagram(shape, x.cells)
-    cells, _ = glue_cells(values, [(s, d, off) for s, d, off, _ in edges])
-    return TapeString(shape.alphabet, cells)
+    return _glued(shape, x)[0]
 
 
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:
-    """As evaluate, but materializing the full diagram and glue record."""
-    if x.alphabet != shape.alphabet:
-        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
-    raw_nodes, raw_edges, _ = _indexed_diagram(shape, x.cells)
-    indexed = [
-        IndexedNode(shape.objects[k], Occurrence(shape.objects[k].window, x, q))
-        for k, q in raw_nodes
-    ]
-    diagram_nodes = [(f"n{i}", node.p_obj.generator) for i, node in enumerate(indexed)]
-    diagram_edges = []
-    trace_edges = []
-    for src, dst, off, mor_idx in raw_edges:
-        occ = Occurrence(indexed[src].p_obj.generator, indexed[dst].p_obj.generator, off)
-        diagram_edges.append((f"n{src}", f"n{dst}", occ))
-        trace_edges.append((src, dst, shape.morphisms[mor_idx], occ))
-    diagram = TapeDiagram.build(shape.alphabet, diagram_nodes, diagram_edges)
-    output = glue(diagram)
-    trace = EvalTrace(x, shape, indexed, trace_edges, diagram, output)
-    return output.value, trace
+    """As evaluate, also returning the glued diagram as an EvalTrace."""
+    value, nodes, edges, legs = _glued(shape, x)
+    return value, EvalTrace(x, shape, nodes, edges, value, legs)
 
 
 # ---------------------------------------------------------------------------

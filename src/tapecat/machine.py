@@ -24,7 +24,7 @@ from .fincat import (
     ValidationReport,
     canonical_dense_subcategory,
 )
-from .tape import Alphabet, AlphabetMismatch, InvalidOccurrence, Occurrence, TapeString, find_all
+from .tape import Alphabet, AlphabetMismatch, InvalidOccurrence, Occurrence, TapeString
 
 
 class MachineError(Exception):
@@ -101,7 +101,13 @@ def validate_machine(spec: MachineSpec) -> ValidationReport:
     return report
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by the update memo.  Bounded so that a long stream of
+#: distinct inputs cannot grow memory without limit; the adjunction sweep
+#: revisits about 511 keys, which stay well inside it.
+UPDATE_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=UPDATE_MEMO_SIZE)
 def _update_cells(spec: MachineSpec, cells: str) -> str:
     w = spec.window_len
     if len(cells) < w:
@@ -330,15 +336,12 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
             else:
                 a_off = 0
             report.candidates += 1
-            mediators = 0
-            u_offsets = [0] if not n_cells else find_all(n_cells, m_cells)
-            for u_off in u_offsets:
-                if n_cells and u_off + g_off != n_off + b_off:
-                    continue
-                uu_off = u_off if un_len else 0
-                comp_off = 0 if not a_cells else unit_off + uu_off
-                if comp_off == a_off:
-                    mediators += 1
+            # the state square fixes the mediator's window offset; a negative
+            # one must be rejected before startswith counts it from the end
+            u_off = n_off + b_off - g_off if n_cells else 0
+            comp_off = 0 if not a_cells else unit_off + (u_off if un_len else 0)
+            mediators = int(u_off >= 0 and m_cells.startswith(n_cells, u_off)
+                            and comp_off == a_off)
             if mediators != 1:
                 alphabet = spec.alphabet
                 z = TapeString(alphabet, z_cells)

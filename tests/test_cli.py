@@ -22,6 +22,61 @@ SPREAD = str(MACHINES / "spread.machine")
 IDENTITY = str(MACHINES / "identity.machine")
 
 
+# Two traced steps of spread from "#...#.": the diagram evaluate glued at
+# each step, node by node and edge by edge, then the value and its legs.
+TRACE_SPREAD = """\
+#...#.
+#.##
+  input: #...#.
+  nodes: 8
+    n0: (|) placed (empty) @ 0 in #...#.
+    n1: (.|...) placed ... @ 1 in #...#.
+    n2: (#|#..) placed #.. @ 0 in #...#.
+    n3: (#|.#.) placed .#. @ 3 in #...#.
+    n4: (#|..#) placed ..# @ 2 in #...#.
+    n5: (.#|...#) placed ...# @ 1 in #...#.
+    n6: (#.|#...) placed #... @ 0 in #...#.
+    n7: (##|..#.) placed ..#. @ 2 in #...#.
+  edges: 10
+    n0 -> n1 via (|)>(.|...)@0 carrying ((empty) @ 0 in .)
+    n0 -> n2 via (|)>(#|#..)@0 carrying ((empty) @ 0 in #)
+    n0 -> n3 via (|)>(#|.#.)@0 carrying ((empty) @ 0 in #)
+    n0 -> n4 via (|)>(#|..#)@0 carrying ((empty) @ 0 in #)
+    n1 -> n5 via (.|...)>(.#|...#)@0 carrying (. @ 0 in .#)
+    n1 -> n6 via (.|...)>(#.|#...)@1 carrying (. @ 1 in #.)
+    n2 -> n6 via (#|#..)>(#.|#...)@0 carrying (# @ 0 in #.)
+    n3 -> n7 via (#|.#.)>(##|..#.)@1 carrying (# @ 1 in ##)
+    n4 -> n5 via (#|..#)>(.#|...#)@1 carrying (# @ 1 in .#)
+    n4 -> n7 via (#|..#)>(##|..#.)@0 carrying (# @ 0 in ##)
+  value: #.##
+    leg n0: (empty) @ 0 in #.##
+    leg n1: . @ 1 in #.##
+    leg n2: # @ 0 in #.##
+    leg n3: # @ 3 in #.##
+    leg n4: # @ 2 in #.##
+    leg n5: .# @ 1 in #.##
+    leg n6: #. @ 0 in #.##
+    leg n7: ## @ 2 in #.##
+##
+  input: #.##
+  nodes: 4
+    n0: (|) placed (empty) @ 0 in #.##
+    n1: (#|#.#) placed #.# @ 0 in #.##
+    n2: (#|.##) placed .## @ 1 in #.##
+    n3: (##|#.##) placed #.## @ 0 in #.##
+  edges: 4
+    n0 -> n1 via (|)>(#|#.#)@0 carrying ((empty) @ 0 in #)
+    n0 -> n2 via (|)>(#|.##)@0 carrying ((empty) @ 0 in #)
+    n1 -> n3 via (#|#.#)>(##|#.##)@0 carrying (# @ 0 in ##)
+    n2 -> n3 via (#|.##)>(##|#.##)@1 carrying (# @ 1 in ##)
+  value: ##
+    leg n0: (empty) @ 0 in ##
+    leg n1: # @ 0 in ##
+    leg n2: # @ 1 in ##
+    leg n3: ## @ 0 in ##
+"""
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -78,6 +133,11 @@ class TestRun:
         result = runner.invoke(main, ["run", SPREAD, "#.#", "--steps", "1", "--trace"])
         assert result.exit_code == 0
         assert "value: #" in result.output
+
+    def test_trace_output_is_pinned(self, runner):
+        result = runner.invoke(main, ["run", SPREAD, "#...#.", "--steps", "2", "--trace"])
+        assert result.exit_code == 0
+        assert result.output == TRACE_SPREAD
 
     def test_byte_identical_across_runs(self, runner):
         args = ["run", SPREAD, "#...#.", "--steps", "3", "--trace"]

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 import tapecat.machine
-from tapecat.colimit import glue
+from tapecat.colimit import glue_cells
 from tapecat.fincat import TapeCategory, comma_enumerate, constant_functor
 from tapecat.kan import _indexed_diagram, equivalence_sweep, evaluate, evaluate_traced, explain
 from tapecat.machine import apply, shape_category
-from tapecat.tape import DEFAULT_ALPHABET, all_strings, compose
+from tapecat.tape import DEFAULT_ALPHABET, Occurrence, all_strings, compose
 
 from .support import occ, ts
 
@@ -68,28 +68,39 @@ class TestEquivalenceSweep:
         assert any("###" in line for line in report.mismatches)
 
 
+def _placement(shape, x, node):
+    """A trace node's window placement as an occurrence in the input."""
+    k, q = node
+    return Occurrence(shape.objects[k].window, x, q)
+
+
 class TestTrace:
     def test_trace_squares_commute(self, spread_shape):
         x = ts("#...#.")
         value, trace = evaluate_traced(spread_shape, x)
         assert value == ts("#.##")
-        assert trace.output.value == value
-        for src, dst, mor, _ in trace.edges:
-            window_occ = occ(
-                trace.nodes[src].p_obj.window.cells,
-                trace.nodes[dst].p_obj.window.cells,
-                0 if trace.nodes[src].p_obj.window.is_empty() else mor.offset,
-            )
-            assert compose(window_occ, trace.nodes[dst].placement) \
-                == trace.nodes[src].placement
+        assert trace.value == value
+        objects = spread_shape.objects
+        for src, dst, off, mor_idx in trace.edges:
+            s_obj, d_obj = objects[trace.nodes[src][0]], objects[trace.nodes[dst][0]]
+            mor = spread_shape.morphisms[mor_idx]
+            assert (mor.src, mor.dst) == (s_obj.name, d_obj.name)
+            window_occ = occ(s_obj.window.cells, d_obj.window.cells,
+                             0 if s_obj.window.is_empty() else mor.offset)
+            assert compose(window_occ, _placement(spread_shape, x, trace.nodes[dst])) \
+                == _placement(spread_shape, x, trace.nodes[src])
+            # the legs form a cocone over the generator edge
+            generator_occ = occ(s_obj.generator.cells, d_obj.generator.cells, off)
+            assert compose(generator_occ, Occurrence(d_obj.generator, value, trace.legs[dst])) \
+                == Occurrence(s_obj.generator, value, trace.legs[src])
 
     def test_every_cell_covered_by_a_single_generator(self, spread_shape):
         x = ts("#..##.#")
         value, trace = evaluate_traced(spread_shape, x)
         covered = {
-            trace.output.legs[f"n{k}"].offset
-            for k, node in enumerate(trace.nodes)
-            if node.p_obj.generator.length == 1
+            trace.legs[k]
+            for k, (obj, _) in enumerate(trace.nodes)
+            if spread_shape.objects[obj].generator.length == 1
         }
         assert covered == set(range(value.length))
 
@@ -113,10 +124,6 @@ class TestTrace:
         assert t1.render() == t2.render()
         assert "value: #.##" in t1.render()
 
-    def test_glue_of_trace_diagram_matches(self, spread_shape):
-        _, trace = evaluate_traced(spread_shape, ts("##.#"))
-        assert glue(trace.diagram).value == trace.output.value
-
 
 class TestLocality:
     @pytest.mark.parametrize("cells", ["#...#.", "#..##.#", ".......#", "####"])
@@ -127,32 +134,30 @@ class TestLocality:
         x = ts(cells)
         full = apply(spread, x)
         _, trace = evaluate_traced(spread_shape, x)
+        objects = [spread_shape.objects[k] for k, _ in trace.nodes]
         for w_start, w_stop in [(0, 3), (2, 5), (1, 4)]:
             keep = []
-            for k, node in enumerate(trace.nodes):
-                q = node.placement.offset
-                span = node.p_obj.window.length
-                if node.p_obj.window.is_empty() or \
-                        (q < w_stop and q + span > w_start):
+            for k, (_, q) in enumerate(trace.nodes):
+                window = objects[k].window
+                if window.is_empty() or (q < w_stop and q + window.length > w_start):
                     keep.append(k)
-            kept_ids = {f"n{k}" for k in keep}
-            nodes = [n for n in trace.diagram.nodes if n.id in kept_ids]
-            edges = [e for e in trace.diagram.edges
-                     if e.src in kept_ids and e.dst in kept_ids]
-            reduced = type(trace.diagram)(trace.diagram.alphabet, tuple(nodes), tuple(edges))
-            result = glue(reduced)
+            index = {k: i for i, k in enumerate(keep)}
+            values = [objects[k].generator.cells for k in keep]
+            edges = [(index[s], index[d], off) for s, d, off, _ in trace.edges
+                     if s in index and d in index]
+            reduced, legs = glue_cells(values, edges)
             # align the reduced value inside the full update via any kept
             # single-generator node and compare cellwise
-            anchors = [k for k in keep if trace.nodes[k].p_obj.generator.length == 1]
-            if not anchors or result.value.is_empty():
+            anchors = [i for i, k in enumerate(keep) if objects[k].generator.length == 1]
+            if not anchors or not reduced:
                 continue
             a = anchors[0]
-            shift = trace.output.legs[f"n{a}"].offset - result.legs[f"n{a}"].offset
-            assert full.cells[shift : shift + result.value.length] == result.value.cells
+            shift = trace.legs[keep[a]] - legs[a]
+            assert full.cells[shift : shift + len(reduced)] == reduced
             # every updated cell whose window meets the stretch is retained
             for c in range(full.length):
                 if c < w_stop and c + 2 * spread.radius + 1 > w_start:
-                    assert 0 <= c - shift < result.value.length
+                    assert 0 <= c - shift < len(reduced)
 
 
 class TestExplain:

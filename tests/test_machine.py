@@ -9,6 +9,7 @@ import pytest
 from tapecat.fincat import validate_category, validate_functor
 from tapecat.machine import (
     MachineConfigError,
+    UPDATE_MEMO_SIZE,
     MachineSpec,
     TargetMismatch,
     adjunction_sweep,
@@ -64,6 +65,12 @@ class TestMachineSpec:
         after = _update_cells.cache_info()
         assert got == want
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+    def test_update_memo_is_bounded(self, spread):
+        for n in range(UPDATE_MEMO_SIZE + 100):
+            apply(spread, ts(format(n, "b").replace("0", ".").replace("1", "#")))
+        assert _update_cells.cache_info().currsize <= UPDATE_MEMO_SIZE
 
 
 class TestApply:
