@@ -113,6 +113,8 @@ def run(machine_file: Path, input_string: str, steps: int, engine: str,
             except GlueError as exc:
                 click.echo(f"engine mismatch at {x}: categorical engine failed: {exc}",
                            err=True)
+                ranges = ", ".join(f"[{start}, {stop})" for start, stop in exc.cells)
+                click.echo(f"  its nodes place windows on input cells {ranges}", err=True)
                 sys.exit(EXIT_MISMATCH)
         if oracle_value is not None and cat_value is not None and oracle_value != cat_value:
             click.echo(f"engine mismatch at {x}: rule gives {oracle_value}, "

@@ -4,11 +4,16 @@ A diagram's cells are united under the equivalence generated by its edge
 occurrences; the quotient must chain into a single simple path whose labels
 spell the colimit.  Anything else (branching, cycles, label clashes, two
 components) is an error: those colimits do not exist among tape strings,
-and the engine's job is to detect them, not invent them.
+and the engine's job is to detect them, not invent them.  CellGluing holds
+that union-find incrementally, so a diagram can be glued while it is being
+built; glue_cells drives it over a finished diagram.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import compress
+from operator import eq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,11 +23,18 @@ from .tape import Alphabet, Occurrence, TapeString
 
 
 class GlueError(Exception):
-    """A diagram whose colimit does not exist among tape strings."""
+    """A diagram whose colimit does not exist among tape strings.
 
-    def __init__(self, message: str, nodes: tuple = ()) -> None:
+    ``nodes`` names the offending nodes.  When the diagram was placed in an
+    input, ``cells`` holds their window placements as input cell ranges
+    (start, stop).
+    """
+
+    def __init__(self, message: str, nodes: tuple = (),
+                 cells: tuple[tuple[int, int], ...] = ()) -> None:
         super().__init__(message)
         self.nodes = nodes
+        self.cells = cells
 
 
 class LabelConflict(GlueError):
@@ -105,6 +117,138 @@ class GlueResult:
     legs: dict[str, Occurrence]
 
 
+class CellGluing:
+    """Incremental gluing state: the one union-find behind every colimit.
+
+    ``add`` registers a node's cells and ``identify`` unites them at once
+    with the cells of another node along an edge, so a diagram can be glued
+    while it is being built.  ``result`` resolves every cell's root once,
+    checks labels, linearity and connectivity over those roots, and reads
+    the colimit word off the quotient's successor chain.
+    """
+
+    def __init__(self) -> None:
+        self.values: list[str] = []
+        self.starts: list[int] = []
+        self.parent: list[int] = []
+
+    def add(self, value: str) -> int:
+        """Register a node with the given cells; returns its index."""
+        start = len(self.parent)
+        self.starts.append(start)
+        self.values.append(value)
+        self.parent.extend(range(start, start + len(value)))
+        return len(self.values) - 1
+
+    def identify(self, i: int, j: int, off: int) -> None:
+        """Identify cell k of node i with cell off+k of node j."""
+        vi = self.values[i]
+        if not vi:
+            return
+        if off < 0 or off + len(vi) > len(self.values[j]):
+            raise MalformedDiagram(f"edge {i} -> {j} at offset {off} falls outside node {j}")
+        parent = self.parent
+        base_i, base_j = self.starts[i], self.starts[j] + off
+        for k in range(len(vi)):
+            a, b = base_i + k, base_j + k
+            while parent[a] != a:  # find both roots, halving the paths
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:  # j's root joins i's: a pass adds j after i, so trees stay shallow
+                parent[b] = a
+
+    def result(self) -> tuple[str, list[int]]:
+        """The colimit word and the leg offset of every node (0 for empty
+        nodes); raises LabelConflict, NotLinear or Disconnected, in that
+        order of priority, carrying the offending node indices."""
+        values, starts = self.values, self.starts
+        roots = self.parent
+        while True:  # pointer jumping: every cell ends on its root
+            jumped = [roots[r] for r in roots]
+            if jumped == roots:
+                break
+            roots = jumped
+        labels = "".join(values)
+        if not labels:
+            return "", [0] * len(values)
+
+        first: dict[int, int] = {}  # root -> its first cell, built on the error paths
+
+        def first_cell(r: int) -> int:
+            if not first:
+                first.update(zip(reversed(roots), range(len(roots) - 1, -1, -1)))
+            return first[r]
+
+        def node_of(c: int) -> int:
+            return bisect_right(starts, c) - 1
+
+        def rep(r: int) -> int:
+            return node_of(first_cell(r))
+
+        # a root is a cell too: every cell must carry its root's label
+        if "".join(map(labels.__getitem__, roots)) != labels:
+            c = next(c for c, r in enumerate(roots) if labels[c] != labels[first_cell(r)])
+            i, j = rep(roots[c]), node_of(c)
+            raise LabelConflict(
+                f"cells of nodes {i} and {j} are glued but labelled "
+                f"{labels[first_cell(roots[c])]!r} vs {labels[c]!r}",
+                nodes=(i, j),
+            )
+
+        # the quotient's adjacency: the roots of consecutive cells of a node
+        inner = bytearray(b"\x01") * len(roots)
+        inner[-1] = 0
+        for s in starts:
+            if s:
+                inner[s - 1] = 0
+        left = list(compress(roots, inner))
+        right = list(compress(roots[1:], inner))
+        succ, pred = dict(zip(left, right)), dict(zip(right, left))
+        if (any(map(eq, left, right)) or list(map(succ.__getitem__, left)) != right
+                or list(map(pred.__getitem__, right)) != left):
+            self._raise_not_linear(roots, rep)
+
+        classes = set(roots)
+        sources = classes - pred.keys()
+        if len(sources) > 1:
+            raise Disconnected(
+                f"quotient splits into {len(sources)} components",
+                nodes=tuple(sorted({rep(r) for r in sources})),
+            )
+        if not sources:
+            raise NotLinear("quotient adjacency is a cycle", nodes=(rep(roots[0]),))
+        # every root has at most one predecessor, so no walk from a source cycles
+        path: list[int] = []
+        cur: int | None = sources.pop()
+        while cur is not None:
+            path.append(cur)
+            cur = succ.get(cur)
+        if len(path) != len(classes):
+            stray = min(map(first_cell, classes - set(path)))
+            raise NotLinear("quotient contains a disconnected cycle", nodes=(node_of(stray),))
+        pos = dict(zip(path, range(len(path))))
+        legs = [pos[roots[s]] if v else 0 for s, v in zip(starts, values)]
+        return "".join(map(labels.__getitem__, path)), legs
+
+    def _raise_not_linear(self, roots: list[int], rep) -> None:
+        """Raise NotLinear at the first consecutive cell pair, in node order,
+        that folds a node onto itself or branches the quotient."""
+        succ: dict[int, int] = {}
+        pred: dict[int, int] = {}
+        for i, v in enumerate(self.values):
+            for c in range(self.starts[i], self.starts[i] + len(v) - 1):
+                a, b = roots[c], roots[c + 1]
+                if a == b:
+                    raise NotLinear(f"node {i} glues onto itself (cycle)", nodes=(i,))
+                if succ.setdefault(a, b) != b:
+                    raise NotLinear(f"quotient branches after a cell of node {i}",
+                                    nodes=(rep(a), i))
+                if pred.setdefault(b, a) != a:
+                    raise NotLinear(f"quotient branches before a cell of node {i}",
+                                    nodes=(rep(b), i))
+
+
 def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],
                ) -> tuple[str, list[int]]:
     """Core gluing on raw words: returns (colimit word, leg offset per node).
@@ -115,96 +259,12 @@ def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],
     Disconnected (carrying offending node indices) when the quotient is not
     a single labelled path.
     """
-    starts: list[int] = []
-    total = 0
+    gluing = CellGluing()
     for v in values:
-        starts.append(total)
-        total += len(v)
-    parent = list(range(total))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+        gluing.add(v)
     for i, j, off in edges:
-        vi = values[i]
-        if not vi:
-            continue
-        if off < 0 or off + len(vi) > len(values[j]):
-            raise MalformedDiagram(f"edge {i} -> {j} at offset {off} falls outside node {j}")
-        base_i, base_j = starts[i], starts[j] + off
-        for k in range(len(vi)):
-            a, b = find(base_i + k), find(base_j + k)
-            if a != b:
-                parent[a] = b
-
-    label: dict[int, str] = {}
-    rep: dict[int, int] = {}
-    for i, v in enumerate(values):
-        for k, c in enumerate(v):
-            r = find(starts[i] + k)
-            prev = label.get(r)
-            if prev is None:
-                label[r] = c
-                rep[r] = i
-            elif prev != c:
-                raise LabelConflict(
-                    f"cells of nodes {rep[r]} and {i} are glued but labelled {prev!r} vs {c!r}",
-                    nodes=(rep[r], i),
-                )
-
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
-    for i, v in enumerate(values):
-        for k in range(len(v) - 1):
-            a, b = find(starts[i] + k), find(starts[i] + k + 1)
-            if a == b:
-                raise NotLinear(f"node {i} glues onto itself (cycle)", nodes=(i,))
-            if succ.setdefault(a, b) != b:
-                raise NotLinear(f"quotient branches after a cell of node {i}",
-                                nodes=(rep[a], i))
-            if pred.setdefault(b, a) != a:
-                raise NotLinear(f"quotient branches before a cell of node {i}",
-                                nodes=(rep[b], i))
-
-    roots: list[int] = []
-    seen_roots: set[int] = set()
-    for i, v in enumerate(values):
-        for k in range(len(v)):
-            r = find(starts[i] + k)
-            if r not in seen_roots:
-                seen_roots.add(r)
-                roots.append(r)
-    if not roots:
-        return "", [0] * len(values)
-
-    heads = [r for r in roots if r not in pred]
-    if len(heads) > 1:
-        raise Disconnected(
-            f"quotient splits into {len(heads)} components",
-            nodes=tuple(sorted({rep[h] for h in heads})),
-        )
-    if not heads:
-        raise NotLinear("quotient adjacency is a cycle", nodes=(rep[roots[0]],))
-    path: list[int] = []
-    on_path: set[int] = set()
-    cur: int | None = heads[0]
-    while cur is not None:
-        if cur in on_path:
-            raise NotLinear("quotient adjacency is a cycle", nodes=(rep[cur],))
-        path.append(cur)
-        on_path.add(cur)
-        cur = succ.get(cur)
-    if len(path) != len(roots):
-        stray = next(r for r in roots if r not in on_path)
-        raise NotLinear("quotient contains a disconnected cycle", nodes=(rep[stray],))
-
-    pos = {r: t for t, r in enumerate(path)}
-    value = "".join(label[r] for r in path)
-    legs = [pos[find(starts[i])] if v else 0 for i, v in enumerate(values)]
-    return value, legs
+        gluing.identify(i, j, off)
+    return gluing.result()
 
 
 def glue(diagram: TapeDiagram) -> GlueResult:

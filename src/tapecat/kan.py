@@ -6,8 +6,16 @@ Gluing that diagram reproduces the updated string, so the update can be
 computed from the precomputed shape category alone.  The evaluator is
 firewalled from the rule table: all rule knowledge reaches it compiled
 into the shape category's objects, which is what keeps the equivalence
-sweep against the direct oracle honest.  A traced evaluation records the
-very diagram evaluate glued; it is not built or glued a second time.
+sweep against the direct oracle honest.
+
+Evaluation is one left-to-right pass over the input.  A nonempty window
+names its object, so at each right end one dictionary lookup per window
+length places a node; its generator is glued at once, through
+colimit.CellGluing, to those of its one-cell-smaller sub-windows, which
+ended at most one cell earlier.  The value is then read off the quotient.
+A traced evaluation records that same pass, placements and edges, and
+renumbers it in the shape category's order; nothing is built or glued a
+second time.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from . import tape
-from .colimit import GlueError, glue_cells
+from .colimit import CellGluing, GlueError
 from .machine import (
     Explanation,
     MachineSpec,
@@ -26,7 +34,7 @@ from .machine import (
     causal_neighbourhood,
     shape_category,
 )
-from .tape import AlphabetMismatch, Occurrence, TapeString, find_all
+from .tape import AlphabetMismatch, Occurrence, TapeString
 
 
 @dataclass
@@ -63,17 +71,43 @@ class EvalTrace:
 
 
 class _CompiledShape:
-    """Plain-string view of a shape category for the evaluation hot path."""
+    """Plain-data view of a shape category for the evaluation pass.
+
+    A nonempty window names its object, so the objects with nonempty
+    windows are indexed per window length, shortest first (a level);
+    objects with an empty window are placed once, at offset 0.  Each object
+    lists the morphisms into it from one-cell-smaller generators: ``joins``
+    those from nonempty windows as (source level, lag, offset, morphism
+    index), the source window ending ``lag`` cells before the destination
+    window; ``unwindowed_joins`` those from empty windows as (source object,
+    morphism index).
+    """
 
     def __init__(self, shape: ShapeCategory) -> None:
-        self.generators = [o.generator.cells for o in shape.objects]
-        self.windows = [o.window.cells for o in shape.objects]
-        index = {o.name: k for k, o in enumerate(shape.objects)}
-        self.step_edges = [
-            (index[m.src], index[m.dst], m.offset, k)
-            for k, m in enumerate(shape.morphisms)
-            if len(shape.object(m.dst).generator) - len(shape.object(m.src).generator) == 1
-        ]
+        objects = shape.objects
+        self.generators = [o.generator.cells for o in objects]
+        self.window_lengths = [o.window.length for o in objects]
+        self.unwindowed = [k for k, o in enumerate(objects) if o.window.is_empty()]
+        by_length: dict[int, dict[str, int]] = {}
+        for k, o in enumerate(objects):
+            if not o.window.is_empty():
+                by_length.setdefault(o.window.length, {})[o.window.cells] = k
+        self.levels = sorted(by_length.items())
+        level_of = {n: i for i, (n, _) in enumerate(self.levels)}
+        index = {o.name: k for k, o in enumerate(objects)}
+        self.joins: list[list[tuple[int, int, int, int]]] = [[] for _ in objects]
+        self.unwindowed_joins: list[list[tuple[int, int]]] = [[] for _ in objects]
+        for mor_idx, m in enumerate(shape.morphisms):
+            src, dst = index[m.src], index[m.dst]
+            if len(self.generators[dst]) - len(self.generators[src]) != 1:
+                continue
+            if objects[src].window.is_empty():
+                self.unwindowed_joins[dst].append((src, mor_idx))
+                continue
+            # windows are generators plus 2r cells, so the sub-window of a
+            # one-cell-larger window ends at the same cell or one before
+            lag = self.window_lengths[dst] - self.window_lengths[src] - m.offset
+            self.joins[dst].append((level_of[self.window_lengths[src]], lag, m.offset, mor_idx))
 
 
 _compiled: "weakref.WeakKeyDictionary[ShapeCategory, _CompiledShape]" = weakref.WeakKeyDictionary()
@@ -86,41 +120,72 @@ def _compile(shape: ShapeCategory) -> _CompiledShape:
     return cached
 
 
-def _indexed_diagram(shape: ShapeCategory, x_cells: str):
-    """Nodes, edges and node values of the evaluation diagram, on raw data.
+def _place_and_glue(compiled: _CompiledShape, x_cells: str, edges: list | None = None,
+                    ) -> tuple[CellGluing, list[int], list[int]]:
+    """One left-to-right pass over x: at each right end, place the window
+    ending there at every length and glue its generator at once to those of
+    its one-cell-smaller sub-windows, placed at most one step earlier.
 
-    Nodes are (object index, window placement offset) pairs; an edge joins
-    the sub-window placement induced by each one-cell-larger morphism.
+    Returns the gluing state and, per node in placement order, its object
+    index and the right end of its window.  When ``edges`` is a list, every
+    diagram edge is appended to it as (source node, target node, offset,
+    morphism index).
     """
-    compiled = _compile(shape)
-    nodes: list[tuple[int, int]] = []
-    node_index: dict[tuple[int, int], int] = {}
-    placements: list[list[int]] = []
-    for k, window in enumerate(compiled.windows):
-        offs = [0] if not window else find_all(window, x_cells)
-        placements.append(offs)
-        for q in offs:
-            node_index[(k, q)] = len(nodes)
-            nodes.append((k, q))
-    edges: list[tuple[int, int, int, int]] = []
-    for src, dst, j, mor_idx in compiled.step_edges:
-        src_empty = not compiled.generators[src]
-        for q in placements[dst]:
-            src_q = 0 if src_empty else q + j
-            edges.append((node_index[(src, src_q)], node_index[(dst, q)],
-                          0 if src_empty else j, mor_idx))
-    values = [compiled.generators[k] for k, _ in nodes]
-    return nodes, edges, values
+    generators, joins = compiled.generators, compiled.joins
+    gluing = CellGluing()
+    add, identify = gluing.add, gluing.identify
+    placed: list[int] = []
+    ends: list[int] = []
+    unwindowed: dict[int, int] = {}
+    for k in compiled.unwindowed:
+        unwindowed[k] = add(generators[k])
+        placed.append(k)
+        ends.append(0)
+    levels = [(level, length, by_window.get)
+              for level, (length, by_window) in enumerate(compiled.levels)]
+    previous: list[int | None] = [None] * len(levels)
+    current: list[int | None] = [None] * len(levels)
+    for end in range(len(x_cells) + 1):
+        previous, current = current, previous
+        for level, length, lookup in levels:
+            k = lookup(x_cells[end - length : end]) if end >= length else None
+            if k is None:
+                current[level] = None
+                continue
+            node = current[level] = add(generators[k])
+            placed.append(k)
+            ends.append(end)
+            for src_level, lag, off, mor_idx in joins[k]:
+                src_node = (previous if lag else current)[src_level]
+                identify(src_node, node, off)
+                if edges is not None:
+                    edges.append((src_node, node, off, mor_idx))
+            if edges is not None:
+                for src, mor_idx in compiled.unwindowed_joins[k]:
+                    edges.append((unwindowed[src], node, 0, mor_idx))
+    return gluing, placed, ends
 
 
-def _glued(shape: ShapeCategory, x: TapeString):
-    """Place the windows in x and glue their generators once: the value,
-    the raw nodes and edges of the diagram, and the leg offsets."""
+def _glued(shape: ShapeCategory, x: TapeString, edges: list | None = None):
+    """Place the windows in x and glue their generators in one pass: the
+    value, the leg offsets and a function from node to its window placement
+    (object index, offset).  A GlueError also names the input cells of its
+    nodes' window placements."""
     if x.alphabet != shape.alphabet:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
-    nodes, edges, values = _indexed_diagram(shape, x.cells)
-    cells, legs = glue_cells(values, [(s, d, off) for s, d, off, _ in edges])
-    return TapeString(shape.alphabet, cells), nodes, edges, legs
+    compiled = _compile(shape)
+    gluing, placed, ends = _place_and_glue(compiled, x.cells, edges)
+
+    def placement(node: int) -> tuple[int, int]:
+        k = placed[node]
+        return k, ends[node] - compiled.window_lengths[k]
+
+    try:
+        cells, legs = gluing.result()
+    except GlueError as exc:
+        exc.cells = tuple((placement(i)[1], ends[i]) for i in exc.nodes)
+        raise
+    return TapeString(shape.alphabet, cells), legs, placement
 
 
 def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
@@ -130,9 +195,22 @@ def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
 
 
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:
-    """As evaluate, also returning the glued diagram as an EvalTrace."""
-    value, nodes, edges, legs = _glued(shape, x)
-    return value, EvalTrace(x, shape, nodes, edges, value, legs)
+    """As evaluate, also returning the glued diagram as an EvalTrace.
+
+    The pass numbers nodes and edges as it places them; the trace renumbers
+    nodes by (object, offset) and edges by (morphism, target offset), the
+    order of the shape category's own enumeration.
+    """
+    edges: list[tuple[int, int, int, int]] = []
+    value, legs, placement = _glued(shape, x, edges)
+    placements = [placement(i) for i in range(len(legs))]
+    order = sorted(range(len(placements)), key=placements.__getitem__)
+    renumber = {old: new for new, old in enumerate(order)}
+    edges.sort(key=lambda e: (e[3], placements[e[1]][1]))
+    return value, EvalTrace(
+        x, shape, [placements[i] for i in order],
+        [(renumber[s], renumber[d], off, mor) for s, d, off, mor in edges],
+        value, [legs[i] for i in order])
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,19 @@ class TestRun:
                                       "--mutate", "drop-shape-object"])
         assert result.exit_code == 3
 
+    def test_glue_failure_names_input_cells(self, runner):
+        # dropping (.|...) leaves cell 1 of the update without a generator:
+        # the components start in the windows on [0, 3) and on [1, 5)
+        result = runner.invoke(main, ["run", SPREAD, "#...#.##",
+                                      "--mutate", "drop-shape-object"])
+        assert result.exit_code == 3
+        assert result.stdout == "#...#.##\n"
+        assert result.stderr.splitlines() == [
+            "engine mismatch at #...#.##: categorical engine failed: "
+            "quotient splits into 2 components",
+            "  its nodes place windows on input cells [0, 3), [1, 5)",
+        ]
+
     def test_parse_error_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.machine"
         bad.write_text("alphabet: . #\nradius: 1\nrule:\n  ### -> #\n")

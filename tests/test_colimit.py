@@ -108,6 +108,30 @@ class TestGlue:
             glue(diagram([("a", "#"), ("b", ".")], []))
         assert set(exc.value.nodes) == {"a", "b"}
 
+    # '#' glued into the first cells of '#.' and '##': the quotient branches
+    BRANCH = (["#", "#.", "##"], [(0, 1, 0), (0, 2, 0)])
+
+    @pytest.mark.parametrize("extra_value, extra_edges, error", [
+        (None, [], NotLinear),
+        # '.' glued onto the branching cell as well: the labels clash
+        (".", [(3, 2, 0)], LabelConflict),
+        # a lone '.' makes a second component besides the branch
+        (".", [], NotLinear),
+    ])
+    def test_error_priority(self, extra_value, extra_edges, error):
+        # the raised class does not depend on node or edge order
+        values, edges = self.BRANCH
+        values = values + ([extra_value] if extra_value else [])
+        edges = edges + extra_edges
+        for perm in itertools.permutations(range(len(values))):
+            new = {old: k for k, old in enumerate(perm)}
+            permuted = [values[old] for old in perm]
+            for edge_perm in itertools.permutations(edges):
+                renamed = [(new[i], new[j], off) for i, j, off in edge_perm]
+                with pytest.raises(GlueError) as exc:
+                    glue_cells(permuted, renamed)
+                assert type(exc.value) is error
+
     def test_malformed_edge_rejected(self):
         nodes = [("a", ts("#")), ("b", ts("##"))]
         bad = Occurrence.unchecked(ts("#"), ts("##"), 5)

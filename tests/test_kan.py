@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 import tapecat.machine
-from tapecat.colimit import glue_cells
+from tapecat.colimit import Disconnected, GlueError, glue_cells
 from tapecat.fincat import TapeCategory, comma_enumerate, constant_functor
-from tapecat.kan import _indexed_diagram, equivalence_sweep, evaluate, evaluate_traced, explain
+from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced, explain
 from tapecat.machine import apply, shape_category
-from tapecat.tape import DEFAULT_ALPHABET, Occurrence, all_strings, compose
+from tapecat.tape import DEFAULT_ALPHABET, Occurrence, TapeString, all_strings, compose
 
 from .support import occ, ts
 
@@ -31,6 +34,13 @@ class TestEvaluate:
         for x in all_strings(identity_machine.alphabet, 6):
             assert evaluate(shape, x) == x
 
+    @pytest.mark.parametrize("machine", ["spread", "parity_machine"])
+    def test_matches_oracle_on_a_long_tape(self, machine, request):
+        spec = request.getfixturevalue(machine)
+        rng = random.Random(5)
+        x = TapeString(spec.alphabet, "".join(rng.choices(spec.alphabet.symbols, k=10**5)))
+        assert evaluate(shape_category(spec), x) == apply(spec, x)
+
     def test_never_consults_the_rule(self, spread, spread_shape, monkeypatch):
         # the evaluator receives only the shape category; rule lookups are
         # compiled away, so poisoning the rule path must not change anything
@@ -39,6 +49,48 @@ class TestEvaluate:
 
         monkeypatch.setattr(tapecat.machine, "_update_cells", poisoned)
         assert evaluate(spread_shape, ts("#...#.")) == ts("#.##")
+
+
+class TestDroppedObjects:
+    def test_evaluate_matches_gluing_the_comma_category(self, spread_shape):
+        # reference: glue (window functor over x) along all its morphisms.
+        # Dropping an object leaves the full subcategory on the others, so
+        # the damaged shape's comma category is the whole one without the
+        # nodes over the dropped object.
+        objects = {o.name: o for o in spread_shape.objects}
+        generator_offset = {
+            m.name: 0 if objects[m.src].generator.is_empty() else m.offset
+            for m in spread_shape.morphisms
+        }
+        window = spread_shape.window_functor()
+        damaged = {name: spread_shape.without_object(name) for name in objects}
+        outcomes = Counter()
+        for x in all_strings(DEFAULT_ALPHABET, 8):
+            comma = comma_enumerate(window, constant_functor(TapeCategory(DEFAULT_ALPHABET), x))
+            for name, shape in damaged.items():
+                kept = [o for o in comma.objects if o.left != name]
+                index = {o: i for i, o in enumerate(kept)}
+                values = [objects[o.left].generator.cells for o in kept]
+                edges = [(index[m.src], index[m.dst], generator_offset[m.f_comp])
+                         for m in comma.morphisms if m.src in index and m.dst in index]
+                try:
+                    want = glue_cells(values, edges)[0]
+                except GlueError as exc:
+                    want = exc
+                try:
+                    got = evaluate(shape, x).cells
+                except GlueError as exc:
+                    got = exc
+                where = f"{x} without {name}"
+                if isinstance(want, GlueError):
+                    assert type(got) is type(want), where
+                    if isinstance(want, Disconnected):
+                        assert str(got) == str(want), where
+                    outcomes[type(want).__name__] += 1
+                else:
+                    assert got == want, where
+                    outcomes["glued"] += 1
+        assert outcomes["glued"] and outcomes["Disconnected"]
 
 
 class TestEquivalenceSweep:
@@ -110,7 +162,8 @@ class TestTrace:
         names = [o.name for o in spread_shape.objects]
         for x in all_strings(DEFAULT_ALPHABET, 6):
             comma = comma_enumerate(window, constant_functor(TapeCategory(DEFAULT_ALPHABET), x))
-            nodes, edges, _ = _indexed_diagram(spread_shape, x.cells)
+            _, trace = evaluate_traced(spread_shape, x)
+            nodes, edges = trace.nodes, trace.edges
             assert [(names[k], q) for k, q in nodes] == \
                 [(o.left, o.mid.offset) for o in comma.objects]
             index = {o: i for i, o in enumerate(comma.objects)}
