@@ -6,7 +6,10 @@ spell the colimit.  Anything else (branching, cycles, label clashes, two
 components) is an error: those colimits do not exist among tape strings,
 and the engine's job is to detect them, not invent them.  CellGluing holds
 that union-find incrementally, so a diagram can be glued while it is being
-built; glue_cells drives it over a finished diagram.
+built; glue_cells drives it over a finished diagram.  The density check
+glues the comma diagram of generator occurrences in a string the same way,
+on node indices; the string-id TapeDiagram and glue wrap that core for
+named diagrams.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import tape
 from .fincat import DenseSubcategory
-from .tape import Alphabet, Occurrence, TapeString
+from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
 class GlueError(Exception):
@@ -81,34 +84,6 @@ class TapeDiagram:
             tuple(DiagramNode(i, v) for i, v in nodes),
             tuple(DiagramEdge(s, d, o) for s, d, o in edges),
         )
-
-    def dumps(self) -> str:
-        lines = [f"node {n.id} {n.value}" for n in self.nodes]
-        lines += [f"edge {e.src} {e.dst} {e.occ.offset}" for e in self.edges]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str, alphabet: Alphabet) -> TapeDiagram:
-        nodes: list[tuple[str, TapeString]] = []
-        edges: list[tuple[str, str, int]] = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            toks = raw.split()
-            if not toks:
-                continue
-            if toks[0] == "node" and len(toks) == 3:
-                cells = "" if toks[2] == "(empty)" else toks[2]
-                nodes.append((toks[1], TapeString(alphabet, cells)))
-            elif toks[0] == "edge" and len(toks) == 4:
-                edges.append((toks[1], toks[2], int(toks[3])))
-            else:
-                raise ValueError(f"line {lineno}: unrecognized diagram line {raw!r}")
-        by_id = dict(nodes)
-        full_edges = []
-        for s, d, off in edges:
-            if s not in by_id or d not in by_id:
-                raise MalformedDiagram(f"edge {s} -> {d} references unknown node")
-            full_edges.append((s, d, Occurrence(by_id[s], by_id[d], off)))
-        return cls.build(alphabet, nodes, full_edges)
 
 
 @dataclass
@@ -309,46 +284,57 @@ class DensityResult:
 
 def canonical_diagram(x: TapeString, dense: DenseSubcategory) -> TapeDiagram:
     """One node per occurrence of a generator in x, edges from all comma
-    morphisms over the identity of x.
+    morphisms over the identity of x."""
+    occs, edges = _occurrence_diagram(x, dense)
+    ids = [_node_id(g, off) for g, off in occs]
+    return TapeDiagram.build(
+        x.alphabet,
+        zip(ids, (g for g, _ in occs)),
+        ((ids[i], ids[j], Occurrence(occs[i][0], occs[j][0], d)) for i, j, d in edges),
+    )
+
+
+def _occurrence_diagram(x: TapeString, dense: DenseSubcategory,
+                        ) -> tuple[list[tuple[TapeString, int]], list[tuple[int, int, int]]]:
+    """The comma category of generators over x, on indices: every occurrence
+    (generator, offset) of a generator in x, and every comma morphism as
+    (source index, target index, offset difference).
 
     Such a morphism from one occurrence to another exists exactly when the
     first span lies inside the second (always, for an empty first source),
     and it is then the unique occurrence at the difference of the offsets.
     """
     if dense.alphabet != x.alphabet:
-        raise MalformedDiagram("string and generators use different alphabets")
-    return _comma_diagram(x, _generator_occurrences(x, dense))
+        raise AlphabetMismatch("string and generators use different alphabets")
+    occs = [(g, off) for g in dense.strings
+            for off in (tape.find_all(g.cells, x.cells) if g.cells else [0])]
+    edges = []
+    for i, (g1, off1) in enumerate(occs):
+        n = len(g1)
+        for j, (g2, off2) in enumerate(occs):
+            d = off1 - off2 if n else 0
+            if 0 <= d and d + n <= len(g2):
+                edges.append((i, j, d))
+    return occs, edges
 
 
-def _generator_occurrences(x: TapeString, dense: DenseSubcategory) -> list[tuple[str, Occurrence]]:
-    """Every occurrence of a generator in x, with its canonical node id."""
-    return [(f"{s}@{o.offset}", o) for s in dense.strings for o in tape.hom(s, x)]
-
-
-def _comma_diagram(x: TapeString, occs: list[tuple[str, Occurrence]]) -> TapeDiagram:
-    nodes = [(node_id, o.source) for node_id, o in occs]
-    edges: list[tuple[str, str, Occurrence]] = []
-    for id1, o1 in occs:
-        n = len(o1.source)
-        for id2, o2 in occs:
-            d = o1.offset - o2.offset if n else 0
-            if 0 <= d and d + n <= len(o2.source):
-                edges.append((id1, id2, Occurrence(o1.source, o2.source, d)))
-    return TapeDiagram.build(x.alphabet, nodes, edges)
+def _node_id(generator: TapeString, offset: int) -> str:
+    return f"{generator}@{offset}"
 
 
 def density_check(x: TapeString, dense: DenseSubcategory) -> DensityResult:
     """Glue the canonical diagram of generator occurrences in x and verify
     the colimit is x itself with the original occurrences as legs."""
-    occs = _generator_occurrences(x, dense)
+    occs, edges = _occurrence_diagram(x, dense)
     try:
-        result = glue(_comma_diagram(x, occs))
+        cells, legs = glue_cells([g.cells for g, _ in occs], edges)
     except GlueError as exc:
-        return DensityResult(False, f"glue failed: {exc}")
-    if result.value != x:
-        return DensityResult(False, f"colimit is {result.value}, not {x}")
-    for node_id, want in occs:
-        if result.legs[node_id] != want:
-            return DensityResult(False, f"leg of {node_id} is {result.legs[node_id]}, "
-                                        f"expected {want}")
+        named = ", ".join(_node_id(*occs[i]) for i in exc.nodes)
+        return DensityResult(False, f"glue failed: {exc} [nodes: {named}]")
+    if cells != x.cells:
+        return DensityResult(False, f"colimit is {TapeString(x.alphabet, cells)}, not {x}")
+    for (g, off), leg in zip(occs, legs):
+        if leg != off:
+            return DensityResult(False, f"leg of {_node_id(g, off)} is {Occurrence(g, x, leg)}, "
+                                        f"expected {Occurrence(g, x, off)}")
     return DensityResult(True, "ok")

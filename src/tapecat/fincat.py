@@ -368,7 +368,7 @@ class CommaMorphism:
 
 
 class CommaCategory:
-    """An enumerated fragment of a comma category, with its projections."""
+    """An enumerated fragment of a comma category."""
 
     def __init__(self, F: FunctorData, G: FunctorData,
                  objects: list[CommaObject], morphisms: list[CommaMorphism]) -> None:
@@ -376,74 +376,6 @@ class CommaCategory:
         self.G = G
         self.objects = objects
         self.morphisms = morphisms
-        self._presentation: FinCatPresentation | None = None
-        self._obj_names: dict[CommaObject, str] = {}
-        self._mor_names: dict[CommaMorphism, str] = {}
-
-    def object_name(self, o: CommaObject) -> str:
-        return f"<{_name(o.left)}|{_inner(o.mid)}|{_name(o.right)}>"
-
-    @staticmethod
-    def _morphism_name(i: int, j: int, m: CommaMorphism) -> str:
-        return f"[{i}>{j}|{_inner(m.f_comp)}|{_inner(m.g_comp)}]"
-
-    def to_presentation(self) -> FinCatPresentation:
-        """Rebuild the enumerated fragment as a validatable presentation."""
-        if self._presentation is not None:
-            return self._presentation
-        cat = FinCatPresentation()
-        index = {o: i for i, o in enumerate(self.objects)}
-        for o in self.objects:
-            name = self.object_name(o)
-            self._obj_names[o] = name
-            cat.add_object(name)
-        lookup: dict[tuple[int, int, object, object], str] = {}
-        for m in self.morphisms:
-            i, j = index[m.src], index[m.dst]
-            name = self._morphism_name(i, j, m)
-            self._mor_names[m] = name
-            cat.add_morphism(name, self._obj_names[m.src], self._obj_names[m.dst])
-            lookup[(i, j, m.f_comp, m.g_comp)] = name
-        srcF, srcG = self.F.source, self.G.source
-        for m in self.morphisms:
-            if m.src == m.dst and m.f_comp == srcF.identity(m.src.left) \
-                    and m.g_comp == srcG.identity(m.src.right):
-                cat.set_identity(self._obj_names[m.src], self._mor_names[m])
-        for m1 in self.morphisms:
-            for m2 in self.morphisms:
-                if m1.dst != m2.src:
-                    continue
-                f = srcF.compose(m1.f_comp, m2.f_comp)
-                g = srcG.compose(m1.g_comp, m2.g_comp)
-                key = (index[m1.src], index[m2.dst], f, g)
-                if key not in lookup:
-                    raise FinCatError("comma fragment is not closed under composition")
-                cat.set_composite(self._mor_names[m2], self._mor_names[m1], lookup[key])
-        self._presentation = cat
-        return cat
-
-    def dom_functor(self) -> FunctorData:
-        """Projection onto first components, as explicit functor data."""
-        pres = self.to_presentation()
-        return FunctorData(
-            pres, self.F.source,
-            {self._obj_names[o]: o.left for o in self.objects},
-            {self._mor_names[m]: m.f_comp for m in self.morphisms},
-        )
-
-    def cod_functor(self) -> FunctorData:
-        pres = self.to_presentation()
-        return FunctorData(
-            pres, self.G.source,
-            {self._obj_names[o]: o.right for o in self.objects},
-            {self._mor_names[m]: m.g_comp for m in self.morphisms},
-        )
-
-
-def _inner(x) -> str:
-    if isinstance(x, Occurrence):
-        return f"{x.source}@{x.offset}"
-    return _name(x)
 
 
 def comma_enumerate(F: FunctorData, G: FunctorData, bound: int | None = None) -> CommaCategory:

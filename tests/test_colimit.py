@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
 from tapecat.colimit import (
+    DensityResult,
     Disconnected,
     GlueError,
     LabelConflict,
@@ -19,7 +21,14 @@ from tapecat.colimit import (
     glue_cells,
 )
 from tapecat.fincat import TapeCategory, canonical_dense_subcategory, comma_enumerate, constant_functor
-from tapecat.tape import DEFAULT_ALPHABET, Alphabet, Occurrence, all_strings, compose
+from tapecat.tape import (
+    DEFAULT_ALPHABET,
+    Alphabet,
+    AlphabetMismatch,
+    Occurrence,
+    all_strings,
+    compose,
+)
 
 from .support import brute_offsets, cocones_to, count_mediators, occ, ts
 
@@ -156,14 +165,6 @@ class TestGlue:
         for e in SHARED_CELL.edges:
             assert compose(e.occ, result.legs[e.dst]) == result.legs[e.src]
 
-    def test_round_trip_serialization(self):
-        text = SHARED_CELL.dumps()
-        again = TapeDiagram.loads(text, DEFAULT_ALPHABET)
-        assert again == SHARED_CELL
-        assert again.dumps() == text
-        d = diagram([("e", "")], [])
-        assert TapeDiagram.loads(d.dumps(), DEFAULT_ALPHABET) == d
-
 
 class TestGlueUniversalitySmall:
     def test_exhaustive_small_diagrams(self):
@@ -237,6 +238,21 @@ class TestDensity:
         for n in d.nodes:
             if n.value.length == 1:
                 assert result.value.cells[result.legs[n.id].offset] == n.value.cells
+
+    def test_failure_details_are_pinned(self, dense):
+        cells_only = dataclasses.replace(dense, strings=dense.strings[:3])
+        for x, detail in [
+            ("#.", "glue failed: quotient splits into 2 components [nodes: .@1, #@0]"),
+            ("#.#", "glue failed: quotient splits into 3 components [nodes: .@1, #@0, #@2]"),
+        ]:
+            assert density_check(ts(x), cells_only) == DensityResult(False, detail)
+        for x in ("#", ""):
+            assert density_check(ts(x), cells_only) == DensityResult(True, "ok")
+        black_only = dataclasses.replace(dense, strings=(dense.strings[0], dense.strings[2]))
+        assert density_check(ts("."), black_only) == \
+            DensityResult(False, "colimit is (empty), not .")
+        with pytest.raises(AlphabetMismatch):
+            density_check(ts("#"), canonical_dense_subcategory(Alphabet(("a", "b"))))
 
     def test_diagnostic_on_failure(self, dense):
         # a corrupted diagram (node deleted) must fail with a diagnostic,

