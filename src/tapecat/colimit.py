@@ -115,6 +115,14 @@ class CellGluing:
         self.parent.extend(range(start, start + len(value)))
         return len(self.values) - 1
 
+    def copy(self) -> CellGluing:
+        """An independent copy: adding, identifying or path halving in either
+        leaves the other as it was."""
+        twin = CellGluing()
+        twin.values, twin.starts, twin.parent = (
+            self.values.copy(), self.starts.copy(), self.parent.copy())
+        return twin
+
     def identify(self, i: int, j: int, off: int) -> None:
         """Identify cell k of node i with cell off+k of node j."""
         vi = self.values[i]
@@ -303,18 +311,27 @@ def _occurrence_diagram(x: TapeString, dense: DenseSubcategory,
     Such a morphism from one occurrence to another exists exactly when the
     first span lies inside the second (always, for an empty first source),
     and it is then the unique occurrence at the difference of the offsets.
+    A nonempty span therefore only lies inside spans that start at most the
+    longest generator's length before it; edges are listed by source, then
+    by target index, the order in which they are glued.
     """
     if dense.alphabet != x.alphabet:
         raise AlphabetMismatch("string and generators use different alphabets")
     occs = [(g, off) for g in dense.strings
             for off in (tape.find_all(g.cells, x.cells) if g.cells else [0])]
+    starting: dict[int, list[int]] = {}
+    for j, (_, off) in enumerate(occs):
+        starting.setdefault(off, []).append(j)
+    longest = max((len(g) for g, _ in occs), default=0)
     edges = []
     for i, (g1, off1) in enumerate(occs):
         n = len(g1)
-        for j, (g2, off2) in enumerate(occs):
-            d = off1 - off2 if n else 0
-            if 0 <= d and d + n <= len(g2):
-                edges.append((i, j, d))
+        if not n:
+            edges.extend((i, j, 0) for j in range(len(occs)))
+            continue
+        targets = sorted(j for off2 in range(off1 + n - longest, off1 + 1)
+                         for j in starting.get(off2, ()) if off1 + n <= off2 + len(occs[j][0]))
+        edges.extend((i, j, off1 - occs[j][1]) for j in targets)
     return occs, edges
 
 

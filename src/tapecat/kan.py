@@ -16,6 +16,13 @@ ended at most one cell earlier.  The value is then read off the quotient.
 A traced evaluation records that same pass, placements and edges, and
 renumbers it in the shape category's order; nothing is built or glued a
 second time.
+
+The pass is resumable: its state after the right ends of x is all that
+placing the windows of x·c needs.  The equivalence sweep therefore walks
+the trie of strings depth-first, and each child extends a copy of its
+parent's state by its one new right end instead of re-running the pass
+from the first cell (Hedlund 1969: the update at a cell depends only on a
+bounded window).
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import time
 import weakref
 from dataclasses import dataclass, field
 
-from . import tape
 from .colimit import CellGluing, GlueError
 from .machine import (
     Explanation,
@@ -79,8 +85,9 @@ class _CompiledShape:
     lists the morphisms into it from one-cell-smaller generators: ``joins``
     those from nonempty windows as (source level, lag, offset, morphism
     index), the source window ending ``lag`` cells before the destination
-    window; ``unwindowed_joins`` those from empty windows as (source object,
-    morphism index).
+    window; ``unwindowed_joins`` those from empty windows as (source node,
+    morphism index), the pass placing ``unwindowed`` first, as nodes
+    0, 1, ...
     """
 
     def __init__(self, shape: ShapeCategory) -> None:
@@ -88,6 +95,7 @@ class _CompiledShape:
         self.generators = [o.generator.cells for o in objects]
         self.window_lengths = [o.window.length for o in objects]
         self.unwindowed = [k for k, o in enumerate(objects) if o.window.is_empty()]
+        unwindowed_node = {k: node for node, k in enumerate(self.unwindowed)}
         by_length: dict[int, dict[str, int]] = {}
         for k, o in enumerate(objects):
             if not o.window.is_empty():
@@ -102,7 +110,7 @@ class _CompiledShape:
             if len(self.generators[dst]) - len(self.generators[src]) != 1:
                 continue
             if objects[src].window.is_empty():
-                self.unwindowed_joins[dst].append((src, mor_idx))
+                self.unwindowed_joins[dst].append((unwindowed_node[src], mor_idx))
                 continue
             # windows are generators plus 2r cells, so the sub-window of a
             # one-cell-larger window ends at the same cell or one before
@@ -120,32 +128,57 @@ def _compile(shape: ShapeCategory) -> _CompiledShape:
     return cached
 
 
-def _place_and_glue(compiled: _CompiledShape, x_cells: str, edges: list | None = None,
-                    ) -> tuple[CellGluing, list[int], list[int]]:
-    """One left-to-right pass over x: at each right end, place the window
-    ending there at every length and glue its generator at once to those of
-    its one-cell-smaller sub-windows, placed at most one step earlier.
+class _Pass:
+    """The state of the evaluation pass over a prefix of the input.
 
-    Returns the gluing state and, per node in placement order, its object
-    index and the right end of its window.  When ``edges`` is a list, every
-    diagram edge is appended to it as (source node, target node, offset,
-    morphism index).
+    ``gluing`` holds every node placed so far; per node in placement order,
+    ``placed`` is its object index and ``ends`` the right end of its window.
+    ``previous`` and ``current`` hold, per level, the node whose window ends
+    one cell before ``end`` and the one ending at it (or None); ``end`` is
+    the next right end to place.
+    """
+
+    __slots__ = ("gluing", "placed", "ends", "previous", "current", "end")
+
+    def __init__(self, compiled: _CompiledShape) -> None:
+        self.gluing = CellGluing()
+        self.placed = list(compiled.unwindowed)
+        self.ends = [0] * len(self.placed)
+        for k in self.placed:
+            self.gluing.add(compiled.generators[k])
+        self.previous: list[int | None] = [None] * len(compiled.levels)
+        self.current: list[int | None] = [None] * len(compiled.levels)
+        self.end = 0
+
+    def copy(self) -> _Pass:
+        """An independent state: extending either leaves the other as it was."""
+        twin = object.__new__(_Pass)
+        twin.gluing = self.gluing.copy()
+        twin.placed, twin.ends = self.placed.copy(), self.ends.copy()
+        twin.previous, twin.current = self.previous.copy(), self.current.copy()
+        twin.end = self.end
+        return twin
+
+
+def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str,
+                    edges: list | None = None) -> None:
+    """Extend the left-to-right pass over x from ``state.end`` to its last
+    right end: at each, place the window ending there at every length and
+    glue its generator at once to those of its one-cell-smaller sub-windows,
+    placed at most one step earlier.
+
+    ``state`` must hold the pass over x's right ends before ``state.end``.
+    When ``edges`` is a list, every diagram edge placed is appended to it as
+    (source node, target node, offset, morphism index).
     """
     generators, joins = compiled.generators, compiled.joins
-    gluing = CellGluing()
+    gluing = state.gluing
     add, identify = gluing.add, gluing.identify
-    placed: list[int] = []
-    ends: list[int] = []
-    unwindowed: dict[int, int] = {}
-    for k in compiled.unwindowed:
-        unwindowed[k] = add(generators[k])
-        placed.append(k)
-        ends.append(0)
+    placed, ends = state.placed, state.ends
     levels = [(level, length, by_window.get)
               for level, (length, by_window) in enumerate(compiled.levels)]
-    previous: list[int | None] = [None] * len(levels)
-    current: list[int | None] = [None] * len(levels)
-    for end in range(len(x_cells) + 1):
+    previous, current = state.previous, state.current
+    for end in range(state.end, len(x_cells) + 1):
         previous, current = current, previous
         for level, length, lookup in levels:
             k = lookup(x_cells[end - length : end]) if end >= length else None
@@ -161,9 +194,15 @@ def _place_and_glue(compiled: _CompiledShape, x_cells: str, edges: list | None =
                 if edges is not None:
                     edges.append((src_node, node, off, mor_idx))
             if edges is not None:
-                for src, mor_idx in compiled.unwindowed_joins[k]:
-                    edges.append((unwindowed[src], node, 0, mor_idx))
-    return gluing, placed, ends
+                for src_node, mor_idx in compiled.unwindowed_joins[k]:
+                    edges.append((src_node, node, 0, mor_idx))
+    state.previous, state.current = previous, current
+    state.end = len(x_cells) + 1
+
+
+def _check_alphabet(shape: ShapeCategory, x: TapeString) -> None:
+    if x.alphabet != shape.alphabet:
+        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
 
 
 def _glued(shape: ShapeCategory, x: TapeString, edges: list | None = None):
@@ -171,17 +210,18 @@ def _glued(shape: ShapeCategory, x: TapeString, edges: list | None = None):
     value, the leg offsets and a function from node to its window placement
     (object index, offset).  A GlueError also names the input cells of its
     nodes' window placements."""
-    if x.alphabet != shape.alphabet:
-        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
+    _check_alphabet(shape, x)
     compiled = _compile(shape)
-    gluing, placed, ends = _place_and_glue(compiled, x.cells, edges)
+    state = _Pass(compiled)
+    _place_and_glue(compiled, state, x.cells, edges)
+    placed, ends = state.placed, state.ends
 
     def placement(node: int) -> tuple[int, int]:
         k = placed[node]
         return k, ends[node] - compiled.window_lengths[k]
 
     try:
-        cells, legs = gluing.result()
+        cells, legs = state.gluing.result()
     except GlueError as exc:
         exc.cells = tuple((placement(i)[1], ends[i]) for i in exc.nodes)
         raise
@@ -235,21 +275,46 @@ class SweepReport:
 def equivalence_sweep(spec: MachineSpec, max_len: int,
                       shape: ShapeCategory | None = None) -> SweepReport:
     """Compare colimit evaluation against the direct rule on every string up
-    to max_len; a lawful machine must show zero mismatches."""
+    to max_len; a lawful machine must show zero mismatches.
+
+    The strings are walked as a trie, depth-first in alphabet order: a
+    string's pass state, copied, is resumed for one more right end by each
+    of its children, and every string's quotient is read off in full.
+    Mismatches are reported shortest string first, then in alphabet order.
+    """
     if shape is None:
         shape = shape_category(spec)
+    alphabet = spec.alphabet
+    _check_alphabet(shape, TapeString.empty(alphabet))
+    compiled = _compile(shape)
     report = SweepReport(max_len)
     started = time.perf_counter()
-    for x in tape.all_strings(spec.alphabet, max_len):
+    found: list[tuple[int, str]] = []
+    *others, last = alphabet.symbols
+    stack = [("", _Pass(compiled))]
+    while stack:
+        cells, state = stack.pop()
+        _place_and_glue(compiled, state, cells)
         report.inputs += 1
+        x = TapeString(alphabet, cells)
         want = apply(spec, x)
         try:
-            got = evaluate(shape, x)
+            got = state.gluing.result()[0]
         except GlueError as exc:
-            report.mismatches.append(f"{x}: glue failed: {exc}")
-            continue
-        if got != want:
-            report.mismatches.append(f"{x}: evaluated {got}, rule gives {want}")
+            found.append((len(cells), f"{x}: glue failed: {exc}"))
+        else:
+            if got != want.cells:
+                found.append((len(cells), f"{x}: evaluated {TapeString(alphabet, got)}, "
+                                          f"rule gives {want}"))
+        if len(cells) < max_len:
+            # pushed in reverse so the first symbol pops first; the last
+            # symbol's child, popped after its siblings, takes the state itself
+            stack.append((cells + last, state))
+            stack.extend((cells + c, state.copy()) for c in reversed(others))
+    # depth-first order lists each length in alphabet order already, so a
+    # stable sort by length gives the order of tape.all_strings
+    found.sort(key=lambda item: item[0])
+    report.mismatches = [line for _, line in found]
     report.elapsed = time.perf_counter() - started
     return report
 

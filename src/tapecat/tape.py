@@ -76,11 +76,10 @@ class TapeString:
     cells: str
 
     def __post_init__(self) -> None:
-        for c in self.cells:
-            if c not in self.alphabet:
-                raise AlphabetMismatch(
-                    f"cell {c!r} is not a symbol of alphabet {{{self.alphabet}}}"
-                )
+        symbols = self.alphabet._symbol_set
+        if not symbols.issuperset(self.cells):
+            c = next(c for c in self.cells if c not in symbols)
+            raise AlphabetMismatch(f"cell {c!r} is not a symbol of alphabet {{{self.alphabet}}}")
 
     @property
     def length(self) -> int:

@@ -156,17 +156,15 @@ def _occurrence_index(max_len: int) -> dict[str, dict[str, tuple[int, ...]]]:
     return index
 
 
-def _signature(values, edges):
-    """Relative placements of the nonempty nodes, forced by the edges alone.
+def _relative_offsets(values, edges, anchor):
+    """Offsets, relative to the anchor, of the nonempty nodes edge-connected
+    to it, forced by the edges alone (edge (i, j, off) puts i at j + off).
 
-    Diagram-side only (never consults glue): propagate edge offsets from an
-    anchor node; a successful gluing always admits exactly one component.
+    Diagram-side only (never consults glue): propagates edge offsets outward
+    from the anchor.
     """
-    nonempty = [i for i, v in enumerate(values) if v]
-    if not nonempty:
-        return ()
-    rel = {nonempty[0]: 0}
-    frontier = [nonempty[0]]
+    rel = {anchor: 0}
+    frontier = [anchor]
     adj: dict[int, list[tuple[int, int]]] = {}
     for i, j, off in edges:
         adj.setdefault(i, []).append((j, -off))
@@ -175,8 +173,18 @@ def _signature(values, edges):
         cur = frontier.pop()
         for other, delta in adj.get(cur, ()):
             if values[other] and other not in rel:
-                rel[other] = rel[cur] - delta
+                rel[other] = rel[cur] + delta
                 frontier.append(other)
+    return rel
+
+
+def _signature(values, edges):
+    """Relative placements of the nonempty nodes, forced by the edges alone;
+    a successful gluing always admits exactly one component."""
+    nonempty = [i for i, v in enumerate(values) if v]
+    if not nonempty:
+        return ()
+    rel = _relative_offsets(values, edges, nonempty[0])
     if len(rel) != len(nonempty):
         return None  # not edge-connected: cannot be a successful gluing
     base = min(rel.values())
@@ -196,28 +204,26 @@ def _verify_universal(values, edges, value, legs, index) -> int:
             checked += 1
         return checked
     anchor = max(nonempty, key=lambda i: len(values[i]))
-    others = [i for i in nonempty if i != anchor]
+    # the nonempty nodes are edge-connected, so the anchor's offset in a
+    # host forces every other node's: one candidate cocone per anchor offset
+    rel = _relative_offsets(values, edges, anchor)
+    assert len(rel) == len(nonempty)
     for host, anchor_offs in index[values[anchor]].items():
         if len(host) > total:
             continue
-        host_offs = {i: index[values[i]].get(host, ()) for i in others}
-        if any(not host_offs[i] for i in others):
-            continue
         for base in anchor_offs:
-            cocone = {anchor: base}
-            # brute-force assignment with per-edge filtering
-            for combo in itertools.product(*(host_offs[i] for i in others)):
-                cocone.update(zip(others, combo))
-                if any(values[i] and cocone[i] != cocone[j] + off
-                       for i, j, off in edges):
-                    continue
-                mediators = sum(
-                    1
-                    for m in brute_offsets(value, host)
-                    if all(cocone[i] == m + legs[i] for i in nonempty)
-                )
-                assert mediators == 1, (values, edges, value, legs, host, cocone)
-                checked += 1
+            cocone = {i: base + d for i, d in rel.items()}
+            if any(cocone[i] not in index[values[i]].get(host, ()) for i in nonempty):
+                continue
+            if any(values[i] and cocone[i] != cocone[j] + off for i, j, off in edges):
+                continue
+            mediators = sum(
+                1
+                for m in brute_offsets(value, host)
+                if all(cocone[i] == m + legs[i] for i in nonempty)
+            )
+            assert mediators == 1, (values, edges, value, legs, host, cocone)
+            checked += 1
     return checked
 
 

@@ -8,6 +8,7 @@ import itertools
 import pytest
 
 from tapecat.colimit import (
+    CellGluing,
     DensityResult,
     Disconnected,
     GlueError,
@@ -15,6 +16,7 @@ from tapecat.colimit import (
     MalformedDiagram,
     NotLinear,
     TapeDiagram,
+    _occurrence_diagram,
     canonical_diagram,
     density_check,
     glue,
@@ -166,6 +168,26 @@ class TestGlue:
             assert compose(e.occ, result.legs[e.dst]) == result.legs[e.src]
 
 
+class TestCellGluing:
+    def test_copy_is_independent(self):
+        # cell 2 -> cell 1 -> cell 0: finding cell 2's root halves its path
+        gluing = CellGluing()
+        for _ in range(3):
+            gluing.add("#")
+        gluing.identify(1, 2, 0)
+        gluing.identify(0, 1, 0)
+        assert gluing.parent == [0, 0, 1]
+        twin = gluing.copy()
+        assert twin.add("#.") == 3
+        twin.identify(2, 3, 0)
+        assert twin.parent == [0, 0, 0, 0, 4]
+        assert twin.result() == ("#.", [0, 0, 0, 0])
+        assert gluing.parent == [0, 0, 1]
+        assert gluing.result() == ("#", [0, 0, 0])
+        gluing.add(".")
+        assert twin.result() == ("#.", [0, 0, 0, 0])
+
+
 class TestGlueUniversalitySmall:
     def test_exhaustive_small_diagrams(self):
         # every diagram with <= 3 nodes of length <= 2 and <= 2 joining edges:
@@ -226,6 +248,26 @@ class TestDensity:
                 assert [(e.src, e.dst, e.occ) for e in d.edges] == \
                     [(node_id(m.src), node_id(m.dst), gens.inclusion.on_morphism(m.f_comp))
                      for m in comma.morphisms]
+
+    def test_occurrence_edges_match_all_pairs(self, dense):
+        # reference: test every ordered pair of occurrences for a comma
+        # morphism, sources in order and then targets in order
+        def all_pairs(occs):
+            edges = []
+            for i, (g1, off1) in enumerate(occs):
+                for j, (g2, off2) in enumerate(occs):
+                    d = off1 - off2 if g1.cells else 0
+                    if 0 <= d and d + len(g1) <= len(g2):
+                        edges.append((i, j, d))
+            return edges
+
+        ternary = Alphabet(("a", "b", "c"))
+        cells_only = dataclasses.replace(dense, strings=dense.strings[:3])
+        for gens, max_len in [(dense, 10), (canonical_dense_subcategory(ternary), 6),
+                              (cells_only, 6)]:
+            for x in all_strings(gens.alphabet, max_len):
+                occs, edges = _occurrence_diagram(x, gens)
+                assert edges == all_pairs(occs), str(x)
 
     def test_single_cell_legs_enumerate_cells(self, dense):
         x = ts("#..#")

@@ -11,8 +11,8 @@ import tapecat.machine
 from tapecat.colimit import Disconnected, GlueError, glue_cells
 from tapecat.fincat import TapeCategory, comma_enumerate, constant_functor
 from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced, explain
-from tapecat.machine import apply, shape_category
-from tapecat.tape import DEFAULT_ALPHABET, Occurrence, TapeString, all_strings, compose
+from tapecat.machine import MachineSpec, apply, shape_category
+from tapecat.tape import DEFAULT_ALPHABET, Alphabet, Occurrence, TapeString, all_strings, compose
 
 from .support import occ, ts
 
@@ -118,6 +118,47 @@ class TestEquivalenceSweep:
         report = equivalence_sweep(spread, 6, broken)
         assert not report.ok
         assert any("###" in line for line in report.mismatches)
+
+    @pytest.mark.parametrize("machine, max_len", [
+        ("spread", 10), ("parity_machine", 8), ("ternary_machine", 6), ("identity_machine", 8)])
+    def test_matches_the_per_string_sweep(self, machine, max_len, request):
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        report = equivalence_sweep(spec, max_len, shape)
+        assert (report.inputs, report.mismatches) == _per_string_sweep(spec, max_len, shape)
+
+    def test_matches_the_per_string_sweep_without_each_object(self, spread, spread_shape):
+        failing = 0
+        for o in spread_shape.objects:
+            shape = spread_shape.without_object(o.name)
+            report = equivalence_sweep(spread, 8, shape)
+            assert (report.inputs, report.mismatches) == _per_string_sweep(spread, 8, shape), o.name
+            failing += not report.ok
+        assert len(spread_shape.objects) == 25 and failing
+
+    def test_deep_trie_without_recursion(self):
+        # a one-symbol alphabet makes the trie a single path deeper than
+        # Python's default recursion limit
+        spec = MachineSpec(Alphabet(("a",)), 0, {"a": "a"})
+        report = equivalence_sweep(spec, 1200)
+        assert report.ok and report.inputs == 1201
+
+
+def _per_string_sweep(spec, max_len, shape):
+    """Reference sweep: evaluate each string of all_strings on its own, in
+    order, and compare it with the rule; (inputs, mismatch lines)."""
+    mismatches = []
+    inputs = all_strings(spec.alphabet, max_len)
+    for x in inputs:
+        want = apply(spec, x)
+        try:
+            got = evaluate(shape, x)
+        except GlueError as exc:
+            mismatches.append(f"{x}: glue failed: {exc}")
+            continue
+        if got != want:
+            mismatches.append(f"{x}: evaluated {got}, rule gives {want}")
+    return len(inputs), mismatches
 
 
 def _placement(shape, x, node):

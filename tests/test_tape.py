@@ -45,8 +45,8 @@ class TestAlphabet:
 
 class TestTapeString:
     def test_rejects_foreign_cells(self):
-        with pytest.raises(AlphabetMismatch):
-            ts("#x.")
+        with pytest.raises(AlphabetMismatch, match=r"^cell 'x' is not a symbol of alphabet \{\. #\}$"):
+            ts("#x.y")
 
     def test_length_and_render(self):
         assert ts("#.#").length == 3
