@@ -39,8 +39,8 @@ MUTATIONS = ("none", "shift-window", "drop-shape-object")
 
 def _load_machine(path: Path) -> MachineSpec:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_PARSE)
     try:
@@ -174,9 +174,9 @@ def _check_category(shape: ShapeCategory, dense) -> list[tuple[str, bool, str]]:
     p_report = validate_category(shape.presentation)
     results.append(("category shapes", p_report.ok,
                     f"objects={len(shape.objects)} violations={len(p_report.violations)}"))
-    round_trip = FinCatPresentation.loads(shape.presentation.dumps())
+    text = shape.presentation.dumps()
     results.append(("category shape-round-trip",
-                    round_trip.dumps() == shape.presentation.dumps(), "lossless"))
+                    FinCatPresentation.loads(text).dumps() == text, "lossless"))
     return results
 
 
@@ -212,9 +212,9 @@ def _check_density(spec: MachineSpec, dense, max_len: int) -> list[tuple[str, bo
     return results
 
 
-def _check_adjunction(spec: MachineSpec, dense, max_len: int,
+def _check_adjunction(spec: MachineSpec, max_len: int,
                       mutate: str) -> list[tuple[str, bool, str]]:
-    sweep = adjunction_sweep(spec, max_len, dense, mutate=(mutate == "shift-window"))
+    sweep = adjunction_sweep(spec, max_len, mutate=(mutate == "shift-window"))
     detail = f"cases={sweep.cases}"
     if not sweep.ok:
         detail += f" first: {sweep.failures[0]}"
@@ -223,12 +223,11 @@ def _check_adjunction(spec: MachineSpec, dense, max_len: int,
 
 def _check_equivalence(spec: MachineSpec, shape: ShapeCategory, max_len: int,
                        mutate: str) -> list[tuple[str, bool, str]]:
-    shape = _mutated_shape(shape, mutate)
-    report = equivalence_sweep(spec, max_len, shape)
-    detail = str(report)
-    if not report.ok:
-        detail += f" first: {report.mismatches[0]}"
-    return [(f"equivalence max_len={max_len}", report.ok, detail)]
+    sweep = equivalence_sweep(spec, max_len, _mutated_shape(shape, mutate))
+    detail = f"inputs={sweep.cases} mismatches={len(sweep.failures)} max_len={max_len}"
+    if not sweep.ok:
+        detail += f" first: {sweep.failures[0]}"
+    return [(f"equivalence max_len={max_len}", sweep.ok, detail)]
 
 
 @main.command()
@@ -248,7 +247,7 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
     started = time.perf_counter()
     results: list[tuple[str, bool, str]] = []
     if suite in ("category", "functor", "equivalence", "all"):
-        shape = shape_category(spec, dense)
+        shape = shape_category(spec)
     if suite in ("category", "all"):
         results += _check_category(shape, dense)
     if suite in ("functor", "all"):
@@ -256,7 +255,7 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
     if suite in ("density", "all"):
         results += _check_density(spec, dense, max_len)
     if suite in ("adjunction", "all"):
-        results += _check_adjunction(spec, dense, adj_len, mutate)
+        results += _check_adjunction(spec, adj_len, mutate)
     if suite in ("equivalence", "all"):
         results += _check_equivalence(spec, shape, max_len, mutate)
     failed = False

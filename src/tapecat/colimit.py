@@ -290,20 +290,8 @@ class DensityResult:
     detail: str
 
 
-def canonical_diagram(x: TapeString, dense: DenseSubcategory) -> TapeDiagram:
-    """One node per occurrence of a generator in x, edges from all comma
-    morphisms over the identity of x."""
-    occs, edges = _occurrence_diagram(x, dense)
-    ids = [_node_id(g, off) for g, off in occs]
-    return TapeDiagram.build(
-        x.alphabet,
-        zip(ids, (g for g, _ in occs)),
-        ((ids[i], ids[j], Occurrence(occs[i][0], occs[j][0], d)) for i, j, d in edges),
-    )
-
-
-def _occurrence_diagram(x: TapeString, dense: DenseSubcategory,
-                        ) -> tuple[list[tuple[TapeString, int]], list[tuple[int, int, int]]]:
+def canonical_diagram(x: TapeString, dense: DenseSubcategory,
+                      ) -> tuple[list[tuple[TapeString, int]], list[tuple[int, int, int]]]:
     """The comma category of generators over x, on indices: every occurrence
     (generator, offset) of a generator in x, and every comma morphism as
     (source index, target index, offset difference).
@@ -342,7 +330,7 @@ def _node_id(generator: TapeString, offset: int) -> str:
 def density_check(x: TapeString, dense: DenseSubcategory) -> DensityResult:
     """Glue the canonical diagram of generator occurrences in x and verify
     the colimit is x itself with the original occurrences as legs."""
-    occs, edges = _occurrence_diagram(x, dense)
+    occs, edges = canonical_diagram(x, dense)
     try:
         cells, legs = glue_cells([g.cells for g, _ in occs], edges)
     except GlueError as exc:

@@ -433,10 +433,16 @@ class DenseSubcategory:
     inclusion: FunctorData
 
 
+def canonical_generators(alphabet: Alphabet) -> tuple[TapeString, ...]:
+    """The canonical generators: every string of length <= 2, shortest
+    first, then in alphabet order."""
+    return tuple(tape.all_strings(alphabet, 2))
+
+
 def canonical_dense_subcategory(alphabet: Alphabet) -> DenseSubcategory:
     """Generators dense in the tape category: any string is glued from its
     cells and consecutive pairs."""
-    strings = tuple(tape.all_strings(alphabet, 2))
+    strings = canonical_generators(alphabet)
     cat = FinCatPresentation()
     obj_map: dict[str, TapeString] = {}
     mor_map: dict[str, Occurrence] = {}

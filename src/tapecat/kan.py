@@ -27,15 +27,15 @@ bounded window).
 
 from __future__ import annotations
 
-import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .colimit import CellGluing, GlueError
 from .machine import (
     Explanation,
     MachineSpec,
     ShapeCategory,
+    SweepOutcome,
     apply,
     causal_neighbourhood,
     shape_category,
@@ -257,25 +257,11 @@ def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, Ev
 # the oracle-equivalence sweep
 
 
-@dataclass
-class SweepReport:
-    max_len: int
-    inputs: int = 0
-    mismatches: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def __str__(self) -> str:
-        return f"inputs={self.inputs} mismatches={len(self.mismatches)} max_len={self.max_len}"
-
-
 def equivalence_sweep(spec: MachineSpec, max_len: int,
-                      shape: ShapeCategory | None = None) -> SweepReport:
+                      shape: ShapeCategory | None = None) -> SweepOutcome:
     """Compare colimit evaluation against the direct rule on every string up
-    to max_len; a lawful machine must show zero mismatches.
+    to max_len: one case per string, one failure line per mismatch; a
+    lawful machine must show none.
 
     The strings are walked as a trie, depth-first in alphabet order: a
     string's pass state, copied, is resumed for one more right end by each
@@ -287,15 +273,14 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     alphabet = spec.alphabet
     _check_alphabet(shape, TapeString.empty(alphabet))
     compiled = _compile(shape)
-    report = SweepReport(max_len)
-    started = time.perf_counter()
+    cases = 0
     found: list[tuple[int, str]] = []
     *others, last = alphabet.symbols
     stack = [("", _Pass(compiled))]
     while stack:
         cells, state = stack.pop()
         _place_and_glue(compiled, state, cells)
-        report.inputs += 1
+        cases += 1
         x = TapeString(alphabet, cells)
         want = apply(spec, x)
         try:
@@ -314,9 +299,7 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     # depth-first order lists each length in alphabet order already, so a
     # stable sort by length gives the order of tape.all_strings
     found.sort(key=lambda item: item[0])
-    report.mismatches = [line for _, line in found]
-    report.elapsed = time.perf_counter() - started
-    return report
+    return SweepOutcome(cases, [line for _, line in found])
 
 
 def explain(spec: MachineSpec, x: TapeString, start: int, stop: int) -> Explanation:

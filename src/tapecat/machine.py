@@ -11,7 +11,7 @@ colimit evaluator is compiled from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
@@ -22,7 +22,7 @@ from .fincat import (
     FunctorData,
     TapeCategory,
     ValidationReport,
-    canonical_dense_subcategory,
+    canonical_generators,
 )
 from .tape import Alphabet, AlphabetMismatch, InvalidOccurrence, Occurrence, TapeString
 
@@ -275,11 +275,7 @@ class UniversalityReport:
     max_m: int
     max_z: int
     candidates: int = 0
-    failures: list[UniversalityFailure] | None = None
-
-    def __post_init__(self) -> None:
-        if self.failures is None:
-            self.failures = []
+    failures: list[UniversalityFailure] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -489,16 +485,18 @@ def _shape_mor_name(src: str, dst: str, offset: int) -> str:
     return f"{src}>{dst}@{offset}"
 
 
-def shape_category(spec: MachineSpec, dense: DenseSubcategory | None = None) -> ShapeCategory:
+def shape_category(spec: MachineSpec) -> ShapeCategory:
     """Precompute the shape category of a machine over the canonical
     generators: one object per (generator, explaining window) pair, one
-    morphism per aligned double occurrence."""
-    if dense is None:
-        dense = canonical_dense_subcategory(spec.alphabet)
-    if dense.alphabet != spec.alphabet:
-        raise AlphabetMismatch("generators and machine use different alphabets")
+    morphism per aligned double occurrence.
+
+    The generators are fixed: the colimit evaluator glues each generator
+    only to its one-cell-smaller sub-generators, which suffices when those
+    are generators too.  Another dense set, such as the strings of lengths
+    0, 1, 2 and 4, leaves nodes unglued, and evaluation then disagrees
+    with the rule."""
     objects: list[ShapeObject] = []
-    for a in dense.strings:
+    for a in canonical_generators(spec.alphabet):
         for n in sorted(shape_table(spec, a), key=lambda s: s.cells):
             objects.append(ShapeObject(_shape_obj_name(a, n), a, n))
     # A nonempty window updates to exactly one generator, so it names its
@@ -528,23 +526,20 @@ def shape_category(spec: MachineSpec, dense: DenseSubcategory | None = None) -> 
 
 @dataclass
 class SweepOutcome:
-    name: str
-    cases: int
-    failures: list[str]
+    """The number of cases a sweep checked and one line per failed case."""
+
+    cases: int = 0
+    failures: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def __str__(self) -> str:
-        status = "ok" if self.ok else f"FAIL ({len(self.failures)})"
-        return f"{self.name}: cases={self.cases} {status}"
-
 
 def functoriality_sweep(spec: MachineSpec, max_len: int) -> SweepOutcome:
     """Exhaustively check that updating preserves identities and composition
     for all occurrences among strings up to max_len."""
-    outcome = SweepOutcome(f"functoriality max_len={max_len}", 0, [])
+    outcome = SweepOutcome()
     strings = tape.all_strings(spec.alphabet, max_len)
     morphisms: list[Occurrence] = []
     for a in strings:
@@ -570,21 +565,19 @@ def functoriality_sweep(spec: MachineSpec, max_len: int) -> SweepOutcome:
 
 
 def adjunction_sweep(spec: MachineSpec, max_state_len: int,
-                     dense: DenseSubcategory | None = None,
-                     max_m: int | None = None, max_z: int | None = None,
                      mutate: bool = False) -> SweepOutcome:
-    """Run the universality check for every generator part of every updated
-    state up to max_state_len.  With mutate=True the explanations are
-    displaced first; the sweep must then fail."""
-    if dense is None:
-        dense = canonical_dense_subcategory(spec.alphabet)
-    outcome = SweepOutcome(f"adjunction max_state_len={max_state_len}", 0, [])
+    """Run the universality check, at its default bounds, for every
+    canonical generator part of every updated state up to max_state_len.
+    With mutate=True the explanations are displaced first; the sweep must
+    then fail."""
+    generators = canonical_generators(spec.alphabet)
+    outcome = SweepOutcome()
     for x in tape.all_strings(spec.alphabet, max_state_len):
         ux = apply(spec, x)
-        for a in dense.strings:
+        for a in generators:
             for p in tape.hom(a, ux):
                 expl = shifted_explanation(spec, p, x) if mutate else None
-                report = universality_check(spec, p, x, max_m, max_z, explanation=expl)
+                report = universality_check(spec, p, x, explanation=expl)
                 outcome.cases += 1
                 if not report.ok:
                     outcome.failures.append(str(report.failures[0]))
@@ -604,8 +597,8 @@ def format_machine(spec: MachineSpec) -> str:
 def parse_machine(text: str) -> MachineSpec:
     """Parse the plain-text machine config (alphabet, radius, rule table).
 
-    Rejects duplicate and missing windows: a partial rule would silently
-    break functoriality.
+    Rejects duplicate and missing windows (a partial rule would silently
+    break functoriality) and a repeated 'alphabet:' or 'radius:' line.
     """
     alphabet: Alphabet | None = None
     radius: int | None = None
@@ -616,6 +609,8 @@ def parse_machine(text: str) -> MachineSpec:
         if not line:
             continue
         if line.startswith("alphabet:"):
+            if alphabet is not None:
+                raise MachineConfigError(f"line {lineno}: duplicate 'alphabet:' line")
             symbols = tuple(line[len("alphabet:"):].split())
             try:
                 alphabet = Alphabet(symbols)
@@ -623,6 +618,8 @@ def parse_machine(text: str) -> MachineSpec:
                 raise MachineConfigError(f"line {lineno}: {exc}") from None
             in_rule = False
         elif line.startswith("radius:"):
+            if radius is not None:
+                raise MachineConfigError(f"line {lineno}: duplicate 'radius:' line")
             try:
                 radius = int(line[len("radius:"):].strip())
             except ValueError:

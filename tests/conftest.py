@@ -49,5 +49,5 @@ def dense():
 
 
 @pytest.fixture(scope="session")
-def spread_shape(spread, dense):
-    return shape_category(spread, dense)
+def spread_shape(spread):
+    return shape_category(spread)

@@ -129,6 +129,17 @@ class TestRun:
         result = runner.invoke(main, ["run", str(bad), "#"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("args", [["table", "--all"], ["run", "#"], ["check"]])
+    def test_file_not_utf8_exits_1(self, tmp_path, args):
+        bad = tmp_path / "latin1.machine"
+        bad.write_bytes(b"alphabet: . #\nradius: 0\nrule:\n  . -> .\n  # -> \xff\n")
+        command, *rest = args
+        result = subprocess.run([sys.executable, "-m", "tapecat.cli", command, str(bad), *rest],
+                                capture_output=True, text=True, timeout=30, env=_src_env())
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: cannot read {bad}: ")
+        assert "Traceback" not in result.stderr
+
     def test_huge_window_space_fails_fast(self, tmp_path):
         # 2**61 and 2**20001 windows: totality must be decided without
         # enumerating them, and reported without spelling out their count
@@ -235,6 +246,13 @@ class TestCheck:
         # 3 category + 3 functor + 7 density rows (len 0..6) + adjunction + equivalence
         assert len(lines) == 15
         assert result.stderr.startswith("elapsed=")  # timing stays off stdout
+
+    def test_equivalence_detail(self, runner):
+        result = runner.invoke(main, ["check", SPREAD, "--suite", "equivalence",
+                                      "--max-len", "10"])
+        assert result.exit_code == 0
+        assert result.stdout == \
+            "PASS equivalence max_len=10: inputs=2047 mismatches=0 max_len=10\n"
 
     def test_single_suite_density_zero(self, runner):
         result = runner.invoke(main, ["check", SPREAD, "--suite", "density",

@@ -16,7 +16,6 @@ from tapecat.colimit import (
     MalformedDiagram,
     NotLinear,
     TapeDiagram,
-    _occurrence_diagram,
     canonical_diagram,
     density_check,
     glue,
@@ -234,19 +233,19 @@ class TestDensity:
 
     def test_canonical_diagram_is_the_comma_category(self):
         # reference: the comma category (generators over x), enumerated by search
-        def node_id(o):
-            return f"{o.mid.source}@{o.mid.offset}"
+        def node(o):
+            return o.mid.source, o.mid.offset
 
         for alphabet, max_len in [(DEFAULT_ALPHABET, 6), (Alphabet(("a", "b", "c")), 4)]:
             gens = canonical_dense_subcategory(alphabet)
             for x in all_strings(alphabet, max_len):
                 comma = comma_enumerate(gens.inclusion,
                                         constant_functor(TapeCategory(alphabet), x))
-                d = canonical_diagram(x, gens)
-                assert [(n.id, n.value) for n in d.nodes] == \
-                    [(node_id(o), o.mid.source) for o in comma.objects]
-                assert [(e.src, e.dst, e.occ) for e in d.edges] == \
-                    [(node_id(m.src), node_id(m.dst), gens.inclusion.on_morphism(m.f_comp))
+                occs, edges = canonical_diagram(x, gens)
+                assert occs == [node(o) for o in comma.objects]
+                assert [(occs[i], occs[j], Occurrence(occs[i][0], occs[j][0], d))
+                        for i, j, d in edges] == \
+                    [(node(m.src), node(m.dst), gens.inclusion.on_morphism(m.f_comp))
                      for m in comma.morphisms]
 
     def test_occurrence_edges_match_all_pairs(self, dense):
@@ -266,20 +265,17 @@ class TestDensity:
         for gens, max_len in [(dense, 10), (canonical_dense_subcategory(ternary), 6),
                               (cells_only, 6)]:
             for x in all_strings(gens.alphabet, max_len):
-                occs, edges = _occurrence_diagram(x, gens)
+                occs, edges = canonical_diagram(x, gens)
                 assert edges == all_pairs(occs), str(x)
 
     def test_single_cell_legs_enumerate_cells(self, dense):
         x = ts("#..#")
-        d = canonical_diagram(x, dense)
-        result = glue(d)
-        single_legs = {
-            result.legs[n.id].offset for n in d.nodes if n.value.length == 1
-        }
-        assert single_legs == set(range(x.length))
-        for n in d.nodes:
-            if n.value.length == 1:
-                assert result.value.cells[result.legs[n.id].offset] == n.value.cells
+        occs, edges = canonical_diagram(x, dense)
+        cells, legs = glue_cells([g.cells for g, _ in occs], edges)
+        single = [(g, leg) for (g, _), leg in zip(occs, legs) if g.length == 1]
+        assert {leg for _, leg in single} == set(range(x.length))
+        for g, leg in single:
+            assert cells[leg] == g.cells
 
     def test_failure_details_are_pinned(self, dense):
         cells_only = dataclasses.replace(dense, strings=dense.strings[:3])
@@ -300,10 +296,11 @@ class TestDensity:
         # a corrupted diagram (node deleted) must fail with a diagnostic,
         # exercised through the underlying glue on a doctored canonical diagram
         x = ts("##")
-        d = canonical_diagram(x, dense)
-        kept = [n for n in d.nodes if n.id != "#@0"]
-        kept_ids = {n.id for n in kept}
-        edges = [e for e in d.edges if e.src in kept_ids and e.dst in kept_ids]
-        broken = TapeDiagram(DEFAULT_ALPHABET, tuple(kept), tuple(edges))
-        result = glue(broken)  # still glues: the pair node covers both cells
-        assert result.value == x
+        occs, edges = canonical_diagram(x, dense)
+        kept = [k for k, o in enumerate(occs) if o != (ts("#"), 0)]
+        assert len(kept) == len(occs) - 1
+        renumber = {k: n for n, k in enumerate(kept)}
+        cells, _ = glue_cells([occs[k][0].cells for k in kept],
+                              [(renumber[i], renumber[j], d) for i, j, d in edges
+                               if i in renumber and j in renumber])
+        assert cells == x.cells  # still glues: the pair node covers both cells

@@ -97,27 +97,26 @@ class TestEquivalenceSweep:
     def test_spread_machine_to_10(self, spread, spread_shape):
         report = equivalence_sweep(spread, 10, spread_shape)
         assert report.ok
-        assert report.inputs == 2047
-        assert str(report) == "inputs=2047 mismatches=0 max_len=10"
+        assert report.cases == 2047
 
     def test_identity_machine_to_8(self, identity_machine):
         report = equivalence_sweep(identity_machine, 8)
-        assert report.ok and report.inputs == 511
+        assert report.ok and report.cases == 511
 
     def test_parity_machine_radius_2(self, parity_machine):
         report = equivalence_sweep(parity_machine, 8)
-        assert report.ok, report.mismatches[:3]
+        assert report.ok, report.failures[:3]
 
     def test_ternary_machine(self, ternary_machine):
         report = equivalence_sweep(ternary_machine, 6)
-        assert report.ok and report.inputs == 1093
+        assert report.ok and report.cases == 1093
 
     def test_corrupted_shape_is_flagged(self, spread, spread_shape):
         # deleting the object explaining '#' by '###' starves X = '###'
         broken = spread_shape.without_object("(#|###)")
         report = equivalence_sweep(spread, 6, broken)
         assert not report.ok
-        assert any("###" in line for line in report.mismatches)
+        assert any("###" in line for line in report.failures)
 
     @pytest.mark.parametrize("machine, max_len", [
         ("spread", 10), ("parity_machine", 8), ("ternary_machine", 6), ("identity_machine", 8)])
@@ -125,14 +124,14 @@ class TestEquivalenceSweep:
         spec = request.getfixturevalue(machine)
         shape = shape_category(spec)
         report = equivalence_sweep(spec, max_len, shape)
-        assert (report.inputs, report.mismatches) == _per_string_sweep(spec, max_len, shape)
+        assert (report.cases, report.failures) == _per_string_sweep(spec, max_len, shape)
 
     def test_matches_the_per_string_sweep_without_each_object(self, spread, spread_shape):
         failing = 0
         for o in spread_shape.objects:
             shape = spread_shape.without_object(o.name)
             report = equivalence_sweep(spread, 8, shape)
-            assert (report.inputs, report.mismatches) == _per_string_sweep(spread, 8, shape), o.name
+            assert (report.cases, report.failures) == _per_string_sweep(spread, 8, shape), o.name
             failing += not report.ok
         assert len(spread_shape.objects) == 25 and failing
 
@@ -141,7 +140,7 @@ class TestEquivalenceSweep:
         # Python's default recursion limit
         spec = MachineSpec(Alphabet(("a",)), 0, {"a": "a"})
         report = equivalence_sweep(spec, 1200)
-        assert report.ok and report.inputs == 1201
+        assert report.ok and report.cases == 1201
 
 
 def _per_string_sweep(spec, max_len, shape):

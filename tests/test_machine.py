@@ -387,6 +387,14 @@ class TestConfigFormat:
         with pytest.raises(MachineConfigError, match="duplicate"):
             parse_machine("alphabet: . #\nradius: 0\nrule:\n  . -> .\n  . -> #\n  # -> #\n")
 
+    @pytest.mark.parametrize("repeated", ["alphabet: . #", "radius: 1"])
+    def test_repeated_header_rejected(self, repeated):
+        # the last header used to win silently: radius 0 then 1 parsed as radius 1
+        text = f"alphabet: . #\nradius: 0\n{repeated}\nrule:\n  . -> .\n  # -> #\n"
+        header = repeated.split(":")[0]
+        with pytest.raises(MachineConfigError, match=f"^line 3: duplicate '{header}:' line$"):
+            parse_machine(text)
+
     def test_missing_window_rejected(self):
         with pytest.raises(MachineConfigError, match="missing-window"):
             parse_machine("alphabet: . #\nradius: 0\nrule:\n  . -> .\n")
