@@ -243,7 +243,8 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
           adj_len: int, mutate: str) -> None:
     """Run the law-checking suites; nonzero exit on any violation."""
     spec = _load_machine(machine_file)
-    dense = canonical_dense_subcategory(spec.alphabet)
+    if suite in ("category", "functor", "density", "all"):
+        dense = canonical_dense_subcategory(spec.alphabet)
     started = time.perf_counter()
     results: list[tuple[str, bool, str]] = []
     if suite in ("category", "functor", "equivalence", "all"):

@@ -12,7 +12,7 @@ colimit evaluator is compiled from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from . import tape
@@ -55,11 +55,6 @@ class MachineSpec:
         object.__setattr__(self, "rule", entries)
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        # every memo lookup keyed on the spec hashes it; the rule is immutable
-        object.__setattr__(self, "_hash", hash((alphabet, radius, entries)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def rule_map(self) -> dict[str, str]:
@@ -113,17 +108,8 @@ def validate_machine(spec: MachineSpec) -> ValidationReport:
     return report
 
 
-#: Entries kept by the update memo.  Bounded so that a long stream of
-#: distinct inputs cannot grow memory without limit; the adjunction sweep
-#: revisits about 511 keys, which stay well inside it.
-UPDATE_MEMO_SIZE = 4096
-
-
-@lru_cache(maxsize=UPDATE_MEMO_SIZE)
-def _update_cells(spec: MachineSpec, cells: str) -> str:
+def _window_map(spec: MachineSpec, cells: str) -> str:
     w = spec.window_len
-    if len(cells) < w:
-        return ""
     rule = spec.rule_map
     try:
         return "".join(rule[cells[i : i + w]] for i in range(len(cells) - w + 1))
@@ -138,7 +124,7 @@ def apply(spec: MachineSpec, x: TapeString) -> TapeString:
     """
     if x.alphabet != spec.alphabet:
         raise AlphabetMismatch(f"{x} is not over the machine alphabet")
-    return TapeString(spec.alphabet, _update_cells(spec, x.cells))
+    return TapeString(spec.alphabet, _window_map(spec, x.cells))
 
 
 def apply_morphism(spec: MachineSpec, f: Occurrence) -> Occurrence:
@@ -305,6 +291,8 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
     <= max_m occurring in a state of length <= max_z, and counts the
     factorizations through the given (default: computed) explanation.  The
     check passes when every candidate has exactly one.
+
+    The rule is local, so each span's update is read off its host's update.
     """
     if p.target != apply(spec, x):
         raise TargetMismatch(f"({p}) does not live in the update of {x}")
@@ -322,12 +310,14 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
     un_len = len(expl.unit.target)
     x_cells = x.cells
     p_off = p.offset
+    two_r = 2 * spec.radius
 
     for left, right in _contexts(spec.alphabet, max_z - x.length):
         if not x_cells and left:
             continue  # empty state: each host arises once, with the canonical leg
         z_cells = left + x_cells + right
         b_off = len(left)  # the only state map a mediator may have
+        uz = _window_map(spec, z_cells)
         spans: list[tuple[int, str]] = [(0, "")]
         spans += [
             (i, z_cells[i : i + m])
@@ -335,7 +325,8 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
             for i in range(len(z_cells) - m + 1)
         ]
         for g_off, m_cells in spans:
-            um = _update_cells(spec, m_cells)
+            # a span shorter than a window updates to nothing (a negative stop)
+            um = uz[g_off : g_off + len(m_cells) - two_r] if len(m_cells) > two_r else ""
             if a_cells:
                 a_off = p_off + b_off - g_off
                 if a_off < 0 or a_off + len(a_cells) > len(um) \
@@ -554,11 +545,13 @@ def functoriality_sweep(spec: MachineSpec, max_len: int) -> SweepOutcome:
     by_dom: dict[str, list[Occurrence]] = {}
     for m in morphisms:
         by_dom.setdefault(m.source.cells, []).append(m)
+    # every composite is among the morphisms, so each image is taken once
+    image = {m: apply_morphism(spec, m) for m in morphisms}
     for f in morphisms:
         for g in by_dom.get(f.target.cells, ()):
             outcome.cases += 1
-            lhs = apply_morphism(spec, tape.compose(f, g))
-            rhs = tape.compose(apply_morphism(spec, f), apply_morphism(spec, g))
+            lhs = image[tape.compose(f, g)]
+            rhs = tape.compose(image[f], image[g])
             if lhs != rhs:
                 outcome.failures.append(f"U(({f});({g})) != U({f});U({g})")
     return outcome

@@ -47,7 +47,7 @@ class TestEvaluate:
         def poisoned(spec, cells):
             raise AssertionError("evaluate consulted the rule table")
 
-        monkeypatch.setattr(tapecat.machine, "_update_cells", poisoned)
+        monkeypatch.setattr(tapecat.machine, "_window_map", poisoned)
         assert evaluate(spread_shape, ts("#...#.")) == ts("#.##")
 
 

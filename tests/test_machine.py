@@ -6,10 +6,10 @@ import itertools
 
 import pytest
 
-from tapecat.fincat import validate_category, validate_functor
+import tapecat.machine
+from tapecat.fincat import canonical_generators, validate_category, validate_functor
 from tapecat.machine import (
     MachineConfigError,
-    UPDATE_MEMO_SIZE,
     MachineSpec,
     TargetMismatch,
     adjunction_sweep,
@@ -24,7 +24,6 @@ from tapecat.machine import (
     shifted_explanation,
     universality_check,
     validate_machine,
-    _update_cells,
 )
 from tapecat.tape import (
     DEFAULT_ALPHABET,
@@ -73,23 +72,12 @@ class TestValidateMachine:
 
 
 class TestMachineSpec:
-    def test_equal_specs_share_a_memo_entry(self):
+    def test_equal_specs_are_interchangeable(self):
         first = MachineSpec(DEFAULT_ALPHABET, 1, spread_rule())
         second = MachineSpec(DEFAULT_ALPHABET, 1, dict(reversed(spread_rule().items())))
         assert first is not second and first == second
         assert hash(first) == hash(second)
-        want = apply(first, ts("#..#.##..."))
-        before = _update_cells.cache_info()
-        got = apply(second, ts("#..#.##..."))
-        after = _update_cells.cache_info()
-        assert got == want
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-
-    def test_update_memo_is_bounded(self, spread):
-        for n in range(UPDATE_MEMO_SIZE + 100):
-            apply(spread, ts(format(n, "b").replace("0", ".").replace("1", "#")))
-        assert _update_cells.cache_info().currsize <= UPDATE_MEMO_SIZE
+        assert apply(second, ts("#..#.##...")) == apply(first, ts("#..#.##..."))
 
 
 class TestApply:
@@ -138,6 +126,21 @@ class TestApplyMorphism:
     def test_functoriality_other_machines(self, parity_machine, ternary_machine):
         assert functoriality_sweep(parity_machine, 6).ok
         assert functoriality_sweep(ternary_machine, 4).ok
+
+    def test_functoriality_sweep_reports_a_displaced_image(self, spread, monkeypatch):
+        # seed a fault in the morphism action: one non-identity occurrence
+        # maps to a wrong but valid offset, so only composition can expose it
+        honest = apply_morphism
+        victim = occ("...", "....", 1)
+
+        def faulty(spec, f):
+            image = honest(spec, f)
+            return occ(image.source.cells, image.target.cells, 0) if f == victim else image
+
+        monkeypatch.setattr(tapecat.machine, "apply_morphism", faulty)
+        outcome = functoriality_sweep(spread, 5)
+        assert ("U((... @ 1 in ....);(.... @ 0 in .....)) != "
+                "U(... @ 1 in ....);U(.... @ 0 in .....)") in outcome.failures
 
 
 class TestCausalNeighbourhood:
@@ -221,18 +224,26 @@ class TestUniversality:
         assert report.max_m == 1 + 2 + 2 and report.max_z == 6 + 2
         assert report.ok
 
-    def test_candidate_and_failure_counts(self, spread, dense):
+    @pytest.mark.parametrize("machine, max_len, counts", [
+        ("spread", 5, (34577, 0, 14144)),
+        ("identity_machine", 4, (18111, 0, 12784)),
+        ("parity_machine", 6, (70425, 0, 8704)),
+        ("ternary_machine", 4, (100219, 0, 22680)),
+    ], ids=["spread", "identity", "parity", "ternary"])
+    def test_candidate_and_failure_counts(self, machine, max_len, counts, request):
+        # radius 0, 1 and 2 and three symbols pin the span-update arithmetic
+        spec = request.getfixturevalue(machine)
         candidates = failures = shifted_failures = 0
-        for x in all_strings(DEFAULT_ALPHABET, 5):
-            for a in dense.strings:
-                for p in hom(a, apply(spread, x)):
-                    report = universality_check(spread, p, x)
+        for x in all_strings(spec.alphabet, max_len):
+            for a in canonical_generators(spec.alphabet):
+                for p in hom(a, apply(spec, x)):
+                    report = universality_check(spec, p, x)
                     candidates += report.candidates
                     failures += len(report.failures)
-                    mutant = shifted_explanation(spread, p, x)
+                    mutant = shifted_explanation(spec, p, x)
                     shifted_failures += len(
-                        universality_check(spread, p, x, explanation=mutant).failures)
-        assert (candidates, failures, shifted_failures) == (34577, 0, 14144)
+                        universality_check(spec, p, x, explanation=mutant).failures)
+        assert (candidates, failures, shifted_failures) == counts
 
     def test_sweep_small(self, spread):
         outcome = adjunction_sweep(spread, 5)
