@@ -323,29 +323,21 @@ def validate_functor(functor: FunctorData) -> ValidationReport:
     for m in mors:
         fm = functor.on_morphism(m)
         if tgt.dom(fm) != functor.on_object(src.dom(m)):
-            report.add("endpoint", f"domain of image of {_name(m)} is wrong")
+            report.add("endpoint", f"domain of image of {m} is wrong")
         if tgt.cod(fm) != functor.on_object(src.cod(m)):
-            report.add("endpoint", f"codomain of image of {_name(m)} is wrong")
+            report.add("endpoint", f"codomain of image of {m} is wrong")
     if not report.ok:
         return report
-    by_dom: dict = {}
+    by_dom: dict[str, list[str]] = {}
     for m in mors:
-        by_dom.setdefault(_key(src.dom(m)), []).append(m)
+        by_dom.setdefault(src.dom(m), []).append(m)
     for f in mors:
-        for g in by_dom.get(_key(src.cod(f)), ()):
+        for g in by_dom.get(src.cod(f), ()):
             lhs = functor.on_morphism(src.compose(f, g))
             rhs = tgt.compose(functor.on_morphism(f), functor.on_morphism(g))
             if lhs != rhs:
-                report.add("composition", f"image of {_name(f)};{_name(g)} is not the composite of images")
+                report.add("composition", f"image of {f};{g} is not the composite of images")
     return report
-
-
-def _key(x):
-    return x if isinstance(x, str) else x.cells
-
-
-def _name(x) -> str:
-    return x if isinstance(x, str) else str(x)
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,10 @@ class MachineSpec:
     radius: int
     rule: tuple[tuple[str, str], ...]
 
-    def __init__(self, alphabet: Alphabet, radius: int,
-                 rule: Mapping[str, str] | tuple[tuple[str, str], ...]) -> None:
+    def __init__(self, alphabet: Alphabet, radius: int, rule: Mapping[str, str]) -> None:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "radius", radius)
-        entries = tuple(sorted(rule.items())) if isinstance(rule, Mapping) else tuple(rule)
-        object.__setattr__(self, "rule", entries)
+        object.__setattr__(self, "rule", tuple(sorted(rule.items())))
         if radius < 0:
             raise ValueError("radius must be >= 0")
 
@@ -79,12 +77,8 @@ def validate_machine(spec: MachineSpec) -> ValidationReport:
     order, is among the first len(rule) + 1 windows.
     """
     report = ValidationReport("machine")
-    seen: set[str] = set()
     well_formed: set[str] = set()
     for window, out in spec.rule:
-        if window in seen:
-            report.add("duplicate-window", f"window {window!r} bound twice")
-        seen.add(window)
         if len(window) != spec.window_len:
             report.add("window-length", f"window {window!r} is not {spec.window_len} cells")
         elif any(c not in spec.alphabet for c in window):
@@ -234,44 +228,16 @@ def shifted_explanation(spec: MachineSpec, p: Occurrence, x: TapeString) -> Expl
     return Explanation(p, window, unit)
 
 
-@dataclass(frozen=True)
-class CandidateExplanation:
-    """Any causal neighbourhood candidate: a morphism g with a map from the
-    part into the update of its source, over a map of states."""
-
-    g: Occurrence
-    a: Occurrence
-    b: Occurrence
-
-
-@dataclass
-class UniversalityFailure:
-    candidate: CandidateExplanation
-    mediators: int
-
-    def __str__(self) -> str:
-        return (f"candidate g=({self.candidate.g}) a=({self.candidate.a}) "
-                f"b=({self.candidate.b}) has {self.mediators} mediators")
-
-
 @dataclass
 class UniversalityReport:
-    part: Occurrence
-    state: TapeString
-    max_m: int
-    max_z: int
+    """The number of candidates checked and one line per failed candidate."""
+
     candidates: int = 0
-    failures: list[UniversalityFailure] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def __str__(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures)} failure(s)"
-        return (f"universality of ({self.part}) over {self.state} "
-                f"[max_m={self.max_m} max_z={self.max_z}]: "
-                f"{self.candidates} candidate(s), {status}")
 
 
 def _contexts(alphabet: Alphabet, budget: int) -> Iterator[tuple[str, str]]:
@@ -283,14 +249,14 @@ def _contexts(alphabet: Alphabet, budget: int) -> Iterator[tuple[str, str]]:
 
 
 def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
-                       max_m: int | None = None, max_z: int | None = None,
                        explanation: Explanation | None = None) -> UniversalityReport:
     """Bounded search for counterexamples to the neighbourhood's universality.
 
-    Enumerates every candidate explanation of p with source of length
-    <= max_m occurring in a state of length <= max_z, and counts the
-    factorizations through the given (default: computed) explanation.  The
-    check passes when every candidate has exactly one.
+    Enumerates every candidate explanation of p: a span of at most
+    len(part) + 2r + 2 cells in a host of at most len(x) + 2 cells that
+    extends x.  It counts each candidate's factorizations through the given
+    (default: computed) explanation.  The check passes when every candidate
+    has exactly one.
 
     The rule is local, so each span's update is read off its host's update.
     """
@@ -298,11 +264,8 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
         raise TargetMismatch(f"({p}) does not live in the update of {x}")
     expl = explanation if explanation is not None else causal_neighbourhood(spec, p, x)
     a_cells = p.source.cells
-    if max_m is None:
-        max_m = len(a_cells) + 2 * spec.radius + 2
-    if max_z is None:
-        max_z = x.length + 2
-    report = UniversalityReport(p, x, max_m, max_z)
+    max_m = len(a_cells) + 2 * spec.radius + 2
+    report = UniversalityReport()
 
     n_cells = expl.window.source.cells
     n_off = expl.window.offset
@@ -312,7 +275,7 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
     p_off = p.offset
     two_r = 2 * spec.radius
 
-    for left, right in _contexts(spec.alphabet, max_z - x.length):
+    for left, right in _contexts(spec.alphabet, 2):
         if not x_cells and left:
             continue  # empty state: each host arises once, with the canonical leg
         z_cells = left + x_cells + right
@@ -345,12 +308,11 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
                 alphabet = spec.alphabet
                 z = TapeString(alphabet, z_cells)
                 m = TapeString(alphabet, m_cells)
-                candidate = CandidateExplanation(
-                    Occurrence(m, z, g_off if m_cells else 0),
-                    Occurrence(p.source, TapeString(alphabet, um), a_off),
-                    Occurrence(x, z, b_off if x_cells else 0),
-                )
-                report.failures.append(UniversalityFailure(candidate, mediators))
+                g = Occurrence(m, z, g_off if m_cells else 0)
+                a = Occurrence(p.source, TapeString(alphabet, um), a_off)
+                b = Occurrence(x, z, b_off if x_cells else 0)
+                report.failures.append(f"candidate g=({g}) a=({a}) b=({b}) "
+                                       f"has {mediators} mediators")
     return report
 
 
@@ -559,7 +521,7 @@ def functoriality_sweep(spec: MachineSpec, max_len: int) -> SweepOutcome:
 
 def adjunction_sweep(spec: MachineSpec, max_state_len: int,
                      mutate: bool = False) -> SweepOutcome:
-    """Run the universality check, at its default bounds, for every
+    """Run the universality check, at its fixed bounds, for every
     canonical generator part of every updated state up to max_state_len.
     With mutate=True the explanations are displaced first; the sweep must
     then fail."""
@@ -573,7 +535,7 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int,
                 report = universality_check(spec, p, x, explanation=expl)
                 outcome.cases += 1
                 if not report.ok:
-                    outcome.failures.append(str(report.failures[0]))
+                    outcome.failures.append(report.failures[0])
     return outcome
 
 

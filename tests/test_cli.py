@@ -269,8 +269,10 @@ class TestCheck:
         result = runner.invoke(main, ["check", SPREAD, "--suite", "adjunction",
                                       "--adj-len", "4", "--mutate", "shift-window"])
         assert result.exit_code == 2
-        assert "FAIL" in result.output
-        assert "candidate" in result.output  # the counterexample is printed
+        # the first counterexample is printed in full
+        assert result.stdout == (
+            "FAIL adjunction max_state_len=4: cases=87 first: candidate "
+            "g=(... @ 0 in ....) a=(. @ 0 in .) b=(.... @ 0 in ....) has 0 mediators\n")
 
     def test_mutated_equivalence_exits_2(self, runner):
         result = runner.invoke(main, ["check", SPREAD, "--suite", "equivalence",
