@@ -230,14 +230,30 @@ def shifted_explanation(spec: MachineSpec, p: Occurrence, x: TapeString) -> Expl
 
 @dataclass
 class UniversalityReport:
-    """The number of candidates checked and one line per failed candidate."""
+    """The number of candidates checked and the failed candidates, each kept
+    raw and formatted as a line only when it is read."""
 
+    part: TapeString
+    state: TapeString
     candidates: int = 0
-    failures: list[str] = field(default_factory=list)
+    failed: list[tuple[str, int, int, str, int, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failed
+
+    @property
+    def failures(self) -> list[str]:
+        return [self.failure(i) for i in range(len(self.failed))]
+
+    def failure(self, i: int) -> str:
+        """The line of the i-th failed candidate, which has no mediator."""
+        z_cells, g_off, m, um, a_off, b_off = self.failed[i]
+        z = TapeString(self.state.alphabet, z_cells)
+        g = Occurrence(TapeString(z.alphabet, z_cells[g_off : g_off + m]), z, g_off if m else 0)
+        a = Occurrence(self.part, TapeString(z.alphabet, um), a_off)
+        b = Occurrence(self.state, z, b_off if self.state.cells else 0)
+        return f"candidate g=({g}) a=({a}) b=({b}) has 0 mediators"
 
 
 def _contexts(alphabet: Alphabet, budget: int) -> Iterator[tuple[str, str]]:
@@ -248,8 +264,19 @@ def _contexts(alphabet: Alphabet, budget: int) -> Iterator[tuple[str, str]]:
                     yield left, right
 
 
+def _hosts(spec: MachineSpec, x: TapeString) -> list[tuple[str, int, str]]:
+    """The hosts of a state, the state itself first: for each context of at
+    most two cells, the host's cells, the state's offset in them (the only
+    state map a mediator may have) and the host's update.  The empty state
+    takes no left context, so each of its hosts arises once."""
+    zs = [(left + x.cells + right, len(left)) for left, right in _contexts(spec.alphabet, 2)
+          if x.cells or not left]
+    return [(z, b_off, _window_map(spec, z)) for z, b_off in zs]
+
+
 def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
-                       explanation: Explanation | None = None) -> UniversalityReport:
+                       explanation: Explanation | None = None,
+                       hosts: list[tuple[str, int, str]] | None = None) -> UniversalityReport:
     """Bounded search for counterexamples to the neighbourhood's universality.
 
     Enumerates every candidate explanation of p: a span of at most
@@ -258,61 +285,47 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
     (default: computed) explanation.  The check passes when every candidate
     has exactly one.
 
-    The rule is local, so each span's update is read off its host's update.
+    The rule is local, so each span's update is read off its host's update
+    (``hosts``, default ``_hosts(spec, x)``, lets a state's parts share them;
+    the first host is x).  A nonempty part at host offset lo lies only in
+    spans [g, g + m) with g <= lo and lo + len(part) <= g + m - 2r, so only
+    those are visited, in the (m, g) order of the empty part's full scan.
     """
-    if p.target != apply(spec, x):
+    if hosts is None:
+        hosts = _hosts(spec, x)
+    if p.target != TapeString(spec.alphabet, hosts[0][2]):
         raise TargetMismatch(f"({p}) does not live in the update of {x}")
     expl = explanation if explanation is not None else causal_neighbourhood(spec, p, x)
-    a_cells = p.source.cells
-    max_m = len(a_cells) + 2 * spec.radius + 2
-    report = UniversalityReport()
-
-    n_cells = expl.window.source.cells
-    n_off = expl.window.offset
-    unit_off = expl.unit.offset
-    un_len = len(expl.unit.target)
-    x_cells = x.cells
-    p_off = p.offset
+    a_cells, la = p.source.cells, p.source.length
+    report = UniversalityReport(p.source, x)
+    n_cells, n_off = expl.window.source.cells, expl.window.offset
+    unit_off, un_len = expl.unit.offset, len(expl.unit.target)
     two_r = 2 * spec.radius
 
-    for left, right in _contexts(spec.alphabet, 2):
-        if not x_cells and left:
-            continue  # empty state: each host arises once, with the canonical leg
-        z_cells = left + x_cells + right
-        b_off = len(left)  # the only state map a mediator may have
-        uz = _window_map(spec, z_cells)
-        spans: list[tuple[int, str]] = [(0, "")]
-        spans += [
-            (i, z_cells[i : i + m])
-            for m in range(1, min(max_m, len(z_cells)) + 1)
-            for i in range(len(z_cells) - m + 1)
-        ]
-        for g_off, m_cells in spans:
-            # a span shorter than a window updates to nothing (a negative stop)
-            um = uz[g_off : g_off + len(m_cells) - two_r] if len(m_cells) > two_r else ""
-            if a_cells:
-                a_off = p_off + b_off - g_off
-                if a_off < 0 or a_off + len(a_cells) > len(um) \
-                        or um[a_off : a_off + len(a_cells)] != a_cells:
-                    continue
-            else:
-                a_off = 0
-            report.candidates += 1
-            # the state square fixes the mediator's window offset; a negative
-            # one must be rejected before startswith counts it from the end
-            u_off = n_off + b_off - g_off if n_cells else 0
-            comp_off = 0 if not a_cells else unit_off + (u_off if un_len else 0)
-            mediators = int(u_off >= 0 and m_cells.startswith(n_cells, u_off)
-                            and comp_off == a_off)
-            if mediators != 1:
-                alphabet = spec.alphabet
-                z = TapeString(alphabet, z_cells)
-                m = TapeString(alphabet, m_cells)
-                g = Occurrence(m, z, g_off if m_cells else 0)
-                a = Occurrence(p.source, TapeString(alphabet, um), a_off)
-                b = Occurrence(x, z, b_off if x_cells else 0)
-                report.failures.append(f"candidate g=({g}) a=({a}) b=({b}) "
-                                       f"has {mediators} mediators")
+    for z_cells, b_off, uz in hosts:
+        z_len = len(z_cells)
+        lo = p.offset + b_off
+        if not a_cells:
+            lengths = range(min(two_r + 2, z_len) + 1)
+        elif uz[lo : lo + la] == a_cells:  # each span's update holds this slice at a_off
+            lengths = range(la + two_r, min(la + two_r + 2, z_len) + 1)
+        else:
+            continue
+        for m in lengths:
+            starts = (range(max(0, lo + la + two_r - m), min(lo, z_len - m) + 1) if a_cells
+                      else range(z_len - m + 1 if m else 1))
+            report.candidates += len(starts)
+            for g_off in starts:
+                a_off = lo - g_off if a_cells else 0
+                # the state square fixes the mediator's window offset in the
+                # span z_cells[g_off : g_off + m]; a negative one lies outside it
+                u_off = n_off + b_off - g_off if n_cells else 0
+                comp_off = 0 if not a_cells else unit_off + (u_off if un_len else 0)
+                if not (u_off >= 0 and z_cells.startswith(n_cells, g_off + u_off, g_off + m)
+                        and comp_off == a_off):
+                    # a span shorter than a window updates to nothing (a negative stop)
+                    um = uz[g_off : g_off + m - two_r] if m > two_r else ""
+                    report.failed.append((z_cells, g_off, m, um, a_off, b_off))
     return report
 
 
@@ -523,19 +536,21 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int,
                      mutate: bool = False) -> SweepOutcome:
     """Run the universality check, at its fixed bounds, for every
     canonical generator part of every updated state up to max_state_len.
-    With mutate=True the explanations are displaced first; the sweep must
-    then fail."""
+    A state's hosts are built once for all its parts, and a part's first
+    failure alone is formatted.  With mutate=True the explanations are
+    displaced first; the sweep must then fail."""
     generators = canonical_generators(spec.alphabet)
     outcome = SweepOutcome()
     for x in tape.all_strings(spec.alphabet, max_state_len):
-        ux = apply(spec, x)
+        hosts = _hosts(spec, x)
+        ux = TapeString(spec.alphabet, hosts[0][2])
         for a in generators:
             for p in tape.hom(a, ux):
                 expl = shifted_explanation(spec, p, x) if mutate else None
-                report = universality_check(spec, p, x, explanation=expl)
+                report = universality_check(spec, p, x, explanation=expl, hosts=hosts)
                 outcome.cases += 1
                 if not report.ok:
-                    outcome.failures.append(report.failures[0])
+                    outcome.failures.append(report.failure(0))
     return outcome
 
 

@@ -37,7 +37,7 @@ from tapecat.tape import (
 )
 
 from .conftest import spread_rule
-from .support import occ, ts
+from .support import all_spans_universality, occ, ts
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
 
@@ -243,6 +243,60 @@ class TestUniversality:
                     shifted_failures += len(
                         universality_check(spec, p, x, explanation=mutant).failures)
         assert (candidates, failures, shifted_failures) == counts
+
+    @pytest.mark.parametrize("machine, max_len", [
+        ("spread", 5), ("identity_machine", 4), ("parity_machine", 5), ("ternary_machine", 3),
+    ], ids=["spread", "identity", "parity", "ternary"])
+    def test_matches_all_spans_reference(self, machine, max_len, request):
+        # the span window yields the reference's candidates and failure
+        # lines in its order, with the state's hosts shared or built anew
+        spec = request.getfixturevalue(machine)
+        for x in all_strings(spec.alphabet, max_len):
+            hosts = tapecat.machine._hosts(spec, x)
+            for a in canonical_generators(spec.alphabet):
+                for p in hom(a, apply(spec, x)):
+                    for expl in (None, shifted_explanation(spec, p, x)):
+                        want = all_spans_universality(spec, p, x, expl)
+                        for given in (None, hosts):
+                            report = universality_check(spec, p, x, explanation=expl,
+                                                        hosts=given)
+                            assert (report.candidates, report.failures) == want, (str(p), x)
+
+    def test_shared_hosts_supply_the_state_update(self, spread, monkeypatch):
+        x = ts("#...#.")
+        p = occ("#", "#.##", 0)
+        hosts = tapecat.machine._hosts(spread, x)
+        expl = causal_neighbourhood(spread, p, x)
+
+        def poisoned(spec, cells):
+            raise AssertionError("universality_check updated a string")
+
+        monkeypatch.setattr(tapecat.machine, "_window_map", poisoned)
+        assert universality_check(spread, p, x, explanation=expl, hosts=hosts).candidates == 75
+        with pytest.raises(TargetMismatch):
+            universality_check(spread, occ("#", "#", 0), x, explanation=expl, hosts=hosts)
+
+    def test_target_mismatch(self, spread):
+        with pytest.raises(TargetMismatch):
+            universality_check(spread, occ("#", "#", 0), ts("#...#."))
+
+    def test_sweep_calls_the_module_level_check(self, spread, monkeypatch):
+        # the benchmark's tracer counts checks and candidates by wrapping
+        # tapecat.machine.universality_check, so the sweep must call that name
+        check = tapecat.machine.universality_check
+        calls = candidates = 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls, candidates
+            report = check(*args, **kwargs)
+            calls += 1
+            candidates += report.candidates
+            return report
+
+        monkeypatch.setattr(tapecat.machine, "universality_check", counting)
+        outcome = adjunction_sweep(spread, 5)
+        assert calls == outcome.cases
+        assert candidates == 34577  # the spread count pinned above
 
     def test_sweep_small(self, spread):
         outcome = adjunction_sweep(spread, 5)
