@@ -34,7 +34,11 @@ EXIT_CHECK = 2
 EXIT_MISMATCH = 3
 
 SUITES = ("category", "functor", "density", "adjunction", "equivalence", "all")
+ENGINES = ("oracle", "categorical", "both")
 MUTATIONS = ("none", "shift-window", "drop-shape-object")
+#: The suites of `check` and the engines of `run` on which each fault acts.
+FAULT_SUITES = {"shift-window": ("adjunction", "all"), "drop-shape-object": ("equivalence", "all")}
+FAULT_ENGINES = {"shift-window": (), "drop-shape-object": ("categorical", "both")}
 
 
 def _load_machine(path: Path) -> MachineSpec:
@@ -71,6 +75,15 @@ def _parse_range(text: str) -> tuple[int, int]:
         sys.exit(EXIT_CHECK)
 
 
+def _require_acting_fault(mutate: str, option: str, value: str,
+                          acts_on: dict[str, tuple[str, ...]]) -> None:
+    """Refuse a seeded fault that cannot act, since the command would then
+    pass without testing anything."""
+    if mutate != "none" and value not in acts_on[mutate]:
+        click.echo(f"error: --mutate {mutate} has no effect with {option} {value}", err=True)
+        sys.exit(EXIT_CHECK)
+
+
 def _mutated_shape(shape: ShapeCategory, mutate: str) -> ShapeCategory:
     if mutate == "drop-shape-object":
         victim = next(o for o in shape.objects if o.generator.length == 1)
@@ -88,13 +101,14 @@ def main() -> None:
 @click.argument("input_string")
 @click.option("--steps", default=1, show_default=True, type=click.IntRange(min=0))
 @click.option("--engine", default="both", show_default=True,
-              type=click.Choice(["oracle", "categorical", "both"]))
+              type=click.Choice(ENGINES))
 @click.option("--trace", is_flag=True, help="Print the evaluation diagram per step.")
 @click.option("--mutate", default="none", type=click.Choice(MUTATIONS), hidden=True,
               help="Seed a fault for negative testing.")
 def run(machine_file: Path, input_string: str, steps: int, engine: str,
         trace: bool, mutate: str) -> None:
     """Print the trajectory of INPUT_STRING under the machine."""
+    _require_acting_fault(mutate, "--engine", engine, FAULT_ENGINES)
     spec = _load_machine(machine_file)
     x = _parse_input(spec, input_string)
     shape = None
@@ -242,6 +256,7 @@ def _check_equivalence(spec: MachineSpec, shape: ShapeCategory, max_len: int,
 def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
           adj_len: int, mutate: str) -> None:
     """Run the law-checking suites; nonzero exit on any violation."""
+    _require_acting_fault(mutate, "--suite", suite, FAULT_SUITES)
     spec = _load_machine(machine_file)
     if suite in ("category", "functor", "density", "all"):
         dense = canonical_dense_subcategory(spec.alphabet)

@@ -1,10 +1,9 @@
-"""Explicit finitely presented categories, functors between them, comma
-categories, and mechanical law checking.
+"""Explicit finitely presented categories, functors between them, and
+mechanical law checking.
 
 A presentation carries its full composition table and can be validated
-instance by instance.  The infinite tape category hides behind the same
-small interface (objects enumerable by length, hom on demand) so functors
-and comma enumeration treat finite and infinite sources uniformly.
+instance by instance.  A functor out of a presentation may land in the
+infinite tape category, whose hom sets are never enumerated here.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from .tape import Alphabet, Occurrence, TapeString
 
 class FinCatError(Exception):
     pass
-
-
-class BoundRequired(FinCatError):
-    """An infinite category was used where enumeration needs an explicit bound."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +50,6 @@ class ValidationReport:
 
 class FinCatPresentation:
     """A finite category: named objects, named morphisms, composition table."""
-
-    is_finite = True
 
     def __init__(self) -> None:
         self.objects: list[str] = []
@@ -106,9 +99,6 @@ class FinCatPresentation:
     def cod(self, name: str) -> str:
         return self._morphisms[name][1]
 
-    def hom(self, a: str, b: str) -> list[str]:
-        return [m for m, (d, c) in self._morphisms.items() if d == a and c == b]
-
     def identity(self, obj: str) -> str:
         return self.identities[obj]
 
@@ -156,25 +146,15 @@ class FinCatPresentation:
 
 @dataclass(frozen=True)
 class TapeCategory:
-    """The tape category behind the enumerable-category interface."""
+    """The tape category over an alphabet, as the target of a functor."""
 
     alphabet: Alphabet
-
-    is_finite = False
-
-    def objects(self, max_len: int | None = None) -> list[TapeString]:
-        if max_len is None:
-            raise BoundRequired("the tape category is infinite; give a length bound")
-        return tape.all_strings(self.alphabet, max_len)
 
     def dom(self, m: Occurrence) -> TapeString:
         return m.source
 
     def cod(self, m: Occurrence) -> TapeString:
         return m.target
-
-    def hom(self, a: TapeString, b: TapeString) -> list[Occurrence]:
-        return tape.hom(a, b)
 
     def identity(self, a: TapeString) -> Occurrence:
         return tape.identity(a)
@@ -188,43 +168,18 @@ Category = Union[FinCatPresentation, TapeCategory]
 
 @dataclass
 class FunctorData:
-    """A functor given by explicit object and morphism assignments.
-
-    ``obj_map``/``mor_map`` of None means the identity functor (source and
-    target must then be the same category).
-    """
+    """A functor given by explicit object and morphism assignments."""
 
     source: Category
     target: Category
-    obj_map: dict | None = None
-    mor_map: dict | None = None
+    obj_map: dict
+    mor_map: dict
 
     def on_object(self, x):
-        return x if self.obj_map is None else self.obj_map[x]
+        return self.obj_map[x]
 
     def on_morphism(self, m):
-        return m if self.mor_map is None else self.mor_map[m]
-
-
-def identity_functor(cat: Category) -> FunctorData:
-    return FunctorData(cat, cat, None, None)
-
-
-def terminal_category() -> FinCatPresentation:
-    cat = FinCatPresentation()
-    cat.add_object("*")
-    cat.add_morphism("id*", "*", "*")
-    cat.set_identity("*", "id*")
-    cat.set_composite("id*", "id*", "id*")
-    return cat
-
-
-def constant_functor(target: Category, x, x_id=None) -> FunctorData:
-    """The functor from the terminal category picking out the object x."""
-    src = terminal_category()
-    if x_id is None:
-        x_id = target.identity(x)
-    return FunctorData(src, target, {"*": x}, {"id*": x_id})
+        return self.mor_map[m]
 
 
 # ---------------------------------------------------------------------------
@@ -338,77 +293,6 @@ def validate_functor(functor: FunctorData) -> ValidationReport:
             if lhs != rhs:
                 report.add("composition", f"image of {f};{g} is not the composite of images")
     return report
-
-
-# ---------------------------------------------------------------------------
-# comma categories
-
-
-@dataclass(frozen=True)
-class CommaObject:
-    left: object
-    mid: object
-    right: object
-
-
-@dataclass(frozen=True)
-class CommaMorphism:
-    src: CommaObject
-    dst: CommaObject
-    f_comp: object
-    g_comp: object
-
-
-class CommaCategory:
-    """An enumerated fragment of a comma category."""
-
-    def __init__(self, F: FunctorData, G: FunctorData,
-                 objects: list[CommaObject], morphisms: list[CommaMorphism]) -> None:
-        self.F = F
-        self.G = G
-        self.objects = objects
-        self.morphisms = morphisms
-
-
-def comma_enumerate(F: FunctorData, G: FunctorData, bound: int | None = None) -> CommaCategory:
-    """Enumerate the comma category of F over G.
-
-    Yields exactly the comma objects whose mid-morphism target has length
-    <= bound (the bound is also used to enumerate any tape-category source),
-    together with all comma morphisms among them.  Output order is
-    deterministic in the order of the source enumerations.
-    """
-    if F.target is not G.target and F.target != G.target:
-        raise FinCatError("comma construction needs a common target category")
-    target = F.target
-    xs = _source_objects(F.source, bound)
-    ys = _source_objects(G.source, bound)
-    objects: list[CommaObject] = []
-    for x in xs:
-        fx = F.on_object(x)
-        for y in ys:
-            gy = G.on_object(y)
-            for mid in target.hom(fx, gy):
-                if bound is not None and isinstance(target, TapeCategory) and len(mid.target) > bound:
-                    continue
-                objects.append(CommaObject(x, mid, y))
-    morphisms: list[CommaMorphism] = []
-    for o1 in objects:
-        for o2 in objects:
-            for f in F.source.hom(o1.left, o2.left):
-                lhs_leg = target.compose(F.on_morphism(f), o2.mid)
-                for g in G.source.hom(o1.right, o2.right):
-                    if target.compose(o1.mid, G.on_morphism(g)) == lhs_leg:
-                        morphisms.append(CommaMorphism(o1, o2, f, g))
-    return CommaCategory(F, G, objects, morphisms)
-
-
-def _source_objects(cat: Category, bound: int | None):
-    if cat.is_finite:
-        return list(cat.objects)
-    if bound is None:
-        raise BoundRequired("an infinite source category needs an explicit bound")
-    return cat.objects(bound)
 
 
 # ---------------------------------------------------------------------------

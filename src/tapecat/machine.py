@@ -157,34 +157,6 @@ class Explanation:
     window: Occurrence
     unit: Occurrence
 
-    @property
-    def state(self) -> TapeString:
-        return self.window.target
-
-    def check(self, spec: MachineSpec) -> list[str]:
-        """All violated coherence conditions (empty when sound)."""
-        problems: list[str] = []
-        a = self.part.source
-        if self.unit.source != a:
-            problems.append("unit does not start from the explained part")
-        if self.part.target != apply(spec, self.state):
-            problems.append("part does not live in the update of the state")
-        if apply(spec, self.window.source) != self.unit.target:
-            problems.append("unit does not land in the update of the window")
-        if a.is_empty():
-            if not self.window.source.is_empty():
-                problems.append("empty part explained by a nonempty window")
-        elif self.window.source.length != a.length + 2 * spec.radius:
-            problems.append("window is not part length plus twice the radius")
-        try:
-            recovered = tape.compose(self.unit, apply_morphism(spec, self.window))
-        except (InvalidOccurrence, tape.NonComposable):
-            problems.append("unit square does not compose")
-        else:
-            if recovered != self.part:
-                problems.append("updated window composed with unit differs from the part")
-        return problems
-
     def __str__(self) -> str:
         return f"part:   {self.part}\nwindow: {self.window}\nunit:   {self.unit}"
 

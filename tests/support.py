@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from tapecat.machine import apply, causal_neighbourhood
-from tapecat.tape import DEFAULT_ALPHABET, Occurrence, TapeString, windows
+from dataclasses import dataclass
+
+from tapecat import tape
+from tapecat.fincat import FinCatPresentation, FunctorData, TapeCategory
+from tapecat.machine import Explanation, MachineSpec, apply, apply_morphism, causal_neighbourhood
+from tapecat.tape import DEFAULT_ALPHABET, InvalidOccurrence, Occurrence, TapeString, windows
 
 
 def ts(cells: str) -> TapeString:
@@ -89,3 +93,129 @@ def all_spans_universality(spec, p, x, explanation=None) -> tuple[int, list[str]
                 b = Occurrence(x, z, b_off if x.cells else 0)
                 failures.append(f"candidate g=({g}) a=({a}) b=({b}) has {mediators} mediators")
     return candidates, failures
+
+
+def check_explanation(spec: MachineSpec, expl: Explanation) -> list[str]:
+    """All violated coherence conditions of an explanation (empty when sound)."""
+    problems: list[str] = []
+    a = expl.part.source
+    if expl.unit.source != a:
+        problems.append("unit does not start from the explained part")
+    if expl.part.target != apply(spec, expl.window.target):
+        problems.append("part does not live in the update of the state")
+    if apply(spec, expl.window.source) != expl.unit.target:
+        problems.append("unit does not land in the update of the window")
+    if a.is_empty():
+        if not expl.window.source.is_empty():
+            problems.append("empty part explained by a nonempty window")
+    elif expl.window.source.length != a.length + 2 * spec.radius:
+        problems.append("window is not part length plus twice the radius")
+    try:
+        recovered = tape.compose(expl.unit, apply_morphism(spec, expl.window))
+    except (InvalidOccurrence, tape.NonComposable):
+        problems.append("unit square does not compose")
+    else:
+        if recovered != expl.part:
+            problems.append("updated window composed with unit differs from the part")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# comma categories, the reference for both evaluation diagrams
+
+
+@dataclass(frozen=True)
+class IdentityFunctor:
+    """The identity functor on a category; on the tape category no finite
+    object and morphism maps can present it."""
+
+    source: FinCatPresentation | TapeCategory
+
+    @property
+    def target(self) -> FinCatPresentation | TapeCategory:
+        return self.source
+
+    def on_object(self, x):
+        return x
+
+    def on_morphism(self, m):
+        return m
+
+
+def terminal_category() -> FinCatPresentation:
+    cat = FinCatPresentation()
+    cat.add_object("*")
+    cat.add_morphism("id*", "*", "*")
+    cat.set_identity("*", "id*")
+    cat.set_composite("id*", "id*", "id*")
+    return cat
+
+
+def constant_functor(target: TapeCategory, x: TapeString) -> FunctorData:
+    """The functor from the terminal category picking out the string x."""
+    return FunctorData(terminal_category(), target, {"*": x}, {"id*": target.identity(x)})
+
+
+def hom_sets(cat: FinCatPresentation | TapeCategory):
+    """The hom sets of a category as a function of two objects: the tape
+    category's by occurrence search, a presentation's read off its
+    morphisms in their listed order."""
+    if isinstance(cat, TapeCategory):
+        return tape.hom
+    homs: dict[tuple[str, str], list[str]] = {}
+    for m in cat.morphisms():
+        homs.setdefault((cat.dom(m), cat.cod(m)), []).append(m)
+    return lambda a, b: homs.get((a, b), [])
+
+
+@dataclass(frozen=True)
+class CommaObject:
+    left: object
+    mid: object
+    right: object
+
+
+@dataclass(frozen=True)
+class CommaMorphism:
+    src: CommaObject
+    dst: CommaObject
+    f_comp: object
+    g_comp: object
+
+
+@dataclass
+class CommaCategory:
+    """An enumerated fragment of a comma category."""
+
+    F: object
+    G: object
+    objects: list[CommaObject]
+    morphisms: list[CommaMorphism]
+
+
+def comma_enumerate(F, G, xs: list, ys: list) -> CommaCategory:
+    """The comma category of F over G on the source objects xs of F and ys
+    of G: every comma object (x, mid, y) and every comma morphism among
+    them, in the order of xs, ys and the hom sets."""
+    if F.target != G.target:
+        raise ValueError("comma construction needs a common target category")
+    target = F.target
+    target_hom, f_hom, g_hom = hom_sets(target), hom_sets(F.source), hom_sets(G.source)
+    objects = [CommaObject(x, mid, y) for x in xs for y in ys
+               for mid in target_hom(F.on_object(x), G.on_object(y))]
+    morphisms: list[CommaMorphism] = []
+    for o1 in objects:
+        for o2 in objects:
+            for f in f_hom(o1.left, o2.left):
+                lhs_leg = target.compose(F.on_morphism(f), o2.mid)
+                for g in g_hom(o1.right, o2.right):
+                    if target.compose(o1.mid, G.on_morphism(g)) == lhs_leg:
+                        morphisms.append(CommaMorphism(o1, o2, f, g))
+    return CommaCategory(F, G, objects, morphisms)
+
+
+def comma_over(F: FunctorData, x: TapeString) -> CommaCategory:
+    """The comma category of F, a functor from a presentation into the tape
+    category, over the string x."""
+    point = constant_functor(TapeCategory(x.alphabet), x)
+    return comma_enumerate(F, point, F.source.objects, point.source.objects)

@@ -110,6 +110,17 @@ class TestRun:
                                       "--mutate", "drop-shape-object"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("mutate,engine", [
+        ("drop-shape-object", "oracle"), ("shift-window", "oracle"),
+        ("shift-window", "categorical"), ("shift-window", "both"),
+    ])
+    def test_fault_that_cannot_act_is_refused(self, runner, mutate, engine):
+        result = runner.invoke(main, ["run", SPREAD, "#...#.", "--engine", engine,
+                                      "--mutate", mutate])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: --mutate {mutate} has no effect with --engine {engine}\n"
+
     def test_glue_failure_names_input_cells(self, runner):
         # dropping (.|...) leaves cell 1 of the update without a generator:
         # the components start in the windows on [0, 3) and on [1, 5)
@@ -279,6 +290,18 @@ class TestCheck:
                                       "--max-len", "6", "--mutate", "drop-shape-object"])
         assert result.exit_code == 2
         assert "FAIL" in result.output
+
+    @pytest.mark.parametrize("mutate,suite", [
+        ("shift-window", "category"), ("shift-window", "functor"),
+        ("shift-window", "density"), ("shift-window", "equivalence"),
+        ("drop-shape-object", "category"), ("drop-shape-object", "functor"),
+        ("drop-shape-object", "density"), ("drop-shape-object", "adjunction"),
+    ])
+    def test_fault_that_cannot_act_is_refused(self, runner, mutate, suite):
+        result = runner.invoke(main, ["check", SPREAD, "--suite", suite, "--mutate", mutate])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: --mutate {mutate} has no effect with --suite {suite}\n"
 
     def test_check_output_deterministic(self, runner):
         args = ["check", SPREAD, "--suite", "equivalence", "--max-len", "5"]

@@ -21,7 +21,7 @@ from tapecat.colimit import (
     glue,
     glue_cells,
 )
-from tapecat.fincat import TapeCategory, canonical_dense_subcategory, comma_enumerate, constant_functor
+from tapecat.fincat import canonical_dense_subcategory
 from tapecat.tape import (
     DEFAULT_ALPHABET,
     Alphabet,
@@ -31,7 +31,7 @@ from tapecat.tape import (
     compose,
 )
 
-from .support import brute_offsets, cocones_to, count_mediators, occ, ts
+from .support import brute_offsets, cocones_to, comma_over, count_mediators, occ, ts
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +239,7 @@ class TestDensity:
         for alphabet, max_len in [(DEFAULT_ALPHABET, 6), (Alphabet(("a", "b", "c")), 4)]:
             gens = canonical_dense_subcategory(alphabet)
             for x in all_strings(alphabet, max_len):
-                comma = comma_enumerate(gens.inclusion,
-                                        constant_functor(TapeCategory(alphabet), x))
+                comma = comma_over(gens.inclusion, x)
                 occs, edges = canonical_diagram(x, gens)
                 assert occs == [node(o) for o in comma.objects]
                 assert [(occs[i], occs[j], Occurrence(occs[i][0], occs[j][0], d))

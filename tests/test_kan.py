@@ -9,12 +9,11 @@ import pytest
 
 import tapecat.machine
 from tapecat.colimit import Disconnected, GlueError, glue_cells
-from tapecat.fincat import TapeCategory, comma_enumerate, constant_functor
 from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced, explain
 from tapecat.machine import MachineSpec, apply, shape_category
 from tapecat.tape import DEFAULT_ALPHABET, Alphabet, Occurrence, TapeString, all_strings, compose
 
-from .support import occ, ts
+from .support import check_explanation, comma_over, occ, ts
 
 
 class TestEvaluate:
@@ -66,13 +65,18 @@ class TestDroppedObjects:
         damaged = {name: spread_shape.without_object(name) for name in objects}
         outcomes = Counter()
         for x in all_strings(DEFAULT_ALPHABET, 8):
-            comma = comma_enumerate(window, constant_functor(TapeCategory(DEFAULT_ALPHABET), x))
+            comma = comma_over(window, x)
+            # number the comma objects and arrows once, then filter the ids
+            lefts = [o.left for o in comma.objects]
+            ids = {o: i for i, o in enumerate(comma.objects)}
+            arrows = [(ids[m.src], ids[m.dst], generator_offset[m.f_comp])
+                      for m in comma.morphisms]
             for name, shape in damaged.items():
-                kept = [o for o in comma.objects if o.left != name]
-                index = {o: i for i, o in enumerate(kept)}
-                values = [objects[o.left].generator.cells for o in kept]
-                edges = [(index[m.src], index[m.dst], generator_offset[m.f_comp])
-                         for m in comma.morphisms if m.src in index and m.dst in index]
+                kept = [i for i, left in enumerate(lefts) if left != name]
+                index = {i: k for k, i in enumerate(kept)}
+                values = [objects[lefts[i]].generator.cells for i in kept]
+                edges = [(index[s], index[d], off) for s, d, off in arrows
+                         if s in index and d in index]
                 try:
                     want = glue_cells(values, edges)[0]
                 except GlueError as exc:
@@ -201,7 +205,7 @@ class TestTrace:
         window = spread_shape.window_functor()
         names = [o.name for o in spread_shape.objects]
         for x in all_strings(DEFAULT_ALPHABET, 6):
-            comma = comma_enumerate(window, constant_functor(TapeCategory(DEFAULT_ALPHABET), x))
+            comma = comma_over(window, x)
             _, trace = evaluate_traced(spread_shape, x)
             nodes, edges = trace.nodes, trace.edges
             assert [(names[k], q) for k, q in nodes] == \
@@ -276,4 +280,4 @@ class TestExplain:
     def test_empty_range(self, spread):
         expl = explain(spread, ts("#...#."), 1, 1)
         assert expl.window == occ("", "#...#.", 0)
-        assert expl.check(spread) == []
+        assert check_explanation(spread, expl) == []

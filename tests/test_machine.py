@@ -37,7 +37,7 @@ from tapecat.tape import (
 )
 
 from .conftest import spread_rule
-from .support import all_spans_universality, occ, ts
+from .support import all_spans_universality, check_explanation, occ, ts
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
 
@@ -149,7 +149,7 @@ class TestCausalNeighbourhood:
         expl = causal_neighbourhood(spread, occ("##", "#.##", 2), x)
         assert expl.window == occ("..#.", "#...#.", 2)
         assert expl.unit == occ("##", "##", 0)
-        assert expl.check(spread) == []
+        assert check_explanation(spread, expl) == []
 
     def test_leading_cell(self, spread):
         x = ts("#...#.")
@@ -161,7 +161,7 @@ class TestCausalNeighbourhood:
         x = ts("#...#.")
         expl = causal_neighbourhood(spread, occ("", "#.##", 0), x)
         assert expl.window == occ("", "#...#.", 0)
-        assert expl.check(spread) == []
+        assert check_explanation(spread, expl) == []
 
     def test_target_mismatch(self, spread):
         with pytest.raises(TargetMismatch):
@@ -183,7 +183,7 @@ class TestCausalNeighbourhood:
             for p in parts:
                 expl = causal_neighbourhood(spread, p, x)
                 cases += 1
-                problems = expl.check(spread)
+                problems = check_explanation(spread, expl)
                 if problems:
                     failures.append(f"({p}) over {x}: {problems[0]}")
                 if not p.source.is_empty() and apply(spread, expl.window.source) != p.source:
