@@ -15,13 +15,14 @@ import click
 
 from .colimit import GlueError, density_check
 from .fincat import FinCatPresentation, canonical_dense_subcategory, validate_category, validate_functor
-from .kan import equivalence_sweep, evaluate, evaluate_traced, explain
+from .kan import equivalence_sweep, evaluate, evaluate_traced
 from .machine import (
     MachineConfigError,
     MachineSpec,
     ShapeCategory,
     adjunction_sweep,
     apply,
+    explain,
     functoriality_sweep,
     parse_machine,
     shape_category,
@@ -75,12 +76,11 @@ def _parse_range(text: str) -> tuple[int, int]:
         sys.exit(EXIT_CHECK)
 
 
-def _require_acting_fault(mutate: str, option: str, value: str,
-                          acts_on: dict[str, tuple[str, ...]]) -> None:
-    """Refuse a seeded fault that cannot act, since the command would then
-    pass without testing anything."""
-    if mutate != "none" and value not in acts_on[mutate]:
-        click.echo(f"error: --mutate {mutate} has no effect with {option} {value}", err=True)
+def _refuse_inert(inert: bool, option: str, other: str) -> None:
+    """Refuse an option that cannot act, since the command would ignore it:
+    with a seeded fault, it would pass without testing anything."""
+    if inert:
+        click.echo(f"error: {option} has no effect with {other}", err=True)
         sys.exit(EXIT_CHECK)
 
 
@@ -108,7 +108,9 @@ def main() -> None:
 def run(machine_file: Path, input_string: str, steps: int, engine: str,
         trace: bool, mutate: str) -> None:
     """Print the trajectory of INPUT_STRING under the machine."""
-    _require_acting_fault(mutate, "--engine", engine, FAULT_ENGINES)
+    _refuse_inert(mutate != "none" and engine not in FAULT_ENGINES[mutate],
+                  f"--mutate {mutate}", f"--engine {engine}")
+    _refuse_inert(trace and engine == "oracle", "--trace", "--engine oracle")
     spec = _load_machine(machine_file)
     x = _parse_input(spec, input_string)
     shape = None
@@ -136,7 +138,7 @@ def run(machine_file: Path, input_string: str, steps: int, engine: str,
             sys.exit(EXIT_MISMATCH)
         x = oracle_value if oracle_value is not None else cat_value
         click.echo(str(x))
-        if trace and shape is not None:
+        if trace:
             for line in step_trace.render().splitlines():
                 click.echo(f"  {line}")
 
@@ -149,6 +151,7 @@ def run(machine_file: Path, input_string: str, steps: int, engine: str,
               help="Dump the whole precomputed shape category.")
 def table(machine_file: Path, generator_text: str | None, dump_all: bool) -> None:
     """Print shape tables or the full precomputed shape category."""
+    _refuse_inert(dump_all and generator_text is not None, "--generator", "--all")
     spec = _load_machine(machine_file)
     if dump_all:
         shape = shape_category(spec)
@@ -256,7 +259,8 @@ def _check_equivalence(spec: MachineSpec, shape: ShapeCategory, max_len: int,
 def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
           adj_len: int, mutate: str) -> None:
     """Run the law-checking suites; nonzero exit on any violation."""
-    _require_acting_fault(mutate, "--suite", suite, FAULT_SUITES)
+    _refuse_inert(mutate != "none" and suite not in FAULT_SUITES[mutate],
+                  f"--mutate {mutate}", f"--suite {suite}")
     spec = _load_machine(machine_file)
     if suite in ("category", "functor", "density", "all"):
         dense = canonical_dense_subcategory(spec.alphabet)

@@ -31,15 +31,7 @@ import weakref
 from dataclasses import dataclass
 
 from .colimit import CellGluing, GlueError
-from .machine import (
-    Explanation,
-    MachineSpec,
-    ShapeCategory,
-    SweepOutcome,
-    apply,
-    causal_neighbourhood,
-    shape_category,
-)
+from .machine import MachineSpec, ShapeCategory, SweepOutcome, apply, shape_category
 from .tape import AlphabetMismatch, Occurrence, TapeString
 
 
@@ -301,13 +293,3 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     found.sort(key=lambda item: item[0])
     return SweepOutcome(cases, [line for _, line in found])
 
-
-def explain(spec: MachineSpec, x: TapeString, start: int, stop: int) -> Explanation:
-    """Causal neighbourhood of the updated cells [start, stop) of x."""
-    ux = apply(spec, x)
-    if not 0 <= start <= stop <= ux.length:
-        raise ValueError(f"cell range [{start}, {stop}) outside the update of {x} "
-                         f"({ux.length} cells)")
-    part = ux.segment(start, stop)
-    p = Occurrence(part, ux, start if not part.is_empty() else 0)
-    return causal_neighbourhood(spec, p, x)

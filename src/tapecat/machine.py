@@ -148,56 +148,67 @@ class Explanation:
     """A part of an updated state together with its causal neighbourhood.
 
     ``part`` places A in the update of a state X; ``window`` is the stretch
-    of X that determines A (one radius wider on each side); ``unit`` places
-    A in the update of the window.  Updating the window and composing with
-    the unit recovers the part.
+    of X that determines A (one radius wider on each side).  The window
+    updates to exactly A, so the unit, which places A in the update of the
+    window, is the identity.
     """
 
     part: Occurrence
     window: Occurrence
-    unit: Occurrence
+
+    @property
+    def unit(self) -> Occurrence:
+        return tape.identity(self.part.source)
 
     def __str__(self) -> str:
         return f"part:   {self.part}\nwindow: {self.window}\nunit:   {self.unit}"
+
+
+def _neighbourhood(spec: MachineSpec, p: Occurrence, x: TapeString) -> Explanation:
+    """causal_neighbourhood read off x, with nothing updated; p must live in
+    the update of x."""
+    a = p.source
+    if a.is_empty():
+        return Explanation(p, Occurrence(TapeString.empty(spec.alphabet), x, 0))
+    n = x.segment(p.offset, p.offset + a.length + 2 * spec.radius)
+    return Explanation(p, Occurrence(n, x, p.offset))
 
 
 def causal_neighbourhood(spec: MachineSpec, p: Occurrence, x: TapeString) -> Explanation:
     """The minimal stretch of x through which all influence on p passed.
 
     For a nonempty part at offset k, that is the window of x spanning
-    [k, k + len(part) + 2r); it updates exactly to the part, giving a unit
-    at offset 0.  The empty part is explained by the empty window.
+    [k, k + len(part) + 2r); it updates exactly to the part.  The empty
+    part is explained by the empty window.
     """
     if p.target != apply(spec, x):
         raise TargetMismatch(f"({p}) does not live in the update of {x}")
-    a = p.source
-    if a.is_empty():
-        window = Occurrence(TapeString.empty(spec.alphabet), x, 0)
-    else:
-        n = x.segment(p.offset, p.offset + a.length + 2 * spec.radius)
-        window = Occurrence(n, x, p.offset)
-    unit = Occurrence(a, apply(spec, window.source), 0)
-    return Explanation(p, window, unit)
+    return _neighbourhood(spec, p, x)
+
+
+def explain(spec: MachineSpec, x: TapeString, start: int, stop: int) -> Explanation:
+    """Causal neighbourhood of the updated cells [start, stop) of x."""
+    ux = apply(spec, x)
+    if not 0 <= start <= stop <= ux.length:
+        raise ValueError(f"cell range [{start}, {stop}) outside the update of {x} "
+                         f"({ux.length} cells)")
+    part = ux.segment(start, stop)
+    return _neighbourhood(spec, Occurrence(part, ux, start if not part.is_empty() else 0), x)
 
 
 def shifted_explanation(spec: MachineSpec, p: Occurrence, x: TapeString) -> Explanation:
     """Fault injection: the explaining window displaced by one cell.
 
-    Shifts right when that fits, otherwise left; the unit is kept at offset
-    0 without validation.  Returns the honest explanation unchanged when the
-    window fills the whole state (no room to shift).
+    Shifts right when that fits, otherwise left.  Returns the honest
+    explanation unchanged when the window fills the whole state (no room
+    to shift).
     """
     honest = causal_neighbourhood(spec, p, x)
     n_len = honest.window.source.length
     if honest.part.source.is_empty() or n_len == x.length:
         return honest
-    offset = honest.window.offset + 1
-    if offset + n_len > x.length:
-        offset = honest.window.offset - 1
-    n = x.segment(offset, offset + n_len)
-    window = Occurrence(n, x, offset)
-    unit = Occurrence.unchecked(p.source, apply(spec, n), 0)
-    return Explanation(p, window, unit)
+    offset = p.offset + 1 if p.offset + 1 + n_len <= x.length else p.offset - 1
+    return Explanation(p, Occurrence(x.segment(offset, offset + n_len), x, offset))
 
 
 @dataclass
@@ -267,11 +278,10 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
         hosts = _hosts(spec, x)
     if p.target != TapeString(spec.alphabet, hosts[0][2]):
         raise TargetMismatch(f"({p}) does not live in the update of {x}")
-    expl = explanation if explanation is not None else causal_neighbourhood(spec, p, x)
+    expl = explanation if explanation is not None else _neighbourhood(spec, p, x)
     a_cells, la = p.source.cells, p.source.length
     report = UniversalityReport(p.source, x)
     n_cells, n_off = expl.window.source.cells, expl.window.offset
-    unit_off, un_len = expl.unit.offset, len(expl.unit.target)
     two_r = 2 * spec.radius
 
     for z_cells, b_off, uz in hosts:
@@ -290,11 +300,11 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
             for g_off in starts:
                 a_off = lo - g_off if a_cells else 0
                 # the state square fixes the mediator's window offset in the
-                # span z_cells[g_off : g_off + m]; a negative one lies outside it
+                # span z_cells[g_off : g_off + m] (a negative one lies outside
+                # it); the unit being the identity, the part square needs a_off
                 u_off = n_off + b_off - g_off if n_cells else 0
-                comp_off = 0 if not a_cells else unit_off + (u_off if un_len else 0)
                 if not (u_off >= 0 and z_cells.startswith(n_cells, g_off + u_off, g_off + m)
-                        and comp_off == a_off):
+                        and (u_off == a_off or not a_cells)):
                     # a span shorter than a window updates to nothing (a negative stop)
                     um = uz[g_off : g_off + m - two_r] if m > two_r else ""
                     report.failed.append((z_cells, g_off, m, um, a_off, b_off))

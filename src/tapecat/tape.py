@@ -135,16 +135,6 @@ class Occurrence:
                 f"{self.source} does not occur at offset {self.offset} in {self.target}"
             )
 
-    @classmethod
-    def unchecked(cls, source: TapeString, target: TapeString, offset: int) -> Occurrence:
-        """Build without validation; only for representing deliberately broken
-        data in fault-injection tests."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "source", source)
-        object.__setattr__(obj, "target", target)
-        object.__setattr__(obj, "offset", offset)
-        return obj
-
     def __str__(self) -> str:
         return f"{self.source} @ {self.offset} in {self.target}"
 

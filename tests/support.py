@@ -18,6 +18,16 @@ def occ(src: str, tgt: str, offset: int) -> Occurrence:
     return Occurrence(ts(src), ts(tgt), offset)
 
 
+def unchecked_occurrence(source: TapeString, target: TapeString, offset: int) -> Occurrence:
+    """An occurrence built without validation, for deliberately broken data
+    in fault-injection tests."""
+    obj = object.__new__(Occurrence)
+    object.__setattr__(obj, "source", source)
+    object.__setattr__(obj, "target", target)
+    object.__setattr__(obj, "offset", offset)
+    return obj
+
+
 def brute_offsets(a: str, b: str) -> list[int]:
     """Independent occurrence oracle: scan every window of b."""
     if not a:
@@ -99,8 +109,6 @@ def check_explanation(spec: MachineSpec, expl: Explanation) -> list[str]:
     """All violated coherence conditions of an explanation (empty when sound)."""
     problems: list[str] = []
     a = expl.part.source
-    if expl.unit.source != a:
-        problems.append("unit does not start from the explained part")
     if expl.part.target != apply(spec, expl.window.target):
         problems.append("part does not live in the update of the state")
     if apply(spec, expl.window.source) != expl.unit.target:

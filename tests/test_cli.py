@@ -177,6 +177,12 @@ class TestRun:
         assert result.exit_code == 0
         assert result.output == TRACE_SPREAD
 
+    def test_trace_without_the_categorical_engine_is_refused(self, runner):
+        result = runner.invoke(main, ["run", SPREAD, "#...#.", "--engine", "oracle", "--trace"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --trace has no effect with --engine oracle\n"
+
     def test_byte_identical_across_runs(self, runner):
         args = ["run", SPREAD, "#...#.", "--steps", "3", "--trace"]
         first = runner.invoke(main, args)
@@ -205,6 +211,12 @@ class TestTable:
     def test_requires_an_option(self, runner):
         result = runner.invoke(main, ["table", SPREAD])
         assert result.exit_code == 2
+
+    def test_generator_with_all_is_refused(self, runner):
+        result = runner.invoke(main, ["table", SPREAD, "--generator", "#", "--all"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --generator has no effect with --all\n"
 
     def test_radius_3_ternary_compiles_fast(self, tmp_path):
         # 30,619 morphisms: no all-pairs search over objects or morphisms

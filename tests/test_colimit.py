@@ -31,7 +31,15 @@ from tapecat.tape import (
     compose,
 )
 
-from .support import brute_offsets, cocones_to, comma_over, count_mediators, occ, ts
+from .support import (
+    brute_offsets,
+    cocones_to,
+    comma_over,
+    count_mediators,
+    occ,
+    ts,
+    unchecked_occurrence,
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +101,7 @@ class TestGlue:
         nodes = [("n1", ts("#")), ("n2", ts(".")), ("n3", ts("#"))]
         edges = [
             ("n3", "n1", Occurrence(ts("#"), ts("#"), 0)),
-            ("n3", "n2", Occurrence.unchecked(ts("#"), ts("."), 0)),
+            ("n3", "n2", unchecked_occurrence(ts("#"), ts("."), 0)),
         ]
         with pytest.raises(LabelConflict) as exc:
             glue(TapeDiagram.build(DEFAULT_ALPHABET, nodes, edges))
@@ -144,7 +152,7 @@ class TestGlue:
 
     def test_malformed_edge_rejected(self):
         nodes = [("a", ts("#")), ("b", ts("##"))]
-        bad = Occurrence.unchecked(ts("#"), ts("##"), 5)
+        bad = unchecked_occurrence(ts("#"), ts("##"), 5)
         with pytest.raises(MalformedDiagram):
             glue(TapeDiagram.build(DEFAULT_ALPHABET, nodes, [("a", "b", bad)]))
 

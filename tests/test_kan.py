@@ -9,8 +9,8 @@ import pytest
 
 import tapecat.machine
 from tapecat.colimit import Disconnected, GlueError, glue_cells
-from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced, explain
-from tapecat.machine import MachineSpec, apply, shape_category
+from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced
+from tapecat.machine import MachineSpec, apply, explain, shape_category
 from tapecat.tape import DEFAULT_ALPHABET, Alphabet, Occurrence, TapeString, all_strings, compose
 
 from .support import check_explanation, comma_over, occ, ts
@@ -272,6 +272,15 @@ class TestExplain:
         for k in range(3):
             expl = explain(identity_machine, x, k, k + 1)
             assert expl.window == occ(x.cells[k], "#.#", k)
+
+    def test_updates_the_state_once(self, spread, monkeypatch):
+        # the range check's update is the only one: the window is read off x
+        window_map = tapecat.machine._window_map
+        calls = []
+        monkeypatch.setattr(tapecat.machine, "_window_map",
+                            lambda spec, cells: calls.append(cells) or window_map(spec, cells))
+        assert explain(spread, ts("#...#."), 2, 4).unit == occ("##", "##", 0)
+        assert calls == ["#...#."]
 
     def test_range_validation(self, spread):
         with pytest.raises(ValueError):

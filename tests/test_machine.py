@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -40,6 +41,15 @@ from .conftest import spread_rule
 from .support import all_spans_universality, check_explanation, occ, ts
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
+
+
+def random_machine(symbols: int, radius: int, seed: int) -> MachineSpec:
+    """A total rule over the first `symbols` of '.', '#' and 'a', each
+    window's output drawn by a generator seeded with `seed`."""
+    alphabet = Alphabet(tuple(".#a"[:symbols]))
+    draw = random.Random(seed).choice
+    return MachineSpec(alphabet, radius, {w: draw(alphabet.symbols)
+                                          for w in windows(alphabet, 2 * radius + 1)})
 
 
 class TestValidateMachine:
@@ -191,6 +201,24 @@ class TestCausalNeighbourhood:
         assert not failures, failures[:3]
         assert cases > 10000
 
+    @pytest.mark.parametrize("symbols, radius", itertools.product((1, 2, 3), (0, 1, 2)))
+    def test_window_updates_to_the_part_on_random_machines(self, symbols, radius):
+        # the library takes the unit to be the identity; on seeded random
+        # rules, every canonical part's window updates to exactly the part,
+        # the sweep passes, and a displaced window fails it once a state
+        # has room to shift (2r + 2 cells)
+        max_len = 4 if (symbols, radius) == (3, 2) else 2 * radius + 2
+        for seed in range(3):
+            spec = random_machine(symbols, radius, seed)
+            for x in all_strings(spec.alphabet, max_len):
+                for a in canonical_generators(spec.alphabet):
+                    for p in hom(a, apply(spec, x)):
+                        assert check_explanation(spec, causal_neighbourhood(spec, p, x)) == [], \
+                            (format_machine(spec), str(p), x)
+            assert adjunction_sweep(spec, max_len).ok
+            if max_len >= 2 * radius + 2:
+                assert not adjunction_sweep(spec, max_len, mutate=True).ok
+
 
 class TestUniversality:
     def test_worked_example_passes(self, spread):
@@ -273,6 +301,7 @@ class TestUniversality:
 
         monkeypatch.setattr(tapecat.machine, "_window_map", poisoned)
         assert universality_check(spread, p, x, explanation=expl, hosts=hosts).candidates == 75
+        assert universality_check(spread, p, x, hosts=hosts).candidates == 75
         with pytest.raises(TargetMismatch):
             universality_check(spread, occ("#", "#", 0), x, explanation=expl, hosts=hosts)
 
@@ -297,6 +326,22 @@ class TestUniversality:
         outcome = adjunction_sweep(spread, 5)
         assert calls == outcome.cases
         assert candidates == 34577  # the spread count pinned above
+
+    @pytest.mark.parametrize("mutate, updates", [(False, 8677), (True, 13820)])
+    def test_sweep_updates_each_host_once(self, spread, monkeypatch, mutate, updates):
+        # one update per host of each state, read off x by every part; a
+        # displaced explanation adds its own target check, one per part
+        window_map = tapecat.machine._window_map
+        calls = 0
+
+        def counting(spec, cells):
+            nonlocal calls
+            calls += 1
+            return window_map(spec, cells)
+
+        monkeypatch.setattr(tapecat.machine, "_window_map", counting)
+        adjunction_sweep(spread, 8, mutate=mutate)
+        assert calls == updates
 
     def test_sweep_small(self, spread):
         outcome = adjunction_sweep(spread, 5)

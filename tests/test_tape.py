@@ -19,7 +19,7 @@ from tapecat.tape import (
     identity,
 )
 
-from .support import brute_offsets, occ, ts
+from .support import brute_offsets, occ, ts, unchecked_occurrence
 
 words = st.text(alphabet=".#", max_size=6)
 
@@ -179,7 +179,7 @@ class TestOccurrenceValidation:
             Occurrence(ts(""), ts("##"), 1)
 
     def test_unchecked_skips_validation(self):
-        raw = Occurrence.unchecked(ts("#"), ts("."), 0)
+        raw = unchecked_occurrence(ts("#"), ts("."), 0)
         assert raw.offset == 0 and raw.source == ts("#")
 
     def test_render(self):
