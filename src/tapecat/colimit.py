@@ -6,17 +6,18 @@ spell the colimit.  Anything else (branching, cycles, label clashes, two
 components) is an error: those colimits do not exist among tape strings,
 and the engine's job is to detect them, not invent them.  CellGluing holds
 that union-find incrementally, so a diagram can be glued while it is being
-built; glue_cells drives it over a finished diagram.  The density check
-glues the comma diagram of generator occurrences in a string the same way,
-on node indices; the string-id TapeDiagram and glue wrap that core for
-named diagrams.
+built, and it can close the classes a builder has left behind, so that it
+holds only a frontier; glue_cells drives it over a finished diagram.  The
+density check glues the comma diagram of generator occurrences in a string
+the same way, on node indices; the string-id TapeDiagram and glue wrap that
+core for named diagrams.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress
-from operator import eq
+from itertools import accumulate, compress
+from operator import eq, not_, sub
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -100,12 +101,25 @@ class CellGluing:
     while it is being built.  ``result`` resolves every cell's root once,
     checks labels, linearity and connectivity over those roots, and reads
     the colimit word off the quotient's successor chain.
+
+    A diagram built in order can also be glued in bounded memory: ``close``
+    takes the classes that no later edge can reach (every cell in a node
+    before a frontier node the builder names) and, as far as they continue
+    the quotient's path with final labels and final neighbours, appends
+    their labels to the closed word, drops their cells and renumbers the
+    held ones.  A class whose neighbours may still merge stays held.
+    ``result`` then reads the held quotient on from the closed word.  Once
+    a prefix is closed, the nodes and message of a GlueError from
+    ``result`` describe only the held state: a caller that must name the
+    fault glues the whole diagram again without closing.
     """
 
     def __init__(self) -> None:
         self.values: list[str] = []
         self.starts: list[int] = []
         self.parent: list[int] = []
+        self.closed: list[str] = []  # the closed word, in chunks
+        self.after: int | None = None  # a held cell of the class after it
 
     def add(self, value: str) -> int:
         """Register a node with the given cells; returns its index."""
@@ -116,11 +130,12 @@ class CellGluing:
         return len(self.values) - 1
 
     def copy(self) -> CellGluing:
-        """An independent copy: adding, identifying or path halving in either
-        leaves the other as it was."""
+        """An independent copy: adding, identifying, closing or path halving
+        in either leaves the other as it was."""
         twin = CellGluing()
-        twin.values, twin.starts, twin.parent = (
-            self.values.copy(), self.starts.copy(), self.parent.copy())
+        twin.values, twin.starts, twin.parent, twin.closed = (
+            self.values.copy(), self.starts.copy(), self.parent.copy(), self.closed.copy())
+        twin.after = self.after
         return twin
 
     def identify(self, i: int, j: int, off: int) -> None:
@@ -141,17 +156,85 @@ class CellGluing:
             if a != b:  # j's root joins i's: a pass adds j after i, so trees stay shallow
                 parent[b] = a
 
-    def result(self) -> tuple[str, list[int]]:
-        """The colimit word and the leg offset of every node (0 for empty
-        nodes); raises LabelConflict, NotLinear or Disconnected, in that
-        order of priority, carrying the offending node indices."""
-        values, starts = self.values, self.starts
+    def _roots(self) -> list[int]:
+        """Every held cell's root, by pointer jumping."""
         roots = self.parent
-        while True:  # pointer jumping: every cell ends on its root
+        while True:
             jumped = [roots[r] for r in roots]
             if jumped == roots:
-                break
+                return roots
             roots = jumped
+
+    def close(self, frontier: int) -> int:
+        """Close the classes whose cells all lie in nodes before node
+        ``frontier``, which the caller guarantees no later identify touches;
+        returns how many leading nodes were dropped, by which the indices of
+        the held nodes fall.
+
+        Starting at the class after the closed word (at first, the only
+        such class without a predecessor), which must have no held
+        predecessor, the classes are closed along the successor chain while
+        each has no cell at or after the frontier and exactly one successor
+        and one predecessor.  Merges among held classes only ever remove
+        distinct neighbours, so these tests are final; ``result`` checks
+        that nothing held precedes the class the chain stops at.  A label
+        conflict closes nothing: it is final too, and ``result`` reports it.
+        """
+        values, starts = self.values, self.starts
+        finished = starts[frontier] if frontier < len(starts) else len(self.parent)
+        if not finished:
+            return 0
+        roots = self._roots()
+        labels = "".join(values)
+        if "".join(map(labels.__getitem__, roots)) != labels:
+            return 0
+        left, right = _adjacency(roots, starts)
+        succ, pred = dict(zip(left, right)), dict(zip(right, left))
+        branching: set[int] = set()
+        if list(map(succ.__getitem__, left)) != right or list(map(pred.__getitem__, right)) != left:
+            branching = ({a for a, b in zip(left, right) if succ[a] != b}
+                         | {b for a, b in zip(left, right) if pred[b] != a})
+        held = set(roots[finished:])
+        if self.after is None:  # the path starts at the one closed class without a predecessor
+            sources = set(roots[:finished]) - held - pred.keys()
+            if len(sources) != 1:
+                return 0
+            cur = sources.pop()
+        else:
+            cur = roots[self.after]
+            if cur in pred:
+                return 0
+        # a cycle never passes: its first class revisited has two predecessors
+        chain: list[int] = []
+        while cur not in held and cur not in branching and cur in succ:
+            chain.append(cur)
+            cur = succ[cur]
+        if not chain:
+            return 0
+        self.closed.append("".join(map(labels.__getitem__, chain)))
+        # renumber the held cells: each falls by the closed cells before it.
+        # A node's closed cells come first in it (a held cell followed by a
+        # closed one would give that class a second predecessor).
+        gone = list(map(set(chain).__contains__, roots))
+        before = list(accumulate(gone, initial=0))
+        kept_roots = list(compress(roots, map(not_, gone)))
+        self.parent = list(map(sub, kept_roots, map(before.__getitem__, kept_roots)))
+        new_starts = list(map(sub, starts, map(before.__getitem__, starts)))
+        new_stops = new_starts[1:] + [len(kept_roots)]
+        dropped = min(frontier, bisect_right(new_stops, 0))
+        self.values = [v[len(v) - stop + start:] for v, start, stop
+                       in zip(values[dropped:], new_starts[dropped:], new_stops[dropped:])]
+        self.starts = new_starts[dropped:]
+        self.after = cur - before[cur]
+        return dropped
+
+    def result(self) -> tuple[str, list[int]]:
+        """The colimit word and the leg offset of every held node (0 for
+        empty nodes; once a prefix is closed, that of the node's held
+        cells); raises LabelConflict, NotLinear or Disconnected, in that
+        order of priority, carrying the offending node indices."""
+        values, starts = self.values, self.starts
+        roots = self._roots()
         labels = "".join(values)
         if not labels:
             return "", [0] * len(values)
@@ -179,14 +262,7 @@ class CellGluing:
                 nodes=(i, j),
             )
 
-        # the quotient's adjacency: the roots of consecutive cells of a node
-        inner = bytearray(b"\x01") * len(roots)
-        inner[-1] = 0
-        for s in starts:
-            if s:
-                inner[s - 1] = 0
-        left = list(compress(roots, inner))
-        right = list(compress(roots[1:], inner))
+        left, right = _adjacency(roots, starts)
         succ, pred = dict(zip(left, right)), dict(zip(right, left))
         if (any(map(eq, left, right)) or list(map(succ.__getitem__, left)) != right
                 or list(map(pred.__getitem__, right)) != left):
@@ -194,6 +270,9 @@ class CellGluing:
 
         classes = set(roots)
         sources = classes - pred.keys()
+        if self.after is not None and roots[self.after] not in sources:
+            raise NotLinear("quotient branches before the closed word's successor",
+                            nodes=(rep(roots[self.after]),))
         if len(sources) > 1:
             raise Disconnected(
                 f"quotient splits into {len(sources)} components",
@@ -210,9 +289,10 @@ class CellGluing:
         if len(path) != len(classes):
             stray = min(map(first_cell, classes - set(path)))
             raise NotLinear("quotient contains a disconnected cycle", nodes=(node_of(stray),))
-        pos = dict(zip(path, range(len(path))))
+        prefix = "".join(self.closed)
+        pos = dict(zip(path, range(len(prefix), len(prefix) + len(path))))
         legs = [pos[roots[s]] if v else 0 for s, v in zip(starts, values)]
-        return "".join(map(labels.__getitem__, path)), legs
+        return prefix + "".join(map(labels.__getitem__, path)), legs
 
     def _raise_not_linear(self, roots: list[int], rep) -> None:
         """Raise NotLinear at the first consecutive cell pair, in node order,
@@ -232,6 +312,17 @@ class CellGluing:
                                     nodes=(rep(b), i))
 
 
+def _adjacency(roots: list[int], starts: list[int]) -> tuple[list[int], list[int]]:
+    """The quotient's adjacency as parallel lists: the roots of each pair of
+    consecutive cells of a node."""
+    inner = bytearray(b"\x01") * len(roots)
+    inner[-1] = 0
+    for s in starts:
+        if s:
+            inner[s - 1] = 0
+    return list(compress(roots, inner)), list(compress(roots[1:], inner))
+
+
 def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],
                ) -> tuple[str, list[int]]:
     """Core gluing on raw words: returns (colimit word, leg offset per node).
@@ -240,12 +331,19 @@ def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],
     source is identified with cell offset+k of the target.  Empty nodes take
     the canonical leg offset 0.  Raises LabelConflict / NotLinear /
     Disconnected (carrying offending node indices) when the quotient is not
-    a single labelled path.
+    a single labelled path, and MalformedDiagram when an edge names an
+    unknown node or an offset outside its target (an empty source sits at
+    offset 0).
     """
     gluing = CellGluing()
     for v in values:
         gluing.add(v)
+    n = len(values)
     for i, j, off in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise MalformedDiagram(f"edge {i} -> {j} references an unknown node")
+        if off and not values[i]:
+            raise MalformedDiagram(f"edge {i} -> {j}: an empty source sits at offset 0, not {off}")
         gluing.identify(i, j, off)
     return gluing.result()
 

@@ -17,6 +17,18 @@ A traced evaluation records that same pass, placements and edges, and
 renumbers it in the shape category's order; nothing is built or glued a
 second time.
 
+Since a join's source window ends at most one cell before its target's, a
+class whose cells all lie in nodes ending two or more cells back can never
+be identified again (Hedlund 1969: sliding-block locality).  Once the pass
+holds some thousands of cells, evaluate therefore closes such classes
+(CellGluing.close): it emits their labels and drops their cells, so it
+holds only the frontier and the emitted word.  Closing certifies only what
+no later merge can undo; anything else stays held, and a held state that
+does not glue sends evaluation to a second pass over the same input that
+closes nothing, whose value or error (class, message, nodes and cells) is
+the answer.  A fault therefore costs two passes, and its report is that of
+the whole diagram.  A traced evaluation closes nothing.
+
 The pass is resumable: its state after the right ends of x is all that
 placing the windows of x·c needs.  The equivalence sweep therefore walks
 the trie of strings depth-first, and each child extends a copy of its
@@ -27,7 +39,9 @@ bounded window).
 
 from __future__ import annotations
 
+import sys
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .colimit import CellGluing, GlueError
@@ -120,19 +134,26 @@ def _compile(shape: ShapeCategory) -> _CompiledShape:
     return cached
 
 
+# A closing pass closes finished classes each time it has added this many
+# cells since it last did (or more, while closing stalls; see _Pass.close).
+_CLOSE_AT = 4096
+
+
 class _Pass:
     """The state of the evaluation pass over a prefix of the input.
 
-    ``gluing`` holds every node placed so far; per node in placement order,
-    ``placed`` is its object index and ``ends`` the right end of its window.
-    ``previous`` and ``current`` hold, per level, the node whose window ends
-    one cell before ``end`` and the one ending at it (or None); ``end`` is
-    the next right end to place.
+    ``gluing`` holds the nodes placed so far; per held node in placement
+    order, ``placed`` is its object index and ``ends`` the right end of its
+    window.  ``previous`` and ``current`` hold, per level, the node whose
+    window ends one cell before ``end`` and the one ending at it (or None);
+    ``end`` is the next right end to place.  A closing pass closes the
+    gluing's finished classes once it holds ``limit`` cells, so it holds
+    only the frontier; any other pass holds every node.
     """
 
-    __slots__ = ("gluing", "placed", "ends", "previous", "current", "end")
+    __slots__ = ("gluing", "placed", "ends", "previous", "current", "end", "limit")
 
-    def __init__(self, compiled: _CompiledShape) -> None:
+    def __init__(self, compiled: _CompiledShape, closing: bool) -> None:
         self.gluing = CellGluing()
         self.placed = list(compiled.unwindowed)
         self.ends = [0] * len(self.placed)
@@ -141,6 +162,7 @@ class _Pass:
         self.previous: list[int | None] = [None] * len(compiled.levels)
         self.current: list[int | None] = [None] * len(compiled.levels)
         self.end = 0
+        self.limit = _CLOSE_AT if closing else sys.maxsize
 
     def copy(self) -> _Pass:
         """An independent state: extending either leaves the other as it was."""
@@ -148,8 +170,27 @@ class _Pass:
         twin.gluing = self.gluing.copy()
         twin.placed, twin.ends = self.placed.copy(), self.ends.copy()
         twin.previous, twin.current = self.previous.copy(), self.current.copy()
-        twin.end = self.end
+        twin.end, twin.limit = self.end, self.limit
         return twin
+
+    def close(self, end: int, nodes: list[int | None]) -> int:
+        """Before placing the windows ending at ``end``, close the classes
+        held by nodes ending two or more cells back, which no later join
+        reaches (a join's source ends at most one cell before its target);
+        renumbers the held nodes, ``nodes`` among them, and returns the new
+        limit."""
+        gluing = self.gluing
+        frontier = bisect_left(self.ends, end - 1)
+        dropped = gluing.close(frontier)
+        if dropped:
+            del self.placed[:dropped], self.ends[:dropped]
+            nodes[:] = [None if node is None else node - dropped for node in nodes]
+            frontier -= dropped
+        # cells of finished nodes still held wait on their neighbours; waiting
+        # for as many new cells keeps the pass linear when closing stalls
+        waiting = gluing.starts[frontier] if frontier < len(gluing.starts) else len(gluing.parent)
+        self.limit = len(gluing.parent) + max(_CLOSE_AT, waiting)
+        return self.limit
 
 
 def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str,
@@ -161,7 +202,8 @@ def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str,
 
     ``state`` must hold the pass over x's right ends before ``state.end``.
     When ``edges`` is a list, every diagram edge placed is appended to it as
-    (source node, target node, offset, morphism index).
+    (source node, target node, offset, morphism index); its node indices
+    hold only for a pass that does not close.
     """
     generators, joins = compiled.generators, compiled.joins
     gluing = state.gluing
@@ -169,9 +211,11 @@ def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str,
     placed, ends = state.placed, state.ends
     levels = [(level, length, by_window.get)
               for level, (length, by_window) in enumerate(compiled.levels)]
-    previous, current = state.previous, state.current
+    previous, current, limit = state.previous, state.current, state.limit
     for end in range(state.end, len(x_cells) + 1):
         previous, current = current, previous
+        if len(gluing.parent) >= limit:
+            limit = state.close(end, previous)
         for level, length, lookup in levels:
             k = lookup(x_cells[end - length : end]) if end >= length else None
             if k is None:
@@ -197,48 +241,59 @@ def _check_alphabet(shape: ShapeCategory, x: TapeString) -> None:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
 
 
-def _glued(shape: ShapeCategory, x: TapeString, edges: list | None = None):
+def _glued(shape: ShapeCategory, x: TapeString, closing: bool = True,
+           edges: list | None = None) -> tuple[str, list[int], _Pass]:
     """Place the windows in x and glue their generators in one pass: the
-    value, the leg offsets and a function from node to its window placement
-    (object index, offset).  A GlueError also names the input cells of its
-    nodes' window placements."""
+    value's cells, the leg offsets of the held nodes and the final pass.
+    ``edges`` is filled as by _place_and_glue."""
     _check_alphabet(shape, x)
     compiled = _compile(shape)
-    state = _Pass(compiled)
+    state = _Pass(compiled, closing)
     _place_and_glue(compiled, state, x.cells, edges)
-    placed, ends = state.placed, state.ends
+    return _read_off(shape, x, state)
 
-    def placement(node: int) -> tuple[int, int]:
-        k = placed[node]
-        return k, ends[node] - compiled.window_lengths[k]
 
+def _read_off(shape: ShapeCategory, x: TapeString, state: _Pass,
+              ) -> tuple[str, list[int], _Pass]:
+    """The value's cells and held legs of a finished pass over x, and the
+    pass they were read off.  A GlueError also names the input cells of its
+    nodes' window placements.  A pass that closed classes cannot name the
+    nodes of a fault, so when its held state does not glue, x is glued again
+    without closing, and that pass's value or error is the answer."""
     try:
         cells, legs = state.gluing.result()
     except GlueError as exc:
-        exc.cells = tuple((placement(i)[1], ends[i]) for i in exc.nodes)
-        raise
-    return TapeString(shape.alphabet, cells), legs, placement
+        if not state.gluing.closed:
+            lengths = _compile(shape).window_lengths
+            exc.cells = tuple((state.ends[i] - lengths[state.placed[i]], state.ends[i])
+                              for i in exc.nodes)
+            raise
+    else:
+        return cells, legs, state
+    return _glued(shape, x, closing=False)
 
 
 def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     """Update x without consulting any rule: glue the generators of all
     windows placed in x along their aligned inclusions."""
-    return _glued(shape, x)[0]
+    return TapeString(shape.alphabet, _glued(shape, x)[0])
 
 
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:
     """As evaluate, also returning the glued diagram as an EvalTrace.
 
-    The pass numbers nodes and edges as it places them; the trace renumbers
-    nodes by (object, offset) and edges by (morphism, target offset), the
-    order of the shape category's own enumeration.
+    The pass numbers nodes and edges as it places them, holding every node;
+    the trace renumbers nodes by (object, offset) and edges by (morphism,
+    target offset), the order of the shape category's own enumeration.
     """
     edges: list[tuple[int, int, int, int]] = []
-    value, legs, placement = _glued(shape, x, edges)
-    placements = [placement(i) for i in range(len(legs))]
+    cells, legs, state = _glued(shape, x, closing=False, edges=edges)
+    lengths = _compile(shape).window_lengths
+    placements = [(k, end - lengths[k]) for k, end in zip(state.placed, state.ends)]
     order = sorted(range(len(placements)), key=placements.__getitem__)
     renumber = {old: new for new, old in enumerate(order)}
     edges.sort(key=lambda e: (e[3], placements[e[1]][1]))
+    value = TapeString(shape.alphabet, cells)
     return value, EvalTrace(
         x, shape, [placements[i] for i in order],
         [(renumber[s], renumber[d], off, mor) for s, d, off, mor in edges],
@@ -257,7 +312,8 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
 
     The strings are walked as a trie, depth-first in alphabet order: a
     string's pass state, copied, is resumed for one more right end by each
-    of its children, and every string's quotient is read off in full.
+    of its children, and every string's value is read off its pass state as
+    evaluate reads it.  A negative max_len visits no string.
     Mismatches are reported shortest string first, then in alphabet order.
     """
     if shape is None:
@@ -268,7 +324,7 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     cases = 0
     found: list[tuple[int, str]] = []
     *others, last = alphabet.symbols
-    stack = [("", _Pass(compiled))]
+    stack = [("", _Pass(compiled, closing=True))] if max_len >= 0 else []
     while stack:
         cells, state = stack.pop()
         _place_and_glue(compiled, state, cells)
@@ -276,7 +332,7 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
         x = TapeString(alphabet, cells)
         want = apply(spec, x)
         try:
-            got = state.gluing.result()[0]
+            got = _read_off(shape, x, state)[0]
         except GlueError as exc:
             found.append((len(cells), f"{x}: glue failed: {exc}"))
         else:

@@ -273,6 +273,14 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
     the first host is x).  A nonempty part at host offset lo lies only in
     spans [g, g + m) with g <= lo and lo + len(part) <= g + m - 2r, so only
     those are visited, in the (m, g) order of the empty part's full scan.
+
+    With the explanation that _neighbourhood reads off x (the default), the
+    check cannot fail, whatever the rule.  A nonempty part's window is then
+    the host's own cells z[lo : lo + len(part) + 2r], and every visited span
+    holds them, at u_off = lo - g = a_off, so both squares commute; the
+    empty part's window is empty and lies in every span at offset 0.  The
+    honest sweep thus checks _neighbourhood's offsets, and only another
+    explanation, such as shifted_explanation's, can fail it.
     """
     if hosts is None:
         hosts = _hosts(spec, x)

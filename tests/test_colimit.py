@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
+from bisect import bisect_left
 
 import pytest
 
@@ -156,6 +158,16 @@ class TestGlue:
         with pytest.raises(MalformedDiagram):
             glue(TapeDiagram.build(DEFAULT_ALPHABET, nodes, [("a", "b", bad)]))
 
+    @pytest.mark.parametrize("values, edges", [
+        (["a", "a"], [(0, -1, 0)]),  # a negative index would name node 1
+        (["a"], [(0, 3, 0)]),
+        (["", "a"], [(0, 5, 0)]),  # an empty source glues no cell
+        (["", "a"], [(0, 1, 7)]),  # an empty source sits at offset 0
+    ])
+    def test_malformed_index_edge_rejected(self, values, edges):
+        with pytest.raises(MalformedDiagram):
+            glue_cells(values, edges)
+
     def test_duplicate_node_ids_rejected(self):
         with pytest.raises(MalformedDiagram):
             glue(diagram([("a", "#"), ("a", "#")], []))
@@ -193,6 +205,104 @@ class TestCellGluing:
         assert gluing.result() == ("#", [0, 0, 0])
         gluing.add(".")
         assert twin.result() == ("#.", [0, 0, 0, 0])
+
+
+    def test_close_emits_the_finished_prefix(self):
+        # "#." and ".#" share their middle cell through "."; with node 0
+        # finished, only its first cell's class is closed, and node 0 stays
+        # held for its second cell
+        gluing = CellGluing()
+        for value in ("#.", ".#", "."):
+            gluing.add(value)
+        gluing.identify(2, 0, 1)
+        gluing.identify(2, 1, 0)
+        assert gluing.close(1) == 0
+        assert gluing.closed == ["#"] and gluing.values == [".", ".#", "."]
+        assert gluing.result() == ("#.#", [1, 1, 1])
+        # every node finished: the middle class closes too, but not the
+        # last, which has no successor; node 0 is dropped, and node 2 is
+        # held empty behind node 1
+        assert gluing.close(3) == 1
+        assert gluing.closed == ["#", "."] and gluing.values == ["#", ""]
+        assert gluing.result() == ("#.#", [2, 0])
+
+    def test_close_holds_a_cycle(self):
+        # "#." and ".#" glued end to end both ways: every class has one
+        # successor and one predecessor, but none starts the path
+        gluing = CellGluing()
+        for value in ("#.", ".#", ".", "#"):
+            gluing.add(value)
+        for i, j, off in [(2, 0, 1), (2, 1, 0), (3, 0, 0), (3, 1, 1)]:
+            gluing.identify(i, j, off)
+        assert gluing.close(4) == 0 and not gluing.closed
+        with pytest.raises(NotLinear, match="cycle"):
+            gluing.result()
+
+    def test_closing_never_certifies_what_result_rejects(self):
+        # diagrams built in steps, as the evaluation pass builds them: at
+        # step t, spans of 0-3 cells of a hidden word ending at cell t + 1,
+        # each glued to the spans of steps t - 1 and t that hold it or that
+        # it holds.  Faults: spans left out, edges left out, flipped labels
+        # and a few random edges, which also make branches and cycles.
+        # Closing before each step must agree with the batch result wherever
+        # it certifies, and must certify the lawful diagrams.
+        rng = random.Random(5)
+        certified = lawful = 0
+        for case in range(1000):
+            faults = case % 2 * 0.05
+            word = "".join(rng.choices("#.", k=12))
+            batch, streaming = CellGluing(), CellGluing()
+            spans: list[tuple[int, int]] = []
+            steps: list[int] = []
+            dropped = 0
+            for t in range(10):
+                dropped += streaming.close(bisect_left(steps, t - 1) - dropped)
+                for n in rng.sample(range(min(4, t + 2)), min(4, t + 2)):
+                    if rng.random() < faults:
+                        continue
+                    start, stop = t + 1 - n, t + 1
+                    value = word[start:stop]
+                    if value and rng.random() < faults:
+                        value = value[:-1] + ("#" if value[-1] == "." else ".")
+                    node = batch.add(value)
+                    assert streaming.add(value) == node - dropped
+                    recent = range(bisect_left(steps, t - 1), node + 1)
+                    edges = []
+                    for other in recent[:-1]:
+                        o_start, o_stop = spans[other]
+                        if rng.random() < faults:
+                            continue
+                        if o_start <= start and stop <= o_stop:
+                            edges.append((node, other, start - o_start))
+                        elif start <= o_start and o_stop <= stop:
+                            edges.append((other, node, o_start - start))
+                    if rng.random() < faults:
+                        i, j = rng.choices(recent, k=2)
+                        if len(batch.values[i]) <= len(batch.values[j]):
+                            edges.append((i, j, rng.randint(0, len(batch.values[j])
+                                                            - len(batch.values[i]))))
+                    for i, j, off in edges:
+                        batch.identify(i, j, off)
+                        streaming.identify(i - dropped, j - dropped, off)
+                    spans.append((start, stop))
+                    steps.append(t)
+            try:
+                want = batch.result()
+            except GlueError:
+                want = None
+            lawful += not faults
+            try:
+                got = streaming.result()
+            except GlueError:
+                assert faults, word
+                continue
+            assert want is not None and got[0] == want[0]
+            # a held node's leg is that of its held cells, after any closed ones
+            assert got[1] == [leg + len(v) - len(held) if held else 0 for v, held, leg
+                              in zip(batch.values[dropped:], streaming.values, want[1][dropped:])]
+            assert streaming.closed
+            certified += 1
+        assert lawful == 500 and certified > lawful
 
 
 class TestGlueUniversalitySmall:

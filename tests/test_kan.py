@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+import tapecat.kan
 import tapecat.machine
 from tapecat.colimit import Disconnected, GlueError, glue_cells
 from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced
-from tapecat.machine import MachineSpec, apply, explain, shape_category
+from tapecat.machine import MachineSpec, SweepOutcome, apply, explain, shape_category
 from tapecat.tape import DEFAULT_ALPHABET, Alphabet, Occurrence, TapeString, all_strings, compose
 
 from .support import check_explanation, comma_over, occ, ts
@@ -39,6 +41,21 @@ class TestEvaluate:
         rng = random.Random(5)
         x = TapeString(spec.alphabet, "".join(rng.choices(spec.alphabet.symbols, k=10**5)))
         assert evaluate(shape_category(spec), x) == apply(spec, x)
+
+    def test_holds_only_the_frontier(self, spread, spread_shape):
+        # the pass closes finished classes as it goes; holding every cell
+        # peaked at about 11 MiB here (and tracing allocations slows the
+        # pass about tenfold, which sets the tape's length)
+        x = TapeString(spread.alphabet, "".join(random.Random(7).choices(".#", k=2 * 10**4)))
+        evaluate(spread_shape, ts(""))  # compile the shape outside the trace
+        tracemalloc.start()
+        try:
+            value = evaluate(spread_shape, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == apply(spread, x)
+        assert peak < 3 * 2**20
 
     def test_never_consults_the_rule(self, spread, spread_shape, monkeypatch):
         # the evaluator receives only the shape category; rule lookups are
@@ -97,7 +114,92 @@ class TestDroppedObjects:
         assert outcomes["glued"] and outcomes["Disconnected"]
 
 
+def _batch(shape, x):
+    """The value of the pass over x that closes nothing, or its error as
+    (class, message, nodes, cells)."""
+    try:
+        return tapecat.kan._glued(shape, x, closing=False)[0]
+    except GlueError as exc:
+        return type(exc), str(exc), exc.nodes, exc.cells
+
+
+def _streamed(shape, x):
+    """The value of evaluate, or its error as _batch gives it."""
+    try:
+        return evaluate(shape, x).cells
+    except GlueError as exc:
+        return type(exc), str(exc), exc.nodes, exc.cells
+
+
+def _random_inputs(alphabet, count, seed):
+    rng = random.Random(seed)
+    return [TapeString(alphabet, "".join(rng.choices(alphabet.symbols, k=rng.randint(0, 200))))
+            for _ in range(count)]
+
+
+class TestClosing:
+    """Evaluation that closes finished classes at every right end, against
+    the pass that holds every node."""
+
+    @pytest.fixture(autouse=True)
+    def close_at_every_end(self, monkeypatch):
+        monkeypatch.setattr(tapecat.kan, "_CLOSE_AT", 1)
+
+    @pytest.mark.parametrize("machine", [
+        "spread", "identity_machine", "parity_machine", "ternary_machine"])
+    def test_lawful_machines_close_all_but_the_frontier(self, machine, request):
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        compiled = tapecat.kan._compile(shape)
+        inputs = all_strings(spec.alphabet, 4) + _random_inputs(spec.alphabet, 20, seed=11)
+        for x in inputs:
+            state = tapecat.kan._Pass(compiled, closing=True)
+            tapecat.kan._place_and_glue(compiled, state, x.cells)
+            # certified without the fallback, holding only the last windows
+            assert state.gluing.result()[0] == _batch(shape, x) == apply(spec, x).cells, str(x)
+            assert len(state.gluing.parent) <= 12 * (2 * spec.radius + 2), str(x)
+            assert len(state.placed) == len(state.ends) == len(state.gluing.values), str(x)
+            assert bool(state.gluing.closed) == (len(x) > 2 * spec.radius + 3), str(x)
+
+    @pytest.mark.parametrize("machine", ["spread", "parity_machine"])
+    def test_every_dropped_object_errs_as_the_batch_pass(self, machine, request):
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        outcomes = Counter()
+        for k, o in enumerate(shape.objects):
+            damaged = shape.without_object(o.name)
+            for x in _random_inputs(spec.alphabet, 3, seed=k):
+                want = _batch(damaged, x)
+                assert _streamed(damaged, x) == want, f"{x} without {o.name}"
+                outcomes[want[0].__name__ if isinstance(want, tuple) else "glued"] += 1
+        assert outcomes["glued"] and outcomes["Disconnected"]
+
+    @pytest.mark.parametrize("machine, max_len", [("spread", 8), ("parity_machine", 7)])
+    def test_sweep_matches_the_per_string_sweep(self, machine, max_len, request, monkeypatch):
+        # the reference is taken below the threshold, so that nothing closes
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        monkeypatch.undo()
+        want = _per_string_sweep(spec, max_len, shape)
+        monkeypatch.setattr(tapecat.kan, "_CLOSE_AT", 1)
+        report = equivalence_sweep(spec, max_len, shape)
+        assert (report.cases, report.failures) == want
+
+    def test_sweep_without_each_object_matches_the_per_string_sweep(self, spread, spread_shape,
+                                                                     monkeypatch):
+        shapes = [spread_shape.without_object(o.name) for o in spread_shape.objects]
+        monkeypatch.undo()
+        want = [_per_string_sweep(spread, 6, shape) for shape in shapes]
+        monkeypatch.setattr(tapecat.kan, "_CLOSE_AT", 1)
+        got = [equivalence_sweep(spread, 6, shape) for shape in shapes]
+        assert [(r.cases, r.failures) for r in got] == want
+        assert any(not r.ok for r in got)
+
+
 class TestEquivalenceSweep:
+    def test_negative_bound_visits_no_string(self, spread):
+        assert equivalence_sweep(spread, -1) == SweepOutcome(0, [])
+
     def test_spread_machine_to_10(self, spread, spread_shape):
         report = equivalence_sweep(spread, 10, spread_shape)
         assert report.ok
