@@ -98,20 +98,20 @@ class CellGluing:
 
     ``add`` registers a node's cells and ``identify`` unites them at once
     with the cells of another node along an edge, so a diagram can be glued
-    while it is being built.  ``result`` resolves every cell's root once,
-    checks labels, linearity and connectivity over those roots, and reads
-    the colimit word off the quotient's successor chain.
+    while it is being built.  One reader serves ``result`` and ``close``: it
+    resolves every cell's root once, checks labels, linearity and
+    connectivity over those roots, and reads the quotient's classes off its
+    successor chain as one path; ``result`` spells the colimit word along it.
 
-    A diagram built in order can also be glued in bounded memory: ``close``
-    takes the classes that no later edge can reach (every cell in a node
-    before a frontier node the builder names) and, as far as they continue
-    the quotient's path with final labels and final neighbours, appends
-    their labels to the closed word, drops their cells and renumbers the
-    held ones.  A class whose neighbours may still merge stays held.
-    ``result`` then reads the held quotient on from the closed word.  Once
-    a prefix is closed, the nodes and message of a GlueError from
-    ``result`` describe only the held state: a caller that must name the
-    fault glues the whole diagram again without closing.
+    A diagram built in order can also be glued in bounded memory: when the
+    held state glues, ``close`` takes the leading classes of that path that
+    no later edge can reach (every cell in a node before a frontier node the
+    builder names), appends their labels to the closed word, drops their
+    cells and renumbers the held ones.  A state that does not glue closes
+    nothing.  ``result`` then reads the held quotient on from the closed
+    word.  Once a prefix is closed, the nodes and message of a GlueError
+    from ``result`` describe only the held state: a caller that must name
+    the fault glues the whole diagram again without closing.
     """
 
     def __init__(self) -> None:
@@ -171,53 +171,31 @@ class CellGluing:
         returns how many leading nodes were dropped, by which the indices of
         the held nodes fall.
 
-        Starting at the class after the closed word (at first, the only
-        such class without a predecessor), which must have no held
-        predecessor, the classes are closed along the successor chain while
-        each has no cell at or after the frontier and exactly one successor
-        and one predecessor.  Merges among held classes only ever remove
-        distinct neighbours, so these tests are final; ``result`` checks
-        that nothing held precedes the class the chain stops at.  A label
-        conflict closes nothing: it is final too, and ``result`` reports it.
+        Only a held state that glues is closed, and only along the path that
+        ``result`` reads off it: the classes before the first one with a
+        cell at or after the frontier, never the last, whose successor may
+        still come.  Merges among held classes only ever remove distinct
+        neighbours, so once the closed classes have glued, they stay glued;
+        a state that does not glue closes nothing, and ``result`` reports it.
         """
         values, starts = self.values, self.starts
         finished = starts[frontier] if frontier < len(starts) else len(self.parent)
-        if not finished:
+        try:
+            roots, labels, path = self._read()
+        except GlueError:
             return 0
-        roots = self._roots()
-        labels = "".join(values)
-        if "".join(map(labels.__getitem__, roots)) != labels:
-            return 0
-        left, right = _adjacency(roots, starts)
-        succ, pred = dict(zip(left, right)), dict(zip(right, left))
-        branching: set[int] = set()
-        if list(map(succ.__getitem__, left)) != right or list(map(pred.__getitem__, right)) != left:
-            branching = ({a for a, b in zip(left, right) if succ[a] != b}
-                         | {b for a, b in zip(left, right) if pred[b] != a})
         held = set(roots[finished:])
-        if self.after is None:  # the path starts at the one closed class without a predecessor
-            sources = set(roots[:finished]) - held - pred.keys()
-            if len(sources) != 1:
-                return 0
-            cur = sources.pop()
-        else:
-            cur = roots[self.after]
-            if cur in pred:
-                return 0
-        # a cycle never passes: its first class revisited has two predecessors
-        chain: list[int] = []
-        while cur not in held and cur not in branching and cur in succ:
-            chain.append(cur)
-            cur = succ[cur]
-        if not chain:
+        stop = [*map(held.__contains__, path[:-1]), True].index(True)
+        if not stop:
             return 0
-        self.closed.append("".join(map(labels.__getitem__, chain)))
+        cur = path[stop]
+        self.closed.append("".join(map(labels.__getitem__, path[:stop])))
         # renumber the held cells: each falls by the closed cells before it.
-        # A node's closed cells come first in it (a held cell followed by a
-        # closed one would give that class a second predecessor).
-        gone = list(map(set(chain).__contains__, roots))
-        before = list(accumulate(gone, initial=0))
-        kept_roots = list(compress(roots, map(not_, gone)))
+        # A node's closed cells come first in it (the path runs through the
+        # node's cells in order, and the closed classes are its prefix).
+        kept = list(map(set(path[stop:]).__contains__, roots))
+        before = list(accumulate(map(not_, kept), initial=0))
+        kept_roots = list(compress(roots, kept))
         self.parent = list(map(sub, kept_roots, map(before.__getitem__, kept_roots)))
         new_starts = list(map(sub, starts, map(before.__getitem__, starts)))
         new_stops = new_starts[1:] + [len(kept_roots)]
@@ -231,13 +209,23 @@ class CellGluing:
     def result(self) -> tuple[str, list[int]]:
         """The colimit word and the leg offset of every held node (0 for
         empty nodes; once a prefix is closed, that of the node's held
-        cells); raises LabelConflict, NotLinear or Disconnected, in that
-        order of priority, carrying the offending node indices."""
+        cells); raises as ``_read``."""
+        roots, labels, path = self._read()
+        prefix = "".join(self.closed)
+        pos = dict(zip(path, range(len(prefix), len(prefix) + len(path))))
+        legs = [pos[roots[s]] if v else 0 for s, v in zip(self.starts, self.values)]
+        return prefix + "".join(map(labels.__getitem__, path)), legs
+
+    def _read(self) -> tuple[list[int], str, list[int]]:
+        """Read the held quotient: every held cell's root, the held labels,
+        and the held classes in path order, which continues the closed word;
+        raises LabelConflict, NotLinear or Disconnected, in that order of
+        priority, carrying the offending node indices."""
         values, starts = self.values, self.starts
         roots = self._roots()
         labels = "".join(values)
         if not labels:
-            return "", [0] * len(values)
+            return roots, labels, []
 
         first: dict[int, int] = {}  # root -> its first cell, built on the error paths
 
@@ -269,7 +257,7 @@ class CellGluing:
             self._raise_not_linear(roots, rep)
 
         classes = set(roots)
-        sources = classes - pred.keys()
+        sources = classes.difference(pred)
         if self.after is not None and roots[self.after] not in sources:
             raise NotLinear("quotient branches before the closed word's successor",
                             nodes=(rep(roots[self.after]),))
@@ -289,10 +277,7 @@ class CellGluing:
         if len(path) != len(classes):
             stray = min(map(first_cell, classes - set(path)))
             raise NotLinear("quotient contains a disconnected cycle", nodes=(node_of(stray),))
-        prefix = "".join(self.closed)
-        pos = dict(zip(path, range(len(prefix), len(prefix) + len(path))))
-        legs = [pos[roots[s]] if v else 0 for s, v in zip(starts, values)]
-        return prefix + "".join(map(labels.__getitem__, path)), legs
+        return roots, labels, path
 
     def _raise_not_linear(self, roots: list[int], rep) -> None:
         """Raise NotLinear at the first consecutive cell pair, in node order,

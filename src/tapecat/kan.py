@@ -13,21 +13,23 @@ names its object, so at each right end one dictionary lookup per window
 length places a node; its generator is glued at once, through
 colimit.CellGluing, to those of its one-cell-smaller sub-windows, which
 ended at most one cell earlier.  The value is then read off the quotient.
-A traced evaluation records that same pass, placements and edges, and
-renumbers it in the shape category's order; nothing is built or glued a
-second time.
+A traced evaluation reads its diagram off that same pass, the placed
+windows and the joins between them, and renumbers it in the shape
+category's order; nothing is glued a second time.
 
 Since a join's source window ends at most one cell before its target's, a
 class whose cells all lie in nodes ending two or more cells back can never
 be identified again (Hedlund 1969: sliding-block locality).  Once the pass
 holds some thousands of cells, evaluate therefore closes such classes
 (CellGluing.close): it emits their labels and drops their cells, so it
-holds only the frontier and the emitted word.  Closing certifies only what
-no later merge can undo; anything else stays held, and a held state that
-does not glue sends evaluation to a second pass over the same input that
-closes nothing, whose value or error (class, message, nodes and cells) is
-the answer.  A fault therefore costs two passes, and its report is that of
-the whole diagram.  A traced evaluation closes nothing.
+holds only the frontier and the emitted word.  Only a held state that
+glues is closed, along the path that CellGluing.result reads off it, so
+every closing happens on a glued prefix of the input; a state that does
+not glue stays held, and if the finished pass does not glue, evaluation
+goes to a second pass over the same input that closes nothing, whose
+value or error (class, message, nodes and cells) is the answer.  A fault
+therefore costs two passes, and its report is that of the whole diagram.
+A traced evaluation closes nothing.
 
 The pass is resumable: its state after the right ends of x is all that
 placing the windows of x·c needs.  The equivalence sweep therefore walks
@@ -193,17 +195,13 @@ class _Pass:
         return self.limit
 
 
-def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str,
-                    edges: list | None = None) -> None:
+def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str) -> None:
     """Extend the left-to-right pass over x from ``state.end`` to its last
     right end: at each, place the window ending there at every length and
     glue its generator at once to those of its one-cell-smaller sub-windows,
     placed at most one step earlier.
 
     ``state`` must hold the pass over x's right ends before ``state.end``.
-    When ``edges`` is a list, every diagram edge placed is appended to it as
-    (source node, target node, offset, morphism index); its node indices
-    hold only for a pass that does not close.
     """
     generators, joins = compiled.generators, compiled.joins
     gluing = state.gluing
@@ -224,14 +222,8 @@ def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str,
             node = current[level] = add(generators[k])
             placed.append(k)
             ends.append(end)
-            for src_level, lag, off, mor_idx in joins[k]:
-                src_node = (previous if lag else current)[src_level]
-                identify(src_node, node, off)
-                if edges is not None:
-                    edges.append((src_node, node, off, mor_idx))
-            if edges is not None:
-                for src_node, mor_idx in compiled.unwindowed_joins[k]:
-                    edges.append((src_node, node, 0, mor_idx))
+            for src_level, lag, off, _ in joins[k]:
+                identify((previous if lag else current)[src_level], node, off)
     state.previous, state.current = previous, current
     state.end = len(x_cells) + 1
 
@@ -241,15 +233,14 @@ def _check_alphabet(shape: ShapeCategory, x: TapeString) -> None:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
 
 
-def _glued(shape: ShapeCategory, x: TapeString, closing: bool = True,
-           edges: list | None = None) -> tuple[str, list[int], _Pass]:
+def _glued(shape: ShapeCategory, x: TapeString, closing: bool = True
+           ) -> tuple[str, list[int], _Pass]:
     """Place the windows in x and glue their generators in one pass: the
-    value's cells, the leg offsets of the held nodes and the final pass.
-    ``edges`` is filled as by _place_and_glue."""
+    value's cells, the leg offsets of the held nodes and the final pass."""
     _check_alphabet(shape, x)
     compiled = _compile(shape)
     state = _Pass(compiled, closing)
-    _place_and_glue(compiled, state, x.cells, edges)
+    _place_and_glue(compiled, state, x.cells)
     return _read_off(shape, x, state)
 
 
@@ -282,13 +273,20 @@ def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:
     """As evaluate, also returning the glued diagram as an EvalTrace.
 
-    The pass numbers nodes and edges as it places them, holding every node;
-    the trace renumbers nodes by (object, offset) and edges by (morphism,
-    target offset), the order of the shape category's own enumeration.
+    The edges are read off the finished pass, which closes nothing: each
+    placed node is joined to the windows its object's joins name, which the
+    pass placed ending at the same cell or one before.  The trace renumbers
+    nodes by (object, offset) and edges by (morphism, target offset), the
+    order of the shape category's own enumeration.
     """
-    edges: list[tuple[int, int, int, int]] = []
-    cells, legs, state = _glued(shape, x, closing=False, edges=edges)
-    lengths = _compile(shape).window_lengths
+    cells, legs, state = _glued(shape, x, closing=False)
+    compiled = _compile(shape)
+    lengths = compiled.window_lengths
+    nodes = list(enumerate(zip(state.placed, state.ends)))
+    node_at = {(lengths[k], end): n for n, (k, end) in nodes}
+    edges = [(node_at[compiled.levels[level][0], end - lag], n, off, mor)
+             for n, (k, end) in nodes for level, lag, off, mor in compiled.joins[k]]
+    edges += [(src, n, 0, mor) for n, (k, _) in nodes for src, mor in compiled.unwindowed_joins[k]]
     placements = [(k, end - lengths[k]) for k, end in zip(state.placed, state.ends)]
     order = sorted(range(len(placements)), key=placements.__getitem__)
     renumber = {old: new for new, old in enumerate(order)}

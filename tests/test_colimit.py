@@ -238,6 +238,19 @@ class TestCellGluing:
         with pytest.raises(NotLinear, match="cycle"):
             gluing.result()
 
+    def test_close_needs_a_state_that_glues(self):
+        # "#." and two ".#" share one middle class through ".": node 0's
+        # "#" is finished and starts the path, but the middle class
+        # branches, so the held state does not glue and nothing closes
+        gluing = CellGluing()
+        for value in ("#.", ".#", ".", ".#"):
+            gluing.add(value)
+        for i, j, off in [(2, 0, 1), (2, 1, 0), (2, 3, 0)]:
+            gluing.identify(i, j, off)
+        assert gluing.close(1) == 0 and gluing.closed == []
+        with pytest.raises(NotLinear, match="quotient branches after a cell of node 3"):
+            gluing.result()
+
     def test_closing_never_certifies_what_result_rejects(self):
         # diagrams built in steps, as the evaluation pass builds them: at
         # step t, spans of 0-3 cells of a hidden word ending at cell t + 1,
@@ -245,7 +258,9 @@ class TestCellGluing:
         # it holds.  Faults: spans left out, edges left out, flipped labels
         # and a few random edges, which also make branches and cycles.
         # Closing before each step must agree with the batch result wherever
-        # it certifies, and must certify the lawful diagrams.
+        # it certifies, and must certify the lawful diagrams; each closing
+        # happens on a state that glues, whose word starts with the closed
+        # one.
         rng = random.Random(5)
         certified = lawful = 0
         for case in range(1000):
@@ -256,7 +271,10 @@ class TestCellGluing:
             steps: list[int] = []
             dropped = 0
             for t in range(10):
+                closings = len(streaming.closed)
                 dropped += streaming.close(bisect_left(steps, t - 1) - dropped)
+                if len(streaming.closed) > closings:
+                    assert batch.copy().result()[0].startswith("".join(streaming.closed))
                 for n in rng.sample(range(min(4, t + 2)), min(4, t + 2)):
                     if rng.random() < faults:
                         continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 
 import tapecat.kan
 import tapecat.machine
-from tapecat.colimit import Disconnected, GlueError, glue_cells
+from tapecat.colimit import CellGluing, Disconnected, GlueError, glue_cells
 from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced
 from tapecat.machine import MachineSpec, SweepOutcome, apply, explain, shape_category
 from tapecat.tape import DEFAULT_ALPHABET, Alphabet, Occurrence, TapeString, all_strings, compose
@@ -56,6 +57,28 @@ class TestEvaluate:
             tracemalloc.stop()
         assert value == apply(spread, x)
         assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("dropped", ["(.|...)", "(##|..#.)"])
+    def test_a_stalled_pass_stays_cheap(self, spread, spread_shape, dropped, monkeypatch):
+        # a dropped object leaves the held state unglued from its first
+        # fault on, so closing stalls there; each stalled closing waits for
+        # as many new cells as the pass holds, so a pass that adds 3 cells
+        # per right end, as spread's does, closes about log2(3n / _CLOSE_AT)
+        # times on n cells, not once per _CLOSE_AT cells
+        shape = spread_shape.without_object(dropped)
+        x = TapeString(spread.alphabet, "".join(random.Random(3).choices(".#", k=3 * 10**4)))
+        want = _batch(shape, x)
+        assert isinstance(want, tuple)
+        calls = []
+        close = CellGluing.close
+
+        def counted(gluing, frontier):
+            calls.append(frontier)
+            return close(gluing, frontier)
+
+        monkeypatch.setattr(CellGluing, "close", counted)
+        assert _streamed(shape, x) == want
+        assert 0 < len(calls) <= 2 + math.log2(3 * len(x) / tapecat.kan._CLOSE_AT)
 
     def test_never_consults_the_rule(self, spread, spread_shape, monkeypatch):
         # the evaluator receives only the shape category; rule lookups are
@@ -316,6 +339,42 @@ class TestTrace:
             comma_edges = {(index[m.src], index[m.dst], m.f_comp) for m in comma.morphisms}
             for src, dst, _, mor in edges:
                 assert (src, dst, spread_shape.morphisms[mor].name) in comma_edges
+
+    @pytest.mark.parametrize("machine, dropped, max_len", [
+        ("spread", None, 6), ("parity_machine", None, 6),
+        ("spread", "(|)", 5), ("spread", "(#|#.#)", 5), ("spread", "(.#|...#)", 5)])
+    def test_edges_are_the_comma_morphisms_one_cell_apart(self, machine, dropped, max_len,
+                                                         request):
+        # reference: the morphisms of (window functor over x) between
+        # generators one cell apart, in (morphism, target offset) order
+        shape = shape_category(request.getfixturevalue(machine))
+        if dropped:
+            shape = shape.without_object(dropped)
+        window = shape.window_functor()
+        objects = {o.name: o for o in shape.objects}
+        mor_index = {m.name: i for i, m in enumerate(shape.morphisms)}
+        traced = 0
+        for x in all_strings(shape.alphabet, max_len):
+            try:
+                _, trace = evaluate_traced(shape, x)
+            except GlueError:
+                assert dropped, str(x)
+                continue
+            comma = comma_over(window, x)
+            assert [(shape.objects[k].name, q) for k, q in trace.nodes] == \
+                [(o.left, o.mid.offset) for o in comma.objects]
+            index = {o: i for i, o in enumerate(comma.objects)}
+            want = []
+            for m in comma.morphisms:
+                mor = shape.morphisms[mor_index[m.f_comp]]
+                src, dst = objects[mor.src].generator, objects[mor.dst].generator
+                if len(dst) - len(src) == 1:
+                    want.append((index[m.src], index[m.dst], mor.offset if src else 0,
+                                 mor_index[m.f_comp]))
+            want.sort(key=lambda e: (e[3], comma.objects[e[1]].mid.offset))
+            assert trace.edges == want, str(x)
+            traced += 1
+        assert traced
 
     def test_render_is_deterministic(self, spread_shape):
         _, t1 = evaluate_traced(spread_shape, ts("#...#."))
