@@ -103,15 +103,15 @@ class CellGluing:
     connectivity over those roots, and reads the quotient's classes off its
     successor chain as one path; ``result`` spells the colimit word along it.
 
-    A diagram built in order can also be glued in bounded memory: when the
-    held state glues, ``close`` takes the leading classes of that path that
-    no later edge can reach (every cell in a node before a frontier node the
-    builder names), appends their labels to the closed word, drops their
-    cells and renumbers the held ones.  A state that does not glue closes
-    nothing.  ``result`` then reads the held quotient on from the closed
-    word.  Once a prefix is closed, the nodes and message of a GlueError
-    from ``result`` describe only the held state: a caller that must name
-    the fault glues the whole diagram again without closing.
+    A diagram built in order can also be glued in bounded memory: ``close``
+    takes the leading classes of that path that no later edge can reach
+    (every cell in a node before a frontier node the builder names),
+    appends their labels to the closed word, drops their cells and
+    renumbers the held ones.  On a held state that does not glue it raises
+    as ``result`` does and closes nothing.  ``result`` reads the held
+    quotient on from the closed word.  Once a prefix is closed, the nodes
+    and message of a GlueError describe only the held state: a caller that
+    must name the fault glues the whole diagram again without closing.
     """
 
     def __init__(self) -> None:
@@ -139,15 +139,11 @@ class CellGluing:
         return twin
 
     def identify(self, i: int, j: int, off: int) -> None:
-        """Identify cell k of node i with cell off+k of node j."""
-        vi = self.values[i]
-        if not vi:
-            return
-        if off < 0 or off + len(vi) > len(self.values[j]):
-            raise MalformedDiagram(f"edge {i} -> {j} at offset {off} falls outside node {j}")
+        """Identify cell k of node i with cell off+k of node j; the caller
+        keeps node i's cells inside node j."""
         parent = self.parent
         base_i, base_j = self.starts[i], self.starts[j] + off
-        for k in range(len(vi)):
+        for k in range(len(self.values[i])):
             a, b = base_i + k, base_j + k
             while parent[a] != a:  # find both roots, halving the paths
                 parent[a] = a = parent[parent[a]]
@@ -175,15 +171,13 @@ class CellGluing:
         ``result`` reads off it: the classes before the first one with a
         cell at or after the frontier, never the last, whose successor may
         still come.  Merges among held classes only ever remove distinct
-        neighbours, so once the closed classes have glued, they stay glued;
-        a state that does not glue closes nothing, and ``result`` reports it.
+        neighbours, so once the closed classes have glued, they stay glued.
+        On a state that does not glue, raises as ``result`` does and closes
+        nothing.
         """
         values, starts = self.values, self.starts
         finished = starts[frontier] if frontier < len(starts) else len(self.parent)
-        try:
-            roots, labels, path = self._read()
-        except GlueError:
-            return 0
+        roots, labels, path = self._read()
         held = set(roots[finished:])
         stop = [*map(held.__contains__, path[:-1]), True].index(True)
         if not stop:
@@ -329,6 +323,8 @@ def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],
             raise MalformedDiagram(f"edge {i} -> {j} references an unknown node")
         if off and not values[i]:
             raise MalformedDiagram(f"edge {i} -> {j}: an empty source sits at offset 0, not {off}")
+        if off < 0 or off + len(values[i]) > len(values[j]):
+            raise MalformedDiagram(f"edge {i} -> {j} at offset {off} falls outside node {j}")
         gluing.identify(i, j, off)
     return gluing.result()
 

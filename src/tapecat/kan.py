@@ -19,17 +19,18 @@ category's order; nothing is glued a second time.
 
 Since a join's source window ends at most one cell before its target's, a
 class whose cells all lie in nodes ending two or more cells back can never
-be identified again (Hedlund 1969: sliding-block locality).  Once the pass
-holds some thousands of cells, evaluate therefore closes such classes
-(CellGluing.close): it emits their labels and drops their cells, so it
-holds only the frontier and the emitted word.  Only a held state that
-glues is closed, along the path that CellGluing.result reads off it, so
-every closing happens on a glued prefix of the input; a state that does
-not glue stays held, and if the finished pass does not glue, evaluation
-goes to a second pass over the same input that closes nothing, whose
-value or error (class, message, nodes and cells) is the answer.  A fault
-therefore costs two passes, and its report is that of the whole diagram.
-A traced evaluation closes nothing.
+be identified again (Hedlund 1969: sliding-block locality).  evaluate
+therefore places the right ends in stretches of _CLOSE_AT and closes such
+classes between stretches (CellGluing.close): it emits their labels and
+drops their cells, so it holds only the frontier and the emitted word.
+Only a held state that glues is closed, along the path that
+CellGluing.result reads off it, so every closing happens on a glued
+prefix of the input.  The first close that meets a state that does not
+glue raises and ends closing.  If a pass that closed something does not
+glue, evaluation goes to a second pass over the same input that closes
+nothing, whose value or error (class, message, nodes and cells) is the
+answer, so every error report is that of the whole diagram.  A traced
+evaluation and the equivalence sweep close nothing.
 
 The pass is resumable: its state after the right ends of x is all that
 placing the windows of x·c needs.  The equivalence sweep therefore walks
@@ -41,12 +42,11 @@ bounded window).
 
 from __future__ import annotations
 
-import sys
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .colimit import CellGluing, GlueError
+from .colimit import CellGluing, GlueError, MalformedDiagram
 from .machine import MachineSpec, ShapeCategory, SweepOutcome, apply, shape_category
 from .tape import AlphabetMismatch, Occurrence, TapeString
 
@@ -117,12 +117,16 @@ class _CompiledShape:
             src, dst = index[m.src], index[m.dst]
             if len(self.generators[dst]) - len(self.generators[src]) != 1:
                 continue
+            if m.offset not in (0, 1):  # the generators differ by one cell
+                raise MalformedDiagram(f"morphism {m.name} at offset {m.offset} is outside {m.dst}")
             if objects[src].window.is_empty():
                 self.unwindowed_joins[dst].append((unwindowed_node[src], mor_idx))
                 continue
             # windows are generators plus 2r cells, so the sub-window of a
             # one-cell-larger window ends at the same cell or one before
             lag = self.window_lengths[dst] - self.window_lengths[src] - m.offset
+            if lag not in (0, 1):
+                raise MalformedDiagram(f"morphism {m.name} joins windows ending {lag} cells apart")
             self.joins[dst].append((level_of[self.window_lengths[src]], lag, m.offset, mor_idx))
 
 
@@ -136,9 +140,10 @@ def _compile(shape: ShapeCategory) -> _CompiledShape:
     return cached
 
 
-# A closing pass closes finished classes each time it has added this many
-# cells since it last did (or more, while closing stalls; see _Pass.close).
-_CLOSE_AT = 4096
+# A closing pass closes finished classes after every stretch of this many
+# right ends.  A right end places at most one node per level, and the levels'
+# generators have 1 and 2 cells, so a stretch adds at most 4,095 cells.
+_CLOSE_AT = 1365
 
 
 class _Pass:
@@ -147,15 +152,14 @@ class _Pass:
     ``gluing`` holds the nodes placed so far; per held node in placement
     order, ``placed`` is its object index and ``ends`` the right end of its
     window.  ``previous`` and ``current`` hold, per level, the node whose
-    window ends one cell before ``end`` and the one ending at it (or None);
-    ``end`` is the next right end to place.  A closing pass closes the
-    gluing's finished classes once it holds ``limit`` cells, so it holds
-    only the frontier; any other pass holds every node.
+    window ends two cells before ``end`` and the one ending one cell before
+    it (or None); ``end`` is the next right end to place.  The pass holds
+    every node it placed until ``close`` drops the finished ones.
     """
 
-    __slots__ = ("gluing", "placed", "ends", "previous", "current", "end", "limit")
+    __slots__ = ("gluing", "placed", "ends", "previous", "current", "end")
 
-    def __init__(self, compiled: _CompiledShape, closing: bool) -> None:
+    def __init__(self, compiled: _CompiledShape) -> None:
         self.gluing = CellGluing()
         self.placed = list(compiled.unwindowed)
         self.ends = [0] * len(self.placed)
@@ -164,7 +168,6 @@ class _Pass:
         self.previous: list[int | None] = [None] * len(compiled.levels)
         self.current: list[int | None] = [None] * len(compiled.levels)
         self.end = 0
-        self.limit = _CLOSE_AT if closing else sys.maxsize
 
     def copy(self) -> _Pass:
         """An independent state: extending either leaves the other as it was."""
@@ -172,48 +175,36 @@ class _Pass:
         twin.gluing = self.gluing.copy()
         twin.placed, twin.ends = self.placed.copy(), self.ends.copy()
         twin.previous, twin.current = self.previous.copy(), self.current.copy()
-        twin.end, twin.limit = self.end, self.limit
+        twin.end = self.end
         return twin
 
-    def close(self, end: int, nodes: list[int | None]) -> int:
-        """Before placing the windows ending at ``end``, close the classes
-        held by nodes ending two or more cells back, which no later join
-        reaches (a join's source ends at most one cell before its target);
-        renumbers the held nodes, ``nodes`` among them, and returns the new
-        limit."""
-        gluing = self.gluing
-        frontier = bisect_left(self.ends, end - 1)
-        dropped = gluing.close(frontier)
+    def close(self) -> None:
+        """Close the classes held by nodes ending two or more cells before
+        ``end``, which no later join reaches (a join's source ends at most
+        one cell before its target), and renumber the held nodes; raises,
+        closing nothing, when the held state does not glue."""
+        dropped = self.gluing.close(bisect_left(self.ends, self.end - 1))
         if dropped:
             del self.placed[:dropped], self.ends[:dropped]
-            nodes[:] = [None if node is None else node - dropped for node in nodes]
-            frontier -= dropped
-        # cells of finished nodes still held wait on their neighbours; waiting
-        # for as many new cells keeps the pass linear when closing stalls
-        waiting = gluing.starts[frontier] if frontier < len(gluing.starts) else len(gluing.parent)
-        self.limit = len(gluing.parent) + max(_CLOSE_AT, waiting)
-        return self.limit
+            self.current = [None if node is None else node - dropped for node in self.current]
 
 
-def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str) -> None:
-    """Extend the left-to-right pass over x from ``state.end`` to its last
-    right end: at each, place the window ending there at every length and
-    glue its generator at once to those of its one-cell-smaller sub-windows,
-    placed at most one step earlier.
+def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str, stop: int) -> None:
+    """Extend the left-to-right pass over x from ``state.end`` to right end
+    ``stop``, exclusive: at each right end, place the window ending there at
+    every length and glue its generator at once to those of its
+    one-cell-smaller sub-windows, placed at most one step earlier.
 
     ``state`` must hold the pass over x's right ends before ``state.end``.
     """
     generators, joins = compiled.generators, compiled.joins
-    gluing = state.gluing
-    add, identify = gluing.add, gluing.identify
+    add, identify = state.gluing.add, state.gluing.identify
     placed, ends = state.placed, state.ends
     levels = [(level, length, by_window.get)
               for level, (length, by_window) in enumerate(compiled.levels)]
-    previous, current, limit = state.previous, state.current, state.limit
-    for end in range(state.end, len(x_cells) + 1):
+    previous, current = state.previous, state.current
+    for end in range(state.end, stop):
         previous, current = current, previous
-        if len(gluing.parent) >= limit:
-            limit = state.close(end, previous)
         for level, length, lookup in levels:
             k = lookup(x_cells[end - length : end]) if end >= length else None
             if k is None:
@@ -225,22 +216,27 @@ def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str) -> Non
             for src_level, lag, off, _ in joins[k]:
                 identify((previous if lag else current)[src_level], node, off)
     state.previous, state.current = previous, current
-    state.end = len(x_cells) + 1
-
-
-def _check_alphabet(shape: ShapeCategory, x: TapeString) -> None:
-    if x.alphabet != shape.alphabet:
-        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
+    state.end = stop
 
 
 def _glued(shape: ShapeCategory, x: TapeString, closing: bool = True
            ) -> tuple[str, list[int], _Pass]:
     """Place the windows in x and glue their generators in one pass: the
-    value's cells, the leg offsets of the held nodes and the final pass."""
-    _check_alphabet(shape, x)
+    value's cells, the leg offsets of the held nodes and the final pass.
+    A closing pass closes after every _CLOSE_AT right ends that more right
+    ends follow, until a close raises."""
+    if x.alphabet != shape.alphabet:
+        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
     compiled = _compile(shape)
-    state = _Pass(compiled, closing)
-    _place_and_glue(compiled, state, x.cells)
+    state = _Pass(compiled)
+    stop = len(x) + 1
+    while closing and state.end + _CLOSE_AT < stop:
+        _place_and_glue(compiled, state, x.cells, state.end + _CLOSE_AT)
+        try:
+            state.close()
+        except GlueError:
+            break
+    _place_and_glue(compiled, state, x.cells, stop)
     return _read_off(shape, x, state)
 
 
@@ -311,21 +307,24 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     The strings are walked as a trie, depth-first in alphabet order: a
     string's pass state, copied, is resumed for one more right end by each
     of its children, and every string's value is read off its pass state as
-    evaluate reads it.  A negative max_len visits no string.
+    evaluate reads it; these passes close nothing.  A negative max_len
+    visits no string.
     Mismatches are reported shortest string first, then in alphabet order.
     """
     if shape is None:
         shape = shape_category(spec)
     alphabet = spec.alphabet
-    _check_alphabet(shape, TapeString.empty(alphabet))
+    if alphabet != shape.alphabet:
+        raise AlphabetMismatch(f"the machine's alphabet ({alphabet}) is not the shape "
+                               f"category's ({shape.alphabet})")
     compiled = _compile(shape)
     cases = 0
     found: list[tuple[int, str]] = []
     *others, last = alphabet.symbols
-    stack = [("", _Pass(compiled, closing=True))] if max_len >= 0 else []
+    stack = [("", _Pass(compiled))] if max_len >= 0 else []
     while stack:
         cells, state = stack.pop()
-        _place_and_glue(compiled, state, cells)
+        _place_and_glue(compiled, state, cells, len(cells) + 1)
         cases += 1
         x = TapeString(alphabet, cells)
         want = apply(spec, x)

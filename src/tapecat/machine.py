@@ -387,7 +387,10 @@ class ShapeCategory:
 
     def without_object(self, name: str) -> ShapeCategory:
         """A corrupted copy with one object (and its morphisms) deleted;
-        for fault-injection tests."""
+        for fault-injection tests.  Raises ValueError when no object has
+        that name, which would inject no fault."""
+        if name not in self._by_name:
+            raise ValueError(f"{name} is not an object of the shape category")
         objects = tuple(o for o in self.objects if o.name != name)
         morphisms = tuple(m for m in self.morphisms if m.src != name and m.dst != name)
         return ShapeCategory(self.alphabet, self.radius, objects, morphisms)

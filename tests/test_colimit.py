@@ -163,6 +163,9 @@ class TestGlue:
         (["a"], [(0, 3, 0)]),
         (["", "a"], [(0, 5, 0)]),  # an empty source glues no cell
         (["", "a"], [(0, 1, 7)]),  # an empty source sits at offset 0
+        (["#", "#."], [(0, 1, -1)]),  # before its target
+        (["#", "#."], [(0, 1, 2)]),  # past the end of its target
+        (["##", "#"], [(0, 1, 0)]),  # longer than its target
     ])
     def test_malformed_index_edge_rejected(self, values, edges):
         with pytest.raises(MalformedDiagram):
@@ -234,20 +237,29 @@ class TestCellGluing:
             gluing.add(value)
         for i, j, off in [(2, 0, 1), (2, 1, 0), (3, 0, 0), (3, 1, 1)]:
             gluing.identify(i, j, off)
-        assert gluing.close(4) == 0 and not gluing.closed
+        held = gluing.copy()
+        with pytest.raises(NotLinear, match="cycle"):
+            gluing.close(4)
+        _assert_same_state(gluing, held)
+        assert not gluing.closed
         with pytest.raises(NotLinear, match="cycle"):
             gluing.result()
 
     def test_close_needs_a_state_that_glues(self):
         # "#." and two ".#" share one middle class through ".": node 0's
         # "#" is finished and starts the path, but the middle class
-        # branches, so the held state does not glue and nothing closes
+        # branches, so the held state does not glue: close raises as result
+        # does, and nothing closes
         gluing = CellGluing()
         for value in ("#.", ".#", ".", ".#"):
             gluing.add(value)
         for i, j, off in [(2, 0, 1), (2, 1, 0), (2, 3, 0)]:
             gluing.identify(i, j, off)
-        assert gluing.close(1) == 0 and gluing.closed == []
+        held = gluing.copy()
+        with pytest.raises(NotLinear, match="quotient branches after a cell of node 3"):
+            gluing.close(1)
+        _assert_same_state(gluing, held)
+        assert gluing.closed == []
         with pytest.raises(NotLinear, match="quotient branches after a cell of node 3"):
             gluing.result()
 
@@ -260,7 +272,7 @@ class TestCellGluing:
         # Closing before each step must agree with the batch result wherever
         # it certifies, and must certify the lawful diagrams; each closing
         # happens on a state that glues, whose word starts with the closed
-        # one.
+        # one, and a close that raises closes nothing.
         rng = random.Random(5)
         certified = lawful = 0
         for case in range(1000):
@@ -272,7 +284,12 @@ class TestCellGluing:
             dropped = 0
             for t in range(10):
                 closings = len(streaming.closed)
-                dropped += streaming.close(bisect_left(steps, t - 1) - dropped)
+                held = streaming.copy()
+                try:
+                    dropped += streaming.close(bisect_left(steps, t - 1) - dropped)
+                except GlueError:
+                    assert faults, word
+                    _assert_same_state(streaming, held)
                 if len(streaming.closed) > closings:
                     assert batch.copy().result()[0].startswith("".join(streaming.closed))
                 for n in rng.sample(range(min(4, t + 2)), min(4, t + 2)):
@@ -321,6 +338,11 @@ class TestCellGluing:
             assert streaming.closed
             certified += 1
         assert lawful == 500 and certified > lawful
+
+
+def _assert_same_state(gluing, held):
+    assert (gluing.values, gluing.starts, gluing.parent, gluing.closed, gluing.after) == \
+        (held.values, held.starts, held.parent, held.closed, held.after)
 
 
 class TestGlueUniversalitySmall:

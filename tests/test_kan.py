@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -11,10 +13,25 @@ import pytest
 
 import tapecat.kan
 import tapecat.machine
-from tapecat.colimit import CellGluing, Disconnected, GlueError, glue_cells
+from tapecat.colimit import CellGluing, Disconnected, GlueError, MalformedDiagram, glue_cells
 from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced
-from tapecat.machine import MachineSpec, SweepOutcome, apply, explain, shape_category
-from tapecat.tape import DEFAULT_ALPHABET, Alphabet, Occurrence, TapeString, all_strings, compose
+from tapecat.machine import (
+    MachineSpec,
+    ShapeCategory,
+    SweepOutcome,
+    apply,
+    explain,
+    shape_category,
+)
+from tapecat.tape import (
+    DEFAULT_ALPHABET,
+    Alphabet,
+    AlphabetMismatch,
+    Occurrence,
+    TapeString,
+    all_strings,
+    compose,
+)
 
 from .support import check_explanation, comma_over, occ, ts
 
@@ -61,24 +78,55 @@ class TestEvaluate:
     @pytest.mark.parametrize("dropped", ["(.|...)", "(##|..#.)"])
     def test_a_stalled_pass_stays_cheap(self, spread, spread_shape, dropped, monkeypatch):
         # a dropped object leaves the held state unglued from its first
-        # fault on, so closing stalls there; each stalled closing waits for
-        # as many new cells as the pass holds, so a pass that adds 3 cells
-        # per right end, as spread's does, closes about log2(3n / _CLOSE_AT)
-        # times on n cells, not once per _CLOSE_AT cells
+        # fault on; the first close that meets it raises and ends closing,
+        # so a pass closes once per stretch of _CLOSE_AT right ends before
+        # its first fault and never after it
         shape = spread_shape.without_object(dropped)
         x = TapeString(spread.alphabet, "".join(random.Random(3).choices(".#", k=3 * 10**4)))
         want = _batch(shape, x)
         assert isinstance(want, tuple)
-        calls = []
+        calls, raised = [], []
         close = CellGluing.close
 
         def counted(gluing, frontier):
             calls.append(frontier)
-            return close(gluing, frontier)
+            try:
+                return close(gluing, frontier)
+            except GlueError:
+                raised.append(frontier)
+                raise
 
         monkeypatch.setattr(CellGluing, "close", counted)
         assert _streamed(shape, x) == want
-        assert 0 < len(calls) <= 2 + math.log2(3 * len(x) / tapecat.kan._CLOSE_AT)
+        assert raised in ([], calls[-1:])
+        assert 0 < len(calls) <= 2 + math.log2(len(x) / tapecat.kan._CLOSE_AT)
+
+    def test_a_stretch_adds_at_most_4095_cells(self, spread_shape, request):
+        # _CLOSE_AT counts right ends; each places at most one node per
+        # level, and the levels hold the 1- and 2-cell generators
+        shapes = [shape_category(request.getfixturevalue(machine)) for machine in
+                  ("spread", "identity_machine", "parity_machine", "ternary_machine")]
+        shapes += [spread_shape.without_object(o.name) for o in spread_shape.objects]
+        for shape in shapes:
+            compiled = tapecat.kan._compile(shape)
+            assert [{len(compiled.generators[k]) for k in by_window.values()}
+                    for _, by_window in compiled.levels] == [{1}, {2}]
+        assert 3 * tapecat.kan._CLOSE_AT <= 4095
+
+    @pytest.mark.parametrize("offset, window", [
+        (2, "..#."), (-1, "..#."),
+        (0, "..#.."),  # the source window then ends two cells before the target's
+    ])
+    def test_a_join_outside_its_target_is_refused(self, spread_shape, offset, window):
+        # (#|..#) sits in (##|..#.) at offset 0: move it, or lengthen the window
+        objects = tuple(dataclasses.replace(o, window=ts(window)) if o.name == "(##|..#.)"
+                        else o for o in spread_shape.objects)
+        morphisms = tuple(dataclasses.replace(m, offset=offset)
+                          if m.name == "(#|..#)>(##|..#.)@0" else m
+                          for m in spread_shape.morphisms)
+        shape = ShapeCategory(spread_shape.alphabet, spread_shape.radius, objects, morphisms)
+        with pytest.raises(MalformedDiagram, match=re.escape("(#|..#)>(##|..#.)@0")):
+            evaluate(shape, ts("#..#."))
 
     def test_never_consults_the_rule(self, spread, spread_shape, monkeypatch):
         # the evaluator receives only the shape category; rule lookups are
@@ -173,13 +221,12 @@ class TestClosing:
     def test_lawful_machines_close_all_but_the_frontier(self, machine, request):
         spec = request.getfixturevalue(machine)
         shape = shape_category(spec)
-        compiled = tapecat.kan._compile(shape)
         inputs = all_strings(spec.alphabet, 4) + _random_inputs(spec.alphabet, 20, seed=11)
         for x in inputs:
-            state = tapecat.kan._Pass(compiled, closing=True)
-            tapecat.kan._place_and_glue(compiled, state, x.cells)
+            cells, _, state = tapecat.kan._glued(shape, x)
             # certified without the fallback, holding only the last windows
-            assert state.gluing.result()[0] == _batch(shape, x) == apply(spec, x).cells, str(x)
+            assert cells == state.gluing.result()[0] == _batch(shape, x) \
+                == apply(spec, x).cells, str(x)
             assert len(state.gluing.parent) <= 12 * (2 * spec.radius + 2), str(x)
             assert len(state.placed) == len(state.ends) == len(state.gluing.values), str(x)
             assert bool(state.gluing.closed) == (len(x) > 2 * spec.radius + 3), str(x)
@@ -197,25 +244,21 @@ class TestClosing:
                 outcomes[want[0].__name__ if isinstance(want, tuple) else "glued"] += 1
         assert outcomes["glued"] and outcomes["Disconnected"]
 
+    # the sweep's passes close nothing; the per-string reference evaluates
+    # each string closing at every right end
+
     @pytest.mark.parametrize("machine, max_len", [("spread", 8), ("parity_machine", 7)])
-    def test_sweep_matches_the_per_string_sweep(self, machine, max_len, request, monkeypatch):
-        # the reference is taken below the threshold, so that nothing closes
+    def test_sweep_matches_the_per_string_sweep(self, machine, max_len, request):
         spec = request.getfixturevalue(machine)
         shape = shape_category(spec)
-        monkeypatch.undo()
-        want = _per_string_sweep(spec, max_len, shape)
-        monkeypatch.setattr(tapecat.kan, "_CLOSE_AT", 1)
         report = equivalence_sweep(spec, max_len, shape)
-        assert (report.cases, report.failures) == want
+        assert (report.cases, report.failures) == _per_string_sweep(spec, max_len, shape)
 
-    def test_sweep_without_each_object_matches_the_per_string_sweep(self, spread, spread_shape,
-                                                                     monkeypatch):
+    def test_sweep_without_each_object_matches_the_per_string_sweep(self, spread, spread_shape):
         shapes = [spread_shape.without_object(o.name) for o in spread_shape.objects]
-        monkeypatch.undo()
-        want = [_per_string_sweep(spread, 6, shape) for shape in shapes]
-        monkeypatch.setattr(tapecat.kan, "_CLOSE_AT", 1)
         got = [equivalence_sweep(spread, 6, shape) for shape in shapes]
-        assert [(r.cases, r.failures) for r in got] == want
+        assert [(r.cases, r.failures) for r in got] == \
+            [_per_string_sweep(spread, 6, shape) for shape in shapes]
         assert any(not r.ok for r in got)
 
 
@@ -263,6 +306,12 @@ class TestEquivalenceSweep:
             assert (report.cases, report.failures) == _per_string_sweep(spread, 8, shape), o.name
             failing += not report.ok
         assert len(spread_shape.objects) == 25 and failing
+
+    def test_a_machine_over_another_alphabet_is_refused(self, spread_shape):
+        spec = MachineSpec(Alphabet(("a", "b")), 0, {"a": "a", "b": "b"})
+        with pytest.raises(AlphabetMismatch,
+                           match=r"\(a b\) is not the shape category's \(\. #\)"):
+            equivalence_sweep(spec, 3, spread_shape)
 
     def test_deep_trie_without_recursion(self):
         # a one-symbol alphabet makes the trie a single path deeper than

@@ -445,6 +445,11 @@ class TestShapeCategory:
                 want.append(((m2.name, m1.name), by_key[(m1.src, m2.dst, off)]))
         assert list(shape.presentation.table.items()) == want
 
+    def test_without_an_unknown_object_is_refused(self, spread_shape):
+        # a misspelt name would leave all 25 objects and inject no fault
+        with pytest.raises(ValueError, match=r"\(#\|#\.x\) is not an object"):
+            spread_shape.without_object("(#|#.x)")
+
     def test_specific_morphism_exists(self, spread_shape):
         got = {(m.src, m.dst, m.offset) for m in spread_shape.morphisms}
         assert ("(#|..#)", "(##|..#.)", 0) in got
