@@ -15,13 +15,14 @@ import click
 
 from .colimit import GlueError, density_check
 from .fincat import FinCatPresentation, canonical_dense_subcategory, validate_category, validate_functor
-from .kan import equivalence_sweep, evaluate, evaluate_traced
+from .kan import ShapeCategory, evaluate, evaluate_traced
 from .machine import (
     MachineConfigError,
     MachineSpec,
-    ShapeCategory,
+    SweepOutcome,
     adjunction_sweep,
     apply,
+    equivalence_sweep,
     explain,
     functoriality_sweep,
     parse_machine,
@@ -182,6 +183,11 @@ def explain_cmd(machine_file: Path, input_string: str, cell_range: str) -> None:
     click.echo(str(expl))
 
 
+def _first_failure(sweep: SweepOutcome) -> str:
+    """The detail suffix that names a failed sweep's first failure."""
+    return "" if sweep.ok else f" first: {sweep.failures[0]}"
+
+
 def _check_category(shape: ShapeCategory, dense) -> list[tuple[str, bool, str]]:
     results = []
     report = validate_category(dense.presentation)
@@ -207,10 +213,8 @@ def _check_functor(spec: MachineSpec, shape: ShapeCategory, dense,
     results.append(("functor shape-projections", gen.ok and win.ok,
                     f"violations={len(gen.violations) + len(win.violations)}"))
     sweep = functoriality_sweep(spec, max_len)
-    detail = f"cases={sweep.cases}"
-    if not sweep.ok:
-        detail += f" first: {sweep.failures[0]}"
-    results.append((f"functor update max_len={max_len}", sweep.ok, detail))
+    results.append((f"functor update max_len={max_len}", sweep.ok,
+                    f"cases={sweep.cases}{_first_failure(sweep)}"))
     return results
 
 
@@ -232,19 +236,15 @@ def _check_density(spec: MachineSpec, dense, max_len: int) -> list[tuple[str, bo
 def _check_adjunction(spec: MachineSpec, max_len: int,
                       mutate: str) -> list[tuple[str, bool, str]]:
     sweep = adjunction_sweep(spec, max_len, mutate=(mutate == "shift-window"))
-    detail = f"cases={sweep.cases}"
-    if not sweep.ok:
-        detail += f" first: {sweep.failures[0]}"
-    return [(f"adjunction max_state_len={max_len}", sweep.ok, detail)]
+    return [(f"adjunction max_state_len={max_len}", sweep.ok,
+             f"cases={sweep.cases}{_first_failure(sweep)}")]
 
 
 def _check_equivalence(spec: MachineSpec, shape: ShapeCategory, max_len: int,
                        mutate: str) -> list[tuple[str, bool, str]]:
     sweep = equivalence_sweep(spec, max_len, _mutated_shape(shape, mutate))
     detail = f"inputs={sweep.cases} mismatches={len(sweep.failures)} max_len={max_len}"
-    if not sweep.ok:
-        detail += f" first: {sweep.failures[0]}"
-    return [(f"equivalence max_len={max_len}", sweep.ok, detail)]
+    return [(f"equivalence max_len={max_len}", sweep.ok, detail + _first_failure(sweep))]
 
 
 @main.command()

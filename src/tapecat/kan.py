@@ -1,12 +1,13 @@
-"""Rule-free evaluation of the update by colimit gluing.
+"""The shape category, and rule-free evaluation by colimit gluing.
 
 Every placement of a shape-category window in the input contributes one
 copy of its generator; aligned window inclusions contribute the edges.
 Gluing that diagram reproduces the updated string, so the update can be
 computed from the precomputed shape category alone.  The evaluator is
-firewalled from the rule table: all rule knowledge reaches it compiled
-into the shape category's objects, which is what keeps the equivalence
-sweep against the direct oracle honest.
+firewalled from the rule table, and the imports hold the firewall: this
+module imports only colimit, fincat and tape, so all rule knowledge
+reaches it compiled into the shape category's objects, which is what
+keeps machine's equivalence sweep against the direct oracle honest.
 
 Evaluation is one left-to-right pass over the input.  A nonempty window
 names its object, so at each right end one dictionary lookup per window
@@ -30,25 +31,121 @@ glue raises and ends closing.  If a pass that closed something does not
 glue, evaluation goes to a second pass over the same input that closes
 nothing, whose value or error (class, message, nodes and cells) is the
 answer, so every error report is that of the whole diagram.  A traced
-evaluation and the equivalence sweep close nothing.
+evaluation and evaluate_all close nothing.
 
 The pass is resumable: its state after the right ends of x is all that
-placing the windows of x·c needs.  The equivalence sweep therefore walks
-the trie of strings depth-first, and each child extends a copy of its
-parent's state by its one new right end instead of re-running the pass
-from the first cell (Hedlund 1969: the update at a cell depends only on a
-bounded window).
+placing the windows of x·c needs.  evaluate_all therefore walks the trie
+of strings depth-first, and each child extends a copy of its parent's
+state by its one new right end instead of re-running the pass from the
+first cell (Hedlund 1969: the update at a cell depends only on a bounded
+window).
 """
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 from .colimit import CellGluing, GlueError, MalformedDiagram
-from .machine import MachineSpec, ShapeCategory, SweepOutcome, apply, shape_category
-from .tape import AlphabetMismatch, Occurrence, TapeString
+from .fincat import DenseSubcategory, FinCatPresentation, FunctorData, TapeCategory
+from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
+
+
+@dataclass(frozen=True)
+class ShapeObject:
+    """A generator together with one window that explains it."""
+
+    name: str
+    generator: TapeString
+    window: TapeString
+
+
+@dataclass(frozen=True)
+class ShapeMorphism:
+    name: str
+    src: str
+    dst: str
+    offset: int
+
+
+class ShapeCategory:
+    """The finite category of (generator, explaining window) pairs.
+
+    Morphisms are the simultaneous occurrences of a generator in a larger
+    generator and of its window in the larger window, at the same offset;
+    an object's identity is its morphism to itself at offset 0.  It depends
+    only on the machine and the generators, never on any input state, so it
+    is precomputed once (machine.shape_category) and handed to evaluate.
+    """
+
+    def __init__(self, alphabet: Alphabet, objects: tuple[ShapeObject, ...],
+                 morphisms: tuple[ShapeMorphism, ...]) -> None:
+        self.alphabet = alphabet
+        self.objects = objects
+        self.morphisms = morphisms
+        self._by_name = {o.name: o for o in objects}
+        for m in morphisms:
+            if m.src not in self._by_name or m.dst not in self._by_name:
+                raise MalformedDiagram(f"morphism {m.name} names an object not in the category")
+
+    def without_object(self, name: str) -> ShapeCategory:
+        """A corrupted copy with one object (and its morphisms) deleted;
+        for fault-injection tests.  Raises ValueError when no object has
+        that name, which would inject no fault."""
+        if name not in self._by_name:
+            raise ValueError(f"{name} is not an object of the shape category")
+        objects = tuple(o for o in self.objects if o.name != name)
+        morphisms = tuple(m for m in self.morphisms if m.src != name and m.dst != name)
+        return ShapeCategory(self.alphabet, objects, morphisms)
+
+    @cached_property
+    def compiled(self) -> _CompiledShape:
+        """The plain-data view that the evaluation pass reads."""
+        return _CompiledShape(self)
+
+    @cached_property
+    def presentation(self) -> FinCatPresentation:
+        cat = FinCatPresentation()
+        for o in self.objects:
+            cat.add_object(o.name)
+        for m in self.morphisms:
+            cat.add_morphism(m.name, m.src, m.dst)
+        by_key = {(m.src, m.dst, m.offset): m.name for m in self.morphisms}
+        for o in self.objects:
+            if (o.name, o.name, 0) not in by_key:
+                raise MalformedDiagram(f"object {o.name} has no identity morphism")
+            cat.set_identity(o.name, by_key[(o.name, o.name, 0)])
+        by_src: dict[str, list[ShapeMorphism]] = {}
+        for m in self.morphisms:
+            by_src.setdefault(m.src, []).append(m)
+        for m1 in self.morphisms:
+            from_empty = self._by_name[m1.src].generator.is_empty()
+            for m2 in by_src.get(m1.dst, ()):
+                off = 0 if from_empty else m1.offset + m2.offset
+                cat.set_composite(m2.name, m1.name, by_key[(m1.src, m2.dst, off)])
+        return cat
+
+    def generator_functor(self, dense: DenseSubcategory) -> FunctorData:
+        """Projection onto generators, landing in the dense subcategory."""
+        obj_map = {o.name: str(o.generator) for o in self.objects}
+        mor_map = {}
+        for m in self.morphisms:
+            src, dst = self._by_name[m.src], self._by_name[m.dst]
+            off = 0 if src.generator.is_empty() else m.offset
+            mor_map[m.name] = f"{src.generator}>{dst.generator}@{off}"
+        return FunctorData(self.presentation, dense.presentation, obj_map, mor_map)
+
+    def window_functor(self) -> FunctorData:
+        """Projection onto windows, landing in the tape category."""
+        obj_map = {o.name: o.window for o in self.objects}
+        mor_map = {}
+        for m in self.morphisms:
+            src, dst = self._by_name[m.src], self._by_name[m.dst]
+            off = 0 if src.window.is_empty() else m.offset
+            mor_map[m.name] = Occurrence(src.window, dst.window, off)
+        return FunctorData(self.presentation, TapeCategory(self.alphabet), obj_map, mor_map)
 
 
 @dataclass
@@ -128,16 +225,6 @@ class _CompiledShape:
             if lag not in (0, 1):
                 raise MalformedDiagram(f"morphism {m.name} joins windows ending {lag} cells apart")
             self.joins[dst].append((level_of[self.window_lengths[src]], lag, m.offset, mor_idx))
-
-
-_compiled: "weakref.WeakKeyDictionary[ShapeCategory, _CompiledShape]" = weakref.WeakKeyDictionary()
-
-
-def _compile(shape: ShapeCategory) -> _CompiledShape:
-    cached = _compiled.get(shape)
-    if cached is None:
-        cached = _compiled[shape] = _CompiledShape(shape)
-    return cached
 
 
 # A closing pass closes finished classes after every stretch of this many
@@ -224,10 +311,14 @@ def _glued(shape: ShapeCategory, x: TapeString, closing: bool = True
     """Place the windows in x and glue their generators in one pass: the
     value's cells, the leg offsets of the held nodes and the final pass.
     A closing pass closes after every _CLOSE_AT right ends that more right
-    ends follow, until a close raises."""
+    ends follow, until a close raises.  A GlueError also names the input
+    cells of its nodes' window placements.  A pass that closed classes
+    cannot name the nodes of a fault, so when its held state does not glue,
+    x is glued again without closing, and that pass's value or error is the
+    answer."""
     if x.alphabet != shape.alphabet:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
-    compiled = _compile(shape)
+    compiled = shape.compiled
     state = _Pass(compiled)
     stop = len(x) + 1
     while closing and state.end + _CLOSE_AT < stop:
@@ -237,21 +328,11 @@ def _glued(shape: ShapeCategory, x: TapeString, closing: bool = True
         except GlueError:
             break
     _place_and_glue(compiled, state, x.cells, stop)
-    return _read_off(shape, x, state)
-
-
-def _read_off(shape: ShapeCategory, x: TapeString, state: _Pass,
-              ) -> tuple[str, list[int], _Pass]:
-    """The value's cells and held legs of a finished pass over x, and the
-    pass they were read off.  A GlueError also names the input cells of its
-    nodes' window placements.  A pass that closed classes cannot name the
-    nodes of a fault, so when its held state does not glue, x is glued again
-    without closing, and that pass's value or error is the answer."""
     try:
         cells, legs = state.gluing.result()
     except GlueError as exc:
         if not state.gluing.closed:
-            lengths = _compile(shape).window_lengths
+            lengths = compiled.window_lengths
             exc.cells = tuple((state.ends[i] - lengths[state.placed[i]], state.ends[i])
                               for i in exc.nodes)
             raise
@@ -276,7 +357,7 @@ def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, Ev
     order of the shape category's own enumeration.
     """
     cells, legs, state = _glued(shape, x, closing=False)
-    compiled = _compile(shape)
+    compiled = shape.compiled
     lengths = compiled.window_lengths
     nodes = list(enumerate(zip(state.placed, state.ends)))
     node_at = {(lengths[k], end): n for n, (k, end) in nodes}
@@ -294,55 +375,27 @@ def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, Ev
         value, [legs[i] for i in order])
 
 
-# ---------------------------------------------------------------------------
-# the oracle-equivalence sweep
-
-
-def equivalence_sweep(spec: MachineSpec, max_len: int,
-                      shape: ShapeCategory | None = None) -> SweepOutcome:
-    """Compare colimit evaluation against the direct rule on every string up
-    to max_len: one case per string, one failure line per mismatch; a
-    lawful machine must show none.
-
-    The strings are walked as a trie, depth-first in alphabet order: a
-    string's pass state, copied, is resumed for one more right end by each
-    of its children, and every string's value is read off its pass state as
-    evaluate reads it; these passes close nothing.  A negative max_len
-    visits no string.
-    Mismatches are reported shortest string first, then in alphabet order.
-    """
-    if shape is None:
-        shape = shape_category(spec)
-    alphabet = spec.alphabet
-    if alphabet != shape.alphabet:
-        raise AlphabetMismatch(f"the machine's alphabet ({alphabet}) is not the shape "
-                               f"category's ({shape.alphabet})")
-    compiled = _compile(shape)
-    cases = 0
-    found: list[tuple[int, str]] = []
-    *others, last = alphabet.symbols
+def evaluate_all(shape: ShapeCategory, max_len: int) -> Iterator[tuple[str, str | GlueError]]:
+    """Evaluate every string of at most max_len cells without consulting
+    any rule: yield its cells with its value's cells, or with the GlueError
+    that gluing raised (naming nodes, not cells).  The strings come from
+    the trie, depth-first, so each length in alphabet order: a string's
+    pass, copied, is resumed for one more right end by each child, and is
+    read as evaluate reads it; these passes close nothing.  A negative
+    max_len yields nothing."""
+    compiled = shape.compiled
+    *others, last = shape.alphabet.symbols
     stack = [("", _Pass(compiled))] if max_len >= 0 else []
     while stack:
         cells, state = stack.pop()
         _place_and_glue(compiled, state, cells, len(cells) + 1)
-        cases += 1
-        x = TapeString(alphabet, cells)
-        want = apply(spec, x)
         try:
-            got = _read_off(shape, x, state)[0]
+            value: str | GlueError = state.gluing.result()[0]
         except GlueError as exc:
-            found.append((len(cells), f"{x}: glue failed: {exc}"))
-        else:
-            if got != want.cells:
-                found.append((len(cells), f"{x}: evaluated {TapeString(alphabet, got)}, "
-                                          f"rule gives {want}"))
+            value = exc
+        yield cells, value
         if len(cells) < max_len:
             # pushed in reverse so the first symbol pops first; the last
             # symbol's child, popped after its siblings, takes the state itself
             stack.append((cells + last, state))
             stack.extend((cells + c, state.copy()) for c in reversed(others))
-    # depth-first order lists each length in alphabet order already, so a
-    # stable sort by length gives the order of tape.all_strings
-    found.sort(key=lambda item: item[0])
-    return SweepOutcome(cases, [line for _, line in found])
-

@@ -4,9 +4,11 @@ A machine is a radius-r local rule applied to every window of a string; the
 update drops r cells from each end, so a string shorter than a full window
 updates to the empty string.  Around this sit the causal-structure
 operations: the neighbourhood through which all influence on an updated
-part must pass, a bounded checker for its universal property, and the
-finite shape category of (generator, explaining window) pairs that the
-colimit evaluator is compiled from.
+part must pass, a bounded checker for its universal property, the finite
+shape category (kan.ShapeCategory) built from the rule, and the sweeps
+of the laws, the equivalence of the two engines among them.  The imports
+hold the firewall: kan imports nothing from here, so colimit evaluation
+sees the rule only through the shape category.
 """
 
 from __future__ import annotations
@@ -16,14 +18,9 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 from . import tape
-from .fincat import (
-    DenseSubcategory,
-    FinCatPresentation,
-    FunctorData,
-    TapeCategory,
-    ValidationReport,
-    canonical_generators,
-)
+from .colimit import GlueError
+from .fincat import ValidationReport, canonical_generators
+from .kan import ShapeCategory, ShapeMorphism, ShapeObject, evaluate_all
 from .tape import Alphabet, AlphabetMismatch, InvalidOccurrence, Occurrence, TapeString
 
 
@@ -350,92 +347,6 @@ def shape_table(spec: MachineSpec, a: TapeString) -> set[TapeString]:
     return {TapeString(spec.alphabet, w) for w in found}
 
 
-@dataclass(frozen=True)
-class ShapeObject:
-    """A generator together with one window that explains it."""
-
-    name: str
-    generator: TapeString
-    window: TapeString
-
-
-@dataclass(frozen=True)
-class ShapeMorphism:
-    name: str
-    src: str
-    dst: str
-    offset: int
-
-
-class ShapeCategory:
-    """The finite category of (generator, explaining window) pairs.
-
-    Morphisms are the simultaneous occurrences of a generator in a larger
-    generator and of its window in the larger window, at the same offset.
-    It depends only on the machine and the generators, never on any input
-    state, so it is precomputed once and handed to the colimit evaluator.
-    """
-
-    def __init__(self, alphabet: Alphabet, radius: int,
-                 objects: tuple[ShapeObject, ...],
-                 morphisms: tuple[ShapeMorphism, ...]) -> None:
-        self.alphabet = alphabet
-        self.radius = radius
-        self.objects = objects
-        self.morphisms = morphisms
-        self._by_name = {o.name: o for o in objects}
-
-    def without_object(self, name: str) -> ShapeCategory:
-        """A corrupted copy with one object (and its morphisms) deleted;
-        for fault-injection tests.  Raises ValueError when no object has
-        that name, which would inject no fault."""
-        if name not in self._by_name:
-            raise ValueError(f"{name} is not an object of the shape category")
-        objects = tuple(o for o in self.objects if o.name != name)
-        morphisms = tuple(m for m in self.morphisms if m.src != name and m.dst != name)
-        return ShapeCategory(self.alphabet, self.radius, objects, morphisms)
-
-    @cached_property
-    def presentation(self) -> FinCatPresentation:
-        cat = FinCatPresentation()
-        for o in self.objects:
-            cat.add_object(o.name)
-        for m in self.morphisms:
-            cat.add_morphism(m.name, m.src, m.dst)
-        for o in self.objects:
-            cat.set_identity(o.name, _shape_mor_name(o.name, o.name, 0))
-        by_key = {(m.src, m.dst, m.offset): m.name for m in self.morphisms}
-        by_src: dict[str, list[ShapeMorphism]] = {}
-        for m in self.morphisms:
-            by_src.setdefault(m.src, []).append(m)
-        for m1 in self.morphisms:
-            from_empty = self._by_name[m1.src].generator.is_empty()
-            for m2 in by_src.get(m1.dst, ()):
-                off = 0 if from_empty else m1.offset + m2.offset
-                cat.set_composite(m2.name, m1.name, by_key[(m1.src, m2.dst, off)])
-        return cat
-
-    def generator_functor(self, dense: DenseSubcategory) -> FunctorData:
-        """Projection onto generators, landing in the dense subcategory."""
-        obj_map = {o.name: str(o.generator) for o in self.objects}
-        mor_map = {}
-        for m in self.morphisms:
-            src, dst = self._by_name[m.src], self._by_name[m.dst]
-            off = 0 if src.generator.is_empty() else m.offset
-            mor_map[m.name] = f"{src.generator}>{dst.generator}@{off}"
-        return FunctorData(self.presentation, dense.presentation, obj_map, mor_map)
-
-    def window_functor(self) -> FunctorData:
-        """Projection onto windows, landing in the tape category."""
-        obj_map = {o.name: o.window for o in self.objects}
-        mor_map = {}
-        for m in self.morphisms:
-            src, dst = self._by_name[m.src], self._by_name[m.dst]
-            off = 0 if src.window.is_empty() else m.offset
-            mor_map[m.name] = Occurrence(src.window, dst.window, off)
-        return FunctorData(self.presentation, TapeCategory(self.alphabet), obj_map, mor_map)
-
-
 def _shape_obj_name(a: TapeString, n: TapeString) -> str:
     return f"({a.cells}|{n.cells})"
 
@@ -476,7 +387,7 @@ def shape_category(spec: MachineSpec) -> ShapeCategory:
         for dst, j in targets:
             morphisms.append(ShapeMorphism(_shape_mor_name(src.name, dst.name, j),
                                            src.name, dst.name, j))
-    return ShapeCategory(spec.alphabet, spec.radius, tuple(objects), tuple(morphisms))
+    return ShapeCategory(spec.alphabet, tuple(objects), tuple(morphisms))
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +456,36 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int,
                 if not report.ok:
                     outcome.failures.append(report.failure(0))
     return outcome
+
+
+def equivalence_sweep(spec: MachineSpec, max_len: int,
+                      shape: ShapeCategory | None = None) -> SweepOutcome:
+    """Compare colimit evaluation (kan.evaluate_all) against the direct
+    rule on every string up to max_len: one case per string, one failure
+    line per mismatch; a lawful machine must show none.  A negative
+    max_len visits no string.  Mismatches are reported shortest string
+    first, then in alphabet order."""
+    if shape is None:
+        shape = shape_category(spec)
+    alphabet = spec.alphabet
+    if alphabet != shape.alphabet:
+        raise AlphabetMismatch(f"the machine's alphabet ({alphabet}) is not the shape "
+                               f"category's ({shape.alphabet})")
+    cases = 0
+    found: list[tuple[int, str]] = []
+    for cells, got in evaluate_all(shape, max_len):
+        cases += 1
+        x = TapeString(alphabet, cells)
+        want = apply(spec, x)
+        if isinstance(got, GlueError):
+            found.append((len(cells), f"{x}: glue failed: {got}"))
+        elif got != want.cells:
+            found.append((len(cells), f"{x}: evaluated {TapeString(alphabet, got)}, "
+                                      f"rule gives {want}"))
+    # evaluate_all lists each length in alphabet order already, so a stable
+    # sort by length gives the order of tape.all_strings
+    found.sort(key=lambda item: item[0])
+    return SweepOutcome(cases, [line for _, line in found])
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from click.testing import CliRunner
 
 from tapecat.cli import main
 from tapecat.colimit import GlueError, density_check, glue_cells
-from tapecat.kan import equivalence_sweep, evaluate
+from tapecat.kan import evaluate
 from tapecat.machine import (
     adjunction_sweep,
     apply,
+    equivalence_sweep,
     explain,
     functoriality_sweep,
     shape_table,

@@ -14,12 +14,12 @@ import pytest
 import tapecat.kan
 import tapecat.machine
 from tapecat.colimit import CellGluing, Disconnected, GlueError, MalformedDiagram, glue_cells
-from tapecat.kan import equivalence_sweep, evaluate, evaluate_traced
+from tapecat.kan import ShapeCategory, evaluate, evaluate_traced
 from tapecat.machine import (
     MachineSpec,
-    ShapeCategory,
     SweepOutcome,
     apply,
+    equivalence_sweep,
     explain,
     shape_category,
 )
@@ -108,7 +108,7 @@ class TestEvaluate:
                   ("spread", "identity_machine", "parity_machine", "ternary_machine")]
         shapes += [spread_shape.without_object(o.name) for o in spread_shape.objects]
         for shape in shapes:
-            compiled = tapecat.kan._compile(shape)
+            compiled = shape.compiled
             assert [{len(compiled.generators[k]) for k in by_window.values()}
                     for _, by_window in compiled.levels] == [{1}, {2}]
         assert 3 * tapecat.kan._CLOSE_AT <= 4095
@@ -124,9 +124,23 @@ class TestEvaluate:
         morphisms = tuple(dataclasses.replace(m, offset=offset)
                           if m.name == "(#|..#)>(##|..#.)@0" else m
                           for m in spread_shape.morphisms)
-        shape = ShapeCategory(spread_shape.alphabet, spread_shape.radius, objects, morphisms)
+        shape = ShapeCategory(spread_shape.alphabet, objects, morphisms)
         with pytest.raises(MalformedDiagram, match=re.escape("(#|..#)>(##|..#.)@0")):
             evaluate(shape, ts("#..#."))
+
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_a_morphism_naming_no_object_is_refused(self, spread_shape, end):
+        morphisms = tuple(dataclasses.replace(m, **{end: "(#|#.x)"})
+                          if m.name == "(#|..#)>(##|..#.)@0" else m
+                          for m in spread_shape.morphisms)
+        with pytest.raises(MalformedDiagram, match=re.escape("(#|..#)>(##|..#.)@0")):
+            ShapeCategory(spread_shape.alphabet, spread_shape.objects, morphisms)
+
+    def test_an_object_without_its_identity_has_no_presentation(self, spread_shape):
+        morphisms = tuple(m for m in spread_shape.morphisms if m.name != "(#|#.#)>(#|#.#)@0")
+        shape = ShapeCategory(spread_shape.alphabet, spread_shape.objects, morphisms)
+        with pytest.raises(MalformedDiagram, match=re.escape("(#|#.#) has no identity")):
+            shape.presentation
 
     def test_never_consults_the_rule(self, spread, spread_shape, monkeypatch):
         # the evaluator receives only the shape category; rule lookups are

@@ -1,7 +1,9 @@
-"""The package's public names, and the names the benchmark tracer wraps."""
+"""The package's public names, its module layering, and the names the
+benchmark tracer wraps."""
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import sys
@@ -11,10 +13,38 @@ from pathlib import Path
 import tapecat
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+#: Each module imports only from the modules before it.  kan evaluates
+#: from the shape category alone, so it must not reach the rule in machine.
+LAYERS = ("tape", "fincat", "colimit", "kan", "machine", "cli")
 
 
 def test_every_exported_name_resolves():
     assert [name for name in tapecat.__all__ if not hasattr(tapecat, name)] == []
+
+
+def _imported_modules(name: str) -> set[str]:
+    """The tapecat modules that module ``name`` imports, anywhere in it."""
+    source = Path(tapecat.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # from .kan import x, or from . import tape
+            names.update([f"tapecat.{node.module}"] if node.module
+                         else (f"tapecat.{alias.name}" for alias in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return {n.split(".")[1] if "." in n else n for n in names if n.split(".")[0] == "tapecat"}
+
+
+def test_modules_import_only_earlier_layers():
+    package = Path(tapecat.__file__).parent
+    assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == \
+        sorted(LAYERS)
+    breaches = {name: sorted(_imported_modules(name) - set(LAYERS[:k]))
+                for k, name in enumerate(LAYERS)}
+    assert {name: found for name, found in breaches.items() if found} == {}
 
 
 def _load_tracer() -> types.ModuleType:
