@@ -16,7 +16,7 @@ core for named diagrams.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
 from operator import eq, not_, sub
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -102,6 +102,10 @@ class CellGluing:
     resolves every cell's root once, checks labels, linearity and
     connectivity over those roots, and reads the quotient's classes off its
     successor chain as one path; ``result`` spells the colimit word along it.
+    It locates each fault with the maps that detect it: a label clash at the
+    first cell whose label is not its root's, a fold or branch at the first
+    pair of consecutive cells that contradicts each root's first successor
+    and predecessor.
 
     A diagram built in order can also be glued in bounded memory: ``close``
     takes the leading classes of that path that no later edge can reach
@@ -244,11 +248,28 @@ class CellGluing:
                 nodes=(i, j),
             )
 
-        left, right = _adjacency(roots, starts)
-        succ, pred = dict(zip(left, right)), dict(zip(right, left))
+        # the adjacency: the roots of each pair of consecutive cells of a node
+        inner = bytearray(b"\x01") * len(roots)
+        inner[-1] = 0
+        for s in starts:
+            if s:
+                inner[s - 1] = 0
+        left, right = list(compress(roots, inner)), list(compress(roots[1:], inner))
+        # each root's successor and predecessor in its first pair: on a linear
+        # quotient its only ones; otherwise the first pair, in node order,
+        # that they contradict is where the quotient folds or branches
+        succ = dict(zip(reversed(left), reversed(right)))
+        pred = dict(zip(reversed(right), reversed(left)))
         if (any(map(eq, left, right)) or list(map(succ.__getitem__, left)) != right
                 or list(map(pred.__getitem__, right)) != left):
-            self._raise_not_linear(roots, rep)
+            c, a, b = next((c, a, b) for c, a, b in zip(compress(count(), inner), left, right)
+                           if a == b or succ[a] != b or pred[b] != a)
+            i = node_of(c)
+            if a == b:
+                raise NotLinear(f"node {i} glues onto itself (cycle)", nodes=(i,))
+            if succ[a] != b:
+                raise NotLinear(f"quotient branches after a cell of node {i}", nodes=(rep(a), i))
+            raise NotLinear(f"quotient branches before a cell of node {i}", nodes=(rep(b), i))
 
         classes = set(roots)
         sources = classes.difference(pred)
@@ -272,34 +293,6 @@ class CellGluing:
             stray = min(map(first_cell, classes - set(path)))
             raise NotLinear("quotient contains a disconnected cycle", nodes=(node_of(stray),))
         return roots, labels, path
-
-    def _raise_not_linear(self, roots: list[int], rep) -> None:
-        """Raise NotLinear at the first consecutive cell pair, in node order,
-        that folds a node onto itself or branches the quotient."""
-        succ: dict[int, int] = {}
-        pred: dict[int, int] = {}
-        for i, v in enumerate(self.values):
-            for c in range(self.starts[i], self.starts[i] + len(v) - 1):
-                a, b = roots[c], roots[c + 1]
-                if a == b:
-                    raise NotLinear(f"node {i} glues onto itself (cycle)", nodes=(i,))
-                if succ.setdefault(a, b) != b:
-                    raise NotLinear(f"quotient branches after a cell of node {i}",
-                                    nodes=(rep(a), i))
-                if pred.setdefault(b, a) != a:
-                    raise NotLinear(f"quotient branches before a cell of node {i}",
-                                    nodes=(rep(b), i))
-
-
-def _adjacency(roots: list[int], starts: list[int]) -> tuple[list[int], list[int]]:
-    """The quotient's adjacency as parallel lists: the roots of each pair of
-    consecutive cells of a node."""
-    inner = bytearray(b"\x01") * len(roots)
-    inner[-1] = 0
-    for s in starts:
-        if s:
-            inner[s - 1] = 0
-    return list(compress(roots, inner)), list(compress(roots[1:], inner))
 
 
 def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],

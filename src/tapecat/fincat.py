@@ -194,10 +194,6 @@ def validate_category(cat: FinCatPresentation) -> ValidationReport:
     """
     report = ValidationReport("category")
     names = cat.morphisms()
-    objects = set(cat.objects)
-    for m, (d, c) in cat._morphisms.items():
-        if d not in objects or c not in objects:
-            report.add("dangling", f"morphism {m} has unknown endpoint")
     for obj in cat.objects:
         ident = cat.identities.get(obj)
         if ident is None:

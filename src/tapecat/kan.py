@@ -124,7 +124,10 @@ class ShapeCategory:
             from_empty = self._by_name[m1.src].generator.is_empty()
             for m2 in by_src.get(m1.dst, ()):
                 off = 0 if from_empty else m1.offset + m2.offset
-                cat.set_composite(m2.name, m1.name, by_key[(m1.src, m2.dst, off)])
+                composite = by_key.get((m1.src, m2.dst, off))
+                if composite is None:
+                    raise MalformedDiagram(f"morphisms {m1.name} then {m2.name} have no composite")
+                cat.set_composite(m2.name, m1.name, composite)
         return cat
 
     def generator_functor(self, dense: DenseSubcategory) -> FunctorData:

@@ -21,7 +21,7 @@ from . import tape
 from .colimit import GlueError
 from .fincat import ValidationReport, canonical_generators
 from .kan import ShapeCategory, ShapeMorphism, ShapeObject, evaluate_all
-from .tape import Alphabet, AlphabetMismatch, InvalidOccurrence, Occurrence, TapeString
+from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
 class MachineError(Exception):
@@ -125,15 +125,7 @@ def apply_morphism(spec: MachineSpec, f: Occurrence) -> Occurrence:
     out of the empty string.
     """
     ux = apply(spec, f.source)
-    uy = apply(spec, f.target)
-    if ux.is_empty():
-        return Occurrence(ux, uy, 0)
-    try:
-        return Occurrence(ux, uy, f.offset)
-    except InvalidOccurrence:
-        raise InvalidOccurrence(
-            f"updated image of ({f}) is not an occurrence; malformed input?"
-        ) from None
+    return Occurrence(ux, apply(spec, f.target), f.offset if ux.cells else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +259,10 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
 
     The rule is local, so each span's update is read off its host's update
     (``hosts``, default ``_hosts(spec, x)``, lets a state's parts share them;
-    the first host is x).  A nonempty part at host offset lo lies only in
+    the first host is x).  No host needs filtering: the windows of a host
+    left + x + right from offset len(left) on begin with those of x, so its
+    update holds x's at that offset, and p lies in every host's update at
+    host offset lo = p.offset + len(left).  A nonempty part lies only in
     spans [g, g + m) with g <= lo and lo + len(part) <= g + m - 2r, so only
     those are visited, in the (m, g) order of the empty part's full scan.
 
@@ -292,12 +287,10 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
     for z_cells, b_off, uz in hosts:
         z_len = len(z_cells)
         lo = p.offset + b_off
-        if not a_cells:
-            lengths = range(min(two_r + 2, z_len) + 1)
-        elif uz[lo : lo + la] == a_cells:  # each span's update holds this slice at a_off
+        if a_cells:
             lengths = range(la + two_r, min(la + two_r + 2, z_len) + 1)
         else:
-            continue
+            lengths = range(min(two_r + 2, z_len) + 1)
         for m in lengths:
             starts = (range(max(0, lo + la + two_r - m), min(lo, z_len - m) + 1) if a_cells
                       else range(z_len - m + 1 if m else 1))

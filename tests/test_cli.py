@@ -110,6 +110,14 @@ class TestRun:
                                       "--mutate", "drop-shape-object"])
         assert result.exit_code == 3
 
+    def test_wrong_value_exits_3(self, runner):
+        # dropping (.|...) leaves the window ... without its one cell, and
+        # the rest glues to the empty string
+        result = runner.invoke(main, ["run", SPREAD, "...", "--mutate", "drop-shape-object"])
+        assert result.exit_code == 3
+        assert result.stdout == "...\n"
+        assert result.stderr == "engine mismatch at ...: rule gives ., gluing gives (empty)\n"
+
     @pytest.mark.parametrize("mutate,engine", [
         ("drop-shape-object", "oracle"), ("shift-window", "oracle"),
         ("shift-window", "categorical"), ("shift-window", "both"),
@@ -139,6 +147,20 @@ class TestRun:
         bad.write_text("alphabet: . #\nradius: 1\nrule:\n  ### -> #\n")
         result = runner.invoke(main, ["run", str(bad), "#"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ("alphabet: . #\nradius: -1\nrule:\n  . -> .\n", "line 2: radius must be >= 0"),
+        ("alphabet: . #\nradius: 0\n", "missing 'rule:' table"),
+        ("alphabet: . #\nradius: 0\nrule:\n  . -> .\n  # -> #\n  x -> #\n",
+         "machine: 1 violation(s)\n  bad-symbol: window 'x' uses symbols outside the alphabet"),
+    ], ids=["negative-radius", "no-rule-table", "foreign-window"])
+    def test_config_error_is_named_and_exits_1(self, runner, tmp_path, config, message):
+        bad = tmp_path / "bad.machine"
+        bad.write_text(config)
+        result = runner.invoke(main, ["run", str(bad), "#"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("args", [["table", "--all"], ["run", "#"], ["check"]])
     def test_file_not_utf8_exits_1(self, tmp_path, args):

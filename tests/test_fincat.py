@@ -129,6 +129,55 @@ class TestValidateCategory:
         report = validate_category(cat)
         assert any(v.kind == "identity-missing" for v in report.violations)
 
+    def test_identity_that_is_no_endomorphism_is_reported(self):
+        cat = self.two_objects_and_f()
+        cat.identities["A"] = "f"
+        report = validate_category(cat)
+        assert [str(v) for v in report.violations] == [
+            "identity-endpoints: identity f of A is not an endomorphism"]
+
+    @staticmethod
+    def monoid(composites: dict[tuple[str, str], str]) -> FinCatPresentation:
+        """One object and the given morphisms; composites[(g, f)] is f then g."""
+        cat = FinCatPresentation()
+        cat.add_object("*")
+        for m in sorted({m for pair in composites for m in pair}):
+            cat.add_morphism(m, "*", "*")
+        cat.set_identity("*", "id")
+        for (g, f), h in composites.items():
+            cat.set_composite(g, f, h)
+        return cat
+
+    @pytest.mark.parametrize("pair, line", [
+        (("e", "id"), "unit: id;e != e"), (("id", "e"), "unit: e;id != e"),
+    ], ids=["id-then-e", "e-then-id"])
+    def test_broken_unit_law_is_reported(self, pair, line):
+        # id and an idempotent e, then one composite with id sent to id
+        cat = self.monoid({("id", "id"): "id", ("e", "id"): "e", ("id", "e"): "e",
+                           ("e", "e"): "e"})
+        assert validate_category(cat).ok
+        cat.table[pair] = "id"
+        report = validate_category(cat)
+        assert [str(v) for v in report.violations] == [line]
+
+    def test_broken_associativity_is_reported(self):
+        # the cyclic group of order 3, then a then b made a instead of id
+        power = {"id": 0, "a": 1, "b": 2}
+        names = sorted(power, key=power.__getitem__)
+        cat = self.monoid({(g, f): names[(power[f] + power[g]) % 3]
+                           for g in names for f in names})
+        assert validate_category(cat).ok
+        cat.table[("b", "a")] = "a"
+        report = validate_category(cat)
+        assert [str(v) for v in report.violations] == [
+            "associativity: (a;a);a != a;(a;a)",
+            "associativity: (a;a);b != a;(a;b)",
+            "associativity: (a;b);a != a;(b;a)",
+            "associativity: (a;b);b != a;(b;b)",
+            "associativity: (b;a);b != b;(a;b)",
+            "associativity: (b;b);b != b;(b;b)",
+        ]
+
 
 class TestValidateFunctor:
     def test_identity_functor_on_generators(self, dense):
@@ -228,6 +277,10 @@ class TestSerialization:
     def test_loads_rejects_duplicate_object(self):
         with pytest.raises(ValueError):
             FinCatPresentation.loads("object A\nobject A\n")
+
+    def test_loads_rejects_duplicate_morphism(self):
+        with pytest.raises(ValueError, match="^line 3: duplicate morphism 'f'$"):
+            FinCatPresentation.loads("object A\nmorphism f : A -> A\nmorphism f : A -> A\n")
 
     def test_format_shape(self):
         cat = one_object_category()

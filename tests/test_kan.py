@@ -142,6 +142,14 @@ class TestEvaluate:
         with pytest.raises(MalformedDiagram, match=re.escape("(#|#.#) has no identity")):
             shape.presentation
 
+    def test_a_missing_composite_leaves_no_presentation(self, spread_shape):
+        # the first pair, in morphism order, whose composite is the dropped one
+        morphisms = tuple(m for m in spread_shape.morphisms if m.name != "(|)>(##|..#.)@0")
+        shape = ShapeCategory(spread_shape.alphabet, spread_shape.objects, morphisms)
+        with pytest.raises(MalformedDiagram, match=re.escape(
+                "morphisms (|)>(#|.#.)@0 then (#|.#.)>(##|..#.)@1 have no composite")):
+            shape.presentation
+
     def test_never_consults_the_rule(self, spread, spread_shape, monkeypatch):
         # the evaluator receives only the shape category; rule lookups are
         # compiled away, so poisoning the rule path must not change anything

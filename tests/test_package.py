@@ -47,6 +47,24 @@ def test_modules_import_only_earlier_layers():
     assert {name: found for name, found in breaches.items() if found} == {}
 
 
+def test_no_unused_imports():
+    # a deleted last use must take its import with it
+    unused = {}
+    for path in sorted(Path(tapecat.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.stem] = sorted(imported - used)
+    assert unused == {}
+
+
 def _load_tracer() -> types.ModuleType:
     # executed from its source, so that no bytecode is written next to it
     module = types.ModuleType("perfbench_tracer")
