@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import tape
-from .fincat import DenseSubcategory
+from .fincat import DenseSubcategory, MalformedDiagram
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
@@ -51,10 +51,6 @@ class NotLinear(GlueError):
 
 class Disconnected(GlueError):
     """The quotient has two or more nonempty components."""
-
-
-class MalformedDiagram(ValueError):
-    """Structural breakage: unknown node ids, out-of-range edge offsets."""
 
 
 @dataclass(frozen=True)

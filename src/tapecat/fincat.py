@@ -9,7 +9,7 @@ infinite tape category, whose hom sets are never enumerated here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Mapping, Sequence, Union
 
 from . import tape
 from .tape import Alphabet, Occurrence, TapeString
@@ -17,6 +17,10 @@ from .tape import Alphabet, Occurrence, TapeString
 
 class FinCatError(Exception):
     pass
+
+
+class MalformedDiagram(ValueError):
+    """Structural breakage: unknown names, bad offsets, missing identities or composites."""
 
 
 @dataclass(frozen=True)
@@ -292,6 +296,54 @@ def validate_functor(functor: FunctorData) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
+# occurrence categories: named strings and substring occurrences among them
+
+
+def occurrence_name(src: str, dst: str, offset: int) -> str:
+    """The name of the occurrence of string src in string dst at offset."""
+    return f"{src}>{dst}@{offset}"
+
+
+def occurrence_category(strings: Mapping[str, TapeString],
+                        occurrences: Sequence[tuple[str, str, str, int]]) -> FinCatPresentation:
+    """The category of named strings and (name, src, dst, offset) occurrences,
+    listed in the given orders, composites by first then second occurrence.
+    Identities sit at offset 0, and composites add offsets (0 out of the
+    empty string); a missing identity or composite raises MalformedDiagram."""
+    cat = FinCatPresentation()
+    for obj in strings:
+        cat.add_object(obj)
+    by_key: dict[tuple[str, str, int], str] = {}
+    by_src: dict[str, list[tuple[str, str, int]]] = {}
+    for name, src, dst, offset in occurrences:
+        cat.add_morphism(name, src, dst)
+        by_key[(src, dst, offset)] = name
+        by_src.setdefault(src, []).append((name, dst, offset))
+    for obj in strings:
+        if (obj, obj, 0) not in by_key:
+            raise MalformedDiagram(f"object {obj} has no identity morphism")
+        cat.set_identity(obj, by_key[(obj, obj, 0)])
+    for first, src, mid, offset in occurrences:
+        from_empty = strings[src].is_empty()
+        for second, dst, next_offset in by_src.get(mid, ()):
+            composite = by_key.get((src, dst, 0 if from_empty else offset + next_offset))
+            if composite is None:
+                raise MalformedDiagram(f"morphisms {first} then {second} have no composite")
+            cat.set_composite(second, first, composite)
+    return cat
+
+
+def occurrence_inclusion(cat: FinCatPresentation, alphabet: Alphabet,
+                         strings: Mapping[str, TapeString],
+                         occurrences: Sequence[tuple[str, str, str, int]]) -> FunctorData:
+    """The functor from an occurrence category into the tape category that
+    sends each name to its string or its occurrence."""
+    mor_map = {name: Occurrence(strings[src], strings[dst], offset if strings[src].cells else 0)
+               for name, src, dst, offset in occurrences}
+    return FunctorData(cat, TapeCategory(alphabet), dict(strings), mor_map)
+
+
+# ---------------------------------------------------------------------------
 # the canonical dense subcategory
 
 
@@ -315,27 +367,9 @@ def canonical_dense_subcategory(alphabet: Alphabet) -> DenseSubcategory:
     """Generators dense in the tape category: any string is glued from its
     cells and consecutive pairs."""
     strings = canonical_generators(alphabet)
-    cat = FinCatPresentation()
-    obj_map: dict[str, TapeString] = {}
-    mor_map: dict[str, Occurrence] = {}
-    for s in strings:
-        cat.add_object(str(s))
-        obj_map[str(s)] = s
-    occs: dict[str, Occurrence] = {}
-    for a in strings:
-        for b in strings:
-            for o in tape.hom(a, b):
-                name = f"{a}>{b}@{o.offset}"
-                cat.add_morphism(name, str(a), str(b))
-                occs[name] = o
-                mor_map[name] = o
-    for s in strings:
-        cat.set_identity(str(s), f"{s}>{s}@0")
-    for n1, o1 in occs.items():
-        for n2, o2 in occs.items():
-            if o1.target != o2.source:
-                continue
-            comp = tape.compose(o1, o2)
-            cat.set_composite(n2, n1, f"{comp.source}>{comp.target}@{comp.offset}")
-    inclusion = FunctorData(cat, TapeCategory(alphabet), obj_map, mor_map)
-    return DenseSubcategory(alphabet, strings, cat, inclusion)
+    named = {str(s): s for s in strings}
+    occurrences = [(occurrence_name(str(a), str(b), o.offset), str(a), str(b), o.offset)
+                   for a in strings for b in strings for o in tape.hom(a, b)]
+    cat = occurrence_category(named, occurrences)
+    return DenseSubcategory(alphabet, strings, cat,
+                            occurrence_inclusion(cat, alphabet, named, occurrences))

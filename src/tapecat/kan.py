@@ -48,8 +48,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .colimit import CellGluing, GlueError, MalformedDiagram
-from .fincat import DenseSubcategory, FinCatPresentation, FunctorData, TapeCategory
+from .colimit import CellGluing, GlueError
+from .fincat import (DenseSubcategory, FinCatPresentation, FunctorData, MalformedDiagram,
+                     occurrence_category, occurrence_inclusion, occurrence_name)
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
@@ -105,50 +106,27 @@ class ShapeCategory:
         """The plain-data view that the evaluation pass reads."""
         return _CompiledShape(self)
 
+    def _occurrences(self) -> list[tuple[str, str, str, int]]:
+        return [(m.name, m.src, m.dst, m.offset) for m in self.morphisms]
+
     @cached_property
     def presentation(self) -> FinCatPresentation:
-        cat = FinCatPresentation()
-        for o in self.objects:
-            cat.add_object(o.name)
-        for m in self.morphisms:
-            cat.add_morphism(m.name, m.src, m.dst)
-        by_key = {(m.src, m.dst, m.offset): m.name for m in self.morphisms}
-        for o in self.objects:
-            if (o.name, o.name, 0) not in by_key:
-                raise MalformedDiagram(f"object {o.name} has no identity morphism")
-            cat.set_identity(o.name, by_key[(o.name, o.name, 0)])
-        by_src: dict[str, list[ShapeMorphism]] = {}
-        for m in self.morphisms:
-            by_src.setdefault(m.src, []).append(m)
-        for m1 in self.morphisms:
-            from_empty = self._by_name[m1.src].generator.is_empty()
-            for m2 in by_src.get(m1.dst, ()):
-                off = 0 if from_empty else m1.offset + m2.offset
-                composite = by_key.get((m1.src, m2.dst, off))
-                if composite is None:
-                    raise MalformedDiagram(f"morphisms {m1.name} then {m2.name} have no composite")
-                cat.set_composite(m2.name, m1.name, composite)
-        return cat
+        """The occurrence category of the generators (fincat.occurrence_category)."""
+        return occurrence_category({o.name: o.generator for o in self.objects}, self._occurrences())
 
     def generator_functor(self, dense: DenseSubcategory) -> FunctorData:
         """Projection onto generators, landing in the dense subcategory."""
         obj_map = {o.name: str(o.generator) for o in self.objects}
         mor_map = {}
         for m in self.morphisms:
-            src, dst = self._by_name[m.src], self._by_name[m.dst]
-            off = 0 if src.generator.is_empty() else m.offset
-            mor_map[m.name] = f"{src.generator}>{dst.generator}@{off}"
+            off = 0 if self._by_name[m.src].generator.is_empty() else m.offset
+            mor_map[m.name] = occurrence_name(obj_map[m.src], obj_map[m.dst], off)
         return FunctorData(self.presentation, dense.presentation, obj_map, mor_map)
 
     def window_functor(self) -> FunctorData:
         """Projection onto windows, landing in the tape category."""
-        obj_map = {o.name: o.window for o in self.objects}
-        mor_map = {}
-        for m in self.morphisms:
-            src, dst = self._by_name[m.src], self._by_name[m.dst]
-            off = 0 if src.window.is_empty() else m.offset
-            mor_map[m.name] = Occurrence(src.window, dst.window, off)
-        return FunctorData(self.presentation, TapeCategory(self.alphabet), obj_map, mor_map)
+        windows = {o.name: o.window for o in self.objects}
+        return occurrence_inclusion(self.presentation, self.alphabet, windows, self._occurrences())
 
 
 @dataclass

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import tape
 from .colimit import GlueError
-from .fincat import ValidationReport, canonical_generators
+from .fincat import ValidationReport, canonical_generators, occurrence_name
 from .kan import ShapeCategory, ShapeMorphism, ShapeObject, evaluate_all
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
@@ -228,21 +228,14 @@ class UniversalityReport:
         return f"candidate g=({g}) a=({a}) b=({b}) has 0 mediators"
 
 
-def _contexts(alphabet: Alphabet, budget: int) -> Iterator[tuple[str, str]]:
-    for total in range(budget + 1):
-        for left_len in range(total + 1):
-            for left in tape.windows(alphabet, left_len):
-                for right in tape.windows(alphabet, total - left_len):
-                    yield left, right
-
-
 def _hosts(spec: MachineSpec, x: TapeString) -> list[tuple[str, int, str]]:
     """The hosts of a state, the state itself first: for each context of at
     most two cells, the host's cells, the state's offset in them (the only
     state map a mediator may have) and the host's update.  The empty state
     takes no left context, so each of its hosts arises once."""
-    zs = [(left + x.cells + right, len(left)) for left, right in _contexts(spec.alphabet, 2)
-          if x.cells or not left]
+    zs = [(left + x.cells + right, n) for total in range(3)
+          for n in range(total + 1 if x.cells else 1) for left in tape.windows(spec.alphabet, n)
+          for right in tape.windows(spec.alphabet, total - n)]
     return [(z, b_off, _window_map(spec, z)) for z, b_off in zs]
 
 
@@ -344,10 +337,6 @@ def _shape_obj_name(a: TapeString, n: TapeString) -> str:
     return f"({a.cells}|{n.cells})"
 
 
-def _shape_mor_name(src: str, dst: str, offset: int) -> str:
-    return f"{src}>{dst}@{offset}"
-
-
 def shape_category(spec: MachineSpec) -> ShapeCategory:
     """Precompute the shape category of a machine over the canonical
     generators: one object per (generator, explaining window) pair, one
@@ -378,7 +367,7 @@ def shape_category(spec: MachineSpec) -> ShapeCategory:
     for src in objects:
         targets = [(dst, 0) for dst in objects] if src.generator.is_empty() else into[src.name]
         for dst, j in targets:
-            morphisms.append(ShapeMorphism(_shape_mor_name(src.name, dst.name, j),
+            morphisms.append(ShapeMorphism(occurrence_name(src.name, dst.name, j),
                                            src.name, dst.name, j))
     return ShapeCategory(spec.alphabet, tuple(objects), tuple(morphisms))
 
@@ -400,8 +389,9 @@ class SweepOutcome:
 
 
 def functoriality_sweep(spec: MachineSpec, max_len: int) -> SweepOutcome:
-    """Exhaustively check that updating preserves identities and composition
-    for all occurrences among strings up to max_len."""
+    """Check that updating preserves identities and composition for all
+    occurrences among strings up to max_len; with the library's apply_morphism
+    both hold by construction, so the sweep checks apply_morphism."""
     outcome = SweepOutcome()
     strings = tape.all_strings(spec.alphabet, max_len)
     morphisms: list[Occurrence] = []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -13,13 +16,14 @@ from click.testing import CliRunner
 
 import tapecat
 from tapecat.cli import main
-from tapecat.fincat import FinCatPresentation, validate_category
+from tapecat.fincat import FinCatPresentation, canonical_dense_subcategory, validate_category
 from tapecat.machine import MachineSpec, format_machine
 from tapecat.tape import Alphabet, windows
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 SPREAD = str(MACHINES / "spread.machine")
 IDENTITY = str(MACHINES / "identity.machine")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # Two traced steps of spread from "#...#.": the diagram evaluate glued at
@@ -230,6 +234,20 @@ class TestTable:
         assert validate_category(reloaded).ok
         assert reloaded.dumps() == result.output
 
+    def test_shape_compile_matches_the_benchmark_goldens(self, runner):
+        # the benchmark's shape-compile workload checks these two outputs of
+        # a 3-symbol radius-2 machine against its goldens, read only here
+        machine = str(PERFBENCH / "machines" / "max3_r2.machine")
+        golden = PERFBENCH / "golden"
+        dump = runner.invoke(main, ["table", machine, "--all"])
+        assert dump.exit_code == 0
+        assert {"sha256": hashlib.sha256(dump.stdout.encode()).hexdigest(),
+                "lines": dump.stdout.count("\n")} == \
+            json.loads((golden / "shape-compile-table.json").read_text())
+        check = runner.invoke(main, ["check", machine, "--suite", "category"])
+        assert check.exit_code == 0
+        assert check.stdout == (golden / "shape-compile-check.stdout").read_text()
+
     def test_requires_an_option(self, runner):
         result = runner.invoke(main, ["table", SPREAD])
         assert result.exit_code == 2
@@ -304,6 +322,19 @@ class TestCheck:
                                       "--max-len", "0"])
         assert result.exit_code == 0
         assert "inputs=1" in result.output
+
+    def test_density_failure_row_exits_2(self, runner, monkeypatch):
+        # without the 2-cell generators, two cells glue from nothing between them
+        def cells_only(alphabet):
+            dense = canonical_dense_subcategory(alphabet)
+            return dataclasses.replace(dense, strings=dense.strings[:3])
+
+        monkeypatch.setattr(tapecat.cli, "canonical_dense_subcategory", cells_only)
+        result = runner.invoke(main, ["check", SPREAD, "--suite", "density", "--max-len", "3"])
+        assert result.exit_code == 2
+        assert [line for line in result.stdout.splitlines() if line.startswith("FAIL")][0] == (
+            "FAIL density len=2: ..: glue failed: quotient splits into 2 components "
+            "[nodes: .@0, .@1]")
 
     def test_identity_machine_all(self, runner):
         result = runner.invoke(main, ["check", IDENTITY, "--max-len", "5",

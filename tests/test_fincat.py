@@ -15,7 +15,7 @@ from tapecat.fincat import (
     validate_category,
     validate_functor,
 )
-from tapecat.tape import DEFAULT_ALPHABET, all_strings
+from tapecat.tape import DEFAULT_ALPHABET, Alphabet, all_strings, compose, hom
 
 from .support import (
     IdentityFunctor,
@@ -177,6 +177,25 @@ class TestValidateCategory:
             "associativity: (b;a);b != b;(a;b)",
             "associativity: (b;b);b != b;(b;b)",
         ]
+
+
+class TestDensePresentation:
+    @pytest.mark.parametrize("symbols", [("#",), (".", "#"), ("a", "b", "c")])
+    def test_matches_all_pairs_of_occurrences(self, symbols):
+        dense = canonical_dense_subcategory(Alphabet(symbols))
+        # oracle: every occurrence among the generators, in generator order,
+        # and every composable pair of them composed by tape.compose
+        occs = {f"{a}>{b}@{o.offset}": o
+                for a in dense.strings for b in dense.strings for o in hom(a, b)}
+        name = {o: n for n, o in occs.items()}
+        assert dense.presentation.morphisms() == list(occs)
+        assert dense.presentation.table == {
+            (n2, n1): name[compose(o1, o2)]
+            for (n1, o1), (n2, o2) in itertools.product(occs.items(), repeat=2)
+            if o1.target == o2.source}
+        assert dense.presentation.identities == {str(s): f"{s}>{s}@0" for s in dense.strings}
+        assert dense.inclusion.obj_map == {str(s): s for s in dense.strings}
+        assert dense.inclusion.mor_map == occs
 
 
 class TestValidateFunctor:

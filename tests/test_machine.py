@@ -152,6 +152,23 @@ class TestApplyMorphism:
         assert ("U((... @ 1 in ....);(.... @ 0 in .....)) != "
                 "U(... @ 1 in ....);U(.... @ 0 in .....)") in outcome.failures
 
+    def test_functoriality_sweep_reports_a_displaced_identity(self, spread, monkeypatch):
+        # the identity case takes each identity's image before the composition
+        # cases do: displace only that first image of id_#.#, out of the empty
+        # string, so that the composition cases still compose
+        honest = apply_morphism
+        pending = [identity(ts("#.#"))]
+
+        def faulty(spec, f):
+            if f in pending:
+                pending.remove(f)
+                return occ("", "#", 0)
+            return honest(spec, f)
+
+        monkeypatch.setattr(tapecat.machine, "apply_morphism", faulty)
+        outcome = functoriality_sweep(spread, 3)
+        assert outcome.failures == ["U(id_#.#) != id_U(#.#)"]
+
 
 class TestCausalNeighbourhood:
     def test_worked_example(self, spread):
