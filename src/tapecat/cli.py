@@ -39,7 +39,8 @@ SUITES = ("category", "functor", "density", "adjunction", "equivalence", "all")
 ENGINES = ("oracle", "categorical", "both")
 MUTATIONS = ("none", "shift-window", "drop-shape-object")
 #: The suites of `check` and the engines of `run` on which each fault acts.
-FAULT_SUITES = {"shift-window": ("adjunction", "all"), "drop-shape-object": ("equivalence", "all")}
+FAULT_SUITES = {"shift-window": ("adjunction", "all"),
+                "drop-shape-object": ("adjunction", "equivalence", "all")}
 FAULT_ENGINES = {"shift-window": (), "drop-shape-object": ("categorical", "both")}
 
 
@@ -233,9 +234,10 @@ def _check_density(dense, max_len: int) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _check_adjunction(spec: MachineSpec, max_len: int,
+def _check_adjunction(spec: MachineSpec, shape: ShapeCategory, max_len: int,
                       mutate: str) -> list[tuple[str, bool, str]]:
-    sweep = adjunction_sweep(spec, max_len, mutate=(mutate == "shift-window"))
+    sweep = adjunction_sweep(spec, max_len, mutate=(mutate == "shift-window"),
+                             shape=_mutated_shape(shape, mutate))
     return [(f"adjunction max_state_len={max_len}", sweep.ok,
              f"cases={sweep.cases}{_first_failure(sweep)}")]
 
@@ -267,7 +269,7 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
         dense = canonical_dense_subcategory(spec.alphabet)
     started = time.perf_counter()
     results: list[tuple[str, bool, str]] = []
-    if suite in ("category", "functor", "equivalence", "all"):
+    if suite != "density":
         shape = shape_category(spec)
     if suite in ("category", "all"):
         results += _check_category(shape, dense)
@@ -276,7 +278,7 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
     if suite in ("density", "all"):
         results += _check_density(dense, max_len)
     if suite in ("adjunction", "all"):
-        results += _check_adjunction(spec, adj_len, mutate)
+        results += _check_adjunction(spec, shape, adj_len, mutate)
     if suite in ("equivalence", "all"):
         results += _check_equivalence(spec, shape, max_len, mutate)
     failed = False

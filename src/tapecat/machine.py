@@ -263,9 +263,10 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
     check cannot fail, whatever the rule.  A nonempty part's window is then
     the host's own cells z[lo : lo + len(part) + 2r], and every visited span
     holds them, at u_off = lo - g = a_off, so both squares commute; the
-    empty part's window is empty and lies in every span at offset 0.  The
-    honest sweep thus checks _neighbourhood's offsets, and only another
-    explanation, such as shifted_explanation's, can fail it.
+    empty part's window is empty and lies in every span at offset 0.  Only
+    another explanation, such as shifted_explanation's, can fail it.  The
+    honest adjunction_sweep therefore checks that closed form directly, and
+    that the shape category holds each explanation, instead of calling this.
     """
     if hosts is None:
         hosts = _hosts(spec, x)
@@ -419,25 +420,63 @@ def functoriality_sweep(spec: MachineSpec, max_len: int) -> SweepOutcome:
     return outcome
 
 
-def adjunction_sweep(spec: MachineSpec, max_state_len: int,
-                     mutate: bool = False) -> SweepOutcome:
-    """Run the universality check, at its fixed bounds, for every
-    canonical generator part of every updated state up to max_state_len.
-    A state's hosts are built once for all its parts, and a part's first
-    failure alone is formatted.  With mutate=True the explanations are
-    displaced first; the sweep must then fail."""
+def _shape_of(spec: MachineSpec, shape: ShapeCategory | None) -> ShapeCategory:
+    """The given shape category (default: the machine's own), which must
+    share the machine's alphabet."""
+    if shape is None:
+        return shape_category(spec)
+    if spec.alphabet != shape.alphabet:
+        raise AlphabetMismatch(f"the machine's alphabet ({spec.alphabet}) is not the shape "
+                               f"category's ({shape.alphabet})")
+    return shape
+
+
+def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False,
+                     shape: ShapeCategory | None = None) -> SweepOutcome:
+    """Check the explanation of every canonical generator part of every
+    updated state up to max_state_len: one case per part, one failure line
+    per failed part.
+
+    Each state is updated once.  The window that _neighbourhood reads must
+    have the closed form that universality_check's proof needs (x's cells
+    from the part's offset, len(part) + 2r long; empty for the empty part),
+    and the shape category that evaluate glues (default:
+    shape_category(spec)) must hold it as the object (part|window).  With
+    mutate=True the explanations are displaced and each goes through
+    universality_check instead, with a state's hosts shared by its parts
+    and a part's first failure alone formatted; the sweep must then fail."""
     generators = canonical_generators(spec.alphabet)
     outcome = SweepOutcome()
+    if mutate:
+        for x in tape.all_strings(spec.alphabet, max_state_len):
+            hosts = _hosts(spec, x)
+            ux = TapeString(spec.alphabet, hosts[0][2])
+            for a in generators:
+                for p in tape.hom(a, ux):
+                    expl = shifted_explanation(spec, p, x)
+                    report = universality_check(spec, p, x, explanation=expl, hosts=hosts)
+                    outcome.cases += 1
+                    if not report.ok:
+                        outcome.failures.append(report.failure(0))
+        return outcome
+    objects = {o.name: (o.generator.cells, o.window.cells)
+               for o in _shape_of(spec, shape).objects}
+    two_r = 2 * spec.radius
     for x in tape.all_strings(spec.alphabet, max_state_len):
-        hosts = _hosts(spec, x)
-        ux = TapeString(spec.alphabet, hosts[0][2])
+        ux = apply(spec, x)
         for a in generators:
+            span = a.length + two_r if a.cells else 0
             for p in tape.hom(a, ux):
-                expl = shifted_explanation(spec, p, x) if mutate else None
-                report = universality_check(spec, p, x, explanation=expl, hosts=hosts)
                 outcome.cases += 1
-                if not report.ok:
-                    outcome.failures.append(report.failure(0))
+                window = _neighbourhood(spec, p, x).window
+                n = window.source
+                if window.offset != p.offset or n.cells != x.cells[p.offset : p.offset + span]:
+                    outcome.failures.append(
+                        f"part ({p}) over {x}: window ({window}) is not cells "
+                        f"[{p.offset}, {p.offset + span}) of the state")
+                elif objects.get(_shape_obj_name(a, n)) != (a.cells, n.cells):
+                    outcome.failures.append(f"part ({p}) over {x}: the shape category has "
+                                            f"no object {_shape_obj_name(a, n)}")
     return outcome
 
 
@@ -448,23 +487,20 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     line per mismatch; a lawful machine must show none.  A negative
     max_len visits no string.  Mismatches are reported shortest string
     first, then in alphabet order."""
-    if shape is None:
-        shape = shape_category(spec)
+    shape = _shape_of(spec, shape)
     alphabet = spec.alphabet
-    if alphabet != shape.alphabet:
-        raise AlphabetMismatch(f"the machine's alphabet ({alphabet}) is not the shape "
-                               f"category's ({shape.alphabet})")
     cases = 0
     found: list[tuple[int, str]] = []
     for cells, got in evaluate_all(shape, max_len):
         cases += 1
-        x = TapeString(alphabet, cells)
-        want = apply(spec, x)
         if isinstance(got, GlueError):
-            found.append((len(cells), f"{x}: glue failed: {got}"))
-        elif got != want.cells:
-            found.append((len(cells), f"{x}: evaluated {TapeString(alphabet, got)}, "
-                                      f"rule gives {want}"))
+            found.append((len(cells), f"{TapeString(alphabet, cells)}: glue failed: {got}"))
+            continue
+        want = _window_map(spec, cells)
+        if got != want:
+            found.append((len(cells), f"{TapeString(alphabet, cells)}: evaluated "
+                                      f"{TapeString(alphabet, got)}, rule gives "
+                                      f"{TapeString(alphabet, want)}"))
     # evaluate_all lists each length in alphabet order already, so a stable
     # sort by length gives the order of tape.all_strings
     found.sort(key=lambda item: item[0])

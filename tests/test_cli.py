@@ -350,6 +350,26 @@ class TestCheck:
             "FAIL adjunction max_state_len=4: cases=87 first: candidate "
             "g=(... @ 0 in ....) a=(. @ 0 in .) b=(.... @ 0 in ....) has 0 mediators\n")
 
+    def test_dropped_shape_object_fails_adjunction(self, runner):
+        # (.|...) is the first one-cell object; the sweep finds it missing
+        result = runner.invoke(main, ["check", SPREAD, "--suite", "adjunction",
+                                      "--adj-len", "4", "--mutate", "drop-shape-object"])
+        assert result.exit_code == 2
+        assert result.stdout == (
+            "FAIL adjunction max_state_len=4: cases=87 first: part (. @ 0 in .) over ...: "
+            "the shape category has no object (.|...)\n")
+
+    def test_dropped_shape_object_fails_both_rows_of_all(self, runner):
+        result = runner.invoke(main, ["check", SPREAD, "--max-len", "6", "--functor-len", "4",
+                                      "--adj-len", "4", "--mutate", "drop-shape-object"])
+        assert result.exit_code == 2
+        assert [line for line in result.stdout.splitlines() if line.startswith("FAIL")] == [
+            "FAIL adjunction max_state_len=4: cases=87 first: part (. @ 0 in .) over ...: "
+            "the shape category has no object (.|...)",
+            "FAIL equivalence max_len=6: inputs=127 mismatches=17 max_len=6 first: ...: "
+            "evaluated (empty), rule gives .",
+        ]
+
     def test_mutated_equivalence_exits_2(self, runner):
         result = runner.invoke(main, ["check", SPREAD, "--suite", "equivalence",
                                       "--max-len", "6", "--mutate", "drop-shape-object"])
@@ -360,7 +380,7 @@ class TestCheck:
         ("shift-window", "category"), ("shift-window", "functor"),
         ("shift-window", "density"), ("shift-window", "equivalence"),
         ("drop-shape-object", "category"), ("drop-shape-object", "functor"),
-        ("drop-shape-object", "density"), ("drop-shape-object", "adjunction"),
+        ("drop-shape-object", "density"),
     ])
     def test_fault_that_cannot_act_is_refused(self, runner, mutate, suite):
         result = runner.invoke(main, ["check", SPREAD, "--suite", suite, "--mutate", mutate])

@@ -10,6 +10,7 @@ import pytest
 import tapecat.machine
 from tapecat.fincat import canonical_generators, validate_category, validate_functor
 from tapecat.machine import (
+    Explanation,
     MachineConfigError,
     MachineSpec,
     TargetMismatch,
@@ -29,6 +30,7 @@ from tapecat.machine import (
 from tapecat.tape import (
     DEFAULT_ALPHABET,
     Alphabet,
+    AlphabetMismatch,
     Occurrence,
     TapeString,
     all_strings,
@@ -328,7 +330,8 @@ class TestUniversality:
 
     def test_sweep_calls_the_module_level_check(self, spread, monkeypatch):
         # the benchmark's tracer counts checks and candidates by wrapping
-        # tapecat.machine.universality_check, so the sweep must call that name
+        # tapecat.machine.universality_check, so the displaced sweep must
+        # call that name; the honest sweep checks the closed form instead
         check = tapecat.machine.universality_check
         calls = candidates = 0
 
@@ -340,14 +343,16 @@ class TestUniversality:
             return report
 
         monkeypatch.setattr(tapecat.machine, "universality_check", counting)
-        outcome = adjunction_sweep(spread, 5)
+        assert adjunction_sweep(spread, 5).ok and calls == 0
+        outcome = adjunction_sweep(spread, 5, mutate=True)
         assert calls == outcome.cases
         assert candidates == 34577  # the spread count pinned above
 
-    @pytest.mark.parametrize("mutate, updates", [(False, 8677), (True, 13820)])
+    @pytest.mark.parametrize("mutate, updates", [(False, 511), (True, 13820)])
     def test_sweep_updates_each_host_once(self, spread, monkeypatch, mutate, updates):
-        # one update per host of each state, read off x by every part; a
-        # displaced explanation adds its own target check, one per part
+        # the honest sweep updates each of the 511 states once; the displaced
+        # one updates each host of each state once, read off x by every
+        # part, and adds the displaced explanation's target check per part
         window_map = tapecat.machine._window_map
         calls = 0
 
@@ -367,6 +372,56 @@ class TestUniversality:
     def test_mutated_sweep_fails(self, spread):
         outcome = adjunction_sweep(spread, 4, mutate=True)
         assert not outcome.ok
+
+    @pytest.mark.parametrize("machine, max_len, objects", [
+        ("spread", 4, 25), ("parity_machine", 6, 97), ("ternary_machine", 4, 109),
+    ], ids=["spread", "parity", "ternary"])
+    def test_sweep_fails_without_any_shape_object(self, machine, max_len, objects, request):
+        # every explanation must be an object of the shape category that
+        # evaluate glues, so deleting any one object fails the sweep
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        assert len(shape.objects) == objects
+        assert adjunction_sweep(spec, max_len, shape=shape).ok
+        for o in shape.objects:
+            outcome = adjunction_sweep(spec, max_len, shape=shape.without_object(o.name))
+            assert not outcome.ok, o.name
+            assert all(line.endswith(f"the shape category has no object {o.name}")
+                       for line in outcome.failures), o.name
+
+    def test_sweep_names_the_missing_object(self, spread, spread_shape):
+        outcome = adjunction_sweep(spread, 4, shape=spread_shape.without_object("(.|...)"))
+        assert (outcome.cases, outcome.failures) == (87, [
+            "part (. @ 0 in .) over ...: the shape category has no object (.|...)",
+            "part (. @ 0 in ..) over ....: the shape category has no object (.|...)",
+            "part (. @ 1 in ..) over ....: the shape category has no object (.|...)",
+            "part (. @ 0 in .#) over ...#: the shape category has no object (.|...)",
+            "part (. @ 1 in #.) over #...: the shape category has no object (.|...)",
+        ])
+
+    def test_sweep_names_a_displaced_window(self, spread, monkeypatch):
+        # the honest sweep reads explanations through _neighbourhood; one
+        # displaced as shifted_explanation does fails the closed form
+        # before any shape lookup
+        honest = tapecat.machine._neighbourhood
+
+        def displaced(spec, p, x):
+            n = p.source.length + 2 * spec.radius
+            off = p.offset + 1 if p.offset + 1 + n <= x.length else p.offset - 1
+            if p.source.is_empty() or off < 0:
+                return honest(spec, p, x)
+            return Explanation(p, Occurrence(x.segment(off, off + n), x, off))
+
+        monkeypatch.setattr(tapecat.machine, "_neighbourhood", displaced)
+        outcome = adjunction_sweep(spread, 4)
+        assert outcome.cases == 87
+        assert outcome.failures[0] == (
+            "part (. @ 0 in ..) over ....: window (... @ 1 in ....) is not cells [0, 3) "
+            "of the state")
+
+    def test_sweep_refuses_a_shape_over_another_alphabet(self, spread, ternary_machine):
+        with pytest.raises(AlphabetMismatch):
+            adjunction_sweep(spread, 2, shape=shape_category(ternary_machine))
 
 
 class TestShapeTable:
