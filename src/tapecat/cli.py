@@ -40,7 +40,7 @@ ENGINES = ("oracle", "categorical", "both")
 MUTATIONS = ("none", "shift-window", "drop-shape-object")
 #: The suites of `check` and the engines of `run` on which each fault acts.
 FAULT_SUITES = {"shift-window": ("adjunction", "all"),
-                "drop-shape-object": ("adjunction", "equivalence", "all")}
+                "drop-shape-object": ("functor", "adjunction", "equivalence", "all")}
 FAULT_ENGINES = {"shift-window": (), "drop-shape-object": ("categorical", "both")}
 
 
@@ -184,9 +184,9 @@ def explain_cmd(machine_file: Path, input_string: str, cell_range: str) -> None:
     click.echo(str(expl))
 
 
-def _first_failure(sweep: SweepOutcome) -> str:
-    """The detail suffix that names a failed sweep's first failure."""
-    return "" if sweep.ok else f" first: {sweep.failures[0]}"
+def _sweep_row(name: str, sweep: SweepOutcome, detail: str) -> tuple[str, bool, str]:
+    """A sweep's row: its detail, then its first failure if it failed."""
+    return name, sweep.ok, detail + ("" if sweep.ok else f" first: {sweep.failures[0]}")
 
 
 def _check_category(shape: ShapeCategory, dense) -> list[tuple[str, bool, str]]:
@@ -204,7 +204,7 @@ def _check_category(shape: ShapeCategory, dense) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _check_functor(spec: MachineSpec, shape: ShapeCategory, dense,
+def _check_functor(spec: MachineSpec, shape: ShapeCategory, faulty: ShapeCategory, dense,
                    max_len: int) -> list[tuple[str, bool, str]]:
     results = []
     inc = validate_functor(dense.inclusion)
@@ -213,9 +213,8 @@ def _check_functor(spec: MachineSpec, shape: ShapeCategory, dense,
     win = validate_functor(shape.window_functor())
     results.append(("functor shape-projections", gen.ok and win.ok,
                     f"violations={len(gen.violations) + len(win.violations)}"))
-    sweep = functoriality_sweep(spec, max_len)
-    results.append((f"functor update max_len={max_len}", sweep.ok,
-                    f"cases={sweep.cases}{_first_failure(sweep)}"))
+    sweep = functoriality_sweep(spec, max_len, faulty)
+    results.append(_sweep_row(f"functor update max_len={max_len}", sweep, f"cases={sweep.cases}"))
     return results
 
 
@@ -232,21 +231,6 @@ def _check_density(dense, max_len: int) -> list[tuple[str, bool, str]]:
         detail = f"inputs={count}" if first_failure is None else first_failure
         results.append((f"density len={n}", first_failure is None, detail))
     return results
-
-
-def _check_adjunction(spec: MachineSpec, shape: ShapeCategory, max_len: int,
-                      mutate: str) -> list[tuple[str, bool, str]]:
-    sweep = adjunction_sweep(spec, max_len, mutate=(mutate == "shift-window"),
-                             shape=_mutated_shape(shape, mutate))
-    return [(f"adjunction max_state_len={max_len}", sweep.ok,
-             f"cases={sweep.cases}{_first_failure(sweep)}")]
-
-
-def _check_equivalence(spec: MachineSpec, shape: ShapeCategory, max_len: int,
-                       mutate: str) -> list[tuple[str, bool, str]]:
-    sweep = equivalence_sweep(spec, max_len, _mutated_shape(shape, mutate))
-    detail = f"inputs={sweep.cases} mismatches={len(sweep.failures)} max_len={max_len}"
-    return [(f"equivalence max_len={max_len}", sweep.ok, detail + _first_failure(sweep))]
 
 
 @main.command()
@@ -271,16 +255,21 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
     results: list[tuple[str, bool, str]] = []
     if suite != "density":
         shape = shape_category(spec)
+        faulty = _mutated_shape(shape, mutate)  # for the rows that evaluate or explain
     if suite in ("category", "all"):
         results += _check_category(shape, dense)
     if suite in ("functor", "all"):
-        results += _check_functor(spec, shape, dense, functor_len)
+        results += _check_functor(spec, shape, faulty, dense, functor_len)
     if suite in ("density", "all"):
         results += _check_density(dense, max_len)
     if suite in ("adjunction", "all"):
-        results += _check_adjunction(spec, shape, adj_len, mutate)
+        sweep = adjunction_sweep(spec, adj_len, mutate=(mutate == "shift-window"), shape=faulty)
+        results.append(_sweep_row(f"adjunction max_state_len={adj_len}", sweep,
+                                  f"cases={sweep.cases}"))
     if suite in ("equivalence", "all"):
-        results += _check_equivalence(spec, shape, max_len, mutate)
+        sweep = equivalence_sweep(spec, max_len, faulty)
+        results.append(_sweep_row(f"equivalence max_len={max_len}", sweep, f"inputs={sweep.cases} "
+                                  f"mismatches={len(sweep.failures)} max_len={max_len}"))
     failed = False
     for name, ok, detail in results:
         click.echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -7,7 +7,7 @@ computed from the precomputed shape category alone.  The evaluator is
 firewalled from the rule table, and the imports hold the firewall: this
 module imports only colimit, fincat and tape, so all rule knowledge
 reaches it compiled into the shape category's objects, which is what
-keeps machine's equivalence sweep against the direct oracle honest.
+keeps machine's equivalence and functor sweeps against the rule honest.
 
 Evaluation is one left-to-right pass over the input.  A nonempty window
 names its object, so at each right end one dictionary lookup per window

@@ -19,9 +19,10 @@ from typing import Mapping
 
 from . import tape
 from .colimit import GlueError
-from .fincat import ValidationReport, canonical_generators, occurrence_name
-from .kan import ShapeCategory, ShapeMorphism, ShapeObject, evaluate_all
-from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
+from .fincat import (FunctorData, TapeCategory, ValidationReport, canonical_generators,
+                     occurrence_category, occurrence_name, validate_functor)
+from .kan import ShapeCategory, ShapeMorphism, ShapeObject, evaluate_all, evaluate_traced
+from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeError, TapeString
 
 
 class MachineError(Exception):
@@ -264,9 +265,7 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
     the host's own cells z[lo : lo + len(part) + 2r], and every visited span
     holds them, at u_off = lo - g = a_off, so both squares commute; the
     empty part's window is empty and lies in every span at offset 0.  Only
-    another explanation, such as shifted_explanation's, can fail it.  The
-    honest adjunction_sweep therefore checks that closed form directly, and
-    that the shape category holds each explanation, instead of calling this.
+    another explanation, such as shifted_explanation's, can fail it.
     """
     if hosts is None:
         hosts = _hosts(spec, x)
@@ -389,34 +388,52 @@ class SweepOutcome:
         return not self.failures
 
 
-def functoriality_sweep(spec: MachineSpec, max_len: int) -> SweepOutcome:
-    """Check that updating preserves identities and composition for all
-    occurrences among strings up to max_len; with the library's apply_morphism
-    both hold by construction, so the sweep checks apply_morphism."""
-    outcome = SweepOutcome()
-    strings = tape.all_strings(spec.alphabet, max_len)
-    morphisms: list[Occurrence] = []
-    for a in strings:
-        ua = apply(spec, a)
-        uid = apply_morphism(spec, tape.identity(a))
-        outcome.cases += 1
-        if uid != tape.identity(ua):
-            outcome.failures.append(f"U(id_{a}) != id_U({a})")
-        for b in strings:
-            if a.length <= b.length:
-                morphisms.extend(tape.hom(a, b))
-    by_dom: dict[str, list[Occurrence]] = {}
-    for m in morphisms:
-        by_dom.setdefault(m.source.cells, []).append(m)
-    # every composite is among the morphisms, so each image is taken once
-    image = {m: apply_morphism(spec, m) for m in morphisms}
-    for f in morphisms:
-        for g in by_dom.get(f.target.cells, ()):
-            outcome.cases += 1
-            lhs = image[tape.compose(f, g)]
-            rhs = tape.compose(image[f], image[g])
-            if lhs != rhs:
-                outcome.failures.append(f"U(({f});({g})) != U({f});U({g})")
+def functoriality_sweep(spec: MachineSpec, max_len: int,
+                        shape: ShapeCategory | None = None) -> SweepOutcome:
+    """Check that gluing over the shape category (default: the machine's
+    own) is a functor U on the occurrences among strings up to max_len, and
+    is the update: one case per string and per composable pair.  U(b) is b's
+    glued value; f: a -> b at offset k places a's windows k cells further in
+    b, so U(f) sits at leg_b(o, q + k) - leg_a(o, q), read at a's first node
+    (o, q) with a nonempty generator (at 0 when U(a) is empty).  U(f) must be
+    apply_morphism(f), and validate_functor's composition law reads legs at
+    two nodes of the middle string, so a cocone that is not natural fails
+    it.  A string that does not glue, or a U(f) that is no occurrence, fails
+    and leaves U undefined."""
+    shape = _shape_of(spec, shape)
+    strings = {str(b): b for b in tape.all_strings(spec.alphabet, max_len)}
+    occurrences = [(occurrence_name(a, b, f.offset), a, b, f.offset)
+                   for a, sa in strings.items() for b, sb in strings.items()
+                   if sa.length <= sb.length for f in tape.hom(sa, sb)]
+    cat = occurrence_category(strings, occurrences)
+    outcome = SweepOutcome(len(cat.objects) + len(cat.table))
+    values, legs = {}, {}
+    for name, b in strings.items():
+        try:
+            values[name], trace = evaluate_traced(shape, b)
+        except GlueError as exc:
+            outcome.failures.append(f"{b}: glue failed: {exc}")
+            continue
+        legs[name] = {node: leg for node, leg in zip(trace.nodes, trace.legs)
+                      if shape.objects[node[0]].generator.cells}
+    if outcome.failures:
+        return outcome
+    images = {}
+    for name, a, b, k in occurrences:
+        f = Occurrence(strings[a], strings[b], k)
+        node = next(iter(legs[a]), None)  # a's first node with a nonempty generator
+        off = legs[b][node[0], node[1] + k] - legs[a][node] if node else 0
+        try:
+            images[name] = Occurrence(values[a], values[b], off)
+        except TapeError as exc:
+            outcome.failures.append(f"({f}): legs induce no occurrence: {exc}")
+            continue
+        want = apply_morphism(spec, f)
+        if images[name] != want:
+            outcome.failures.append(f"({f}): glued ({images[name]}), rule gives ({want})")
+    if len(images) == len(occurrences):
+        report = validate_functor(FunctorData(cat, TapeCategory(spec.alphabet), values, images))
+        outcome.failures += [str(v) for v in report.violations]
     return outcome
 
 
@@ -437,13 +454,11 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
     updated state up to max_state_len: one case per part, one failure line
     per failed part.
 
-    Each state is updated once.  The window that _neighbourhood reads must
-    have the closed form that universality_check's proof needs (x's cells
-    from the part's offset, len(part) + 2r long; empty for the empty part),
-    and the shape category that evaluate glues (default:
-    shape_category(spec)) must hold it as the object (part|window).  With
-    mutate=True the explanations are displaced and each goes through
-    universality_check instead, with a state's hosts shared by its parts
+    Each state is updated once, and the window that _neighbourhood reads off
+    it must be an object (part|window) of the shape category that evaluate
+    glues (default: shape_category(spec)), whose windows shape_table joins
+    from rule entries.  With mutate=True each displaced explanation goes
+    through universality_check instead, a state's hosts shared by its parts
     and a part's first failure alone formatted; the sweep must then fail."""
     generators = canonical_generators(spec.alphabet)
     outcome = SweepOutcome()
@@ -461,20 +476,13 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
         return outcome
     objects = {o.name: (o.generator.cells, o.window.cells)
                for o in _shape_of(spec, shape).objects}
-    two_r = 2 * spec.radius
     for x in tape.all_strings(spec.alphabet, max_state_len):
         ux = apply(spec, x)
         for a in generators:
-            span = a.length + two_r if a.cells else 0
             for p in tape.hom(a, ux):
                 outcome.cases += 1
-                window = _neighbourhood(spec, p, x).window
-                n = window.source
-                if window.offset != p.offset or n.cells != x.cells[p.offset : p.offset + span]:
-                    outcome.failures.append(
-                        f"part ({p}) over {x}: window ({window}) is not cells "
-                        f"[{p.offset}, {p.offset + span}) of the state")
-                elif objects.get(_shape_obj_name(a, n)) != (a.cells, n.cells):
+                n = _neighbourhood(spec, p, x).window.source
+                if objects.get(_shape_obj_name(a, n)) != (a.cells, n.cells):
                     outcome.failures.append(f"part ({p}) over {x}: the shape category has "
                                             f"no object {_shape_obj_name(a, n)}")
     return outcome

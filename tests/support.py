@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import tapecat.machine
 from tapecat import tape
-from tapecat.fincat import FinCatPresentation, FunctorData, TapeCategory
-from tapecat.machine import Explanation, MachineSpec, apply, apply_morphism, causal_neighbourhood
+from tapecat.fincat import FinCatPresentation, FunctorData, TapeCategory, canonical_generators
+from tapecat.machine import (Explanation, MachineSpec, SweepOutcome, apply, apply_morphism,
+                             causal_neighbourhood)
 from tapecat.tape import DEFAULT_ALPHABET, InvalidOccurrence, Occurrence, TapeString, windows
 
 
@@ -126,6 +128,54 @@ def check_explanation(spec: MachineSpec, expl: Explanation) -> list[str]:
         if recovered != expl.part:
             problems.append("updated window composed with unit differs from the part")
     return problems
+
+
+def closed_form_windows(spec: MachineSpec, max_state_len: int) -> SweepOutcome:
+    """Reference for the explanations that the adjunction sweep looks up:
+    for every canonical generator part of every updated state up to
+    max_state_len, the window that tapecat.machine._neighbourhood reads must
+    have the closed form universality_check's proof needs, x's cells from
+    the part's offset, len(part) + 2r long (empty for the empty part)."""
+    outcome = SweepOutcome()
+    two_r = 2 * spec.radius
+    for x in tape.all_strings(spec.alphabet, max_state_len):
+        ux = apply(spec, x)
+        for a in canonical_generators(spec.alphabet):
+            span = a.length + two_r if a.cells else 0
+            for p in tape.hom(a, ux):
+                outcome.cases += 1
+                window = tapecat.machine._neighbourhood(spec, p, x).window
+                if window.offset != p.offset or \
+                        window.source.cells != x.cells[p.offset : p.offset + span]:
+                    outcome.failures.append(
+                        f"part ({p}) over {x}: window ({window}) is not cells "
+                        f"[{p.offset}, {p.offset + span}) of the state")
+    return outcome
+
+
+def update_functoriality(spec: MachineSpec, max_len: int) -> SweepOutcome:
+    """Reference for tapecat.machine.apply_morphism: updating must preserve
+    identities and composition for all occurrences among strings up to
+    max_len, one case per string and per composable pair."""
+    outcome = SweepOutcome()
+    strings = tape.all_strings(spec.alphabet, max_len)
+    morphisms: list[Occurrence] = []
+    for a in strings:
+        outcome.cases += 1
+        if tapecat.machine.apply_morphism(spec, tape.identity(a)) != tape.identity(apply(spec, a)):
+            outcome.failures.append(f"U(id_{a}) != id_U({a})")
+        morphisms += [f for b in strings if a.length <= b.length for f in tape.hom(a, b)]
+    by_dom: dict[str, list[Occurrence]] = {}
+    for m in morphisms:
+        by_dom.setdefault(m.source.cells, []).append(m)
+    # every composite is among the morphisms, so each image is taken once
+    image = {m: tapecat.machine.apply_morphism(spec, m) for m in morphisms}
+    for f in morphisms:
+        for g in by_dom.get(f.target.cells, ()):
+            outcome.cases += 1
+            if image[tape.compose(f, g)] != tape.compose(image[f], image[g]):
+                outcome.failures.append(f"U(({f});({g})) != U({f});U({g})")
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,9 @@ def test_c06_density_to_10(dense):
 def test_c07_functoriality_to_6(spread):
     outcome = functoriality_sweep(spread, 6)
     assert outcome.ok, outcome.failures[:3]
-    _report(7, f"update preserves identities and composition: {outcome.cases} cases")
+    assert outcome.cases == 13306
+    _report(7, f"gluing is a functor on occurrences and acts as the update does: "
+               f"{outcome.cases} cases")
 
 
 def test_c08_adjunction_universality_to_8(spread):

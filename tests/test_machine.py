@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import tapecat.colimit
 import tapecat.machine
 from tapecat.fincat import canonical_generators, validate_category, validate_functor
 from tapecat.machine import (
@@ -18,6 +19,7 @@ from tapecat.machine import (
     apply,
     apply_morphism,
     causal_neighbourhood,
+    equivalence_sweep,
     format_machine,
     functoriality_sweep,
     parse_machine,
@@ -40,7 +42,8 @@ from tapecat.tape import (
 )
 
 from .conftest import spread_rule
-from .support import all_spans_universality, check_explanation, occ, ts
+from .support import (all_spans_universality, check_explanation, closed_form_windows, occ, ts,
+                      update_functoriality)
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
 
@@ -139,9 +142,17 @@ class TestApplyMorphism:
         assert functoriality_sweep(parity_machine, 6).ok
         assert functoriality_sweep(ternary_machine, 4).ok
 
+    @pytest.mark.parametrize("machine, max_len, cases", [
+        ("spread", 5, 3770), ("parity_machine", 6, 13306), ("ternary_machine", 4, 4532),
+    ], ids=["spread", "parity", "ternary"])
+    def test_apply_morphism_is_a_functor(self, machine, max_len, cases, request):
+        outcome = update_functoriality(request.getfixturevalue(machine), max_len)
+        assert (outcome.cases, outcome.failures) == (cases, [])
+
     def test_functoriality_sweep_reports_a_displaced_image(self, spread, monkeypatch):
         # seed a fault in the morphism action: one non-identity occurrence
-        # maps to a wrong but valid offset, so only composition can expose it
+        # maps to a wrong but valid offset, so only composition can expose it;
+        # the reference checks apply_morphism against the functor laws
         honest = apply_morphism
         victim = occ("...", "....", 1)
 
@@ -150,7 +161,7 @@ class TestApplyMorphism:
             return occ(image.source.cells, image.target.cells, 0) if f == victim else image
 
         monkeypatch.setattr(tapecat.machine, "apply_morphism", faulty)
-        outcome = functoriality_sweep(spread, 5)
+        outcome = update_functoriality(spread, 5)
         assert ("U((... @ 1 in ....);(.... @ 0 in .....)) != "
                 "U(... @ 1 in ....);U(.... @ 0 in .....)") in outcome.failures
 
@@ -168,8 +179,64 @@ class TestApplyMorphism:
             return honest(spec, f)
 
         monkeypatch.setattr(tapecat.machine, "apply_morphism", faulty)
-        outcome = functoriality_sweep(spread, 3)
+        outcome = update_functoriality(spread, 3)
         assert outcome.failures == ["U(id_#.#) != id_U(#.#)"]
+
+
+class TestFunctorialitySweep:
+    """The functor row: gluing's action on occurrences, read off the legs."""
+
+    def test_displaced_legs_fail_the_sweep(self, spread, monkeypatch):
+        # whenever the value is ###, the leg of held node 1 (the window on
+        # input cells [0, 3)) moves one cell right: every value is kept, so
+        # only the induced maps, and their composites, see the fault
+        honest = tapecat.colimit.CellGluing.result
+
+        def displaced(self):
+            cells, legs = honest(self)
+            return cells, [leg + (cells == "###" and k == 1) for k, leg in enumerate(legs)]
+
+        monkeypatch.setattr(tapecat.colimit.CellGluing, "result", displaced)
+        assert equivalence_sweep(spread, 5).ok
+        outcome = functoriality_sweep(spread, 5)
+        assert (outcome.cases, len(outcome.failures)) == (3770, 61)
+        assert outcome.failures[0] == \
+            "(..# @ 0 in ..#..): glued (# @ 1 in ###), rule gives (# @ 0 in ###)"
+        assert "composition: image of ..#>..#.@0;..#.>..#..@0 is not the composite of " \
+            "images" in outcome.failures
+
+    def test_an_induced_map_that_is_no_occurrence_is_a_line(self, spread, monkeypatch):
+        # every leg one cell further left, stopping at 0: the legs of #...
+        # induce . at offset 0 in #., where it does not occur, so the
+        # functor is undefined and its laws go unchecked
+        honest = tapecat.colimit.CellGluing.result
+
+        def displaced(self):
+            cells, legs = honest(self)
+            return cells, [max(leg - 1, 0) for leg in legs]
+
+        monkeypatch.setattr(tapecat.colimit.CellGluing, "result", displaced)
+        outcome = functoriality_sweep(spread, 4)
+        assert len(outcome.failures) == 16
+        assert outcome.failures[1:3] == [
+            "(... @ 1 in #...): legs induce no occurrence: . does not occur at offset 0 in #.",
+            "(..# @ 1 in ...#): legs induce no occurrence: # does not occur at offset 0 in .#",
+        ]
+        assert not any(line.startswith(("identity", "composition")) for line in outcome.failures)
+
+    def test_only_the_empty_object_can_be_dropped(self, spread, spread_shape):
+        # every one-object deletion but (|) fails the row at length 4; the
+        # empty generator adds no cell to any glued value, so without it
+        # the equivalence sweep passes too
+        passed = [o.name for o in spread_shape.objects
+                  if functoriality_sweep(spread, 4, spread_shape.without_object(o.name)).ok]
+        assert passed == ["(|)"]
+        assert equivalence_sweep(spread, 4, spread_shape.without_object("(|)")).ok
+
+    def test_a_string_that_does_not_glue_is_one_line(self, spread, spread_shape):
+        outcome = functoriality_sweep(spread, 4, spread_shape.without_object("(..|....)"))
+        assert (outcome.cases, outcome.failures) == \
+            (986, ["....: glue failed: quotient splits into 2 components"])
 
 
 class TestCausalNeighbourhood:
@@ -399,10 +466,18 @@ class TestUniversality:
             "part (. @ 1 in #.) over #...: the shape category has no object (.|...)",
         ])
 
+    @pytest.mark.parametrize("machine, max_len, cases", [
+        ("spread", 8, 5143), ("identity_machine", 6, 1285), ("parity_machine", 8, 3167),
+        ("ternary_machine", 4, 391),
+    ], ids=["spread", "identity", "parity", "ternary"])
+    def test_neighbourhood_has_the_closed_form(self, machine, max_len, cases, request):
+        outcome = closed_form_windows(request.getfixturevalue(machine), max_len)
+        assert (outcome.cases, outcome.failures) == (cases, [])
+
     def test_sweep_names_a_displaced_window(self, spread, monkeypatch):
-        # the honest sweep reads explanations through _neighbourhood; one
-        # displaced as shifted_explanation does fails the closed form
-        # before any shape lookup
+        # the sweep and the reference read explanations through
+        # _neighbourhood; one displaced as shifted_explanation does fails
+        # the reference's closed form
         honest = tapecat.machine._neighbourhood
 
         def displaced(spec, p, x):
@@ -413,15 +488,17 @@ class TestUniversality:
             return Explanation(p, Occurrence(x.segment(off, off + n), x, off))
 
         monkeypatch.setattr(tapecat.machine, "_neighbourhood", displaced)
-        outcome = adjunction_sweep(spread, 4)
+        outcome = closed_form_windows(spread, 4)
         assert outcome.cases == 87
         assert outcome.failures[0] == (
             "part (. @ 0 in ..) over ....: window (... @ 1 in ....) is not cells [0, 3) "
             "of the state")
 
-    def test_sweep_refuses_a_shape_over_another_alphabet(self, spread, ternary_machine):
+    @pytest.mark.parametrize("sweep", [adjunction_sweep, functoriality_sweep],
+                             ids=["adjunction", "functor"])
+    def test_sweep_refuses_a_shape_over_another_alphabet(self, spread, ternary_machine, sweep):
         with pytest.raises(AlphabetMismatch):
-            adjunction_sweep(spread, 2, shape=shape_category(ternary_machine))
+            sweep(spread, 2, shape=shape_category(ternary_machine))
 
 
 class TestShapeTable:
