@@ -20,17 +20,30 @@ category's order; nothing is glued a second time.
 
 Since a join's source window ends at most one cell before its target's, a
 class whose cells all lie in nodes ending two or more cells back can never
-be identified again (Hedlund 1969: sliding-block locality).  evaluate
-therefore places the right ends in stretches of _CLOSE_AT and closes such
-classes between stretches (CellGluing.close): it emits their labels and
-drops their cells, so it holds only the frontier and the emitted word.
+be identified again (Hedlund 1969: sliding-block locality).
+CellGluing.close closes such classes: it emits their labels and drops
+their cells, so the pass holds only the frontier and the emitted word.
 Only a held state that glues is closed, along the path that
 CellGluing.result reads off it, so every closing happens on a glued
-prefix of the input.  The first close that meets a state that does not
-glue raises and ends closing.  If a pass that closed something does not
-glue, evaluation goes to a second pass over the same input that closes
-nothing, whose value or error (class, message, nodes and cells) is the
-answer, so every error report is that of the whole diagram.  A traced
+prefix of the input; a close that meets a state that does not glue raises.
+
+A sliding-block code is a finite-state transducer (Hedlund 1969), and
+evaluate runs the pass as one.  It closes at every right end and interns
+the held state under an exact key: the gluing's signature (held cells,
+their classes numbered in order of first cell, the class after the closed
+word), the held nodes' objects and right ends relative to the pass's, the
+nodes the next right end joins, and the input cells its windows still
+read.  The compiled shape memoises per state and next cell the emitted
+cells and the next state, and per state the word held when the input
+ends.  A miss copies the state's representative pass and glues one right
+end on it, so the memo is filled only by gluing and evaluate never reads
+the rule table.  Two fallbacks keep every answer that of the whole
+diagram.  An input on which a step or the final read does not glue is
+glued again by a pass that closes nothing, whose value or error (class,
+message, nodes and cells) is the answer.  An input that would intern more
+than _MEMO_CAP states goes to the stretch-closing pass, which closes after
+every _CLOSE_AT right ends until a close raises, and which also glues
+again without closing when what it closed does not glue.  A traced
 evaluation and evaluate_all close nothing.
 
 The pass is resumable: its state after the right ends of x is all that
@@ -103,7 +116,8 @@ class ShapeCategory:
 
     @cached_property
     def compiled(self) -> _CompiledShape:
-        """The plain-data view that the evaluation pass reads."""
+        """The plain-data view that the evaluation pass reads, holding
+        evaluate's step memo for this category."""
         return _CompiledShape(self)
 
     def _occurrences(self) -> list[tuple[str, str, str, int]]:
@@ -206,7 +220,78 @@ class _CompiledShape:
             if lag not in (0, 1):
                 raise MalformedDiagram(f"morphism {m.name} joins windows ending {lag} cells apart")
             self.joins[dst].append((level_of[self.window_lengths[src]], lag, m.offset, mor_idx))
+        # the step memo, filled by gluing as evaluate meets held states: per
+        # state its representative pass and held input cells (see _intern),
+        # its memoised steps by next cell, and its value at the input's end
+        self.lookback = max((n for n, _ in self.levels), default=1) - 1
+        self.states: dict[tuple, int] = {}
+        self.held: list[tuple[_Pass, str]] = []
+        self.steps: list[dict[str, tuple[str, int]]] = []
+        self.finals: dict[int, str] = {}
 
+    def start(self) -> int:
+        """The state before the input's first cell: right end 0 placed."""
+        if not self.held:
+            state = _Pass(self)
+            _place_and_glue(self, state, "", 1)
+            state.close()
+            self._intern(state, "")
+        return 0
+
+    def step(self, number: int, cell: str) -> tuple[str, int] | None:
+        """Extend state ``number`` by one input cell, placing and gluing its
+        next right end, and close it: the cells the close emits and the next
+        state, memoised.  None when the next state is new and the memo is
+        full; raises GlueError, memoising nothing, when the close does."""
+        rep, tail = self.held[number]
+        state, cells = rep.copy(), tail + cell
+        _place_and_glue(self, state, cells, len(cells) + 1)
+        state.close()
+        emitted = "".join(state.gluing.closed)
+        state.gluing.closed.clear()
+        following = self._intern(state, cells[max(len(cells) - self.lookback, 0):])
+        if following is None:
+            return None
+        hit = self.steps[number][cell] = emitted, following
+        return hit
+
+    def final(self, number: int) -> str:
+        """The word state ``number`` holds when the input ends there,
+        memoised; raises GlueError, memoising nothing, when it does not glue."""
+        word = self.finals.get(number)
+        if word is None:
+            word = self.finals[number] = self.held[number][0].gluing.result()[0]
+        return word
+
+    def _intern(self, state: _Pass, tail: str) -> int | None:
+        """Number a closed pass whose last input cells are ``tail``, the
+        ``lookback`` cells (fewer at the input's start) that windows ending
+        at its next right end still read.  The pass is renumbered to end
+        where ``tail + cell`` does, so a step glues it on ``tail + cell``.
+        Its key is exact: the gluing's signature, the held nodes' objects
+        and right ends, the nodes ``current`` names, and ``tail``; the next
+        right end overwrites all of ``previous``.  None when the state is
+        new and the memo holds _MEMO_CAP states."""
+        shift = len(tail) + 1 - state.end
+        state.ends[:] = [end + shift for end in state.ends]
+        state.end += shift
+        key = (state.gluing.signature(), tuple(state.placed), tuple(state.ends),
+               tuple(state.current), tail)
+        number = self.states.get(key)
+        if number is None and len(self.held) < _MEMO_CAP:
+            number = self.states[key] = len(self.held)
+            self.held.append((state, tail))
+            self.steps.append({})
+        return number
+
+
+# The step memo interns at most this many states per compiled shape; an
+# input that would intern one more is evaluated by the closing pass instead.
+_MEMO_CAP = 4096
+
+# The memoised walk joins its pending emissions after every this many cells,
+# so that it holds a string per stretch of the input, not one per cell.
+_JOIN_AT = 4096
 
 # A closing pass closes finished classes after every stretch of this many
 # right ends.  A right end places at most one node per level, and the levels'
@@ -322,10 +407,40 @@ def _glued(shape: ShapeCategory, x: TapeString, closing: bool = True
     return _glued(shape, x, closing=False)
 
 
+def _transduced(compiled: _CompiledShape, x_cells: str) -> str | None:
+    """The value's cells by the step memo, closing at every right end:
+    the emitted cells, then the word the last state holds.  None when the
+    memo is full; raises GlueError when a step or the final read does."""
+    steps, state = compiled.steps, compiled.start()
+    chunks = []
+    for begin in range(0, len(x_cells), _JOIN_AT):
+        emitted = []
+        for cell in x_cells[begin : begin + _JOIN_AT]:
+            hit = steps[state].get(cell) or compiled.step(state, cell)
+            if hit is None:
+                return None
+            cells, state = hit
+            emitted.append(cells)
+        chunks.append("".join(emitted))
+    chunks.append(compiled.final(state))
+    return "".join(chunks)
+
+
 def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     """Update x without consulting any rule: glue the generators of all
-    windows placed in x along their aligned inclusions."""
-    return TapeString(shape.alphabet, _glued(shape, x)[0])
+    windows placed in x along their aligned inclusions, one memoised step
+    per cell.  An input on which a step does not glue is glued again
+    without closing, for its value or error; one that would fill the memo
+    is glued by the closing pass."""
+    if x.alphabet != shape.alphabet:
+        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
+    try:
+        cells = _transduced(shape.compiled, x.cells)
+    except GlueError:
+        cells = _glued(shape, x, closing=False)[0]
+    if cells is None:
+        cells = _glued(shape, x)[0]
+    return TapeString(shape.alphabet, cells)
 
 
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:

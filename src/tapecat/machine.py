@@ -399,7 +399,10 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     apply_morphism(f), and validate_functor's composition law reads legs at
     two nodes of the middle string, so a cocone that is not natural fails
     it.  A string that does not glue, or a U(f) that is no occurrence, fails
-    and leaves U undefined."""
+    and leaves U undefined.  Differences of legs cannot see legs that are
+    all displaced alike, so where all else holds, each node's leg must
+    also be its window's offset in b, where the rule's update of that window
+    lands."""
     shape = _shape_of(spec, shape)
     strings = {str(b): b for b in tape.all_strings(spec.alphabet, max_len)}
     occurrences = [(occurrence_name(a, b, f.offset), a, b, f.offset)
@@ -434,6 +437,12 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     if len(images) == len(occurrences):
         report = validate_functor(FunctorData(cat, TapeCategory(spec.alphabet), values, images))
         outcome.failures += [str(v) for v in report.violations]
+    if not outcome.failures:
+        for name, b_legs in legs.items():
+            node = next((node for node, leg in b_legs.items() if leg != node[1]), None)
+            if node:
+                outcome.failures.append(f"{name}: leg of {shape.objects[node[0]].name} placed at "
+                                        f"{node[1]} is {b_legs[node]}")
     return outcome
 
 

@@ -85,21 +85,31 @@ class TestEvaluate:
         x = TapeString(spread.alphabet, "".join(random.Random(3).choices(".#", k=3 * 10**4)))
         want = _batch(shape, x)
         assert isinstance(want, tuple)
-        calls, raised = [], []
-        close = CellGluing.close
-
-        def counted(gluing, frontier):
-            calls.append(frontier)
-            try:
-                return close(gluing, frontier)
-            except GlueError:
-                raised.append(frontier)
-                raise
-
-        monkeypatch.setattr(CellGluing, "close", counted)
-        assert _streamed(shape, x) == want
+        calls, raised = _counted_closes(monkeypatch)
+        assert _stretched(shape, x) == want
         assert raised in ([], calls[-1:])
         assert 0 < len(calls) <= 2 + math.log2(len(x) / tapecat.kan._CLOSE_AT)
+
+    @pytest.mark.parametrize("dropped, closes", [("(.|...)", 31), ("(##|..#.)", 10)])
+    def test_a_stalled_memo_stops_at_its_first_fault(self, spread, spread_shape, dropped, closes,
+                                                     monkeypatch):
+        # evaluate closes once per memo miss, and a close that raises ends
+        # the memoised walk: the closes come before the tape's first fault,
+        # so a tape twice as long, with the same start, makes as many
+        cells = "".join(random.Random(3).choices(".#", k=6 * 10**4))
+        calls, raised = _counted_closes(monkeypatch)
+        counts = []
+        for n in (3 * 10**4, 6 * 10**4):
+            shape = spread_shape.without_object(dropped)  # a fresh memo
+            x = TapeString(spread.alphabet, cells[:n])
+            want = _batch(shape, x)
+            assert isinstance(want, tuple)
+            calls.clear()
+            raised.clear()
+            assert _streamed(shape, x) == want
+            assert raised == calls[-1:]
+            counts.append(len(calls))
+        assert counts == [closes, closes]
 
     def test_a_stretch_adds_at_most_4095_cells(self, spread_shape, request):
         # _CLOSE_AT counts right ends; each places at most one node per
@@ -224,6 +234,33 @@ def _streamed(shape, x):
         return type(exc), str(exc), exc.nodes, exc.cells
 
 
+def _stretched(shape, x):
+    """The value of the pass over x that closes between stretches, or its
+    error as _batch gives it."""
+    try:
+        return tapecat.kan._glued(shape, x)[0]
+    except GlueError as exc:
+        return type(exc), str(exc), exc.nodes, exc.cells
+
+
+def _counted_closes(monkeypatch):
+    """Record the frontier of every CellGluing.close, and of those that
+    raise: (calls, raised)."""
+    calls, raised = [], []
+    close = CellGluing.close
+
+    def counted(gluing, frontier):
+        calls.append(frontier)
+        try:
+            return close(gluing, frontier)
+        except GlueError:
+            raised.append(frontier)
+            raise
+
+    monkeypatch.setattr(CellGluing, "close", counted)
+    return calls, raised
+
+
 def _random_inputs(alphabet, count, seed):
     rng = random.Random(seed)
     return [TapeString(alphabet, "".join(rng.choices(alphabet.symbols, k=rng.randint(0, 200))))
@@ -282,6 +319,92 @@ class TestClosing:
         assert [(r.cases, r.failures) for r in got] == \
             [_per_string_sweep(spread, 6, shape) for shape in shapes]
         assert any(not r.ok for r in got)
+
+
+MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
+
+
+class TestStepMemo:
+    """evaluate's memoised steps against the pass that closes nothing."""
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_every_short_string_as_the_batch_pass(self, machine, request):
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        for x in all_strings(spec.alphabet, 8):
+            assert _streamed(shape, x) == _batch(shape, x) == apply(spec, x).cells, str(x)
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_random_tapes_as_the_batch_pass(self, machine, request):
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        rng = random.Random(13)
+        for _ in range(12):
+            x = TapeString(spec.alphabet,
+                           "".join(rng.choices(spec.alphabet.symbols, k=rng.randint(0, 2000))))
+            assert _streamed(shape, x) == _batch(shape, x) == apply(spec, x).cells, str(x)
+        # within TestClosing's bound on a pass that closes at every right end
+        held = shape.compiled.held
+        assert held and all(len(state.gluing.parent) <= 12 * (2 * spec.radius + 2)
+                            for state, _ in held)
+
+    @pytest.mark.parametrize("machine", ["spread", "parity_machine"])
+    def test_every_dropped_object_as_the_batch_pass(self, machine, request):
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        outcomes = Counter()
+        for k, o in enumerate(shape.objects):
+            damaged = shape.without_object(o.name)
+            for x in all_strings(spec.alphabet, 4) + _random_inputs(spec.alphabet, 3, seed=k):
+                want = _batch(damaged, x)
+                assert _streamed(damaged, x) == want, f"{x} without {o.name}"
+                outcomes[want[0].__name__ if isinstance(want, tuple) else "glued"] += 1
+        assert outcomes["glued"] and outcomes["Disconnected"]
+
+    def test_a_warm_memo_leaves_damaged_copies_failing(self, spread, spread_shape):
+        # each copy compiles its own memo, so the honest shape's states,
+        # interned first, lend none of them a step
+        inputs = _random_inputs(spread.alphabet, 4, seed=17)
+        for x in inputs:
+            assert _streamed(spread_shape, x) == apply(spread, x).cells
+        assert spread_shape.compiled.held
+        failing = 0
+        for o in spread_shape.objects:
+            damaged = spread_shape.without_object(o.name)
+            for x in inputs:
+                want = _batch(damaged, x)
+                assert _streamed(damaged, x) == want, f"{x} without {o.name}"
+                failing += isinstance(want, tuple)
+        assert failing
+
+    def test_a_full_memo_goes_to_the_closing_pass(self, spread, spread_shape, monkeypatch):
+        # with room for the start state only, every input with a cell
+        # would intern a second state, and the stretch-closing pass answers
+        monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
+        modes = []
+        glued = tapecat.kan._glued
+        monkeypatch.setattr(tapecat.kan, "_glued", lambda shape, x, closing=True:
+                            modes.append(closing) or glued(shape, x, closing))
+        seen = Counter()
+        for shape in (shape_category(spread), spread_shape.without_object("(.|...)")):
+            for x in _random_inputs(spread.alphabet, 6, seed=19):
+                want = _batch(shape, x)
+                modes.clear()
+                assert _streamed(shape, x) == want, str(x)
+                seen[tuple(modes)] += 1
+            assert len(shape.compiled.held) == 1
+        assert set(seen) == {(True,)}
+
+    def test_interns_a_state_once(self, spread):
+        # a second evaluation of the same tape hits every step
+        shape = shape_category(spread)
+        x = _random_inputs(spread.alphabet, 1, seed=23)[0]
+        evaluate(shape, x)
+        compiled = shape.compiled
+        interned = (len(compiled.held), sum(map(len, compiled.steps)), len(compiled.finals))
+        assert evaluate(shape, x) == apply(spread, x)
+        assert (len(compiled.held), sum(map(len, compiled.steps)), len(compiled.finals)) \
+            == interned
 
 
 class TestEquivalenceSweep:

@@ -224,6 +224,24 @@ class TestFunctorialitySweep:
         ]
         assert not any(line.startswith(("identity", "composition")) for line in outcome.failures)
 
+    def test_legs_displaced_alike_fail_the_row(self, spread, monkeypatch):
+        # every nonempty leg one cell further right: the values and every
+        # difference of legs are kept, so only the legs themselves, each
+        # against its window's offset, see the fault
+        honest = tapecat.colimit.CellGluing.result
+
+        def displaced(self):
+            cells, legs = honest(self)
+            return cells, [leg + bool(value) for leg, value in zip(legs, self.values)]
+
+        monkeypatch.setattr(tapecat.colimit.CellGluing, "result", displaced)
+        assert equivalence_sweep(spread, 5).ok
+        outcome = functoriality_sweep(spread, 4)
+        assert outcome.cases == 986
+        assert outcome.failures[:2] == ["...: leg of (.|...) placed at 0 is 1",
+                                        "..#: leg of (#|..#) placed at 0 is 1"]
+        assert len(outcome.failures) == 2**4 + 2**3  # every string of 3 or 4 cells
+
     def test_only_the_empty_object_can_be_dropped(self, spread, spread_shape):
         # every one-object deletion but (|) fails the row at length 4; the
         # empty generator adds no cell to any glued value, so without it
