@@ -44,14 +44,13 @@ message, nodes and cells) is the answer.  An input that would intern more
 than _MEMO_CAP states goes to the stretch-closing pass, which closes after
 every _CLOSE_AT right ends until a close raises, and which also glues
 again without closing when what it closed does not glue.  A traced
-evaluation and evaluate_all close nothing.
+evaluation closes nothing.
 
 The pass is resumable: its state after the right ends of x is all that
-placing the windows of x·c needs.  evaluate_all therefore walks the trie
-of strings depth-first, and each child extends a copy of its parent's
-state by its one new right end instead of re-running the pass from the
-first cell (Hedlund 1969: the update at a cell depends only on a bounded
-window).
+placing the windows of x·c needs (Hedlund 1969: the update at a cell
+depends only on a bounded window).  That is what lets a memo miss copy a
+state's representative pass and extend it by one right end, instead of
+re-running the pass from the input's first cell.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .colimit import CellGluing, GlueError
 from .fincat import (DenseSubcategory, FinCatPresentation, FunctorData, MalformedDiagram,
@@ -469,29 +467,3 @@ def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, Ev
         x, shape, [placements[i] for i in order],
         [(renumber[s], renumber[d], off, mor) for s, d, off, mor in edges],
         value, [legs[i] for i in order])
-
-
-def evaluate_all(shape: ShapeCategory, max_len: int) -> Iterator[tuple[str, str | GlueError]]:
-    """Evaluate every string of at most max_len cells without consulting
-    any rule: yield its cells with its value's cells, or with the GlueError
-    that gluing raised (naming nodes, not cells).  The strings come from
-    the trie, depth-first, so each length in alphabet order: a string's
-    pass, copied, is resumed for one more right end by each child, and is
-    read as evaluate reads it; these passes close nothing.  A negative
-    max_len yields nothing."""
-    compiled = shape.compiled
-    *others, last = shape.alphabet.symbols
-    stack = [("", _Pass(compiled))] if max_len >= 0 else []
-    while stack:
-        cells, state = stack.pop()
-        _place_and_glue(compiled, state, cells, len(cells) + 1)
-        try:
-            value: str | GlueError = state.gluing.result()[0]
-        except GlueError as exc:
-            value = exc
-        yield cells, value
-        if len(cells) < max_len:
-            # pushed in reverse so the first symbol pops first; the last
-            # symbol's child, popped after its siblings, takes the state itself
-            stack.append((cells + last, state))
-            stack.extend((cells + c, state.copy()) for c in reversed(others))

@@ -21,7 +21,7 @@ from . import tape
 from .colimit import GlueError
 from .fincat import (FunctorData, TapeCategory, ValidationReport, canonical_generators,
                      occurrence_category, occurrence_name, validate_functor)
-from .kan import ShapeCategory, ShapeMorphism, ShapeObject, evaluate_all, evaluate_traced
+from .kan import ShapeCategory, ShapeMorphism, ShapeObject, evaluate, evaluate_traced
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeError, TapeString
 
 
@@ -499,29 +499,27 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
 
 def equivalence_sweep(spec: MachineSpec, max_len: int,
                       shape: ShapeCategory | None = None) -> SweepOutcome:
-    """Compare colimit evaluation (kan.evaluate_all) against the direct
-    rule on every string up to max_len: one case per string, one failure
-    line per mismatch; a lawful machine must show none.  A negative
-    max_len visits no string.  Mismatches are reported shortest string
-    first, then in alphabet order."""
+    """Compare colimit evaluation (kan.evaluate) against the direct rule
+    (apply) on every string up to max_len, as ``run --engine both`` compares
+    them at each step: one case per string, one failure line per mismatch,
+    in the order of tape.all_strings; a lawful machine must show none.  The
+    strings are made one at a time, length by length, so the sweep holds
+    none of them.  A negative max_len visits no string."""
     shape = _shape_of(spec, shape)
-    alphabet = spec.alphabet
-    cases = 0
-    found: list[tuple[int, str]] = []
-    for cells, got in evaluate_all(shape, max_len):
-        cases += 1
-        if isinstance(got, GlueError):
-            found.append((len(cells), f"{TapeString(alphabet, cells)}: glue failed: {got}"))
-            continue
-        want = _window_map(spec, cells)
-        if got != want:
-            found.append((len(cells), f"{TapeString(alphabet, cells)}: evaluated "
-                                      f"{TapeString(alphabet, got)}, rule gives "
-                                      f"{TapeString(alphabet, want)}"))
-    # evaluate_all lists each length in alphabet order already, so a stable
-    # sort by length gives the order of tape.all_strings
-    found.sort(key=lambda item: item[0])
-    return SweepOutcome(cases, [line for _, line in found])
+    outcome = SweepOutcome()
+    for n in range(max_len + 1):
+        for cells in tape.windows(spec.alphabet, n):
+            x = TapeString(spec.alphabet, cells)
+            outcome.cases += 1
+            want = apply(spec, x)
+            try:
+                got = evaluate(shape, x)
+            except GlueError as exc:
+                outcome.failures.append(f"{x}: glue failed: {exc}")
+                continue
+            if got != want:
+                outcome.failures.append(f"{x}: evaluated {got}, rule gives {want}")
+    return outcome
 
 
 # ---------------------------------------------------------------------------

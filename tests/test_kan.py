@@ -303,22 +303,28 @@ class TestClosing:
                 outcomes[want[0].__name__ if isinstance(want, tuple) else "glued"] += 1
         assert outcomes["glued"] and outcomes["Disconnected"]
 
-    # the sweep's passes close nothing; the per-string reference evaluates
-    # each string closing at every right end
+    # with room in the memo for the start state only, the sweep evaluates
+    # every nonempty string by the pass that closes at every right end; the
+    # per-string reference glues each string closing nothing
 
     @pytest.mark.parametrize("machine, max_len", [("spread", 8), ("parity_machine", 7)])
-    def test_sweep_matches_the_per_string_sweep(self, machine, max_len, request):
+    def test_sweep_matches_the_per_string_sweep(self, machine, max_len, request, monkeypatch):
+        monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
         spec = request.getfixturevalue(machine)
         shape = shape_category(spec)
         report = equivalence_sweep(spec, max_len, shape)
         assert (report.cases, report.failures) == _per_string_sweep(spec, max_len, shape)
+        assert len(shape.compiled.held) == 1
 
-    def test_sweep_without_each_object_matches_the_per_string_sweep(self, spread, spread_shape):
+    def test_sweep_without_each_object_matches_the_per_string_sweep(self, spread, spread_shape,
+                                                                    monkeypatch):
+        monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
         shapes = [spread_shape.without_object(o.name) for o in spread_shape.objects]
         got = [equivalence_sweep(spread, 6, shape) for shape in shapes]
         assert [(r.cases, r.failures) for r in got] == \
             [_per_string_sweep(spread, 6, shape) for shape in shapes]
         assert any(not r.ok for r in got)
+        assert all(len(shape.compiled.held) == 1 for shape in shapes)
 
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
@@ -459,22 +465,63 @@ class TestEquivalenceSweep:
             equivalence_sweep(spec, 3, spread_shape)
 
     def test_deep_trie_without_recursion(self):
-        # a one-symbol alphabet makes the trie a single path deeper than
-        # Python's default recursion limit
+        # a one-symbol alphabet gives one string per length, the longest
+        # deeper than Python's default recursion limit, so neither engine
+        # may recurse per cell
         spec = MachineSpec(Alphabet(("a",)), 0, {"a": "a"})
         report = equivalence_sweep(spec, 1200)
         assert report.ok and report.cases == 1201
 
+    def test_sweep_calls_the_module_level_engines(self, spread, spread_shape, monkeypatch):
+        # the benchmark's tracer counts evaluations and updates by wrapping
+        # tapecat.machine.evaluate and tapecat.machine.apply, so the sweep
+        # must call those names, once per string, also where gluing fails
+        calls = Counter()
+
+        def counted(name):
+            engine = getattr(tapecat.machine, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return engine(*args, **kwargs)
+            return counting
+
+        for name in ("evaluate", "apply"):
+            monkeypatch.setattr(tapecat.machine, name, counted(name))
+        for shape, ok in ((spread_shape, True), (spread_shape.without_object("(#|###)"), False)):
+            calls.clear()
+            outcome = equivalence_sweep(spread, 8, shape)
+            assert outcome.ok == ok and outcome.cases == 511
+            assert calls == {"evaluate": 511, "apply": 511}
+
+    def test_holds_no_list_of_strings(self, spread):
+        # the sweep makes its strings length by length: its heap peak stays
+        # under half of what the list of tape.all_strings takes alone
+        shape = shape_category(spread)
+        shape.compiled  # compile the shape outside the trace
+        tracemalloc.start()
+        try:
+            all_strings(spread.alphabet, 12)
+            listed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            outcome = equivalence_sweep(spread, 12, shape)
+            swept = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.ok and outcome.cases == 8191
+        assert swept < listed / 2
+
 
 def _per_string_sweep(spec, max_len, shape):
-    """Reference sweep: evaluate each string of all_strings on its own, in
-    order, and compare it with the rule; (inputs, mismatch lines)."""
+    """Reference sweep: glue each string of all_strings on its own, in
+    order, by the pass that closes nothing, and compare it with the rule;
+    (inputs, mismatch lines)."""
     mismatches = []
     inputs = all_strings(spec.alphabet, max_len)
     for x in inputs:
         want = apply(spec, x)
         try:
-            got = evaluate(shape, x)
+            got = TapeString(spec.alphabet, tapecat.kan._glued(shape, x, closing=False)[0])
         except GlueError as exc:
             mismatches.append(f"{x}: glue failed: {exc}")
             continue
