@@ -152,18 +152,6 @@ class CellGluing:
             if a != b:  # j's root joins i's: a pass adds j after i, so trees stay shallow
                 parent[b] = a
 
-    def signature(self) -> tuple:
-        """The held state up to the numbering of its classes: the held
-        nodes' cells and starts, each held cell's class numbered in order of
-        first cell, and the class of the closed word's successor.  States
-        with equal signatures glue and close alike under equal further adds
-        and identifies: they hold the same labelled quotient."""
-        roots = self._roots()
-        number: dict[int, int] = {}
-        classes = tuple(number.setdefault(r, len(number)) for r in roots)
-        after = None if self.after is None else number[roots[self.after]]
-        return tuple(self.values), tuple(self.starts), classes, after
-
     def _roots(self) -> list[int]:
         """Every held cell's root, by pointer jumping."""
         roots = self.parent

@@ -29,28 +29,23 @@ prefix of the input; a close that meets a state that does not glue raises.
 
 A sliding-block code is a finite-state transducer (Hedlund 1969), and
 evaluate runs the pass as one.  It closes at every right end and interns
-the held state under an exact key: the gluing's signature (held cells,
-their classes numbered in order of first cell, the class after the closed
-word), the held nodes' objects and right ends relative to the pass's, the
-nodes the next right end joins, and the input cells its windows still
-read.  The compiled shape memoises per state and next cell the emitted
-cells and the next state, and per state the word held when the input
-ends.  A miss copies the state's representative pass and glues one right
-end on it, so the memo is filled only by gluing and evaluate never reads
-the rule table.  Two fallbacks keep every answer that of the whole
-diagram.  An input on which a step or the final read does not glue is
-glued again by a pass that closes nothing, whose value or error (class,
-message, nodes and cells) is the answer.  An input that would intern more
-than _MEMO_CAP states goes to the stretch-closing pass, which closes after
-every _CLOSE_AT right ends until a close raises, and which also glues
-again without closing when what it closed does not glue.  A traced
-evaluation closes nothing.
+the held state under an exact key (_CompiledShape._intern).  The compiled
+shape memoises per state and next cell the emitted cells and the next
+state, and per state the word held when the input ends.  The memo is
+filled only by gluing, so evaluate never reads the rule table.  Two
+fallbacks keep every answer that of the whole diagram.  An input on which
+a step or the final read does not glue is glued again by a pass that
+closes nothing, whose value or error (class, message, nodes and cells) is
+the answer.  An input that would intern more than _MEMO_CAP states goes
+to the stretch-closing pass, which closes after every _CLOSE_AT right
+ends until a close raises, and which also glues again without closing
+when what it closed does not glue.  A traced evaluation closes nothing.
 
 The pass is resumable: its state after the right ends of x is all that
 placing the windows of x·c needs (Hedlund 1969: the update at a cell
-depends only on a bounded window).  That is what lets a memo miss copy a
-state's representative pass and extend it by one right end, instead of
-re-running the pass from the input's first cell.
+depends only on a bounded window).  So a memo miss copies a state's
+representative pass and glues one right end on it, instead of re-running
+the pass from the input's first cell.
 """
 
 from __future__ import annotations
@@ -264,17 +259,23 @@ class _CompiledShape:
     def _intern(self, state: _Pass, tail: str) -> int | None:
         """Number a closed pass whose last input cells are ``tail``, the
         ``lookback`` cells (fewer at the input's start) that windows ending
-        at its next right end still read.  The pass is renumbered to end
-        where ``tail + cell`` does, so a step glues it on ``tail + cell``.
-        Its key is exact: the gluing's signature, the held nodes' objects
-        and right ends, the nodes ``current`` names, and ``tail``; the next
-        right end overwrites all of ``previous``.  None when the state is
-        new and the memo holds _MEMO_CAP states."""
+        at its next right end still read, renumbered to end where
+        ``tail + cell`` does; None when the state is new and the memo holds
+        _MEMO_CAP states.  The key (the held nodes' cells, objects and right
+        ends, whether ``after`` is set, and ``tail``) is exact:
+        - No class holds both a held and a closed cell, so the held partition
+          is generated by the joins among held nodes, which their objects,
+          right ends and held cells fix (a node's closed cells come first).
+        - After a close that did not raise, ``after``'s class is the held
+          path's unique source; whether it is set is kept, since a pass
+          that has closed nothing pins no source.
+        - ``current`` names each level's node ending one cell before ``end``,
+          which no close drops; the next right end overwrites ``previous``."""
         shift = len(tail) + 1 - state.end
         state.ends[:] = [end + shift for end in state.ends]
         state.end += shift
-        key = (state.gluing.signature(), tuple(state.placed), tuple(state.ends),
-               tuple(state.current), tail)
+        key = (tuple(state.gluing.values), tuple(state.placed), tuple(state.ends),
+               state.gluing.after is None, tail)
         number = self.states.get(key)
         if number is None and len(self.held) < _MEMO_CAP:
             number = self.states[key] = len(self.held)

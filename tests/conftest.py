@@ -33,14 +33,19 @@ def parity_machine() -> MachineSpec:
     return MachineSpec(DEFAULT_ALPHABET, 2, rule)
 
 
-@pytest.fixture(scope="session")
-def ternary_machine() -> MachineSpec:
-    """Radius-1 rule over three symbols: each cell becomes the maximum of
-    its window in alphabet order."""
+def max_machine(radius: int) -> MachineSpec:
+    """A rule over three symbols: each cell becomes the maximum of its
+    window in alphabet order."""
     alpha = Alphabet(("a", "b", "c"))
     order = {s: i for i, s in enumerate(alpha.symbols)}
-    rule = {w: max(w, key=order.__getitem__) for w in windows(alpha, 3)}
-    return MachineSpec(alpha, 1, rule)
+    rule = {w: max(w, key=order.__getitem__) for w in windows(alpha, 2 * radius + 1)}
+    return MachineSpec(alpha, radius, rule)
+
+
+@pytest.fixture(scope="session")
+def ternary_machine() -> MachineSpec:
+    """The radius-1 maximum rule over three symbols."""
+    return max_machine(1)
 
 
 @pytest.fixture(scope="session")

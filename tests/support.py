@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import tapecat.machine
 from tapecat import tape
+from tapecat.colimit import CellGluing
 from tapecat.fincat import FinCatPresentation, FunctorData, TapeCategory, canonical_generators
 from tapecat.machine import (Explanation, MachineSpec, SweepOutcome, apply, apply_morphism,
                              causal_neighbourhood)
-from tapecat.tape import DEFAULT_ALPHABET, InvalidOccurrence, Occurrence, TapeString, windows
+from tapecat.tape import (DEFAULT_ALPHABET, Alphabet, InvalidOccurrence, Occurrence, TapeString,
+                          windows)
 
 
 def ts(cells: str) -> TapeString:
@@ -105,6 +108,29 @@ def all_spans_universality(spec, p, x, explanation=None) -> tuple[int, list[str]
                 b = Occurrence(x, z, b_off if x.cells else 0)
                 failures.append(f"candidate g=({g}) a=({a}) b=({b}) has {mediators} mediators")
     return candidates, failures
+
+
+def gluing_signature(gluing: CellGluing) -> tuple:
+    """Reference for the step memo's key: the held state up to the
+    numbering of its classes, namely the held nodes' cells and starts, each
+    held cell's class numbered in order of first cell, and the class of the
+    closed word's successor.  States with equal signatures glue and close
+    alike under equal further adds and identifies: they hold the same
+    labelled quotient."""
+    roots = gluing._roots()
+    number: dict[int, int] = {}
+    classes = tuple(number.setdefault(r, len(number)) for r in roots)
+    after = None if gluing.after is None else number[roots[gluing.after]]
+    return tuple(gluing.values), tuple(gluing.starts), classes, after
+
+
+def random_machine(symbols: int, radius: int, seed: int) -> MachineSpec:
+    """A total rule over the first `symbols` of '.', '#' and 'a', each
+    window's output drawn by a generator seeded with `seed`."""
+    alphabet = Alphabet(tuple(".#a"[:symbols]))
+    draw = random.Random(seed).choice
+    return MachineSpec(alphabet, radius, {w: draw(alphabet.symbols)
+                                          for w in windows(alphabet, 2 * radius + 1)})
 
 
 def check_explanation(spec: MachineSpec, expl: Explanation) -> list[str]:

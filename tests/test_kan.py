@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -33,7 +34,8 @@ from tapecat.tape import (
     compose,
 )
 
-from .support import check_explanation, comma_over, occ, ts
+from .conftest import max_machine
+from .support import check_explanation, comma_over, gluing_signature, occ, random_machine, ts
 
 
 class TestEvaluate:
@@ -411,6 +413,85 @@ class TestStepMemo:
         assert evaluate(shape, x) == apply(spread, x)
         assert (len(compiled.held), sum(map(len, compiled.steps)), len(compiled.finals)) \
             == interned
+
+
+def _interned(monkeypatch):
+    """Record every state that _intern numbers, as (compiled shape, number,
+    pass): a new state is its number's representative, a hit is not."""
+    seen = []
+    intern = tapecat.kan._CompiledShape._intern
+
+    def recording(compiled, state, tail):
+        number = intern(compiled, state, tail)
+        if number is not None:
+            seen.append((compiled, number, state))
+        return number
+
+    monkeypatch.setattr(tapecat.kan._CompiledShape, "_intern", recording)
+    return seen
+
+
+def _behaviour(state):
+    """What the held nodes must fix for a step to glue alike from a pass."""
+    return gluing_signature(state.gluing), tuple(state.current), state.gluing.after is None
+
+
+class TestStateKey:
+    """The step memo's key against what the deleted gluing signature kept."""
+
+    def test_equal_keys_hold_equal_states(self, monkeypatch, request):
+        # every state a key numbers must glue and close as its number's
+        # representative: on the fixtures, every one-object deletion of
+        # spread and parity_r2, and seeded random rules
+        runs = []
+        for machine in MACHINES:
+            spec = request.getfixturevalue(machine)
+            runs.append((shape_category(spec), spec.alphabet, 6, 8))
+        for machine in ("spread", "parity_machine"):
+            spec = request.getfixturevalue(machine)
+            shape = shape_category(spec)
+            runs += [(shape.without_object(o.name), spec.alphabet, 4, 2) for o in shape.objects]
+        for symbols, radius, seed in itertools.product((2, 3), (0, 1, 2), range(2)):
+            spec = random_machine(symbols, radius, seed)
+            runs.append((shape_category(spec), spec.alphabet, 5, 3))
+        seen = _interned(monkeypatch)
+        for k, (shape, alphabet, max_len, tapes) in enumerate(runs):
+            for x in all_strings(alphabet, max_len) + _random_inputs(alphabet, tapes, seed=k):
+                try:
+                    evaluate(shape, x)
+                except GlueError:
+                    pass
+        hits = [(compiled.held[number][0], state) for compiled, number, state in seen
+                if compiled.held[number][0] is not state]
+        assert hits
+        assert sum(_behaviour(rep) != _behaviour(state) for rep, state in hits) == 0
+
+    @pytest.mark.parametrize("machine, states", [
+        ("spread", 37), ("identity_machine", 11), ("parity_machine", 135),
+        ("ternary_machine", 248), ("max3_r2", 2174)])
+    def test_interned_state_counts(self, machine, states, request):
+        # a key that merges states lowers a count; one that splits them raises it
+        spec = max_machine(2) if machine == "max3_r2" else request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        x = TapeString(spec.alphabet, "".join(random.Random(1).choices(spec.alphabet.symbols,
+                                                                       k=10**4)))
+        assert evaluate(shape, x) == apply(spec, x)
+        assert len(shape.compiled.held) == states
+
+    def test_a_wide_rule_fills_the_memo(self, monkeypatch):
+        # the radius-3 maximum rule interns more states than the memo holds
+        # within 5,000 cells, so the closing pass answers, once
+        spec = max_machine(3)
+        shape = shape_category(spec)
+        x = TapeString(spec.alphabet, "".join(random.Random(1).choices(spec.alphabet.symbols,
+                                                                       k=5000)))
+        modes = []
+        glued = tapecat.kan._glued
+        monkeypatch.setattr(tapecat.kan, "_glued", lambda shape, x, closing=True:
+                            modes.append(closing) or glued(shape, x, closing))
+        assert evaluate(shape, x) == apply(spec, x)
+        assert modes == [True]
+        assert len(shape.compiled.held) == tapecat.kan._MEMO_CAP == 4096
 
 
 class TestEquivalenceSweep:

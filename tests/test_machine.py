@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
@@ -42,19 +41,10 @@ from tapecat.tape import (
 )
 
 from .conftest import spread_rule
-from .support import (all_spans_universality, check_explanation, closed_form_windows, occ, ts,
-                      update_functoriality)
+from .support import (all_spans_universality, check_explanation, closed_form_windows, occ,
+                      random_machine, ts, update_functoriality)
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
-
-
-def random_machine(symbols: int, radius: int, seed: int) -> MachineSpec:
-    """A total rule over the first `symbols` of '.', '#' and 'a', each
-    window's output drawn by a generator seeded with `seed`."""
-    alphabet = Alphabet(tuple(".#a"[:symbols]))
-    draw = random.Random(seed).choice
-    return MachineSpec(alphabet, radius, {w: draw(alphabet.symbols)
-                                          for w in windows(alphabet, 2 * radius + 1)})
 
 
 class TestValidateMachine:

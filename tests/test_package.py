@@ -65,6 +65,40 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def _is_command(node: ast.AST) -> bool:
+    """A function that click registers as a command or group by decorator."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def test_no_unreferenced_definitions():
+    # a function, method or class that nothing names outside its own body
+    # is dead: a name, attribute, import or string (a monkeypatched or
+    # traced name) in src/ or tests/ counts as a use
+    root = Path(__file__).resolve().parent.parent
+    definitions, uses = [], []
+    for path in sorted(root.glob("src/**/*.py")) + sorted(root.glob("tests/**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+            elif isinstance(node, ast.alias):
+                uses.append((node.asname or node.name.split(".")[-1], path, node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                uses.append((node.value, path, node.lineno))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and path.is_relative_to(root / "src") and not _is_command(node) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                definitions.append((node.name, path, node.lineno, node.end_lineno))
+    named = {}
+    for name, path, line in uses:
+        named.setdefault(name, []).append((path, line))
+    assert [f"{path.name}:{first} {name}" for name, path, first, last in definitions
+            if all(where == path and first <= line <= last
+                   for where, line in named.get(name, []))] == []
+
+
 def _load_tracer() -> types.ModuleType:
     # executed from its source, so that no bytecode is written next to it
     module = types.ModuleType("perfbench_tracer")
