@@ -32,14 +32,13 @@ evaluate runs the pass as one.  It closes at every right end and interns
 the held state under an exact key (_CompiledShape._intern).  The compiled
 shape memoises per state and next cell the emitted cells and the next
 state, and per state the word held when the input ends.  The memo is
-filled only by gluing, so evaluate never reads the rule table.  Two
-fallbacks keep every answer that of the whole diagram.  An input on which
-a step or the final read does not glue is glued again by a pass that
-closes nothing, whose value or error (class, message, nodes and cells) is
-the answer.  An input that would intern more than _MEMO_CAP states goes
-to the stretch-closing pass, which closes after every _CLOSE_AT right
-ends until a close raises, and which also glues again without closing
-when what it closed does not glue.  A traced evaluation closes nothing.
+filled only by gluing, so evaluate never reads the rule table.  An input
+that would intern more than _MEMO_CAP states goes on from the last state
+it reached, closing after every _CLOSE_AT right ends instead of every one.
+One fallback keeps every answer that of the whole diagram: an input on
+which a step, a close or the final read does not glue is glued again by a
+pass that closes nothing, whose value or error (class, message, nodes and
+cells) is the answer.  A traced evaluation closes nothing.
 
 The pass is resumable: its state after the right ends of x is all that
 placing the windows of x·c needs (Hedlund 1969: the update at a cell
@@ -82,20 +81,36 @@ class ShapeCategory:
 
     Morphisms are the simultaneous occurrences of a generator in a larger
     generator and of its window in the larger window, at the same offset;
-    an object's identity is its morphism to itself at offset 0.  It depends
-    only on the machine and the generators, never on any input state, so it
-    is precomputed once (machine.shape_category) and handed to evaluate.
+    an object's identity is its morphism to itself at offset 0.  They are
+    derived from the objects, which depend only on the machine and the
+    generators, never on any input state, so the category is precomputed
+    once (machine.shape_category) and handed to evaluate.
     """
 
-    def __init__(self, alphabet: Alphabet, objects: tuple[ShapeObject, ...],
-                 morphisms: tuple[ShapeMorphism, ...]) -> None:
+    def __init__(self, alphabet: Alphabet, objects: tuple[ShapeObject, ...]) -> None:
         self.alphabet = alphabet
         self.objects = objects
-        self.morphisms = morphisms
         self._by_name = {o.name: o for o in objects}
-        for m in morphisms:
-            if m.src not in self._by_name or m.dst not in self._by_name:
-                raise MalformedDiagram(f"morphism {m.name} names an object not in the category")
+        # a nonempty window names its object, so each sub-window is one lookup
+        by_window: dict[str, ShapeObject] = {}
+        for o in objects:
+            twin = by_window.setdefault(o.window.cells, o) if o.window.cells else o
+            if twin is not o:
+                raise MalformedDiagram(f"{twin.name} and {o.name} have the same window {o.window}")
+        lengths = sorted({len(w) for w in by_window})
+        into: dict[str, list[tuple[ShapeObject, int]]] = {o.name: [] for o in objects}
+        for dst in objects:
+            window, generator = dst.window.cells, dst.generator.cells
+            for n in lengths:
+                for j in range(len(window) - n + 1):
+                    src = by_window.get(window[j : j + n])
+                    if src is not None and generator.startswith(src.generator.cells, j):
+                        into[src.name].append((dst, j))
+        self.morphisms = tuple(
+            ShapeMorphism(occurrence_name(src.name, dst.name, j), src.name, dst.name, j)
+            for src in objects
+            for dst, j in ([(dst, 0) for dst in objects] if src.generator.is_empty()
+                           else into[src.name]))
 
     def without_object(self, name: str) -> ShapeCategory:
         """A corrupted copy with one object (and its morphisms) deleted;
@@ -103,9 +118,7 @@ class ShapeCategory:
         that name, which would inject no fault."""
         if name not in self._by_name:
             raise ValueError(f"{name} is not an object of the shape category")
-        objects = tuple(o for o in self.objects if o.name != name)
-        morphisms = tuple(m for m in self.morphisms if m.src != name and m.dst != name)
-        return ShapeCategory(self.alphabet, objects, morphisms)
+        return ShapeCategory(self.alphabet, tuple(o for o in self.objects if o.name != name))
 
     @cached_property
     def compiled(self) -> _CompiledShape:
@@ -202,8 +215,6 @@ class _CompiledShape:
             src, dst = index[m.src], index[m.dst]
             if len(self.generators[dst]) - len(self.generators[src]) != 1:
                 continue
-            if m.offset not in (0, 1):  # the generators differ by one cell
-                raise MalformedDiagram(f"morphism {m.name} at offset {m.offset} is outside {m.dst}")
             if objects[src].window.is_empty():
                 self.unwindowed_joins[dst].append((unwindowed_node[src], mor_idx))
                 continue
@@ -285,15 +296,15 @@ class _CompiledShape:
 
 
 # The step memo interns at most this many states per compiled shape; an
-# input that would intern one more is evaluated by the closing pass instead.
+# input that would intern one more goes on from its last state (_stretched).
 _MEMO_CAP = 4096
 
 # The memoised walk joins its pending emissions after every this many cells,
 # so that it holds a string per stretch of the input, not one per cell.
 _JOIN_AT = 4096
 
-# A closing pass closes finished classes after every stretch of this many
-# right ends.  A right end places at most one node per level, and the levels'
+# Past a full memo, the pass closes after every stretch of this many right
+# ends.  A right end places at most one node per level, and the levels'
 # generators have 1 and 2 cells, so a stretch adds at most 4,095 cells.
 _CLOSE_AT = 1365
 
@@ -371,45 +382,47 @@ def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str, stop: 
     state.end = stop
 
 
-def _glued(shape: ShapeCategory, x: TapeString, closing: bool = True
-           ) -> tuple[str, list[int], _Pass]:
-    """Place the windows in x and glue their generators in one pass: the
-    value's cells, the leg offsets of the held nodes and the final pass.
-    A closing pass closes after every _CLOSE_AT right ends that more right
-    ends follow, until a close raises.  A GlueError also names the input
-    cells of its nodes' window placements.  A pass that closed classes
-    cannot name the nodes of a fault, so when its held state does not glue,
-    x is glued again without closing, and that pass's value or error is the
-    answer."""
+def _glued(shape: ShapeCategory, x: TapeString) -> tuple[str, list[int], _Pass]:
+    """Place the windows in x and glue their generators in one pass that
+    closes nothing: the value's cells, the leg offsets of the nodes and the
+    final pass.  A GlueError also names the input cells of its nodes'
+    window placements."""
     if x.alphabet != shape.alphabet:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
     compiled = shape.compiled
     state = _Pass(compiled)
-    stop = len(x) + 1
-    while closing and state.end + _CLOSE_AT < stop:
-        _place_and_glue(compiled, state, x.cells, state.end + _CLOSE_AT)
-        try:
-            state.close()
-        except GlueError:
-            break
-    _place_and_glue(compiled, state, x.cells, stop)
+    _place_and_glue(compiled, state, x.cells, len(x) + 1)
     try:
         cells, legs = state.gluing.result()
     except GlueError as exc:
-        if not state.gluing.closed:
-            lengths = compiled.window_lengths
-            exc.cells = tuple((state.ends[i] - lengths[state.placed[i]], state.ends[i])
-                              for i in exc.nodes)
-            raise
-    else:
-        return cells, legs, state
-    return _glued(shape, x, closing=False)
+        lengths = compiled.window_lengths
+        exc.cells = tuple((state.ends[i] - lengths[state.placed[i]], state.ends[i])
+                          for i in exc.nodes)
+        raise
+    return cells, legs, state
 
 
-def _transduced(compiled: _CompiledShape, x_cells: str) -> str | None:
-    """The value's cells by the step memo, closing at every right end:
-    the emitted cells, then the word the last state holds.  None when the
-    memo is full; raises GlueError when a step or the final read does."""
+def _stretched(compiled: _CompiledShape, number: int, rest: str) -> str:
+    """The cells that state ``number`` goes on to over the input's remaining
+    cells ``rest``, on a copy of its representative pass that closes after
+    every _CLOSE_AT right ends that more follow; raises GlueError when a
+    close or the final read does."""
+    rep, tail = compiled.held[number]
+    state, cells = rep.copy(), tail + rest
+    stop = len(cells) + 1
+    while state.end + _CLOSE_AT < stop:
+        _place_and_glue(compiled, state, cells, state.end + _CLOSE_AT)
+        state.close()
+    _place_and_glue(compiled, state, cells, stop)
+    return state.gluing.result()[0]
+
+
+def _transduced(compiled: _CompiledShape, x_cells: str) -> str:
+    """The value's cells by the step memo, closing at every right end: the
+    emitted cells, then the word the last state holds.  When a step would
+    intern a state the full memo has no room for, the pass goes on from the
+    last state reached (_stretched).  Raises GlueError when a step, a close
+    or the final read does."""
     steps, state = compiled.steps, compiled.start()
     chunks = []
     for begin in range(0, len(x_cells), _JOIN_AT):
@@ -417,7 +430,8 @@ def _transduced(compiled: _CompiledShape, x_cells: str) -> str | None:
         for cell in x_cells[begin : begin + _JOIN_AT]:
             hit = steps[state].get(cell) or compiled.step(state, cell)
             if hit is None:
-                return None
+                rest = x_cells[begin + len(emitted):]
+                return "".join(chunks + emitted) + _stretched(compiled, state, rest)
             cells, state = hit
             emitted.append(cells)
         chunks.append("".join(emitted))
@@ -427,17 +441,14 @@ def _transduced(compiled: _CompiledShape, x_cells: str) -> str | None:
 
 def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     """Update x without consulting any rule: glue the generators of all
-    windows placed in x along their aligned inclusions, one memoised step
-    per cell.  An input on which a step does not glue is glued again
-    without closing, for its value or error; one that would fill the memo
-    is glued by the closing pass."""
+    windows placed in x along their aligned inclusions, by the step memo
+    (_transduced).  An input on which a step, a close or the final read
+    does not glue is glued again without closing, for its value or error."""
     if x.alphabet != shape.alphabet:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
     try:
         cells = _transduced(shape.compiled, x.cells)
     except GlueError:
-        cells = _glued(shape, x, closing=False)[0]
-    if cells is None:
         cells = _glued(shape, x)[0]
     return TapeString(shape.alphabet, cells)
 
@@ -451,7 +462,7 @@ def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, Ev
     nodes by (object, offset) and edges by (morphism, target offset), the
     order of the shape category's own enumeration.
     """
-    cells, legs, state = _glued(shape, x, closing=False)
+    cells, legs, state = _glued(shape, x)
     compiled = shape.compiled
     lengths = compiled.window_lengths
     nodes = list(enumerate(zip(state.placed, state.ends)))

@@ -21,7 +21,7 @@ from . import tape
 from .colimit import GlueError
 from .fincat import (FunctorData, TapeCategory, ValidationReport, canonical_generators,
                      occurrence_category, occurrence_name, validate_functor)
-from .kan import ShapeCategory, ShapeMorphism, ShapeObject, evaluate, evaluate_traced
+from .kan import ShapeCategory, ShapeObject, evaluate, evaluate_traced
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeError, TapeString
 
 
@@ -339,37 +339,18 @@ def _shape_obj_name(a: TapeString, n: TapeString) -> str:
 
 def shape_category(spec: MachineSpec) -> ShapeCategory:
     """Precompute the shape category of a machine over the canonical
-    generators: one object per (generator, explaining window) pair, one
-    morphism per aligned double occurrence.
+    generators: one object per (generator, explaining window) pair, from
+    which ShapeCategory derives one morphism per aligned double occurrence.
 
     The generators are fixed: the colimit evaluator glues each generator
     only to its one-cell-smaller sub-generators, which suffices when those
     are generators too.  Another dense set, such as the strings of lengths
     0, 1, 2 and 4, leaves nodes unglued, and evaluation then disagrees
     with the rule."""
-    objects: list[ShapeObject] = []
-    for a in canonical_generators(spec.alphabet):
-        for n in sorted(shape_table(spec, a), key=lambda s: s.cells):
-            objects.append(ShapeObject(_shape_obj_name(a, n), a, n))
-    # A nonempty window updates to exactly one generator, so it names its
-    # object: each sub-window of a destination window is one lookup.
-    by_window = {o.window.cells: o for o in objects if o.window.cells}
-    lengths = sorted({len(w) for w in by_window})
-    into: dict[str, list[tuple[ShapeObject, int]]] = {o.name: [] for o in objects}
-    for dst in objects:
-        window, generator = dst.window.cells, dst.generator.cells
-        for n in lengths:
-            for j in range(len(window) - n + 1):
-                src = by_window.get(window[j : j + n])
-                if src is not None and generator.startswith(src.generator.cells, j):
-                    into[src.name].append((dst, j))
-    morphisms: list[ShapeMorphism] = []
-    for src in objects:
-        targets = [(dst, 0) for dst in objects] if src.generator.is_empty() else into[src.name]
-        for dst, j in targets:
-            morphisms.append(ShapeMorphism(occurrence_name(src.name, dst.name, j),
-                                           src.name, dst.name, j))
-    return ShapeCategory(spec.alphabet, tuple(objects), tuple(morphisms))
+    objects = tuple(ShapeObject(_shape_obj_name(a, n), a, n)
+                    for a in canonical_generators(spec.alphabet)
+                    for n in sorted(shape_table(spec, a), key=lambda s: s.cells))
+    return ShapeCategory(spec.alphabet, objects)
 
 
 # ---------------------------------------------------------------------------

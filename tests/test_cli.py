@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -17,8 +18,8 @@ from click.testing import CliRunner
 import tapecat
 from tapecat.cli import main
 from tapecat.fincat import FinCatPresentation, canonical_dense_subcategory, validate_category
-from tapecat.machine import MachineSpec, format_machine
-from tapecat.tape import Alphabet, windows
+from tapecat.machine import MachineSpec, apply, format_machine
+from tapecat.tape import Alphabet, TapeString, windows
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 SPREAD = str(MACHINES / "spread.machine")
@@ -98,6 +99,20 @@ class TestRun:
         result = runner.invoke(main, ["run", SPREAD, "#...#.", "--steps", "1"])
         assert result.exit_code == 0
         assert result.output.splitlines() == ["#...#.", "#.##"]
+
+    def test_both_engines_agree_past_a_full_memo(self, tmp_path):
+        # the radius-3 maximum rule fills kan's step memo within 5,000 cells
+        # of this tape, so the categorical engine goes on from its last state
+        alpha = Alphabet(("a", "b", "c"))
+        spec = MachineSpec(alpha, 3, {w: max(w) for w in windows(alpha, 7)})
+        machine = tmp_path / "max3_r3.machine"
+        machine.write_text(format_machine(spec))
+        x = "".join(random.Random(1).choices(alpha.symbols, k=6000))
+        result = subprocess.run([sys.executable, "-m", "tapecat.cli", "run", str(machine), x,
+                                 "--engine", "both"],
+                                capture_output=True, text=True, timeout=30, env=_src_env())
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines() == [x, apply(spec, TapeString(alpha, x)).cells]
 
     def test_zero_steps_prints_input_only(self, runner):
         result = runner.invoke(main, ["run", SPREAD, "#...#.", "--steps", "0"])

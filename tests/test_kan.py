@@ -15,6 +15,7 @@ import pytest
 import tapecat.kan
 import tapecat.machine
 from tapecat.colimit import CellGluing, Disconnected, GlueError, MalformedDiagram, glue_cells
+from tapecat.fincat import occurrence_category
 from tapecat.kan import ShapeCategory, evaluate, evaluate_traced
 from tapecat.machine import (
     MachineSpec,
@@ -80,15 +81,18 @@ class TestEvaluate:
     @pytest.mark.parametrize("dropped", ["(.|...)", "(##|..#.)"])
     def test_a_stalled_pass_stays_cheap(self, spread, spread_shape, dropped, monkeypatch):
         # a dropped object leaves the held state unglued from its first
-        # fault on; the first close that meets it raises and ends closing,
-        # so a pass closes once per stretch of _CLOSE_AT right ends before
-        # its first fault and never after it
+        # fault on; the first close that meets it raises and ends the pass.
+        # With room in the memo for the start state only, the walk closes
+        # the start state and its first step, then the pass closes once per
+        # stretch of _CLOSE_AT right ends before its first fault and never
+        # after it
+        monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
         shape = spread_shape.without_object(dropped)
         x = TapeString(spread.alphabet, "".join(random.Random(3).choices(".#", k=3 * 10**4)))
         want = _batch(shape, x)
         assert isinstance(want, tuple)
         calls, raised = _counted_closes(monkeypatch)
-        assert _stretched(shape, x) == want
+        assert _streamed(shape, x) == want
         assert raised in ([], calls[-1:])
         assert 0 < len(calls) <= 2 + math.log2(len(x) / tapecat.kan._CLOSE_AT)
 
@@ -126,41 +130,42 @@ class TestEvaluate:
         assert 3 * tapecat.kan._CLOSE_AT <= 4095
 
     @pytest.mark.parametrize("offset, window", [
-        (2, "..#."), (-1, "..#."),
         (0, "..#.."),  # the source window then ends two cells before the target's
     ])
     def test_a_join_outside_its_target_is_refused(self, spread_shape, offset, window):
-        # (#|..#) sits in (##|..#.) at offset 0: move it, or lengthen the window
+        # (#|..#) sits in (##|..#.) at offset 0: lengthen the window, and
+        # the derived morphism joins windows ending two cells apart
         objects = tuple(dataclasses.replace(o, window=ts(window)) if o.name == "(##|..#.)"
                         else o for o in spread_shape.objects)
-        morphisms = tuple(dataclasses.replace(m, offset=offset)
-                          if m.name == "(#|..#)>(##|..#.)@0" else m
-                          for m in spread_shape.morphisms)
-        shape = ShapeCategory(spread_shape.alphabet, objects, morphisms)
+        shape = ShapeCategory(spread_shape.alphabet, objects)
+        assert ("(#|..#)", "(##|..#.)", offset) in \
+            {(m.src, m.dst, m.offset) for m in shape.morphisms}
         with pytest.raises(MalformedDiagram, match=re.escape("(#|..#)>(##|..#.)@0")):
             evaluate(shape, ts("#..#."))
 
-    @pytest.mark.parametrize("end", ["src", "dst"])
-    def test_a_morphism_naming_no_object_is_refused(self, spread_shape, end):
-        morphisms = tuple(dataclasses.replace(m, **{end: "(#|#.x)"})
-                          if m.name == "(#|..#)>(##|..#.)@0" else m
-                          for m in spread_shape.morphisms)
-        with pytest.raises(MalformedDiagram, match=re.escape("(#|..#)>(##|..#.)@0")):
-            ShapeCategory(spread_shape.alphabet, spread_shape.objects, morphisms)
+    def test_two_objects_with_one_window_are_refused(self, spread_shape):
+        # a nonempty window names one object; (#|#.#) claims (.|...)'s window
+        objects = tuple(dataclasses.replace(o, window=ts("...")) if o.name == "(#|#.#)"
+                        else o for o in spread_shape.objects)
+        with pytest.raises(MalformedDiagram,
+                           match=re.escape("(.|...) and (#|#.#) have the same window ...")):
+            ShapeCategory(spread_shape.alphabet, objects)
 
     def test_an_object_without_its_identity_has_no_presentation(self, spread_shape):
-        morphisms = tuple(m for m in spread_shape.morphisms if m.name != "(#|#.#)>(#|#.#)@0")
-        shape = ShapeCategory(spread_shape.alphabet, spread_shape.objects, morphisms)
+        generators = {o.name: o.generator for o in spread_shape.objects}
+        occurrences = [(m.name, m.src, m.dst, m.offset) for m in spread_shape.morphisms
+                       if m.name != "(#|#.#)>(#|#.#)@0"]
         with pytest.raises(MalformedDiagram, match=re.escape("(#|#.#) has no identity")):
-            shape.presentation
+            occurrence_category(generators, occurrences)
 
     def test_a_missing_composite_leaves_no_presentation(self, spread_shape):
         # the first pair, in morphism order, whose composite is the dropped one
-        morphisms = tuple(m for m in spread_shape.morphisms if m.name != "(|)>(##|..#.)@0")
-        shape = ShapeCategory(spread_shape.alphabet, spread_shape.objects, morphisms)
+        generators = {o.name: o.generator for o in spread_shape.objects}
+        occurrences = [(m.name, m.src, m.dst, m.offset) for m in spread_shape.morphisms
+                       if m.name != "(|)>(##|..#.)@0"]
         with pytest.raises(MalformedDiagram, match=re.escape(
                 "morphisms (|)>(#|.#.)@0 then (#|.#.)>(##|..#.)@1 have no composite")):
-            shape.presentation
+            occurrence_category(generators, occurrences)
 
     def test_never_consults_the_rule(self, spread, spread_shape, monkeypatch):
         # the evaluator receives only the shape category; rule lookups are
@@ -223,7 +228,7 @@ def _batch(shape, x):
     """The value of the pass over x that closes nothing, or its error as
     (class, message, nodes, cells)."""
     try:
-        return tapecat.kan._glued(shape, x, closing=False)[0]
+        return tapecat.kan._glued(shape, x)[0]
     except GlueError as exc:
         return type(exc), str(exc), exc.nodes, exc.cells
 
@@ -232,15 +237,6 @@ def _streamed(shape, x):
     """The value of evaluate, or its error as _batch gives it."""
     try:
         return evaluate(shape, x).cells
-    except GlueError as exc:
-        return type(exc), str(exc), exc.nodes, exc.cells
-
-
-def _stretched(shape, x):
-    """The value of the pass over x that closes between stretches, or its
-    error as _batch gives it."""
-    try:
-        return tapecat.kan._glued(shape, x)[0]
     except GlueError as exc:
         return type(exc), str(exc), exc.nodes, exc.cells
 
@@ -263,29 +259,65 @@ def _counted_closes(monkeypatch):
     return calls, raised
 
 
+def _counted(monkeypatch, name):
+    """Record the arguments of every call of the kan function ``name``."""
+    calls = []
+    function = getattr(tapecat.kan, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(tapecat.kan, name, counting)
+    return calls
+
+
 def _random_inputs(alphabet, count, seed):
     rng = random.Random(seed)
     return [TapeString(alphabet, "".join(rng.choices(alphabet.symbols, k=rng.randint(0, 200))))
             for _ in range(count)]
 
 
+def _placed_passes(monkeypatch):
+    """Record the pass of every _place_and_glue call: the last one recorded
+    in an evaluation is the pass it ended with."""
+    passes = []
+    place = tapecat.kan._place_and_glue
+
+    def recording(compiled, state, x_cells, stop):
+        passes.append(state)
+        place(compiled, state, x_cells, stop)
+
+    monkeypatch.setattr(tapecat.kan, "_place_and_glue", recording)
+    return passes
+
+
 class TestClosing:
-    """Evaluation that closes finished classes at every right end, against
-    the pass that holds every node."""
+    """Evaluation past a full memo, closing finished classes at every right
+    end, against the pass that holds every node.  With room in the memo for
+    the start state only, every input with a cell goes on from the start
+    state (_stretched)."""
 
     @pytest.fixture(autouse=True)
     def close_at_every_end(self, monkeypatch):
+        monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
         monkeypatch.setattr(tapecat.kan, "_CLOSE_AT", 1)
 
     @pytest.mark.parametrize("machine", [
         "spread", "identity_machine", "parity_machine", "ternary_machine"])
-    def test_lawful_machines_close_all_but_the_frontier(self, machine, request):
+    def test_lawful_machines_close_all_but_the_frontier(self, machine, request, monkeypatch):
         spec = request.getfixturevalue(machine)
         shape = shape_category(spec)
         inputs = all_strings(spec.alphabet, 4) + _random_inputs(spec.alphabet, 20, seed=11)
+        glued = _counted(monkeypatch, "_glued")
+        passes = _placed_passes(monkeypatch)
         for x in inputs:
-            cells, _, state = tapecat.kan._glued(shape, x)
+            passes.clear()
+            glued.clear()
+            cells = evaluate(shape, x).cells
+            state = passes[-1] if x else shape.compiled.held[0][0]
             # certified without the fallback, holding only the last windows
+            assert not glued, str(x)
             assert cells == state.gluing.result()[0] == _batch(shape, x) \
                 == apply(spec, x).cells, str(x)
             assert len(state.gluing.parent) <= 12 * (2 * spec.radius + 2), str(x)
@@ -305,22 +337,19 @@ class TestClosing:
                 outcomes[want[0].__name__ if isinstance(want, tuple) else "glued"] += 1
         assert outcomes["glued"] and outcomes["Disconnected"]
 
-    # with room in the memo for the start state only, the sweep evaluates
-    # every nonempty string by the pass that closes at every right end; the
-    # per-string reference glues each string closing nothing
+    # the sweep evaluates every nonempty string by the pass that closes at
+    # every right end; the per-string reference glues each string closing
+    # nothing
 
     @pytest.mark.parametrize("machine, max_len", [("spread", 8), ("parity_machine", 7)])
-    def test_sweep_matches_the_per_string_sweep(self, machine, max_len, request, monkeypatch):
-        monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
+    def test_sweep_matches_the_per_string_sweep(self, machine, max_len, request):
         spec = request.getfixturevalue(machine)
         shape = shape_category(spec)
         report = equivalence_sweep(spec, max_len, shape)
         assert (report.cases, report.failures) == _per_string_sweep(spec, max_len, shape)
         assert len(shape.compiled.held) == 1
 
-    def test_sweep_without_each_object_matches_the_per_string_sweep(self, spread, spread_shape,
-                                                                    monkeypatch):
-        monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
+    def test_sweep_without_each_object_matches_the_per_string_sweep(self, spread, spread_shape):
         shapes = [spread_shape.without_object(o.name) for o in spread_shape.objects]
         got = [equivalence_sweep(spread, 6, shape) for shape in shapes]
         assert [(r.cases, r.failures) for r in got] == \
@@ -387,21 +416,21 @@ class TestStepMemo:
 
     def test_a_full_memo_goes_to_the_closing_pass(self, spread, spread_shape, monkeypatch):
         # with room for the start state only, every input with a cell
-        # would intern a second state, and the stretch-closing pass answers
+        # would intern a second state, and the pass goes on from the start
+        # state, closing between stretches; only an error glues again
         monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
-        modes = []
-        glued = tapecat.kan._glued
-        monkeypatch.setattr(tapecat.kan, "_glued", lambda shape, x, closing=True:
-                            modes.append(closing) or glued(shape, x, closing))
-        seen = Counter()
+        inputs = _random_inputs(spread.alphabet, 6, seed=19)
+        assert all(inputs)
+        stretched = _counted(monkeypatch, "_stretched")
+        glued = _counted(monkeypatch, "_glued")
         for shape in (shape_category(spread), spread_shape.without_object("(.|...)")):
-            for x in _random_inputs(spread.alphabet, 6, seed=19):
+            for x in inputs:
                 want = _batch(shape, x)
-                modes.clear()
+                stretched.clear()
+                glued.clear()
                 assert _streamed(shape, x) == want, str(x)
-                seen[tuple(modes)] += 1
+                assert (len(stretched), len(glued)) == (1, isinstance(want, tuple)), str(x)
             assert len(shape.compiled.held) == 1
-        assert set(seen) == {(True,)}
 
     def test_interns_a_state_once(self, spread):
         # a second evaluation of the same tape hits every step
@@ -480,17 +509,15 @@ class TestStateKey:
 
     def test_a_wide_rule_fills_the_memo(self, monkeypatch):
         # the radius-3 maximum rule interns more states than the memo holds
-        # within 5,000 cells, so the closing pass answers, once
+        # within 5,000 cells, so the pass goes on from its last state, once
         spec = max_machine(3)
         shape = shape_category(spec)
         x = TapeString(spec.alphabet, "".join(random.Random(1).choices(spec.alphabet.symbols,
                                                                        k=5000)))
-        modes = []
-        glued = tapecat.kan._glued
-        monkeypatch.setattr(tapecat.kan, "_glued", lambda shape, x, closing=True:
-                            modes.append(closing) or glued(shape, x, closing))
+        stretched = _counted(monkeypatch, "_stretched")
+        glued = _counted(monkeypatch, "_glued")
         assert evaluate(shape, x) == apply(spec, x)
-        assert modes == [True]
+        assert (len(stretched), len(glued)) == (1, 0)
         assert len(shape.compiled.held) == tapecat.kan._MEMO_CAP == 4096
 
 
@@ -602,7 +629,7 @@ def _per_string_sweep(spec, max_len, shape):
     for x in inputs:
         want = apply(spec, x)
         try:
-            got = TapeString(spec.alphabet, tapecat.kan._glued(shape, x, closing=False)[0])
+            got = TapeString(spec.alphabet, tapecat.kan._glued(shape, x)[0])
         except GlueError as exc:
             mismatches.append(f"{x}: glue failed: {exc}")
             continue

@@ -40,7 +40,7 @@ from tapecat.tape import (
     windows,
 )
 
-from .conftest import spread_rule
+from .conftest import max_machine, spread_rule
 from .support import (all_spans_universality, check_explanation, closed_form_windows, occ,
                       random_machine, ts, update_functoriality)
 
@@ -606,6 +606,17 @@ class TestShapeCategory:
         # a misspelt name would leave all 25 objects and inject no fault
         with pytest.raises(ValueError, match=r"\(#\|#\.x\) is not an object"):
             spread_shape.without_object("(#|#.x)")
+
+    @pytest.mark.parametrize("machine, every", [
+        ("spread", 1), ("parity_machine", 1), ("ternary_machine", 1), ("max3_r2", 9)])
+    def test_without_an_object_filters_its_morphisms(self, machine, every, request):
+        # the copy derives its morphisms from the remaining objects: those
+        # of the whole category that do not touch the dropped object, in order
+        spec = max_machine(2) if machine == "max3_r2" else request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        for o in shape.objects[::every]:
+            assert shape.without_object(o.name).morphisms == \
+                tuple(m for m in shape.morphisms if o.name not in (m.src, m.dst)), o.name
 
     def test_specific_morphism_exists(self, spread_shape):
         got = {(m.src, m.dst, m.offset) for m in spread_shape.morphisms}

@@ -71,14 +71,26 @@ def _is_command(node: ast.AST) -> bool:
                and d.func.attr in ("command", "group") for d in node.decorator_list)
 
 
+def _module_names(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """The names a module's top-level assignments bind, with their lines."""
+    return [(target.id, node.lineno, node.end_lineno) for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Name)
+            and not (target.id.startswith("__") and target.id.endswith("__"))]
+
+
 def test_no_unreferenced_definitions():
-    # a function, method or class that nothing names outside its own body
-    # is dead: a name, attribute, import or string (a monkeypatched or
-    # traced name) in src/ or tests/ counts as a use
+    # a function, method, class or module-level name that nothing names
+    # outside its own definition is dead: a name, attribute, import or
+    # string (a monkeypatched or traced name) in src/ or tests/ counts as a use
     root = Path(__file__).resolve().parent.parent
     definitions, uses = [], []
     for path in sorted(root.glob("src/**/*.py")) + sorted(root.glob("tests/**/*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.is_relative_to(root / "src"):
+            definitions += [(name, path, first, last) for name, first, last in _module_names(tree)]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.append((node.id, path, node.lineno))
             elif isinstance(node, ast.Attribute):
