@@ -16,8 +16,8 @@ core for named diagrams.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, compress, count
-from operator import eq, not_, sub
+from itertools import compress, count
+from operator import eq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -132,7 +132,7 @@ class CellGluing:
     def copy(self) -> CellGluing:
         """An independent copy: adding, identifying, closing or path halving
         in either leaves the other as it was."""
-        twin = CellGluing()
+        twin = object.__new__(CellGluing)
         twin.values, twin.starts, twin.parent, twin.closed = (
             self.values.copy(), self.starts.copy(), self.parent.copy(), self.closed.copy())
         twin.after = self.after
@@ -156,7 +156,7 @@ class CellGluing:
         """Every held cell's root, by pointer jumping."""
         roots = self.parent
         while True:
-            jumped = [roots[r] for r in roots]
+            jumped = list(map(roots.__getitem__, roots))
             if jumped == roots:
                 return roots
             roots = jumped
@@ -164,8 +164,9 @@ class CellGluing:
     def close(self, frontier: int) -> int:
         """Close the classes whose cells all lie in nodes before node
         ``frontier``, which the caller guarantees no later identify touches;
-        returns how many leading nodes were dropped, by which the indices of
-        the held nodes fall.
+        returns how many leading nodes were dropped (those before the
+        frontier left with no held cell), by which the indices of the held
+        nodes fall.
 
         Only a held state that glues is closed, and only along the path that
         ``result`` reads off it: the classes before the first one with a
@@ -174,30 +175,41 @@ class CellGluing:
         neighbours, so once the closed classes have glued, they stay glued.
         On a state that does not glue, raises as ``result`` does and closes
         nothing.
+
+        Closing or not, it leaves each held cell's parent, and ``after``, at
+        the first held cell of its class, so two closed states that hold the
+        same labelled quotient hold equal lists.
         """
         values, starts = self.values, self.starts
         finished = starts[frontier] if frontier < len(starts) else len(self.parent)
         roots, labels, path = self._read()
         held = set(roots[finished:])
         stop = [*map(held.__contains__, path[:-1]), True].index(True)
-        if not stop:
-            return 0
-        cur = path[stop]
-        self.closed.append("".join(map(labels.__getitem__, path[:stop])))
-        # renumber the held cells: each falls by the closed cells before it.
-        # A node's closed cells come first in it (the path runs through the
-        # node's cells in order, and the closed classes are its prefix).
-        kept = list(map(set(path[stop:]).__contains__, roots))
-        before = list(accumulate(map(not_, kept), initial=0))
-        kept_roots = list(compress(roots, kept))
-        self.parent = list(map(sub, kept_roots, map(before.__getitem__, kept_roots)))
-        new_starts = list(map(sub, starts, map(before.__getitem__, starts)))
-        new_stops = new_starts[1:] + [len(kept_roots)]
-        dropped = min(frontier, bisect_right(new_stops, 0))
-        self.values = [v[len(v) - stop + start:] for v, start, stop
-                       in zip(values[dropped:], new_starts[dropped:], new_stops[dropped:])]
-        self.starts = new_starts[dropped:]
-        self.after = cur - before[cur]
+        if stop:
+            self.closed.append("".join(map(labels.__getitem__, path[:stop])))
+        # renumber the held cells in order, each pointing at its class's
+        # first.  A node's closed cells come first in it (the path runs
+        # through the node's cells in order, and the closed classes are its
+        # prefix), so it keeps the end of its value.
+        closing = set(path[:stop])
+        first: dict[int, int] = {}
+        parent: list[int] = []
+        kept_values, kept_starts = [], []
+        dropped = kept = 0
+        for value, start in zip(values, starts):
+            begin = kept
+            for root in roots[start : start + len(value)]:
+                if root not in closing:
+                    parent.append(first.setdefault(root, kept))
+                    kept += 1
+            if not kept and dropped < frontier:
+                dropped += 1
+                continue
+            kept_values.append(value[len(value) - kept + begin:])
+            kept_starts.append(begin)
+        self.values, self.starts, self.parent = kept_values, kept_starts, parent
+        if stop or self.after is not None:  # the path's source, once a class has closed
+            self.after = first[path[stop]]
         return dropped
 
     def result(self) -> tuple[str, list[int]]:

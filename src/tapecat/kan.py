@@ -29,9 +29,10 @@ prefix of the input; a close that meets a state that does not glue raises.
 
 A sliding-block code is a finite-state transducer (Hedlund 1969), and
 evaluate runs the pass as one.  It closes at every right end and interns
-the held state under an exact key (_CompiledShape._intern).  The compiled
-shape memoises per state and next cell the emitted cells and the next
-state, and per state the word held when the input ends.  The memo is
+the held quotient, not the objects that built it, so passes that glue
+alike share one state (_CompiledShape._intern).  The compiled shape
+memoises per state and next cell the emitted cells and the next state,
+and per state the word held when the input ends.  The memo is
 filled only by gluing, so evaluate never reads the rule table.  An input
 that would intern more than _MEMO_CAP states goes on from the last state
 it reached, closing after every _CLOSE_AT right ends instead of every one.
@@ -91,6 +92,11 @@ class ShapeCategory:
         self.alphabet = alphabet
         self.objects = objects
         self._by_name = {o.name: o for o in objects}
+        if len(self._by_name) != len(objects):
+            o, twin = next((o, self._by_name[o.name]) for o in objects
+                           if self._by_name[o.name] is not o)
+            raise MalformedDiagram(f"{o.name} names two objects, with windows "
+                                   f"{o.window} and {twin.window}")
         # a nonempty window names its object, so each sub-window is one lookup
         by_window: dict[str, ShapeObject] = {}
         for o in objects:
@@ -186,7 +192,8 @@ class _CompiledShape:
     """Plain-data view of a shape category for the evaluation pass.
 
     A nonempty window names its object, so the objects with nonempty
-    windows are indexed per window length, shortest first (a level);
+    windows are indexed per window length, shortest first (a level), and
+    ``lookups`` holds each level's number, length and window lookup;
     objects with an empty window are placed once, at offset 0.  Each object
     lists the morphisms into it from one-cell-smaller generators: ``joins``
     those from nonempty windows as (source level, lag, offset, morphism
@@ -207,6 +214,8 @@ class _CompiledShape:
             if not o.window.is_empty():
                 by_length.setdefault(o.window.length, {})[o.window.cells] = k
         self.levels = sorted(by_length.items())
+        self.lookups = [(level, length, by_window.get)
+                        for level, (length, by_window) in enumerate(self.levels)]
         level_of = {n: i for i, (n, _) in enumerate(self.levels)}
         index = {o.name: k for k, o in enumerate(objects)}
         self.joins: list[list[tuple[int, int, int, int]]] = [[] for _ in objects]
@@ -272,21 +281,21 @@ class _CompiledShape:
         ``lookback`` cells (fewer at the input's start) that windows ending
         at its next right end still read, renumbered to end where
         ``tail + cell`` does; None when the state is new and the memo holds
-        _MEMO_CAP states.  The key (the held nodes' cells, objects and right
-        ends, whether ``after`` is set, and ``tail``) is exact:
-        - No class holds both a held and a closed cell, so the held partition
-          is generated by the joins among held nodes, which their objects,
-          right ends and held cells fix (a node's closed cells come first).
-        - After a close that did not raise, ``after``'s class is the held
-          path's unique source; whether it is set is kept, since a pass
-          that has closed nothing pins no source.
-        - ``current`` names each level's node ending one cell before ``end``,
-          which no close drops; the next right end overwrites ``previous``."""
+        _MEMO_CAP states.  The key is the held quotient: per held node its
+        cells, window length and right end, each held cell's class and the
+        class of ``after``, each named by the first held cell of the class
+        (close leaves the parents so), and ``tail``.  It holds all that the
+        pass reads on: the next right end reads ``tail`` and joins the nodes
+        that ``current`` names, which the window lengths and right ends fix;
+        a close reads the quotient and the right ends.  A held node's object
+        is not kept: the joins into it are made, and its cells carry them.
+        So two passes with one key glue alike, on every shape."""
         shift = len(tail) + 1 - state.end
         state.ends[:] = [end + shift for end in state.ends]
         state.end += shift
-        key = (tuple(state.gluing.values), tuple(state.placed), tuple(state.ends),
-               state.gluing.after is None, tail)
+        gluing = state.gluing
+        key = (tuple(gluing.values), tuple(map(self.window_lengths.__getitem__, state.placed)),
+               tuple(state.ends), tuple(gluing.parent), gluing.after, tail)
         number = self.states.get(key)
         if number is None and len(self.held) < _MEMO_CAP:
             number = self.states[key] = len(self.held)
@@ -314,13 +323,13 @@ class _Pass:
 
     ``gluing`` holds the nodes placed so far; per held node in placement
     order, ``placed`` is its object index and ``ends`` the right end of its
-    window.  ``previous`` and ``current`` hold, per level, the node whose
-    window ends two cells before ``end`` and the one ending one cell before
-    it (or None); ``end`` is the next right end to place.  The pass holds
-    every node it placed until ``close`` drops the finished ones.
+    window.  ``current`` holds, per level, the node whose window ends one
+    cell before ``end`` (or None); ``end`` is the next right end to place.
+    The pass holds every node it placed until ``close`` drops the finished
+    ones.
     """
 
-    __slots__ = ("gluing", "placed", "ends", "previous", "current", "end")
+    __slots__ = ("gluing", "placed", "ends", "current", "end")
 
     def __init__(self, compiled: _CompiledShape) -> None:
         self.gluing = CellGluing()
@@ -328,7 +337,6 @@ class _Pass:
         self.ends = [0] * len(self.placed)
         for k in self.placed:
             self.gluing.add(compiled.generators[k])
-        self.previous: list[int | None] = [None] * len(compiled.levels)
         self.current: list[int | None] = [None] * len(compiled.levels)
         self.end = 0
 
@@ -337,7 +345,7 @@ class _Pass:
         twin = object.__new__(_Pass)
         twin.gluing = self.gluing.copy()
         twin.placed, twin.ends = self.placed.copy(), self.ends.copy()
-        twin.previous, twin.current = self.previous.copy(), self.current.copy()
+        twin.current = self.current.copy()
         twin.end = self.end
         return twin
 
@@ -360,15 +368,14 @@ def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str, stop: 
 
     ``state`` must hold the pass over x's right ends before ``state.end``.
     """
-    generators, joins = compiled.generators, compiled.joins
+    generators, joins, lookups = compiled.generators, compiled.joins, compiled.lookups
     add, identify = state.gluing.add, state.gluing.identify
     placed, ends = state.placed, state.ends
-    levels = [(level, length, by_window.get)
-              for level, (length, by_window) in enumerate(compiled.levels)]
-    previous, current = state.previous, state.current
+    # per level, the nodes ending one cell back, and a list to place into
+    current, previous = state.current, [None] * len(lookups)
     for end in range(state.end, stop):
         previous, current = current, previous
-        for level, length, lookup in levels:
+        for level, length, lookup in lookups:
             k = lookup(x_cells[end - length : end]) if end >= length else None
             if k is None:
                 current[level] = None
@@ -378,7 +385,7 @@ def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str, stop: 
             ends.append(end)
             for src_level, lag, off, _ in joins[k]:
                 identify((previous if lag else current)[src_level], node, off)
-    state.previous, state.current = previous, current
+    state.current = current
     state.end = stop
 
 

@@ -96,7 +96,7 @@ class TestEvaluate:
         assert raised in ([], calls[-1:])
         assert 0 < len(calls) <= 2 + math.log2(len(x) / tapecat.kan._CLOSE_AT)
 
-    @pytest.mark.parametrize("dropped, closes", [("(.|...)", 31), ("(##|..#.)", 10)])
+    @pytest.mark.parametrize("dropped, closes", [("(.|...)", 20), ("(##|..#.)", 10)])
     def test_a_stalled_memo_stops_at_its_first_fault(self, spread, spread_shape, dropped, closes,
                                                      monkeypatch):
         # evaluate closes once per memo miss, and a close that raises ends
@@ -149,6 +149,14 @@ class TestEvaluate:
                         else o for o in spread_shape.objects)
         with pytest.raises(MalformedDiagram,
                            match=re.escape("(.|...) and (#|#.#) have the same window ...")):
+            ShapeCategory(spread_shape.alphabet, objects)
+
+    def test_two_objects_with_one_name_are_refused(self, spread_shape):
+        # a name is an object's, and its morphisms are named after it
+        objects = tuple(dataclasses.replace(o, name="(#|..#)") if o.name == "(#|#.#)"
+                        else o for o in spread_shape.objects)
+        with pytest.raises(MalformedDiagram,
+                           match=re.escape("(#|..#) names two objects, with windows #.# and ..#")):
             ShapeCategory(spread_shape.alphabet, objects)
 
     def test_an_object_without_its_identity_has_no_presentation(self, spread_shape):
@@ -468,14 +476,18 @@ def _behaviour(state):
 class TestStateKey:
     """The step memo's key against what the deleted gluing signature kept."""
 
-    def test_equal_keys_hold_equal_states(self, monkeypatch, request):
-        # every state a key numbers must glue and close as its number's
-        # representative: on the fixtures, every one-object deletion of
-        # spread and parity_r2, and seeded random rules
+    @pytest.fixture(scope="class")
+    def interned(self, request):
+        """Evaluate every short string and a few random tapes on the
+        fixtures, max3_r2, every one-object deletion of spread and
+        parity_r2, and seeded random rules: the shapes, and every state
+        their keys numbered (_interned)."""
         runs = []
         for machine in MACHINES:
             spec = request.getfixturevalue(machine)
             runs.append((shape_category(spec), spec.alphabet, 6, 8))
+        spec = max_machine(2)
+        runs.append((shape_category(spec), spec.alphabet, 5, 3))
         for machine in ("spread", "parity_machine"):
             spec = request.getfixturevalue(machine)
             shape = shape_category(spec)
@@ -483,24 +495,41 @@ class TestStateKey:
         for symbols, radius, seed in itertools.product((2, 3), (0, 1, 2), range(2)):
             spec = random_machine(symbols, radius, seed)
             runs.append((shape_category(spec), spec.alphabet, 5, 3))
-        seen = _interned(monkeypatch)
-        for k, (shape, alphabet, max_len, tapes) in enumerate(runs):
-            for x in all_strings(alphabet, max_len) + _random_inputs(alphabet, tapes, seed=k):
-                try:
-                    evaluate(shape, x)
-                except GlueError:
-                    pass
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = _interned(monkeypatch)
+            for k, (shape, alphabet, max_len, tapes) in enumerate(runs):
+                for x in all_strings(alphabet, max_len) + _random_inputs(alphabet, tapes, seed=k):
+                    try:
+                        evaluate(shape, x)
+                    except GlueError:
+                        pass
+        return [shape for shape, *_ in runs], seen
+
+    def test_equal_keys_hold_equal_states(self, interned):
+        # every state a key numbers must glue and close as its number's
+        # representative
+        seen = interned[1]
         hits = [(compiled.held[number][0], state) for compiled, number, state in seen
                 if compiled.held[number][0] is not state]
         assert hits
         assert sum(_behaviour(rep) != _behaviour(state) for rep, state in hits) == 0
 
+    def test_the_key_splits_no_behaviour(self, interned):
+        # and no two states of one shape glue alike from equal tails: the
+        # key keeps nothing that the behaviour does not
+        shapes = interned[0]
+        states = [{(_behaviour(rep), tail) for rep, tail in shape.compiled.held}
+                  for shape in shapes]
+        assert [len(held) for held in states] == [len(shape.compiled.held) for shape in shapes]
+        assert sum(map(len, states)) > 1000
+
     @pytest.mark.parametrize("machine, states", [
-        ("spread", 37), ("identity_machine", 11), ("parity_machine", 135),
-        ("ternary_machine", 248), ("max3_r2", 2174)])
+        ("spread", 15), ("identity_machine", 7), ("parity_machine", 71),
+        ("ternary_machine", 47), ("max3_r2", 301), ("max3_r3", 2325)])
     def test_interned_state_counts(self, machine, states, request):
         # a key that merges states lowers a count; one that splits them raises it
-        spec = max_machine(2) if machine == "max3_r2" else request.getfixturevalue(machine)
+        spec = (max_machine(int(machine[-1])) if machine.startswith("max3")
+                else request.getfixturevalue(machine))
         shape = shape_category(spec)
         x = TapeString(spec.alphabet, "".join(random.Random(1).choices(spec.alphabet.symbols,
                                                                        k=10**4)))
@@ -508,12 +537,13 @@ class TestStateKey:
         assert len(shape.compiled.held) == states
 
     def test_a_wide_rule_fills_the_memo(self, monkeypatch):
-        # the radius-3 maximum rule interns more states than the memo holds
-        # within 5,000 cells, so the pass goes on from its last state, once
-        spec = max_machine(3)
+        # a random radius-3 rule over three symbols interns more states than
+        # the memo holds within 15,000 cells (the radius-3 maximum rule
+        # holds 2,325), so the pass goes on from its last state, once
+        spec = random_machine(3, 3, 0)
         shape = shape_category(spec)
         x = TapeString(spec.alphabet, "".join(random.Random(1).choices(spec.alphabet.symbols,
-                                                                       k=5000)))
+                                                                       k=15000)))
         stretched = _counted(monkeypatch, "_stretched")
         glued = _counted(monkeypatch, "_glued")
         assert evaluate(shape, x) == apply(spec, x)
