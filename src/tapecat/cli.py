@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .colimit import GlueError, density_check
+from .colimit import GlueError, density_sweep
 from .fincat import FinCatPresentation, canonical_dense_subcategory, validate_category, validate_functor
 from .kan import ShapeCategory, evaluate, evaluate_traced
 from .machine import (
@@ -29,7 +29,7 @@ from .machine import (
     shape_category,
     shape_table,
 )
-from .tape import AlphabetMismatch, TapeString, windows
+from .tape import AlphabetMismatch, TapeString
 
 EXIT_PARSE = 1
 EXIT_CHECK = 2
@@ -219,18 +219,9 @@ def _check_functor(spec: MachineSpec, shape: ShapeCategory, faulty: ShapeCategor
 
 
 def _check_density(dense, max_len: int) -> list[tuple[str, bool, str]]:
-    results = []
-    for n in range(max_len + 1):
-        count = 0
-        first_failure = None
-        for cells in windows(dense.alphabet, n):
-            verdict = density_check(TapeString(dense.alphabet, cells), dense)
-            count += 1
-            if not verdict.ok and first_failure is None:
-                first_failure = f"{cells or '(empty)'}: {verdict.detail}"
-        detail = f"inputs={count}" if first_failure is None else first_failure
-        results.append((f"density len={n}", first_failure is None, detail))
-    return results
+    return [(f"density len={n}", failure is None,
+             f"inputs={count}" if failure is None else failure)
+            for n, (count, failure) in enumerate(density_sweep(dense, max_len))]
 
 
 @main.command()

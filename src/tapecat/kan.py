@@ -289,7 +289,19 @@ class _CompiledShape:
         that ``current`` names, which the window lengths and right ends fix;
         a close reads the quotient and the right ends.  A held node's object
         is not kept: the joins into it are made, and its cells carry them.
-        So two passes with one key glue alike, on every shape."""
+        So two passes with one key glue alike, on every shape.
+
+        On a shape whose window lengths each hold one generator length, of
+        at most two cells, as every machine's shape does, the classes follow
+        from the rest of the key, so no test of such shapes sees them split a
+        state.  A class is all held or all closed, so the held classes are
+        generated by the joins between held cells.  A join is made when its
+        one-cell source window is placed and the target's generator holds the
+        source's cell at the join's offset: the window lengths and right ends
+        name the nodes, fix the offset and how many cells each node has
+        closed, and the held values show both cells.  The classes stay in
+        the key for other shapes, where a held node's closed cells, or a
+        two-cell source's closed cell, can hide whether a join was made."""
         shift = len(tail) + 1 - state.end
         state.ends[:] = [end + shift for end in state.ends]
         state.end += shift

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import tapecat.machine
 from tapecat import tape
-from tapecat.colimit import CellGluing
+from tapecat.colimit import CellGluing, density_check
 from tapecat.fincat import FinCatPresentation, FunctorData, TapeCategory, canonical_generators
 from tapecat.machine import (Explanation, MachineSpec, SweepOutcome, apply, apply_morphism,
                              causal_neighbourhood)
@@ -122,6 +122,19 @@ def gluing_signature(gluing: CellGluing) -> tuple:
     classes = tuple(number.setdefault(r, len(number)) for r in roots)
     after = None if gluing.after is None else number[roots[gluing.after]]
     return tuple(gluing.values), tuple(gluing.starts), classes, after
+
+
+def per_string_density(dense, max_len: int) -> list[tuple[int, str | None]]:
+    """Reference for colimit.density_sweep: density_check on each string of
+    each length up to max_len, in windows order; per length the count and
+    the first failing string with its detail."""
+    rows = []
+    for n in range(max_len + 1):
+        xs = [TapeString(dense.alphabet, cells) for cells in windows(dense.alphabet, n)]
+        failures = [f"{x}: {verdict.detail}" for x in xs
+                    if not (verdict := density_check(x, dense)).ok]
+        rows.append((len(xs), failures[0] if failures else None))
+    return rows
 
 
 def random_machine(symbols: int, radius: int, seed: int) -> MachineSpec:

@@ -18,8 +18,10 @@ from click.testing import CliRunner
 import tapecat
 from tapecat.cli import main
 from tapecat.fincat import FinCatPresentation, canonical_dense_subcategory, validate_category
-from tapecat.machine import MachineSpec, apply, format_machine
+from tapecat.machine import MachineSpec, apply, format_machine, parse_machine
 from tapecat.tape import Alphabet, TapeString, windows
+
+from .support import per_string_density
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 SPREAD = str(MACHINES / "spread.machine")
@@ -350,6 +352,19 @@ class TestCheck:
         assert [line for line in result.stdout.splitlines() if line.startswith("FAIL")][0] == (
             "FAIL density len=2: ..: glue failed: quotient splits into 2 components "
             "[nodes: .@0, .@1]")
+
+    def test_three_symbol_density_rows(self, runner):
+        # the only three-symbol machine file; the rows against density_check
+        # run string by string
+        machine = PERFBENCH / "machines" / "max3_r1.machine"
+        result = runner.invoke(main, ["check", str(machine), "--suite", "density",
+                                      "--max-len", "6"])
+        dense = canonical_dense_subcategory(parse_machine(machine.read_text()).alphabet)
+        assert result.exit_code == 0
+        assert result.stdout == "".join(
+            f"PASS density len={n}: inputs={count}\n" if failure is None
+            else f"FAIL density len={n}: {failure}\n"
+            for n, (count, failure) in enumerate(per_string_density(dense, 6)))
 
     def test_identity_machine_all(self, runner):
         result = runner.invoke(main, ["check", IDENTITY, "--max-len", "5",

@@ -20,6 +20,7 @@ from tapecat.colimit import (
     TapeDiagram,
     canonical_diagram,
     density_check,
+    density_sweep,
     glue,
     glue_cells,
 )
@@ -39,6 +40,7 @@ from .support import (
     comma_over,
     count_mediators,
     occ,
+    per_string_density,
     ts,
     unchecked_occurrence,
 )
@@ -388,6 +390,22 @@ class TestDensity:
         for x in all_strings(DEFAULT_ALPHABET, 6):
             verdict = density_check(x, dense)
             assert verdict.ok, f"{x}: {verdict.detail}"
+
+    def test_the_sweep_agrees_with_density_check(self, dense):
+        # the prefix-extension sweep against a string-by-string reference:
+        # per length the count, and the first failing string with its detail
+        ternary = canonical_dense_subcategory(Alphabet(("a", "b", "c")))
+        strings = dense.strings  # (empty), ., #, .., .#, #., ##
+        faulty = [strings[:3], (strings[0], strings[2]), strings[1:], (strings[0], *strings[3:])]
+        runs = [(dense, 8), (ternary, 5)] + [
+            (dataclasses.replace(dense, strings=gens), 6) for gens in faulty]
+        failing = 0
+        for gens, max_len in runs:
+            rows = density_sweep(gens, max_len)
+            assert rows == per_string_density(gens, max_len), [str(g) for g in gens.strings]
+            failing += any(failure for _, failure in rows)
+        assert failing == 3  # the empty generator identifies no cell: without it, all glue
+        assert density_sweep(dense, -1) == []
 
     def test_canonical_diagram_is_the_comma_category(self):
         # reference: the comma category (generators over x), enumerated by search

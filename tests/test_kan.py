@@ -474,7 +474,11 @@ def _behaviour(state):
 
 
 class TestStateKey:
-    """The step memo's key against what the deleted gluing signature kept."""
+    """The step memo's key against what the deleted gluing signature kept.
+
+    Every shape here has one generator length per window length, of at most
+    two cells, so the key's classes follow from the rest of it (see
+    _CompiledShape._intern): these tests pass with them taken out."""
 
     @pytest.fixture(scope="class")
     def interned(self, request):
