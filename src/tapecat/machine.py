@@ -6,16 +6,20 @@ updates to the empty string.  Around this sit the causal-structure
 operations: the neighbourhood through which all influence on an updated
 part must pass, a bounded checker for its universal property, the finite
 shape category (kan.ShapeCategory) built from the rule, and the sweeps
-of the laws, the equivalence of the two engines among them.  The imports
-hold the firewall: kan imports nothing from here, so colimit evaluation
-sees the rule only through the shape category.
+of the laws.  The equivalence sweep compares the two engines on every
+string up to a bound, extending each string's update and its walk of the
+step memo from its prefix's, and hands kan.evaluate only the strings whose
+walk fails; it drives the memo through its start, steps, step and final,
+so no second gluing logic lives here.  The imports hold the firewall: kan
+imports nothing from here, so colimit evaluation sees the rule only
+through the shape category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 from . import tape
 from .colimit import GlueError
@@ -481,26 +485,80 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
 def equivalence_sweep(spec: MachineSpec, max_len: int,
                       shape: ShapeCategory | None = None) -> SweepOutcome:
     """Compare colimit evaluation (kan.evaluate) against the direct rule
-    (apply) on every string up to max_len, as ``run --engine both`` compares
-    them at each step: one case per string, one failure line per mismatch,
-    in the order of tape.all_strings; a lawful machine must show none.  The
-    strings are made one at a time, length by length, so the sweep holds
-    none of them.  A negative max_len visits no string."""
+    (apply) on every string up to max_len: one case per string, one failure
+    line per mismatch, shortest strings first and each length in
+    tape.windows order; a lawful machine must show none.  A negative
+    max_len visits no string.
+
+    The strings are walked by prefix extension, depth first with children
+    in alphabet order, so each length comes in windows order; the walk
+    holds at most max_len * (|alphabet| - 1) + 1 strings, never a list of
+    them.  Each side extends x to x·c in constant time, by its engine's own
+    definition.  apply maps every window, so the rule's update of x·c is
+    x's followed by the output for x·c's last window, once it holds one; a
+    window with no entry raises apply's MachineError.  evaluate steps the
+    compiled shape's memo from its start state, one step per cell, and
+    appends the word the last state holds (kan._transduced), so the walk
+    keeps per string the cells emitted and the state reached, and x·c
+    takes one step from x's, through the same start, steps, step and final.
+    Where the walk cannot go on, because a step finds the memo full or a
+    step or the final read does not glue, evaluate itself takes that
+    string, and after a failed step its subtree, so its fallbacks give the
+    value or the glue error.  Every value and line is therefore the one
+    that evaluate and apply give on that string alone.
+    """
     shape = _shape_of(spec, shape)
-    outcome = SweepOutcome()
-    for n in range(max_len + 1):
-        for cells in tape.windows(spec.alphabet, n):
-            x = TapeString(spec.alphabet, cells)
-            outcome.cases += 1
-            want = apply(spec, x)
+    compiled, alphabet, w = shape.compiled, spec.alphabet, spec.window_len
+    steps, step, final, rule = compiled.steps, compiled.step, compiled.final, spec.rule_map.get
+    failures: list[list[str]] = [[] for _ in range(max_len + 1)]
+    cases = 0
+    # per string to visit: its cells, the cells the walk emitted on them,
+    # the rule's update and the walk's state (None once a step failed)
+    stack = [("", "", "", _unglued(compiled.start))] if failures else []
+    while stack:
+        cells, emitted, applied, state = stack.pop()
+        n = len(cells)
+        cases += 1
+        try:
+            got = None if state is None else emitted + final(state)
+        except GlueError:
+            got = None
+        if got is None:
+            x = TapeString(alphabet, cells)
             try:
-                got = evaluate(shape, x)
+                got = evaluate(shape, x).cells
             except GlueError as exc:
-                outcome.failures.append(f"{x}: glue failed: {exc}")
-                continue
-            if got != want:
-                outcome.failures.append(f"{x}: evaluated {got}, rule gives {want}")
-    return outcome
+                failures[n].append(f"{x}: glue failed: {exc}")
+        if got is not None and got != applied:
+            failures[n].append(f"{TapeString(alphabet, cells)}: evaluated "
+                               f"{TapeString(alphabet, got)}, rule gives "
+                               f"{TapeString(alphabet, applied)}")
+        if n == max_len:
+            continue
+        children = []
+        for c in alphabet.symbols:
+            child = cells + c
+            hit = None if state is None else steps[state].get(c) or _unglued(step, state, c)
+            if n + 1 >= w:  # _window_map raises apply's error on a window with no entry
+                window = child[-w:]
+                updated = applied + (rule(window) or _window_map(spec, window))
+            else:
+                updated = ""
+            children.append((child, emitted + hit[0], updated, hit[1]) if hit
+                            else (child, "", updated, None))
+        stack += reversed(children)
+    return SweepOutcome(cases, [line for lines in failures for line in lines])
+
+
+_T = TypeVar("_T")
+
+
+def _unglued(call: Callable[..., _T], *args: object) -> _T | None:
+    """call(*args), or None where it raises GlueError."""
+    try:
+        return call(*args)
+    except GlueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

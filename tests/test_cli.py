@@ -417,6 +417,19 @@ class TestCheck:
             "evaluated (empty), rule gives .",
         ]
 
+    @pytest.mark.parametrize("machine, max_len, row", [
+        ("parity_r2", 7, "FAIL equivalence max_len=7: inputs=255 mismatches=5 max_len=7 "
+                         "first: ####.: evaluated (empty), rule gives ."),
+        ("max3_r1", 5, "FAIL equivalence max_len=5: inputs=364 mismatches=10 max_len=5 "
+                       "first: aaa: evaluated (empty), rule gives a")])
+    def test_dropped_shape_object_fails_equivalence_on_wider_rules(self, runner, machine,
+                                                                   max_len, row):
+        result = runner.invoke(main, ["check", str(PERFBENCH / "machines" / f"{machine}.machine"),
+                                      "--suite", "equivalence", "--max-len", str(max_len),
+                                      "--mutate", "drop-shape-object"])
+        assert result.exit_code == 2
+        assert result.stdout == row + "\n"
+
     def test_mutated_equivalence_exits_2(self, runner):
         result = runner.invoke(main, ["check", SPREAD, "--suite", "equivalence",
                                       "--max-len", "6", "--mutate", "drop-shape-object"])

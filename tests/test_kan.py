@@ -16,8 +16,9 @@ import tapecat.kan
 import tapecat.machine
 from tapecat.colimit import CellGluing, Disconnected, GlueError, MalformedDiagram, glue_cells
 from tapecat.fincat import occurrence_category
-from tapecat.kan import ShapeCategory, evaluate, evaluate_traced
+from tapecat.kan import ShapeCategory, ShapeObject, evaluate, evaluate_traced
 from tapecat.machine import (
+    MachineError,
     MachineSpec,
     SweepOutcome,
     apply,
@@ -33,6 +34,7 @@ from tapecat.tape import (
     TapeString,
     all_strings,
     compose,
+    windows,
 )
 
 from .conftest import max_machine
@@ -267,16 +269,17 @@ def _counted_closes(monkeypatch):
     return calls, raised
 
 
-def _counted(monkeypatch, name):
-    """Record the arguments of every call of the kan function ``name``."""
+def _counted(monkeypatch, name, module=tapecat.kan):
+    """Record the arguments of every call of the function ``name`` of
+    ``module``."""
     calls = []
-    function = getattr(tapecat.kan, name)
+    function = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return function(*args)
 
-    monkeypatch.setattr(tapecat.kan, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -584,9 +587,13 @@ class TestEquivalenceSweep:
         assert any("###" in line for line in report.failures)
 
     @pytest.mark.parametrize("machine, max_len", [
-        ("spread", 10), ("parity_machine", 8), ("ternary_machine", 6), ("identity_machine", 8)])
+        ("spread", 10), ("parity_machine", 8), ("ternary_machine", 6), ("identity_machine", 8),
+        *(pytest.param((symbols, radius, seed), 8 if symbols == 2 else 5,
+                       id=f"random-{symbols}-{radius}-{seed}")
+          for seed, (symbols, radius) in enumerate(itertools.product((2, 3), (0, 1, 2))))])
     def test_matches_the_per_string_sweep(self, machine, max_len, request):
-        spec = request.getfixturevalue(machine)
+        spec = (random_machine(*machine) if isinstance(machine, tuple)
+                else request.getfixturevalue(machine))
         shape = shape_category(spec)
         report = equivalence_sweep(spec, max_len, shape)
         assert (report.cases, report.failures) == _per_string_sweep(spec, max_len, shape)
@@ -614,27 +621,57 @@ class TestEquivalenceSweep:
         report = equivalence_sweep(spec, 1200)
         assert report.ok and report.cases == 1201
 
-    def test_sweep_calls_the_module_level_engines(self, spread, spread_shape, monkeypatch):
-        # the benchmark's tracer counts evaluations and updates by wrapping
-        # tapecat.machine.evaluate and tapecat.machine.apply, so the sweep
-        # must call those names, once per string, also where gluing fails
-        calls = Counter()
-
-        def counted(name):
-            engine = getattr(tapecat.machine, name)
-
-            def counting(*args, **kwargs):
-                calls[name] += 1
-                return engine(*args, **kwargs)
-            return counting
-
-        for name in ("evaluate", "apply"):
-            monkeypatch.setattr(tapecat.machine, name, counted(name))
-        for shape, ok in ((spread_shape, True), (spread_shape.without_object("(#|###)"), False)):
-            calls.clear()
+    def test_sweep_evaluates_only_where_the_walk_fails(self, spread, spread_shape, monkeypatch):
+        # the walk extends each string's rule update and memo state from its
+        # prefix's, so on a lawful shape it calls neither per-string engine,
+        # and it hands evaluate each string it cannot walk.  Without
+        # (#|###), nothing joins the nodes of the windows c### and ###d, so
+        # the state of a string holding ### with a cell on each side splits
+        # into two components and its step raises: 4 + 12 + 32 + 80 strings
+        # of 5 to 8 cells, each evaluated once and each a 'glue failed'
+        # line.  The 129th line is ###, which glues to the empty string.
+        evaluated = _counted(monkeypatch, "evaluate", tapecat.machine)
+        applied = _counted(monkeypatch, "apply", tapecat.machine)
+        for shape, walk_failures, lines in ((spread_shape, 0, 0),
+                                            (spread_shape.without_object("(#|###)"), 128, 129)):
+            evaluated.clear()
             outcome = equivalence_sweep(spread, 8, shape)
-            assert outcome.ok == ok and outcome.cases == 511
-            assert calls == {"evaluate": 511, "apply": 511}
+            assert (outcome.cases, len(outcome.failures)) == (511, lines)
+            assert (len(evaluated), len(applied)) == (walk_failures, 0)
+            assert sum("glue failed" in line for line in outcome.failures) == walk_failures
+
+    def test_matches_the_per_string_sweep_past_a_full_memo(self, spread, spread_shape,
+                                                            monkeypatch):
+        # a memo of one state, the start: every other string leaves the walk
+        # and goes through evaluate, which goes on by _stretched
+        monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
+        evaluated = _counted(monkeypatch, "evaluate", tapecat.machine)
+        for shape in [spread_shape, *(spread_shape.without_object(o.name)
+                                      for o in spread_shape.objects)]:
+            shape = ShapeCategory(shape.alphabet, shape.objects)  # a fresh memo
+            evaluated.clear()
+            report = equivalence_sweep(spread, 6, shape)
+            assert (report.cases, report.failures) == _per_string_sweep(spread, 6, shape)
+            assert len(evaluated) == report.cases - 1 and len(shape.compiled.held) == 1
+
+    def test_matches_the_per_string_sweep_where_the_start_does_not_glue(self, spread,
+                                                                          spread_shape):
+        # two windowless one-cell generators split the start state, so the
+        # walk never begins and evaluate takes every string
+        extra = tuple(ShapeObject(f"({c}|)", ts(c), ts("")) for c in ".#")
+        shape = ShapeCategory(spread.alphabet, spread_shape.objects + extra)
+        report = equivalence_sweep(spread, 4, shape)
+        assert (report.cases, report.failures) == _per_string_sweep(spread, 4, shape)
+        assert len(report.failures) == 31
+
+    def test_a_missing_rule_window_is_refused(self):
+        # as apply does, the sweep names the first window without an entry,
+        # once a string holds a whole window
+        rule = {w: "#" for w in windows(DEFAULT_ALPHABET, 3) if w not in (".#.", "#.#")}
+        spec = MachineSpec(DEFAULT_ALPHABET, 1, rule)
+        assert equivalence_sweep(spec, 2, shape_category(spec)).cases == 7
+        with pytest.raises(MachineError, match=r"^rule has no entry for window '\.#\.'$"):
+            equivalence_sweep(spec, 3, shape_category(spec))
 
     def test_holds_no_list_of_strings(self, spread):
         # the sweep makes its strings length by length: its heap peak stays
