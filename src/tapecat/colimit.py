@@ -9,8 +9,8 @@ that union-find incrementally, so a diagram can be glued while it is being
 built, and it can close the classes a builder has left behind, so that it
 holds only a frontier; glue_cells drives it over a finished diagram.  The
 density check glues the comma diagram of generator occurrences in a string
-the same way, on node indices; the string-id TapeDiagram and glue wrap that
-core for named diagrams.  The density sweep checks every string up to a
+the same way, on node indices; glue wraps that core for diagrams whose
+nodes are named strings.  The density sweep checks every string up to a
 length by prefix extension: generator occurrences are local, so the
 diagram of x·c is that of x plus the occurrences ending at c, and each
 string's gluing is a copy of its prefix's with those nodes glued on.
@@ -54,42 +54,6 @@ class NotLinear(GlueError):
 
 class Disconnected(GlueError):
     """The quotient has two or more nonempty components."""
-
-
-@dataclass(frozen=True)
-class DiagramNode:
-    id: str
-    value: TapeString
-
-
-@dataclass(frozen=True)
-class DiagramEdge:
-    src: str
-    dst: str
-    occ: Occurrence
-
-
-@dataclass(frozen=True)
-class TapeDiagram:
-    alphabet: Alphabet
-    nodes: tuple[DiagramNode, ...]
-    edges: tuple[DiagramEdge, ...]
-
-    @classmethod
-    def build(cls, alphabet: Alphabet,
-              nodes: Iterable[tuple[str, TapeString]],
-              edges: Iterable[tuple[str, str, Occurrence]]) -> TapeDiagram:
-        return cls(
-            alphabet,
-            tuple(DiagramNode(i, v) for i, v in nodes),
-            tuple(DiagramEdge(s, d, o) for s, d, o in edges),
-        )
-
-
-@dataclass
-class GlueResult:
-    value: TapeString
-    legs: dict[str, Occurrence]
 
 
 class CellGluing:
@@ -177,7 +141,11 @@ class CellGluing:
         still come.  Merges among held classes only ever remove distinct
         neighbours, so once the closed classes have glued, they stay glued.
         On a state that does not glue, raises as ``result`` does and closes
-        nothing.
+        nothing.  A state that close returns from glues: it holds a suffix
+        of that path, whose one source is the class after the closed word,
+        and each link between its classes comes from a pair of consecutive
+        cells of the classes, which are all held.  So ``result`` cannot
+        raise on it until something more is added or identified.
 
         Closing or not, it leaves each held cell's parent, and ``after``, at
         the first held cell of its class, so two closed states that hold the
@@ -333,34 +301,33 @@ def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],
     return gluing.result()
 
 
-def glue(diagram: TapeDiagram) -> GlueResult:
-    """Colimit of a tape-string diagram as a glued string with its legs."""
-    ids = [n.id for n in diagram.nodes]
+def glue(alphabet: Alphabet, nodes: Sequence[tuple[str, TapeString]],
+         edges: Iterable[tuple[str, str, Occurrence]],
+         ) -> tuple[TapeString, dict[str, Occurrence]]:
+    """Colimit of a diagram of named tape strings, given as (id, string)
+    nodes and (source id, target id, occurrence) edges: the glued string
+    and each node's leg into it."""
+    ids = [i for i, _ in nodes]
     if len(set(ids)) != len(ids):
         raise MalformedDiagram("duplicate node ids")
-    index = {n.id: k for k, n in enumerate(diagram.nodes)}
-    for n in diagram.nodes:
-        if n.value.alphabet != diagram.alphabet:
-            raise MalformedDiagram(f"node {n.id} is not over the diagram alphabet")
+    index = {i: k for k, i in enumerate(ids)}
+    for i, v in nodes:
+        if v.alphabet != alphabet:
+            raise MalformedDiagram(f"node {i} is not over the diagram alphabet")
     int_edges = []
-    for e in diagram.edges:
-        if e.src not in index or e.dst not in index:
-            raise MalformedDiagram(f"edge {e.src} -> {e.dst} references unknown node")
-        if e.occ.source != diagram.nodes[index[e.src]].value \
-                or e.occ.target != diagram.nodes[index[e.dst]].value:
-            raise MalformedDiagram(f"edge {e.src} -> {e.dst} does not carry the node strings")
-        int_edges.append((index[e.src], index[e.dst], e.occ.offset))
+    for src, dst, occ in edges:
+        if src not in index or dst not in index:
+            raise MalformedDiagram(f"edge {src} -> {dst} references unknown node")
+        if occ.source != nodes[index[src]][1] or occ.target != nodes[index[dst]][1]:
+            raise MalformedDiagram(f"edge {src} -> {dst} does not carry the node strings")
+        int_edges.append((index[src], index[dst], occ.offset))
     try:
-        cells, leg_offsets = glue_cells([n.value.cells for n in diagram.nodes], int_edges)
+        cells, leg_offsets = glue_cells([v.cells for _, v in nodes], int_edges)
     except GlueError as exc:
-        named = tuple(diagram.nodes[i].id for i in exc.nodes)
+        named = tuple(ids[i] for i in exc.nodes)
         raise type(exc)(f"{exc} [nodes: {', '.join(named)}]", nodes=named) from None
-    value = TapeString(diagram.alphabet, cells)
-    legs = {
-        n.id: Occurrence(n.value, value, leg_offsets[k] if n.value.cells else 0)
-        for k, n in enumerate(diagram.nodes)
-    }
-    return GlueResult(value, legs)
+    value = TapeString(alphabet, cells)
+    return value, {i: Occurrence(v, value, leg) for (i, v), leg in zip(nodes, leg_offsets)}
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ filled only by gluing, so evaluate never reads the rule table.  An input
 that would intern more than _MEMO_CAP states goes on from the last state
 it reached, closing after every _CLOSE_AT right ends instead of every one.
 One fallback keeps every answer that of the whole diagram: an input on
-which a step, a close or the final read does not glue is glued again by a
-pass that closes nothing, whose value or error (class, message, nodes and
-cells) is the answer.  A traced evaluation closes nothing.
+which a step, or a close or the final read past a full memo, does not
+glue is glued again by a pass that closes nothing, whose value or error
+(class, message, nodes and cells) is the answer.  A traced evaluation
+closes nothing.
 
 The pass is resumable: its state after the right ends of x is all that
 placing the windows of x·c needs (Hedlund 1969: the update at a cell
@@ -51,7 +52,7 @@ the pass from the input's first cell.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .colimit import CellGluing, GlueError
@@ -62,11 +63,15 @@ from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 @dataclass(frozen=True)
 class ShapeObject:
-    """A generator together with one window that explains it."""
+    """A generator together with one window that explains it, named
+    ``(generator|window)``."""
 
-    name: str
     generator: TapeString
     window: TapeString
+    name: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name", f"({self.generator.cells}|{self.window.cells})")
 
 
 @dataclass(frozen=True)
@@ -92,11 +97,10 @@ class ShapeCategory:
         self.alphabet = alphabet
         self.objects = objects
         self._by_name = {o.name: o for o in objects}
-        if len(self._by_name) != len(objects):
-            o, twin = next((o, self._by_name[o.name]) for o in objects
-                           if self._by_name[o.name] is not o)
-            raise MalformedDiagram(f"{o.name} names two objects, with windows "
-                                   f"{o.window} and {twin.window}")
+        if len(self._by_name) != len(objects):  # only an object listed twice repeats a name
+            names = [o.name for o in objects]
+            twice = next(name for k, name in enumerate(names) if name in names[:k])
+            raise MalformedDiagram(f"{twice} is listed twice")
         # a nonempty window names its object, so each sub-window is one lookup
         by_window: dict[str, ShapeObject] = {}
         for o in objects:
@@ -270,7 +274,8 @@ class _CompiledShape:
 
     def final(self, number: int) -> str:
         """The word state ``number`` holds when the input ends there,
-        memoised; raises GlueError, memoising nothing, when it does not glue."""
+        memoised.  Every interned state was closed, so it glues
+        (CellGluing.close) and this read cannot raise."""
         word = self.finals.get(number)
         if word is None:
             word = self.finals[number] = self.held[number][0].gluing.result()[0]
@@ -440,8 +445,8 @@ def _transduced(compiled: _CompiledShape, x_cells: str) -> str:
     """The value's cells by the step memo, closing at every right end: the
     emitted cells, then the word the last state holds.  When a step would
     intern a state the full memo has no room for, the pass goes on from the
-    last state reached (_stretched).  Raises GlueError when a step, a close
-    or the final read does."""
+    last state reached (_stretched).  Raises GlueError when a step does, or
+    a close or the final read of _stretched."""
     steps, state = compiled.steps, compiled.start()
     chunks = []
     for begin in range(0, len(x_cells), _JOIN_AT):
@@ -461,8 +466,9 @@ def _transduced(compiled: _CompiledShape, x_cells: str) -> str:
 def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     """Update x without consulting any rule: glue the generators of all
     windows placed in x along their aligned inclusions, by the step memo
-    (_transduced).  An input on which a step, a close or the final read
-    does not glue is glued again without closing, for its value or error."""
+    (_transduced).  An input on which a step, or a close or the final read
+    past a full memo, does not glue is glued again without closing, for its
+    value or error."""
     if x.alphabet != shape.alphabet:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
     try:

@@ -337,10 +337,6 @@ def shape_table(spec: MachineSpec, a: TapeString) -> set[TapeString]:
     return {TapeString(spec.alphabet, w) for w in found}
 
 
-def _shape_obj_name(a: TapeString, n: TapeString) -> str:
-    return f"({a.cells}|{n.cells})"
-
-
 def shape_category(spec: MachineSpec) -> ShapeCategory:
     """Precompute the shape category of a machine over the canonical
     generators: one object per (generator, explaining window) pair, from
@@ -351,7 +347,7 @@ def shape_category(spec: MachineSpec) -> ShapeCategory:
     are generators too.  Another dense set, such as the strings of lengths
     0, 1, 2 and 4, leaves nodes unglued, and evaluation then disagrees
     with the rule."""
-    objects = tuple(ShapeObject(_shape_obj_name(a, n), a, n)
+    objects = tuple(ShapeObject(a, n)
                     for a in canonical_generators(spec.alphabet)
                     for n in sorted(shape_table(spec, a), key=lambda s: s.cells))
     return ShapeCategory(spec.alphabet, objects)
@@ -468,17 +464,16 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
                     if not report.ok:
                         outcome.failures.append(report.failure(0))
         return outcome
-    objects = {o.name: (o.generator.cells, o.window.cells)
-               for o in _shape_of(spec, shape).objects}
+    objects = {(o.generator.cells, o.window.cells) for o in _shape_of(spec, shape).objects}
     for x in tape.all_strings(spec.alphabet, max_state_len):
         ux = apply(spec, x)
         for a in generators:
             for p in tape.hom(a, ux):
                 outcome.cases += 1
                 n = _neighbourhood(spec, p, x).window.source
-                if objects.get(_shape_obj_name(a, n)) != (a.cells, n.cells):
+                if (a.cells, n.cells) not in objects:
                     outcome.failures.append(f"part ({p}) over {x}: the shape category has "
-                                            f"no object {_shape_obj_name(a, n)}")
+                                            f"no object {ShapeObject(a, n).name}")
     return outcome
 
 
@@ -501,11 +496,12 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     appends the word the last state holds (kan._transduced), so the walk
     keeps per string the cells emitted and the state reached, and x·c
     takes one step from x's, through the same start, steps, step and final.
-    Where the walk cannot go on, because a step finds the memo full or a
-    step or the final read does not glue, evaluate itself takes that
-    string, and after a failed step its subtree, so its fallbacks give the
-    value or the glue error.  Every value and line is therefore the one
-    that evaluate and apply give on that string alone.
+    Where the walk cannot go on, because a step finds the memo full or does
+    not glue, evaluate itself takes that string and its subtree, so its
+    fallbacks give the value or the glue error; a state the walk reaches
+    was closed, so its final read glues (CellGluing.close).  Every value
+    and line is therefore the one that evaluate and apply give on that
+    string alone.
     """
     shape = _shape_of(spec, shape)
     compiled, alphabet, w = shape.compiled, spec.alphabet, spec.window_len
@@ -519,10 +515,7 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
         cells, emitted, applied, state = stack.pop()
         n = len(cells)
         cases += 1
-        try:
-            got = None if state is None else emitted + final(state)
-        except GlueError:
-            got = None
+        got = None if state is None else emitted + final(state)
         if got is None:
             x = TapeString(alphabet, cells)
             try:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 
 import pytest
 
 from tapecat.fincat import (
+    FinCatError,
     FinCatPresentation,
     FunctorData,
     TapeCategory,
@@ -39,7 +41,8 @@ def one_object_category():
 
 class TestValidateCategory:
     def test_one_object_category_is_lawful(self):
-        assert validate_category(one_object_category()).ok
+        report = validate_category(one_object_category())
+        assert report.ok and str(report) == "category: ok"
 
     def test_canonical_generators_are_lawful(self, dense):
         # objects: empty, ".", "#", "..", ".#", "#.", "##"
@@ -72,6 +75,10 @@ class TestValidateCategory:
         report = validate_category(cat)
         assert not report.ok
         assert any(v.kind == "closure" for v in report.violations)
+        # a composite that names no listed morphism
+        cat.table[("idB", "f")] = "g"
+        assert [str(v) for v in validate_category(cat).violations] == [
+            "closure: composite g of (idB, f) is not a listed morphism"]
 
     @staticmethod
     def two_objects_and_f():
@@ -122,6 +129,15 @@ class TestValidateCategory:
             "table-junk: table binds non-composable pair (idA, idB)",
             "table-junk: table binds non-composable pair (idA, f)",
         ]
+
+    def test_compose_needs_a_composable_pair_in_the_table(self):
+        cat = self.two_objects_and_f()
+        with pytest.raises(FinCatError, match=r"^cannot compose 'f' then 'idA'$"):
+            cat.compose("f", "idA")
+        del cat.table[("idB", "f")]
+        with pytest.raises(FinCatError,
+                           match=r"^composite of 'f' then 'idB' is not in the table$"):
+            cat.compose("f", "idB")
 
     def test_missing_identity_is_reported(self):
         cat = FinCatPresentation()
@@ -218,6 +234,22 @@ class TestValidateFunctor:
         report = validate_functor(f)
         assert not report.ok
 
+    @pytest.mark.parametrize("into_tape, images, line", [
+        (True, {"#": "#"},
+         "object-image: image of # is not a tape string over the target alphabet"),
+        (False, {"#": "nowhere"}, "object-image: image of # is not a target object"),
+        (False, {"#>#.@0": ".>#.@1"}, "endpoint: domain of image of #>#.@0 is wrong"),
+    ], ids=["object-not-a-string", "object-not-a-target-object", "morphism-domain"])
+    def test_a_broken_image_is_reported_first(self, dense, into_tape, images, line):
+        # the inclusion, or the identity functor, with the given images replaced
+        pres = dense.presentation
+        base = dense.inclusion if into_tape else FunctorData(
+            pres, pres, {o: o for o in pres.objects}, {m: m for m in pres.morphisms()})
+        broken = FunctorData(pres, base.target,
+                             {o: images.get(o, v) for o, v in base.obj_map.items()},
+                             {m: images.get(m, v) for m, v in base.mor_map.items()})
+        assert str(validate_functor(broken).violations[0]) == line
+
 
 class TestCommaEnumeration:
     def test_identity_over_identity_on_one_object(self):
@@ -292,6 +324,18 @@ class TestSerialization:
     def test_loads_rejects_garbage(self):
         with pytest.raises(ValueError):
             FinCatPresentation.loads("object A\nfrobnicate B\n")
+
+    @pytest.mark.parametrize("add, message", [
+        (lambda cat: cat.add_object(""), "bad object name ''"),
+        (lambda cat: cat.add_object("A B"), "bad object name 'A B'"),
+        (lambda cat: cat.add_morphism("", "A", "A"), "bad morphism name ''"),
+        (lambda cat: cat.add_morphism("f\tg", "A", "A"), "bad morphism name 'f\\tg'"),
+    ], ids=["empty-object", "spaced-object", "empty-morphism", "spaced-morphism"])
+    def test_bad_names_are_rejected(self, add, message):
+        cat = FinCatPresentation()
+        cat.add_object("A")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            add(cat)
 
     def test_loads_rejects_duplicate_object(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,12 @@ class TestEvaluate:
     def test_worked_example(self, spread, spread_shape):
         assert evaluate(spread_shape, ts("#...#.")) == ts("#.##")
 
+    @pytest.mark.parametrize("engine", [evaluate, evaluate_traced], ids=["plain", "traced"])
+    def test_an_input_over_another_alphabet_is_refused(self, spread_shape, engine):
+        with pytest.raises(AlphabetMismatch,
+                           match=r"^ab is not over the shape category's alphabet$"):
+            engine(spread_shape, TapeString(Alphabet(("a", "b")), "ab"))
+
     def test_short_input_gives_empty(self, spread_shape):
         assert evaluate(spread_shape, ts("#")) == ts("")
         assert evaluate(spread_shape, ts("")) == ts("")
@@ -140,25 +146,24 @@ class TestEvaluate:
         objects = tuple(dataclasses.replace(o, window=ts(window)) if o.name == "(##|..#.)"
                         else o for o in spread_shape.objects)
         shape = ShapeCategory(spread_shape.alphabet, objects)
-        assert ("(#|..#)", "(##|..#.)", offset) in \
+        assert ("(#|..#)", f"(##|{window})", offset) in \
             {(m.src, m.dst, m.offset) for m in shape.morphisms}
-        with pytest.raises(MalformedDiagram, match=re.escape("(#|..#)>(##|..#.)@0")):
+        with pytest.raises(MalformedDiagram, match=re.escape(f"(#|..#)>(##|{window})@0")):
             evaluate(shape, ts("#..#."))
 
     def test_two_objects_with_one_window_are_refused(self, spread_shape):
-        # a nonempty window names one object; (#|#.#) claims (.|...)'s window
+        # a nonempty window names one object; (#|#.#) moved to (.|...)'s window
         objects = tuple(dataclasses.replace(o, window=ts("...")) if o.name == "(#|#.#)"
                         else o for o in spread_shape.objects)
         with pytest.raises(MalformedDiagram,
-                           match=re.escape("(.|...) and (#|#.#) have the same window ...")):
+                           match=re.escape("(.|...) and (#|...) have the same window ...")):
             ShapeCategory(spread_shape.alphabet, objects)
 
-    def test_two_objects_with_one_name_are_refused(self, spread_shape):
+    def test_an_object_listed_twice_is_refused(self, spread_shape):
         # a name is an object's, and its morphisms are named after it
-        objects = tuple(dataclasses.replace(o, name="(#|..#)") if o.name == "(#|#.#)"
-                        else o for o in spread_shape.objects)
-        with pytest.raises(MalformedDiagram,
-                           match=re.escape("(#|..#) names two objects, with windows #.# and ..#")):
+        objects = spread_shape.objects + tuple(o for o in spread_shape.objects
+                                               if o.name == "(#|#.#)")
+        with pytest.raises(MalformedDiagram, match=re.escape("(#|#.#) is listed twice")):
             ShapeCategory(spread_shape.alphabet, objects)
 
     def test_an_object_without_its_identity_has_no_presentation(self, spread_shape):
@@ -604,6 +609,8 @@ class TestEquivalenceSweep:
             shape = spread_shape.without_object(o.name)
             report = equivalence_sweep(spread, 8, shape)
             assert (report.cases, report.failures) == _per_string_sweep(spread, 8, shape), o.name
+            assert all(isinstance(shape.compiled.final(n), str)
+                       for n in range(len(shape.compiled.held)))
             failing += not report.ok
         assert len(spread_shape.objects) == 25 and failing
 
@@ -658,7 +665,7 @@ class TestEquivalenceSweep:
                                                                           spread_shape):
         # two windowless one-cell generators split the start state, so the
         # walk never begins and evaluate takes every string
-        extra = tuple(ShapeObject(f"({c}|)", ts(c), ts("")) for c in ".#")
+        extra = tuple(ShapeObject(ts(c), ts("")) for c in ".#")
         shape = ShapeCategory(spread.alphabet, spread_shape.objects + extra)
         report = equivalence_sweep(spread, 4, shape)
         assert (report.cases, report.failures) == _per_string_sweep(spread, 4, shape)

@@ -84,10 +84,19 @@ class TestMachineSpec:
         assert hash(first) == hash(second)
         assert apply(second, ts("#..#.##...")) == apply(first, ts("#..#.##..."))
 
+    def test_a_negative_radius_is_refused(self):
+        with pytest.raises(ValueError, match="^radius must be >= 0$"):
+            MachineSpec(DEFAULT_ALPHABET, -1, spread_rule())
+
 
 class TestApply:
     def test_worked_example(self, spread):
         assert apply(spread, ts("#...#.")) == ts("#.##")
+
+    @pytest.mark.parametrize("call", [apply, shape_table], ids=["apply", "shape_table"])
+    def test_an_input_over_another_alphabet_is_refused(self, spread, call):
+        with pytest.raises(AlphabetMismatch, match="^ab is not over the machine alphabet$"):
+            call(spread, TapeString(Alphabet(("a", "b")), "ab"))
 
     def test_too_few_cells(self, spread):
         assert apply(spread, ts("#")) == ts("")

@@ -178,6 +178,11 @@ class TestOccurrenceValidation:
         with pytest.raises(InvalidOccurrence):
             Occurrence(ts(""), ts("##"), 1)
 
+    def test_rejects_mixed_alphabets(self):
+        with pytest.raises(AlphabetMismatch,
+                           match=r"^occurrence mixes alphabets \{\. #\} and \{a b\}$"):
+            Occurrence(ts("#"), TapeString(Alphabet(("a", "b")), "ab"), 0)
+
     def test_unchecked_skips_validation(self):
         raw = unchecked_occurrence(ts("#"), ts("."), 0)
         assert raw.offset == 0 and raw.source == ts("#")
