@@ -14,7 +14,8 @@ from pathlib import Path
 import click
 
 from .colimit import GlueError, density_sweep
-from .fincat import FinCatPresentation, canonical_dense_subcategory, validate_category, validate_functor
+from .fincat import (FinCatPresentation, FunctorData, canonical_generators, string_inclusion,
+                     validate_category, validate_functor)
 from .kan import ShapeCategory, evaluate, evaluate_traced
 from .machine import (
     MachineConfigError,
@@ -29,7 +30,7 @@ from .machine import (
     shape_category,
     shape_table,
 )
-from .tape import AlphabetMismatch, TapeString
+from .tape import Alphabet, AlphabetMismatch, TapeString
 
 EXIT_PARSE = 1
 EXIT_CHECK = 2
@@ -189,11 +190,12 @@ def _sweep_row(name: str, sweep: SweepOutcome, detail: str) -> tuple[str, bool, 
     return name, sweep.ok, detail + ("" if sweep.ok else f" first: {sweep.failures[0]}")
 
 
-def _check_category(shape: ShapeCategory, dense) -> list[tuple[str, bool, str]]:
+def _check_category(shape: ShapeCategory, generators: FinCatPresentation,
+                    ) -> list[tuple[str, bool, str]]:
     results = []
-    report = validate_category(dense.presentation)
+    report = validate_category(generators)
     results.append(("category generators", report.ok,
-                    f"objects={len(dense.presentation.objects)} "
+                    f"objects={len(generators.objects)} "
                     f"violations={len(report.violations)}"))
     p_report = validate_category(shape.presentation)
     results.append(("category shapes", p_report.ok,
@@ -204,12 +206,12 @@ def _check_category(shape: ShapeCategory, dense) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _check_functor(spec: MachineSpec, shape: ShapeCategory, faulty: ShapeCategory, dense,
-                   max_len: int) -> list[tuple[str, bool, str]]:
+def _check_functor(spec: MachineSpec, shape: ShapeCategory, faulty: ShapeCategory,
+                   inclusion: FunctorData, max_len: int) -> list[tuple[str, bool, str]]:
     results = []
-    inc = validate_functor(dense.inclusion)
+    inc = validate_functor(inclusion)
     results.append(("functor inclusion", inc.ok, f"violations={len(inc.violations)}"))
-    gen = validate_functor(shape.generator_functor(dense))
+    gen = validate_functor(shape.generator_functor(inclusion.source))
     win = validate_functor(shape.window_functor())
     results.append(("functor shape-projections", gen.ok and win.ok,
                     f"violations={len(gen.violations) + len(win.violations)}"))
@@ -218,10 +220,11 @@ def _check_functor(spec: MachineSpec, shape: ShapeCategory, faulty: ShapeCategor
     return results
 
 
-def _check_density(dense, max_len: int) -> list[tuple[str, bool, str]]:
+def _check_density(alphabet: Alphabet, max_len: int) -> list[tuple[str, bool, str]]:
+    rows = density_sweep(alphabet, canonical_generators(alphabet), max_len)
     return [(f"density len={n}", failure is None,
              f"inputs={count}" if failure is None else failure)
-            for n, (count, failure) in enumerate(density_sweep(dense, max_len))]
+            for n, (count, failure) in enumerate(rows)]
 
 
 @main.command()
@@ -240,19 +243,27 @@ def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
     _refuse_inert(mutate != "none" and suite not in FAULT_SUITES[mutate],
                   f"--mutate {mutate}", f"--suite {suite}")
     spec = _load_machine(machine_file)
-    if suite in ("category", "functor", "density", "all"):
-        dense = canonical_dense_subcategory(spec.alphabet)
+    if mutate != "none":
+        # a fault needs 2r + 1 cells (a dropped object's window), or 2r + 2 to shift a window
+        reach = spec.window_len + (mutate == "shift-window")
+        bounds = {"functor": ("--functor-len", functor_len), "adjunction": ("--adj-len", adj_len),
+                  "equivalence": ("--max-len", max_len)}
+        acted = [bounds[s] for s in bounds if s in FAULT_SUITES[mutate] and suite in (s, "all")]
+        _refuse_inert(all(n < reach for _, n in acted), f"--mutate {mutate}",
+                      " ".join(f"{option} {n}" for option, n in acted))
+    if suite in ("category", "functor", "all"):
+        inclusion = string_inclusion(spec.alphabet, canonical_generators(spec.alphabet))
     started = time.perf_counter()
     results: list[tuple[str, bool, str]] = []
     if suite != "density":
         shape = shape_category(spec)
         faulty = _mutated_shape(shape, mutate)  # for the rows that evaluate or explain
     if suite in ("category", "all"):
-        results += _check_category(shape, dense)
+        results += _check_category(shape, inclusion.source)
     if suite in ("functor", "all"):
-        results += _check_functor(spec, shape, faulty, dense, functor_len)
+        results += _check_functor(spec, shape, faulty, inclusion, functor_len)
     if suite in ("density", "all"):
-        results += _check_density(dense, max_len)
+        results += _check_density(spec.alphabet, max_len)
     if suite in ("adjunction", "all"):
         sweep = adjunction_sweep(spec, adj_len, mutate=(mutate == "shift-window"), shape=faulty)
         results.append(_sweep_row(f"adjunction max_state_len={adj_len}", sweep,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import tape
-from .fincat import DenseSubcategory, MalformedDiagram
+from .fincat import MalformedDiagram
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
@@ -340,7 +340,7 @@ class DensityResult:
     detail: str
 
 
-def canonical_diagram(x: TapeString, dense: DenseSubcategory,
+def canonical_diagram(x: TapeString, generators: Sequence[TapeString],
                       ) -> tuple[list[tuple[TapeString, int]], list[tuple[int, int, int]]]:
     """The comma category of generators over x, on indices: every occurrence
     (generator, offset) of a generator in x, and every comma morphism as
@@ -353,9 +353,9 @@ def canonical_diagram(x: TapeString, dense: DenseSubcategory,
     longest generator's length before it; edges are listed by source, then
     by target index, the order in which they are glued.
     """
-    if dense.alphabet != x.alphabet:
+    if any(g.alphabet != x.alphabet for g in generators):
         raise AlphabetMismatch("string and generators use different alphabets")
-    occs = [(g, off) for g in dense.strings
+    occs = [(g, off) for g in generators
             for off in (tape.find_all(g.cells, x.cells) if g.cells else [0])]
     starting: dict[int, list[int]] = {}
     for j, (_, off) in enumerate(occs):
@@ -377,10 +377,10 @@ def _node_id(generator: TapeString, offset: int) -> str:
     return f"{generator}@{offset}"
 
 
-def density_check(x: TapeString, dense: DenseSubcategory) -> DensityResult:
+def density_check(x: TapeString, generators: Sequence[TapeString]) -> DensityResult:
     """Glue the canonical diagram of generator occurrences in x and verify
     the colimit is x itself with the original occurrences as legs."""
-    occs, edges = canonical_diagram(x, dense)
+    occs, edges = canonical_diagram(x, generators)
     try:
         cells, legs = glue_cells([g.cells for g, _ in occs], edges)
     except GlueError as exc:
@@ -395,10 +395,11 @@ def density_check(x: TapeString, dense: DenseSubcategory) -> DensityResult:
     return DensityResult(True, "ok")
 
 
-def density_sweep(dense: DenseSubcategory, max_len: int) -> list[tuple[int, str | None]]:
-    """density_check on every string of length <= max_len: per length, the
-    number of strings and the first failing one, in windows order, with its
-    detail (None when all pass).
+def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len: int,
+                  ) -> list[tuple[int, str | None]]:
+    """density_check on every string over the alphabet of length <=
+    max_len: per length, the number of strings and the first failing one,
+    in windows order, with its detail (None when all pass).
 
     The strings are glued by prefix extension, depth first with children
     in alphabet order, so each length comes in windows order.  A child
@@ -412,7 +413,7 @@ def density_sweep(dense: DenseSubcategory, max_len: int) -> list[tuple[int, str 
     a length that does not pass is density_check's, whose canonical node
     order names the nodes.
     """
-    generators = [g.cells for g in dense.strings if g.cells]
+    words = [g.cells for g in generators if g.cells]
     counts = [0] * (max_len + 1)
     failures: list[str | None] = [None] * (max_len + 1)
     # per string to visit: its cells, its gluing and each node's offset
@@ -422,11 +423,11 @@ def density_sweep(dense: DenseSubcategory, max_len: int) -> list[tuple[int, str 
         n = len(cells)
         counts[n] += 1
         if failures[n] is None and not _glues_to(cells, gluing, offsets):
-            x = TapeString(dense.alphabet, cells)
-            failures[n] = f"{x}: {density_check(x, dense).detail}"
+            x = TapeString(alphabet, cells)
+            failures[n] = f"{x}: {density_check(x, generators).detail}"
         if n < max_len:
-            stack += [_extended(cells + c, gluing, offsets, generators)
-                      for c in reversed(dense.alphabet.symbols)]
+            stack += [_extended(cells + c, gluing, offsets, words)
+                      for c in reversed(alphabet.symbols)]
     return list(zip(counts, failures))
 
 

@@ -84,12 +84,16 @@ class FinCatPresentation:
     def set_identity(self, obj: str, name: str) -> None:
         if obj not in self._object_set or name not in self._morphisms:
             raise ValueError(f"identity binding {obj!r} = {name!r} references unknown names")
+        if obj in self.identities:
+            raise ValueError(f"duplicate identity for {obj!r}")
         self.identities[obj] = name
 
     def set_composite(self, g: str, f: str, h: str) -> None:
         for name in (g, f, h):
             if name not in self._morphisms:
                 raise ValueError(f"composition entry references unknown morphism {name!r}")
+        if (g, f) in self.table:
+            raise ValueError(f"duplicate composite for ({g}, {f})")
         self.table[(g, f)] = h
 
     # -- category interface -------------------------------------------------
@@ -338,38 +342,26 @@ def occurrence_inclusion(cat: FinCatPresentation, alphabet: Alphabet,
                          occurrences: Sequence[tuple[str, str, str, int]]) -> FunctorData:
     """The functor from an occurrence category into the tape category that
     sends each name to its string or its occurrence."""
-    mor_map = {name: Occurrence(strings[src], strings[dst], offset if strings[src].cells else 0)
+    mor_map = {name: Occurrence(strings[src], strings[dst], offset)
                for name, src, dst, offset in occurrences}
     return FunctorData(cat, TapeCategory(alphabet), dict(strings), mor_map)
 
 
-# ---------------------------------------------------------------------------
-# the canonical dense subcategory
-
-
-@dataclass(frozen=True)
-class DenseSubcategory:
-    """The empty string plus all strings of length <= 2, with its inclusion."""
-
-    alphabet: Alphabet
-    strings: tuple[TapeString, ...]
-    presentation: FinCatPresentation
-    inclusion: FunctorData
+def string_inclusion(alphabet: Alphabet, strings: Sequence[TapeString]) -> FunctorData:
+    """The inclusion into the tape category of the occurrence category of
+    the given strings, each named by its cells: every occurrence of one in
+    another, by source, then target, then offset.  Its ``source`` is the
+    category's presentation."""
+    named = {str(s): s for s in strings}
+    occurrences = [(occurrence_name(a, b, offset), a, b, offset)
+                   for a, sa in named.items() for b, sb in named.items()
+                   for offset in (tape.find_all(sa.cells, sb.cells) if sa.cells else [0])]
+    return occurrence_inclusion(occurrence_category(named, occurrences), alphabet, named,
+                                occurrences)
 
 
 def canonical_generators(alphabet: Alphabet) -> tuple[TapeString, ...]:
-    """The canonical generators: every string of length <= 2, shortest
-    first, then in alphabet order."""
+    """The canonical generators, dense in the tape category (any string is
+    glued from its cells and consecutive pairs): every string of length <=
+    2, shortest first, then in alphabet order."""
     return tuple(tape.all_strings(alphabet, 2))
-
-
-def canonical_dense_subcategory(alphabet: Alphabet) -> DenseSubcategory:
-    """Generators dense in the tape category: any string is glued from its
-    cells and consecutive pairs."""
-    strings = canonical_generators(alphabet)
-    named = {str(s): s for s in strings}
-    occurrences = [(occurrence_name(str(a), str(b), o.offset), str(a), str(b), o.offset)
-                   for a in strings for b in strings for o in tape.hom(a, b)]
-    cat = occurrence_category(named, occurrences)
-    return DenseSubcategory(alphabet, strings, cat,
-                            occurrence_inclusion(cat, alphabet, named, occurrences))

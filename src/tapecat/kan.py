@@ -54,10 +54,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .colimit import CellGluing, GlueError
-from .fincat import (DenseSubcategory, FinCatPresentation, FunctorData, MalformedDiagram,
-                     occurrence_category, occurrence_inclusion, occurrence_name)
+from .fincat import (FinCatPresentation, FunctorData, MalformedDiagram, occurrence_category,
+                     occurrence_inclusion, occurrence_name)
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
@@ -74,8 +75,9 @@ class ShapeObject:
         object.__setattr__(self, "name", f"({self.generator.cells}|{self.window.cells})")
 
 
-@dataclass(frozen=True)
-class ShapeMorphism:
+class ShapeMorphism(NamedTuple):
+    """A morphism, itself the (name, src, dst, offset) tuple that occurrence_category reads."""
+
     name: str
     src: str
     dst: str
@@ -136,27 +138,23 @@ class ShapeCategory:
         evaluate's step memo for this category."""
         return _CompiledShape(self)
 
-    def _occurrences(self) -> list[tuple[str, str, str, int]]:
-        return [(m.name, m.src, m.dst, m.offset) for m in self.morphisms]
-
     @cached_property
     def presentation(self) -> FinCatPresentation:
         """The occurrence category of the generators (fincat.occurrence_category)."""
-        return occurrence_category({o.name: o.generator for o in self.objects}, self._occurrences())
+        return occurrence_category({o.name: o.generator for o in self.objects}, self.morphisms)
 
-    def generator_functor(self, dense: DenseSubcategory) -> FunctorData:
-        """Projection onto generators, landing in the dense subcategory."""
+    def generator_functor(self, generators: FinCatPresentation) -> FunctorData:
+        """Projection onto generators, landing in their occurrence category
+        (the source of fincat.string_inclusion)."""
         obj_map = {o.name: str(o.generator) for o in self.objects}
-        mor_map = {}
-        for m in self.morphisms:
-            off = 0 if self._by_name[m.src].generator.is_empty() else m.offset
-            mor_map[m.name] = occurrence_name(obj_map[m.src], obj_map[m.dst], off)
-        return FunctorData(self.presentation, dense.presentation, obj_map, mor_map)
+        mor_map = {m.name: occurrence_name(obj_map[m.src], obj_map[m.dst], m.offset)
+                   for m in self.morphisms}
+        return FunctorData(self.presentation, generators, obj_map, mor_map)
 
     def window_functor(self) -> FunctorData:
         """Projection onto windows, landing in the tape category."""
         windows = {o.name: o.window for o in self.objects}
-        return occurrence_inclusion(self.presentation, self.alphabet, windows, self._occurrences())
+        return occurrence_inclusion(self.presentation, self.alphabet, windows, self.morphisms)
 
 
 @dataclass

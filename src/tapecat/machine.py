@@ -23,8 +23,8 @@ from typing import Callable, Mapping, TypeVar
 
 from . import tape
 from .colimit import GlueError
-from .fincat import (FunctorData, TapeCategory, ValidationReport, canonical_generators,
-                     occurrence_category, occurrence_name, validate_functor)
+from .fincat import (FunctorData, ValidationReport, canonical_generators, string_inclusion,
+                     validate_functor)
 from .kan import ShapeCategory, ShapeObject, evaluate, evaluate_traced
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeError, TapeString
 
@@ -385,14 +385,11 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     also be its window's offset in b, where the rule's update of that window
     lands."""
     shape = _shape_of(spec, shape)
-    strings = {str(b): b for b in tape.all_strings(spec.alphabet, max_len)}
-    occurrences = [(occurrence_name(a, b, f.offset), a, b, f.offset)
-                   for a, sa in strings.items() for b, sb in strings.items()
-                   if sa.length <= sb.length for f in tape.hom(sa, sb)]
-    cat = occurrence_category(strings, occurrences)
+    inclusion = string_inclusion(spec.alphabet, tape.all_strings(spec.alphabet, max_len))
+    cat = inclusion.source
     outcome = SweepOutcome(len(cat.objects) + len(cat.table))
     values, legs = {}, {}
-    for name, b in strings.items():
+    for name, b in inclusion.obj_map.items():
         try:
             values[name], trace = evaluate_traced(shape, b)
         except GlueError as exc:
@@ -403,10 +400,10 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     if outcome.failures:
         return outcome
     images = {}
-    for name, a, b, k in occurrences:
-        f = Occurrence(strings[a], strings[b], k)
+    for name, f in inclusion.mor_map.items():
+        a, b = cat.dom(name), cat.cod(name)
         node = next(iter(legs[a]), None)  # a's first node with a nonempty generator
-        off = legs[b][node[0], node[1] + k] - legs[a][node] if node else 0
+        off = legs[b][node[0], node[1] + f.offset] - legs[a][node] if node else 0
         try:
             images[name] = Occurrence(values[a], values[b], off)
         except TapeError as exc:
@@ -415,8 +412,8 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
         want = apply_morphism(spec, f)
         if images[name] != want:
             outcome.failures.append(f"({f}): glued ({images[name]}), rule gives ({want})")
-    if len(images) == len(occurrences):
-        report = validate_functor(FunctorData(cat, TapeCategory(spec.alphabet), values, images))
+    if len(images) == len(inclusion.mor_map):
+        report = validate_functor(FunctorData(cat, inclusion.target, values, images))
         outcome.failures += [str(v) for v in report.violations]
     if not outcome.failures:
         for name, b_legs in legs.items():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tapecat.fincat import canonical_dense_subcategory
+from tapecat.fincat import canonical_generators
 from tapecat.machine import MachineSpec, shape_category
 from tapecat.tape import DEFAULT_ALPHABET, Alphabet, windows
 
@@ -49,8 +49,8 @@ def ternary_machine() -> MachineSpec:
 
 
 @pytest.fixture(scope="session")
-def dense():
-    return canonical_dense_subcategory(DEFAULT_ALPHABET)
+def generators():
+    return canonical_generators(DEFAULT_ALPHABET)
 
 
 @pytest.fixture(scope="session")

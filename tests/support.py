@@ -124,15 +124,16 @@ def gluing_signature(gluing: CellGluing) -> tuple:
     return tuple(gluing.values), tuple(gluing.starts), classes, after
 
 
-def per_string_density(dense, max_len: int) -> list[tuple[int, str | None]]:
+def per_string_density(alphabet: Alphabet, generators, max_len: int,
+                       ) -> list[tuple[int, str | None]]:
     """Reference for colimit.density_sweep: density_check on each string of
     each length up to max_len, in windows order; per length the count and
     the first failing string with its detail."""
     rows = []
     for n in range(max_len + 1):
-        xs = [TapeString(dense.alphabet, cells) for cells in windows(dense.alphabet, n)]
+        xs = [TapeString(alphabet, cells) for cells in windows(alphabet, n)]
         failures = [f"{x}: {verdict.detail}" for x in xs
-                    if not (verdict := density_check(x, dense)).ok]
+                    if not (verdict := density_check(x, generators)).ok]
         rows.append((len(xs), failures[0] if failures else None))
     return rows
 

@@ -85,11 +85,11 @@ def test_c05_equivalence_sweep_12(spread, spread_shape):
                f"in {elapsed:.2f}s")
 
 
-def test_c06_density_to_10(dense):
+def test_c06_density_to_10(generators):
     started = time.perf_counter()
     count = 0
     for x in all_strings(DEFAULT_ALPHABET, 10):
-        verdict = density_check(x, dense)
+        verdict = density_check(x, generators)
         assert verdict.ok, f"{x}: {verdict.detail}"
         count += 1
     elapsed = time.perf_counter() - started

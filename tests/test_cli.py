@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +16,7 @@ from click.testing import CliRunner
 
 import tapecat
 from tapecat.cli import main
-from tapecat.fincat import FinCatPresentation, canonical_dense_subcategory, validate_category
+from tapecat.fincat import FinCatPresentation, canonical_generators, validate_category
 from tapecat.machine import MachineSpec, apply, format_machine, parse_machine
 from tapecat.tape import Alphabet, TapeString, windows
 
@@ -343,10 +342,9 @@ class TestCheck:
     def test_density_failure_row_exits_2(self, runner, monkeypatch):
         # without the 2-cell generators, two cells glue from nothing between them
         def cells_only(alphabet):
-            dense = canonical_dense_subcategory(alphabet)
-            return dataclasses.replace(dense, strings=dense.strings[:3])
+            return canonical_generators(alphabet)[:3]
 
-        monkeypatch.setattr(tapecat.cli, "canonical_dense_subcategory", cells_only)
+        monkeypatch.setattr(tapecat.cli, "canonical_generators", cells_only)
         result = runner.invoke(main, ["check", SPREAD, "--suite", "density", "--max-len", "3"])
         assert result.exit_code == 2
         assert [line for line in result.stdout.splitlines() if line.startswith("FAIL")][0] == (
@@ -359,12 +357,13 @@ class TestCheck:
         machine = PERFBENCH / "machines" / "max3_r1.machine"
         result = runner.invoke(main, ["check", str(machine), "--suite", "density",
                                       "--max-len", "6"])
-        dense = canonical_dense_subcategory(parse_machine(machine.read_text()).alphabet)
+        alphabet = parse_machine(machine.read_text()).alphabet
+        rows = per_string_density(alphabet, canonical_generators(alphabet), 6)
         assert result.exit_code == 0
         assert result.stdout == "".join(
             f"PASS density len={n}: inputs={count}\n" if failure is None
             else f"FAIL density len={n}: {failure}\n"
-            for n, (count, failure) in enumerate(per_string_density(dense, 6)))
+            for n, (count, failure) in enumerate(rows))
 
     def test_identity_machine_all(self, runner):
         result = runner.invoke(main, ["check", IDENTITY, "--max-len", "5",
@@ -447,12 +446,56 @@ class TestCheck:
         assert result.stdout == ""
         assert result.stderr == f"error: --mutate {mutate} has no effect with --suite {suite}\n"
 
+    @pytest.mark.parametrize("machine, args, bounds", [
+        # spread (r = 1) places the dropped object's window of 3 cells only
+        # in strings of 3 cells, and shifts a window only in a state of 4
+        ("spread", ["--suite", "equivalence", "--max-len", "2", "--mutate", "drop-shape-object"],
+         "--max-len 2"),
+        ("spread", ["--suite", "functor", "--functor-len", "2", "--mutate", "drop-shape-object"],
+         "--functor-len 2"),
+        ("spread", ["--suite", "adjunction", "--adj-len", "2", "--mutate", "drop-shape-object"],
+         "--adj-len 2"),
+        ("spread", ["--max-len", "2", "--functor-len", "2", "--adj-len", "2",
+                    "--mutate", "drop-shape-object"], "--functor-len 2 --adj-len 2 --max-len 2"),
+        ("spread", ["--suite", "adjunction", "--adj-len", "3", "--mutate", "shift-window"],
+         "--adj-len 3"),
+        ("spread", ["--adj-len", "3", "--mutate", "shift-window"], "--adj-len 3"),
+        # max3_r2 (r = 2) shifts a window only in a state of 6 cells
+        ("max3_r2", ["--suite", "adjunction", "--adj-len", "5", "--mutate", "shift-window"],
+         "--adj-len 5"),
+    ], ids=["drop-equivalence", "drop-functor", "drop-adjunction", "drop-all",
+            "shift-adjunction", "shift-all", "shift-radius-2"])
+    def test_fault_out_of_reach_of_the_bounds_is_refused(self, runner, machine, args, bounds):
+        # at these bounds the fault never acts, and the suite would pass
+        path = SPREAD if machine == "spread" else str(PERFBENCH / "machines" / f"{machine}.machine")
+        result = runner.invoke(main, ["check", path, *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        mutate = args[args.index("--mutate") + 1]
+        assert result.stderr == f"error: --mutate {mutate} has no effect with {bounds}\n"
+
+    def test_fault_within_reach_of_one_bound_runs(self, runner):
+        # one bound that reaches the fault is enough: the adjunction row fails
+        result = runner.invoke(main, ["check", SPREAD, "--max-len", "2", "--functor-len", "2",
+                                      "--adj-len", "3", "--mutate", "drop-shape-object"])
+        assert result.exit_code == 2
+        assert [line.split(":")[0] for line in result.stdout.splitlines()
+                if line.startswith("FAIL")] == ["FAIL adjunction max_state_len=3"]
+
     def test_check_laws_matches_the_benchmark_golden(self, runner):
         # the benchmark's check-laws workload checks this output against its
         # golden, read only here
         result = runner.invoke(main, ["check", SPREAD, "--suite", "all"])
         assert result.exit_code == 0
         assert result.stdout == (PERFBENCH / "golden" / "check-laws.stdout").read_text()
+
+    def test_equiv_sweep_matches_the_benchmark_golden(self, runner):
+        # the benchmark's equiv-sweep workload checks this output against its
+        # golden, read only here
+        result = runner.invoke(main, ["check", SPREAD, "--suite", "equivalence",
+                                      "--max-len", "14"])
+        assert result.exit_code == 0
+        assert result.stdout == (PERFBENCH / "golden" / "equiv-sweep.stdout").read_text()
 
     def test_check_output_deterministic(self, runner):
         args = ["check", SPREAD, "--suite", "equivalence", "--max-len", "5"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -24,7 +23,7 @@ from tapecat.colimit import (
     glue,
     glue_cells,
 )
-from tapecat.fincat import canonical_dense_subcategory
+from tapecat.fincat import canonical_generators, string_inclusion
 from tapecat.tape import (
     DEFAULT_ALPHABET,
     Alphabet,
@@ -45,11 +44,6 @@ from .support import (
     ts,
     unchecked_occurrence,
 )
-
-
-@pytest.fixture(scope="module")
-def dense():
-    return canonical_dense_subcategory(DEFAULT_ALPHABET)
 
 
 def diagram(nodes, edges):
@@ -393,32 +387,32 @@ class TestGlueUniversalitySmall:
 
 
 class TestDensity:
-    def test_double_black(self, dense):
-        assert density_check(ts("##"), dense).ok
+    def test_double_black(self, generators):
+        assert density_check(ts("##"), generators).ok
 
-    def test_empty_string(self, dense):
-        assert density_check(ts(""), dense).ok
+    def test_empty_string(self, generators):
+        assert density_check(ts(""), generators).ok
 
-    def test_sweep_up_to_6(self, dense):
+    def test_sweep_up_to_6(self, generators):
         for x in all_strings(DEFAULT_ALPHABET, 6):
-            verdict = density_check(x, dense)
+            verdict = density_check(x, generators)
             assert verdict.ok, f"{x}: {verdict.detail}"
 
-    def test_the_sweep_agrees_with_density_check(self, dense):
+    def test_the_sweep_agrees_with_density_check(self, generators):
         # the prefix-extension sweep against a string-by-string reference:
         # per length the count, and the first failing string with its detail
-        ternary = canonical_dense_subcategory(Alphabet(("a", "b", "c")))
-        strings = dense.strings  # (empty), ., #, .., .#, #., ##
+        ternary = Alphabet(("a", "b", "c"))
+        strings = generators  # (empty), ., #, .., .#, #., ##
         faulty = [strings[:3], (strings[0], strings[2]), strings[1:], (strings[0], *strings[3:])]
-        runs = [(dense, 8), (ternary, 5)] + [
-            (dataclasses.replace(dense, strings=gens), 6) for gens in faulty]
+        runs = [(DEFAULT_ALPHABET, generators, 8), (ternary, canonical_generators(ternary), 5)] + [
+            (DEFAULT_ALPHABET, gens, 6) for gens in faulty]
         failing = 0
-        for gens, max_len in runs:
-            rows = density_sweep(gens, max_len)
-            assert rows == per_string_density(gens, max_len), [str(g) for g in gens.strings]
+        for alphabet, gens, max_len in runs:
+            rows = density_sweep(alphabet, gens, max_len)
+            assert rows == per_string_density(alphabet, gens, max_len), [str(g) for g in gens]
             failing += any(failure for _, failure in rows)
         assert failing == 3  # the empty generator identifies no cell: without it, all glue
-        assert density_sweep(dense, -1) == []
+        assert density_sweep(DEFAULT_ALPHABET, generators, -1) == []
 
     def test_canonical_diagram_is_the_comma_category(self):
         # reference: the comma category (generators over x), enumerated by search
@@ -426,17 +420,18 @@ class TestDensity:
             return o.mid.source, o.mid.offset
 
         for alphabet, max_len in [(DEFAULT_ALPHABET, 6), (Alphabet(("a", "b", "c")), 4)]:
-            gens = canonical_dense_subcategory(alphabet)
+            gens = canonical_generators(alphabet)
+            inclusion = string_inclusion(alphabet, gens)
             for x in all_strings(alphabet, max_len):
-                comma = comma_over(gens.inclusion, x)
+                comma = comma_over(inclusion, x)
                 occs, edges = canonical_diagram(x, gens)
                 assert occs == [node(o) for o in comma.objects]
                 assert [(occs[i], occs[j], Occurrence(occs[i][0], occs[j][0], d))
                         for i, j, d in edges] == \
-                    [(node(m.src), node(m.dst), gens.inclusion.on_morphism(m.f_comp))
+                    [(node(m.src), node(m.dst), inclusion.on_morphism(m.f_comp))
                      for m in comma.morphisms]
 
-    def test_occurrence_edges_match_all_pairs(self, dense):
+    def test_occurrence_edges_match_all_pairs(self, generators):
         # reference: test every ordered pair of occurrences for a comma
         # morphism, sources in order and then targets in order
         def all_pairs(occs):
@@ -449,24 +444,24 @@ class TestDensity:
             return edges
 
         ternary = Alphabet(("a", "b", "c"))
-        cells_only = dataclasses.replace(dense, strings=dense.strings[:3])
-        for gens, max_len in [(dense, 10), (canonical_dense_subcategory(ternary), 6),
-                              (cells_only, 6)]:
-            for x in all_strings(gens.alphabet, max_len):
+        for alphabet, gens, max_len in [(DEFAULT_ALPHABET, generators, 10),
+                                        (ternary, canonical_generators(ternary), 6),
+                                        (DEFAULT_ALPHABET, generators[:3], 6)]:
+            for x in all_strings(alphabet, max_len):
                 occs, edges = canonical_diagram(x, gens)
                 assert edges == all_pairs(occs), str(x)
 
-    def test_single_cell_legs_enumerate_cells(self, dense):
+    def test_single_cell_legs_enumerate_cells(self, generators):
         x = ts("#..#")
-        occs, edges = canonical_diagram(x, dense)
+        occs, edges = canonical_diagram(x, generators)
         cells, legs = glue_cells([g.cells for g, _ in occs], edges)
         single = [(g, leg) for (g, _), leg in zip(occs, legs) if g.length == 1]
         assert {leg for _, leg in single} == set(range(x.length))
         for g, leg in single:
             assert cells[leg] == g.cells
 
-    def test_failure_details_are_pinned(self, dense):
-        cells_only = dataclasses.replace(dense, strings=dense.strings[:3])
+    def test_failure_details_are_pinned(self, generators):
+        cells_only = generators[:3]
         for x, detail in [
             ("#.", "glue failed: quotient splits into 2 components [nodes: .@1, #@0]"),
             ("#.#", "glue failed: quotient splits into 3 components [nodes: .@1, #@0, #@2]"),
@@ -474,17 +469,17 @@ class TestDensity:
             assert density_check(ts(x), cells_only) == DensityResult(False, detail)
         for x in ("#", ""):
             assert density_check(ts(x), cells_only) == DensityResult(True, "ok")
-        black_only = dataclasses.replace(dense, strings=(dense.strings[0], dense.strings[2]))
+        black_only = (generators[0], generators[2])
         assert density_check(ts("."), black_only) == \
             DensityResult(False, "colimit is (empty), not .")
         with pytest.raises(AlphabetMismatch):
-            density_check(ts("#"), canonical_dense_subcategory(Alphabet(("a", "b"))))
+            density_check(ts("#"), canonical_generators(Alphabet(("a", "b"))))
 
-    def test_diagnostic_on_failure(self, dense):
+    def test_diagnostic_on_failure(self, generators):
         # a corrupted diagram (node deleted) must fail with a diagnostic,
         # exercised through the underlying glue on a doctored canonical diagram
         x = ts("##")
-        occs, edges = canonical_diagram(x, dense)
+        occs, edges = canonical_diagram(x, generators)
         kept = [k for k, o in enumerate(occs) if o != (ts("#"), 0)]
         assert len(kept) == len(occs) - 1
         renumber = {k: n for n, k in enumerate(kept)}

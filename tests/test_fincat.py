@@ -13,7 +13,8 @@ from tapecat.fincat import (
     FinCatPresentation,
     FunctorData,
     TapeCategory,
-    canonical_dense_subcategory,
+    canonical_generators,
+    string_inclusion,
     validate_category,
     validate_functor,
 )
@@ -31,8 +32,8 @@ from .support import (
 
 
 @pytest.fixture(scope="module")
-def dense():
-    return canonical_dense_subcategory(DEFAULT_ALPHABET)
+def inclusion():
+    return string_inclusion(DEFAULT_ALPHABET, canonical_generators(DEFAULT_ALPHABET))
 
 
 def one_object_category():
@@ -44,17 +45,18 @@ class TestValidateCategory:
         report = validate_category(one_object_category())
         assert report.ok and str(report) == "category: ok"
 
-    def test_canonical_generators_are_lawful(self, dense):
+    def test_canonical_generators_are_lawful(self, inclusion):
         # objects: empty, ".", "#", "..", ".#", "#.", "##"
-        assert len(dense.presentation.objects) == 7
-        report = validate_category(dense.presentation)
+        assert len(inclusion.source.objects) == 7
+        report = validate_category(inclusion.source)
         assert report.ok, str(report)
 
-    def test_generator_homs_match_brute_force(self, dense):
-        pres = dense.presentation
+    def test_generator_homs_match_brute_force(self, inclusion):
+        pres = inclusion.source
         homs = Counter((pres.dom(m), pres.cod(m)) for m in pres.morphisms())
-        for a in dense.strings:
-            for b in dense.strings:
+        generators = canonical_generators(DEFAULT_ALPHABET)
+        for a in generators:
+            for b in generators:
                 want = len(brute_offsets(a.cells, b.cells))
                 assert homs[(str(a), str(b))] == want
 
@@ -195,38 +197,49 @@ class TestValidateCategory:
         ]
 
 
+def assert_all_pairs_of_occurrences(alphabet, strings):
+    # oracle: every occurrence among the strings, in string order, and
+    # every composable pair of them composed by tape.compose
+    inclusion = string_inclusion(alphabet, strings)
+    occs = {f"{a}>{b}@{o.offset}": o for a in strings for b in strings for o in hom(a, b)}
+    name = {o: n for n, o in occs.items()}
+    assert inclusion.source.morphisms() == list(occs)
+    assert inclusion.source.table == {
+        (n2, n1): name[compose(o1, o2)]
+        for (n1, o1), (n2, o2) in itertools.product(occs.items(), repeat=2)
+        if o1.target == o2.source}
+    assert inclusion.source.identities == {str(s): f"{s}>{s}@0" for s in strings}
+    assert inclusion.obj_map == {str(s): s for s in strings}
+    assert inclusion.mor_map == occs
+
+
 class TestDensePresentation:
     @pytest.mark.parametrize("symbols", [("#",), (".", "#"), ("a", "b", "c")])
     def test_matches_all_pairs_of_occurrences(self, symbols):
-        dense = canonical_dense_subcategory(Alphabet(symbols))
-        # oracle: every occurrence among the generators, in generator order,
-        # and every composable pair of them composed by tape.compose
-        occs = {f"{a}>{b}@{o.offset}": o
-                for a in dense.strings for b in dense.strings for o in hom(a, b)}
-        name = {o: n for n, o in occs.items()}
-        assert dense.presentation.morphisms() == list(occs)
-        assert dense.presentation.table == {
-            (n2, n1): name[compose(o1, o2)]
-            for (n1, o1), (n2, o2) in itertools.product(occs.items(), repeat=2)
-            if o1.target == o2.source}
-        assert dense.presentation.identities == {str(s): f"{s}>{s}@0" for s in dense.strings}
-        assert dense.inclusion.obj_map == {str(s): s for s in dense.strings}
-        assert dense.inclusion.mor_map == occs
+        alphabet = Alphabet(symbols)
+        assert_all_pairs_of_occurrences(alphabet, canonical_generators(alphabet))
+
+    @pytest.mark.parametrize("symbols, max_len", [
+        (("#",), 4), ((".", "#"), 4), (("a", "b", "c"), 3)])
+    def test_strings_of_the_functor_sweep_match_all_pairs(self, symbols, max_len):
+        # the strings machine.functoriality_sweep includes: all up to a length
+        alphabet = Alphabet(symbols)
+        assert_all_pairs_of_occurrences(alphabet, all_strings(alphabet, max_len))
 
 
 class TestValidateFunctor:
-    def test_identity_functor_on_generators(self, dense):
-        pres = dense.presentation
+    def test_identity_functor_on_generators(self, inclusion):
+        pres = inclusion.source
         f = FunctorData(pres, pres, {o: o for o in pres.objects},
                         {m: m for m in pres.morphisms()})
         assert validate_functor(f).ok
 
-    def test_inclusion_into_tape(self, dense):
-        report = validate_functor(dense.inclusion)
+    def test_inclusion_into_tape(self, inclusion):
+        report = validate_functor(inclusion)
         assert report.ok, str(report)
 
-    def test_identity_sent_to_non_identity_is_reported(self, dense):
-        pres = dense.presentation
+    def test_identity_sent_to_non_identity_is_reported(self, inclusion):
+        pres = inclusion.source
         mor_map = {m: m for m in pres.morphisms()}
         # break the identity of "#": send it to some other endomorphism target
         mor_map["#>#@0"] = "#>##@0"
@@ -240,10 +253,10 @@ class TestValidateFunctor:
         (False, {"#": "nowhere"}, "object-image: image of # is not a target object"),
         (False, {"#>#.@0": ".>#.@1"}, "endpoint: domain of image of #>#.@0 is wrong"),
     ], ids=["object-not-a-string", "object-not-a-target-object", "morphism-domain"])
-    def test_a_broken_image_is_reported_first(self, dense, into_tape, images, line):
+    def test_a_broken_image_is_reported_first(self, inclusion, into_tape, images, line):
         # the inclusion, or the identity functor, with the given images replaced
-        pres = dense.presentation
-        base = dense.inclusion if into_tape else FunctorData(
+        pres = inclusion.source
+        base = inclusion if into_tape else FunctorData(
             pres, pres, {o: o for o in pres.objects}, {m: m for m in pres.morphisms()})
         broken = FunctorData(pres, base.target,
                              {o: images.get(o, v) for o, v in base.obj_map.items()},
@@ -259,17 +272,17 @@ class TestCommaEnumeration:
         assert len(comma.objects) == 1
         assert len(comma.morphisms) == 1
 
-    def test_generators_over_a_string(self, dense):
+    def test_generators_over_a_string(self, inclusion):
         # occurrences of generators in "#.": one each of (empty), "#", ".", "#."
-        comma = comma_over(dense.inclusion, ts("#."))
+        comma = comma_over(inclusion, ts("#."))
         assert len(comma.objects) == 4
         mids = {(str(o.mid.source), o.mid.offset) for o in comma.objects}
         assert mids == {("(empty)", 0), ("#", 0), (".", 1), ("#.", 0)}
 
-    def test_comma_morphisms_commute(self, dense):
+    def test_comma_morphisms_commute(self, inclusion):
         ident = IdentityFunctor(TapeCategory(DEFAULT_ALPHABET))
         strings = all_strings(DEFAULT_ALPHABET, 2)
-        over_x = comma_over(dense.inclusion, ts("#."))
+        over_x = comma_over(inclusion, ts("#."))
         for comma in (over_x, comma_enumerate(ident, ident, strings, strings)):
             F, G = comma.F, comma.G
             f_hom, g_hom = hom_sets(F.source), hom_sets(G.source)
@@ -290,10 +303,10 @@ class TestCommaEnumeration:
         assert any(str(m.src.mid.source) == "#" and str(m.dst.mid.source) == "#."
                    and m.f_comp == "#>#.@0" for m in over_x.morphisms)
 
-    def test_enumeration_is_deterministic(self, dense):
+    def test_enumeration_is_deterministic(self, inclusion):
         x = ts("#.#")
-        first = comma_over(dense.inclusion, x)
-        second = comma_over(dense.inclusion, x)
+        first = comma_over(inclusion, x)
+        second = comma_over(inclusion, x)
         assert first.objects == second.objects
         assert first.morphisms == second.morphisms
 
@@ -306,17 +319,17 @@ class TestCommaEnumeration:
         want = sum(len(brute_offsets(a, b)) for a in strings for b in strings)
         assert len(comma.objects) == want
 
-    def test_mid_targets_respect_bound(self, dense):
+    def test_mid_targets_respect_bound(self, inclusion):
         ident = IdentityFunctor(TapeCategory(DEFAULT_ALPHABET))
-        comma = comma_enumerate(dense.inclusion, ident, dense.presentation.objects,
+        comma = comma_enumerate(inclusion, ident, inclusion.source.objects,
                                 all_strings(DEFAULT_ALPHABET, 3))
         assert comma.objects
         assert all(len(o.mid.target) <= 3 for o in comma.objects)
 
 
 class TestSerialization:
-    def test_round_trip(self, dense):
-        text = dense.presentation.dumps()
+    def test_round_trip(self, inclusion):
+        text = inclusion.source.dumps()
         again = FinCatPresentation.loads(text)
         assert again.dumps() == text
         assert validate_category(again).ok
@@ -344,6 +357,17 @@ class TestSerialization:
     def test_loads_rejects_duplicate_morphism(self):
         with pytest.raises(ValueError, match="^line 3: duplicate morphism 'f'$"):
             FinCatPresentation.loads("object A\nmorphism f : A -> A\nmorphism f : A -> A\n")
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("identity A = idA", "identity A = f", "line 5: duplicate identity for 'A'"),
+        ("compose idA idA = idA", "compose idA idA = f",
+         "line 5: duplicate composite for (idA, idA)"),
+    ], ids=["identity", "composite"])
+    def test_loads_rejects_a_second_binding(self, first, second, message):
+        # a second binding used to replace the first without a word
+        text = f"object A\nmorphism idA : A -> A\nmorphism f : A -> A\n{first}\n{second}\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FinCatPresentation.loads(text)
 
     def test_format_shape(self):
         cat = one_object_category()

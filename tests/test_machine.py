@@ -8,7 +8,8 @@ import pytest
 
 import tapecat.colimit
 import tapecat.machine
-from tapecat.fincat import canonical_generators, validate_category, validate_functor
+from tapecat.fincat import (canonical_generators, string_inclusion, validate_category,
+                            validate_functor)
 from tapecat.machine import (
     Explanation,
     MachineConfigError,
@@ -560,14 +561,14 @@ class TestShapeTable:
 
 
 class TestShapeCategory:
-    def test_object_count(self, spread_shape, spread, dense):
+    def test_object_count(self, spread_shape, spread, generators):
         # cross-check against the shape-table sums
-        want = sum(len(shape_table(spread, a)) for a in dense.strings)
+        want = sum(len(shape_table(spread, a)) for a in generators)
         assert len(spread_shape.objects) == want == 25
 
-    def test_finiteness_bound(self, spread_shape, spread, dense):
+    def test_finiteness_bound(self, spread_shape, spread, generators):
         # windows never exceed max generator length + two radii
-        bound = len(dense.strings) * len(spread.alphabet) ** (2 + 2 * spread.radius)
+        bound = len(generators) * len(spread.alphabet) ** (2 + 2 * spread.radius)
         assert len(spread_shape.objects) <= bound
 
     def test_black_objects(self, spread_shape):
@@ -577,8 +578,9 @@ class TestShapeCategory:
         report = validate_category(spread_shape.presentation)
         assert report.ok, str(report)
 
-    def test_projections_are_lawful(self, spread_shape, dense):
-        assert validate_functor(spread_shape.generator_functor(dense)).ok
+    def test_projections_are_lawful(self, spread_shape, generators):
+        inclusion = string_inclusion(spread_shape.alphabet, generators)
+        assert validate_functor(spread_shape.generator_functor(inclusion.source)).ok
         assert validate_functor(spread_shape.window_functor()).ok
 
     @pytest.mark.parametrize("machine", MACHINES)
@@ -641,14 +643,8 @@ class TestShapeCategory:
         assert validate_category(shape.presentation).ok
         assert len(shape.objects) == sum(
             len(shape_table(ternary_machine, a))
-            for a in canonical_strings(ternary_machine)
+            for a in canonical_generators(ternary_machine.alphabet)
         )
-
-
-def canonical_strings(spec):
-    from tapecat.fincat import canonical_dense_subcategory
-
-    return canonical_dense_subcategory(spec.alphabet).strings
 
 
 class TestConfigFormat:
