@@ -13,10 +13,10 @@ from pathlib import Path
 
 import click
 
-from .colimit import GlueError, density_sweep
+from .colimit import GlueError
 from .fincat import (FinCatPresentation, FunctorData, canonical_generators, string_inclusion,
                      validate_category, validate_functor)
-from .kan import ShapeCategory, evaluate, evaluate_traced
+from .kan import ShapeCategory, density_sweep, evaluate, evaluate_traced
 from .machine import (
     MachineConfigError,
     MachineSpec,

@@ -10,10 +10,8 @@ built, and it can close the classes a builder has left behind, so that it
 holds only a frontier; glue_cells drives it over a finished diagram.  The
 density check glues the comma diagram of generator occurrences in a string
 the same way, on node indices; glue wraps that core for diagrams whose
-nodes are named strings.  The density sweep checks every string up to a
-length by prefix extension: generator occurrences are local, so the
-diagram of x·c is that of x plus the occurrences ending at c, and each
-string's gluing is a copy of its prefix's with those nodes glued on.
+nodes are named strings.  The density sweep over every string up to a
+length is kan.density_sweep, which glues by the evaluation pass.
 """
 
 from __future__ import annotations
@@ -393,65 +391,3 @@ def density_check(x: TapeString, generators: Sequence[TapeString]) -> DensityRes
             return DensityResult(False, f"leg of {_node_id(g, off)} is {Occurrence(g, x, leg)}, "
                                         f"expected {Occurrence(g, x, off)}")
     return DensityResult(True, "ok")
-
-
-def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len: int,
-                  ) -> list[tuple[int, str | None]]:
-    """density_check on every string over the alphabet of length <=
-    max_len: per length, the number of strings and the first failing one,
-    in windows order, with its detail (None when all pass).
-
-    The strings are glued by prefix extension, depth first with children
-    in alphabet order, so each length comes in windows order.  A child
-    copies its parent's gluing and adds a node per nonempty generator that
-    is a suffix of it, identified with every other node inside its span:
-    those are all the comma morphisms the child adds, since the parent
-    glued those among old nodes, no new span fits inside an old one, and
-    identities and morphisms out of the empty generator identify no cell.
-    A string passes when its word is the string and each node's leg its
-    offset, the test density_check makes; the detail of the first string of
-    a length that does not pass is density_check's, whose canonical node
-    order names the nodes.
-    """
-    words = [g.cells for g in generators if g.cells]
-    counts = [0] * (max_len + 1)
-    failures: list[str | None] = [None] * (max_len + 1)
-    # per string to visit: its cells, its gluing and each node's offset
-    stack = [("", CellGluing(), [])] if counts else []
-    while stack:
-        cells, gluing, offsets = stack.pop()
-        n = len(cells)
-        counts[n] += 1
-        if failures[n] is None and not _glues_to(cells, gluing, offsets):
-            x = TapeString(alphabet, cells)
-            failures[n] = f"{x}: {density_check(x, generators).detail}"
-        if n < max_len:
-            stack += [_extended(cells + c, gluing, offsets, words)
-                      for c in reversed(alphabet.symbols)]
-    return list(zip(counts, failures))
-
-
-def _glues_to(cells: str, gluing: CellGluing, offsets: list[int]) -> bool:
-    try:
-        return gluing.result() == (cells, offsets)
-    except GlueError:
-        return False
-
-
-def _extended(cells: str, gluing: CellGluing, offsets: list[int], generators: list[str],
-              ) -> tuple[str, CellGluing, list[int]]:
-    """The gluing of ``cells`` from that of its prefix one cell shorter:
-    a node per generator ending at its last cell, each identified with
-    every other node inside its span.  Nodes are added in order of their
-    span's end, so those ending after a span's start are the last ones."""
-    gluing, offsets = gluing.copy(), offsets.copy()
-    end = len(cells)
-    new = [gluing.add(g) for g in generators if cells.endswith(g)]
-    offsets += [end - len(gluing.values[j]) for j in new]
-    for j in new:
-        start, i = offsets[j], len(offsets) - 1
-        while i >= 0 and offsets[i] + len(gluing.values[i]) > start:
-            if offsets[i] >= start and i != j:
-                gluing.identify(i, j, offsets[i] - start)
-            i -= 1
-    return cells, gluing, offsets

@@ -47,6 +47,11 @@ placing the windows of x·c needs (Hedlund 1969: the update at a cell
 depends only on a bounded window).  So a memo miss copies a state's
 representative pass and glues one right end on it, instead of re-running
 the pass from the input's first cell.
+
+The same resumption lets walk serve every exhaustive sweep with one memo
+step per string: the equivalence sweep compares its values with the rule,
+density_sweep (the identity update over the generators' (g|g) shape)
+with the strings themselves.
 """
 
 from __future__ import annotations
@@ -54,9 +59,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-from .colimit import CellGluing, GlueError
+from .colimit import CellGluing, GlueError, density_check
 from .fincat import (FinCatPresentation, FunctorData, MalformedDiagram, occurrence_category,
                      occurrence_inclusion, occurrence_name)
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
@@ -474,6 +479,79 @@ def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     except GlueError:
         cells = _glued(shape, x)[0]
     return TapeString(shape.alphabet, cells)
+
+
+def walk(shape: ShapeCategory, max_len: int) -> Iterator[tuple[str, str | GlueError]]:
+    """Every string up to max_len over the shape category's alphabet, with
+    the cells evaluate gives it or the GlueError it raises; none for a
+    negative max_len.  Depth first by prefix extension, children in
+    alphabet order, so each length comes in tape.windows order and at most
+    max_len * (|alphabet| - 1) + 1 strings are held.  x·c takes one memo
+    step from x's state, as _transduced does; where a step finds the memo
+    full or does not glue, evaluate takes that string and its subtree.  A
+    state the walk reaches was closed, so its final read glues.
+    """
+    compiled, alphabet = shape.compiled, shape.alphabet
+    steps, step, symbols = compiled.steps, compiled.step, alphabet.symbols
+    finals, final = compiled.finals, compiled.final  # a read memo hit skips the call
+    try:
+        start: int | None = compiled.start()
+    except GlueError:
+        start = None
+    # per string to visit: its cells, the cells the walk emitted on them
+    # and the state reached (None once a step failed)
+    stack = [("", "", start)] if max_len >= 0 else []
+    while stack:
+        cells, emitted, state = stack.pop()
+        value: str | GlueError
+        if state is not None:
+            value = emitted + (finals.get(state) or final(state))
+        else:
+            try:
+                value = evaluate(shape, TapeString(alphabet, cells)).cells
+            except GlueError as exc:
+                value = exc
+        yield cells, value
+        if len(cells) == max_len:
+            continue
+        children = []
+        for c in symbols:
+            try:
+                hit = None if state is None else steps[state].get(c) or step(state, c)
+            except GlueError:
+                hit = None
+            children.append((cells + c, emitted + hit[0], hit[1]) if hit
+                            else (cells + c, "", None))
+        stack += reversed(children)
+
+
+def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len: int,
+                  ) -> list[tuple[int, str | None]]:
+    """density_check on every string of length <= max_len: per length, the
+    number of strings and the first failing one, in windows order, with
+    density_check's detail (None when all pass).
+
+    Density is evaluation by the identity update: walk over the shape of
+    the (g|g) objects, and a string passes when its word is itself.  For
+    generators of at most two cells (a longer one raises ValueError) the
+    only comma morphisms that identify cells are the one-cell-smaller
+    inclusions that the pass joins.  Every edge keeps each cell at its
+    position in x, so a linear quotient that spells x puts each leg at its
+    offset: checking the word is checking density.
+    """
+    longer = next((g for g in generators if len(g) > 2), None)
+    if longer is not None:
+        raise ValueError(f"generator {longer} has more than two cells")
+    shape = ShapeCategory(alphabet, tuple(ShapeObject(g, g) for g in generators))
+    counts = [0] * (max_len + 1)
+    failures: list[str | None] = [None] * (max_len + 1)
+    for cells, value in walk(shape, max_len):
+        n = len(cells)
+        counts[n] += 1
+        if failures[n] is None and value != cells:  # a GlueError is no word
+            x = TapeString(alphabet, cells)
+            failures[n] = f"{x}: {density_check(x, generators).detail}"
+    return list(zip(counts, failures))
 
 
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:

@@ -7,25 +7,24 @@ operations: the neighbourhood through which all influence on an updated
 part must pass, a bounded checker for its universal property, the finite
 shape category (kan.ShapeCategory) built from the rule, and the sweeps
 of the laws.  The equivalence sweep compares the two engines on every
-string up to a bound, extending each string's update and its walk of the
-step memo from its prefix's, and hands kan.evaluate only the strings whose
-walk fails; it drives the memo through its start, steps, step and final,
-so no second gluing logic lives here.  The imports hold the firewall: kan
-imports nothing from here, so colimit evaluation sees the rule only
-through the shape category.
+string up to a bound: kan.walk gives the glued values, and the sweep
+extends only the rule's update from each string's prefix, so no gluing
+logic lives here.  The imports hold the firewall: kan imports nothing
+from here, so colimit evaluation sees the rule only through the shape
+category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, TypeVar
+from typing import Mapping
 
 from . import tape
 from .colimit import GlueError
 from .fincat import (FunctorData, ValidationReport, canonical_generators, string_inclusion,
                      validate_functor)
-from .kan import ShapeCategory, ShapeObject, evaluate, evaluate_traced
+from .kan import ShapeCategory, ShapeObject, evaluate_traced, walk
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeError, TapeString
 
 
@@ -482,73 +481,30 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     tape.windows order; a lawful machine must show none.  A negative
     max_len visits no string.
 
-    The strings are walked by prefix extension, depth first with children
-    in alphabet order, so each length comes in windows order; the walk
-    holds at most max_len * (|alphabet| - 1) + 1 strings, never a list of
-    them.  Each side extends x to x·c in constant time, by its engine's own
-    definition.  apply maps every window, so the rule's update of x·c is
-    x's followed by the output for x·c's last window, once it holds one; a
-    window with no entry raises apply's MachineError.  evaluate steps the
-    compiled shape's memo from its start state, one step per cell, and
-    appends the word the last state holds (kan._transduced), so the walk
-    keeps per string the cells emitted and the state reached, and x·c
-    takes one step from x's, through the same start, steps, step and final.
-    Where the walk cannot go on, because a step finds the memo full or does
-    not glue, evaluate itself takes that string and its subtree, so its
-    fallbacks give the value or the glue error; a state the walk reaches
-    was closed, so its final read glues (CellGluing.close).  Every value
-    and line is therefore the one that evaluate and apply give on that
-    string alone.
+    The glued values are kan.walk's.  apply maps every window, so the
+    rule's update of x·c is x's followed by the output for x·c's last
+    window, once it holds one; a window with no entry raises apply's
+    MachineError.  The walk is depth first, so the update last kept one
+    cell shallower is the prefix's.
     """
     shape = _shape_of(spec, shape)
-    compiled, alphabet, w = shape.compiled, spec.alphabet, spec.window_len
-    steps, step, final, rule = compiled.steps, compiled.step, compiled.final, spec.rule_map.get
+    alphabet, w, rule = spec.alphabet, spec.window_len, spec.rule_map.get
     failures: list[list[str]] = [[] for _ in range(max_len + 1)]
+    applied = [""] * (max_len + 1)  # per length, the rule's update of the string walked last
     cases = 0
-    # per string to visit: its cells, the cells the walk emitted on them,
-    # the rule's update and the walk's state (None once a step failed)
-    stack = [("", "", "", _unglued(compiled.start))] if failures else []
-    while stack:
-        cells, emitted, applied, state = stack.pop()
+    for cells, got in walk(shape, max_len):
         n = len(cells)
         cases += 1
-        got = None if state is None else emitted + final(state)
-        if got is None:
-            x = TapeString(alphabet, cells)
-            try:
-                got = evaluate(shape, x).cells
-            except GlueError as exc:
-                failures[n].append(f"{x}: glue failed: {exc}")
-        if got is not None and got != applied:
-            failures[n].append(f"{TapeString(alphabet, cells)}: evaluated "
-                               f"{TapeString(alphabet, got)}, rule gives "
-                               f"{TapeString(alphabet, applied)}")
-        if n == max_len:
+        if n >= w:  # _window_map raises apply's error on a window with no entry
+            window = cells[-w:]
+            applied[n] = applied[n - 1] + (rule(window) or _window_map(spec, window))
+        if got == applied[n]:
             continue
-        children = []
-        for c in alphabet.symbols:
-            child = cells + c
-            hit = None if state is None else steps[state].get(c) or _unglued(step, state, c)
-            if n + 1 >= w:  # _window_map raises apply's error on a window with no entry
-                window = child[-w:]
-                updated = applied + (rule(window) or _window_map(spec, window))
-            else:
-                updated = ""
-            children.append((child, emitted + hit[0], updated, hit[1]) if hit
-                            else (child, "", updated, None))
-        stack += reversed(children)
+        x = TapeString(alphabet, cells)
+        failures[n].append(f"{x}: glue failed: {got}" if isinstance(got, GlueError) else
+                           f"{x}: evaluated {TapeString(alphabet, got)}, rule gives "
+                           f"{TapeString(alphabet, applied[n])}")
     return SweepOutcome(cases, [line for lines in failures for line in lines])
-
-
-_T = TypeVar("_T")
-
-
-def _unglued(call: Callable[..., _T], *args: object) -> _T | None:
-    """call(*args), or None where it raises GlueError."""
-    try:
-        return call(*args)
-    except GlueError:
-        return None
 
 
 # ---------------------------------------------------------------------------

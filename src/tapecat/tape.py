@@ -109,8 +109,9 @@ class TapeString:
 class Occurrence:
     """An occurrence of `source` as a substring of `target` at `offset`.
 
-    Occurrences with an empty source are canonicalized to offset 0, so the
-    empty string has exactly one occurrence in every string.
+    An occurrence with an empty source must sit at offset 0 (any other
+    offset raises InvalidOccurrence), so the empty string has exactly one
+    occurrence in every string.
     """
 
     source: TapeString

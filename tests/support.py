@@ -126,7 +126,7 @@ def gluing_signature(gluing: CellGluing) -> tuple:
 
 def per_string_density(alphabet: Alphabet, generators, max_len: int,
                        ) -> list[tuple[int, str | None]]:
-    """Reference for colimit.density_sweep: density_check on each string of
+    """Reference for kan.density_sweep: density_check on each string of
     each length up to max_len, in windows order; per length the count and
     the first failing string with its detail."""
     rows = []

@@ -7,6 +7,7 @@ by the independent oracles in this module and tests/support.py.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 
@@ -147,7 +148,7 @@ NODE_STRINGS = [s.cells for s in all_strings(DEFAULT_ALPHABET, 3)]
 MAX_TOTAL = 12  # four nodes of three cells
 
 
-def _occurrence_index(max_len: int) -> dict[str, dict[str, tuple[int, ...]]]:
+def _occurrence_index(max_len: int, offsets) -> dict[str, dict[str, tuple[int, ...]]]:
     """needle -> {host -> offsets} over all hosts up to max_len."""
     hosts = [s.cells for s in all_strings(DEFAULT_ALPHABET, max_len)]
     index: dict[str, dict[str, tuple[int, ...]]] = {}
@@ -156,7 +157,7 @@ def _occurrence_index(max_len: int) -> dict[str, dict[str, tuple[int, ...]]]:
             continue
         per_host = {}
         for host in hosts:
-            offs = brute_offsets(needle, host)
+            offs = offsets(needle, host)
             if offs:
                 per_host[host] = tuple(offs)
         index[needle] = per_host
@@ -198,7 +199,7 @@ def _signature(values, edges):
     return tuple(sorted((values[i], rel[i] - base) for i in rel))
 
 
-def _verify_universal(values, edges, value, legs, index) -> int:
+def _verify_universal(values, edges, value, legs, index, offsets) -> int:
     """Full cocone oracle: every string admitting a commuting cocone must
     factor through (value, legs) exactly once.  Returns cocones checked."""
     total = sum(len(v) for v in values)
@@ -207,7 +208,7 @@ def _verify_universal(values, edges, value, legs, index) -> int:
     if not nonempty:
         # empty diagram: the unique cocone to any host factors canonically
         for host in (s.cells for s in all_strings(DEFAULT_ALPHABET, total)):
-            assert len(brute_offsets(value, host)) == 1
+            assert len(offsets(value, host)) == 1
             checked += 1
         return checked
     anchor = max(nonempty, key=lambda i: len(values[i]))
@@ -226,7 +227,7 @@ def _verify_universal(values, edges, value, legs, index) -> int:
                 continue
             mediators = sum(
                 1
-                for m in brute_offsets(value, host)
+                for m in offsets(value, host)
                 if all(cocone[i] == m + legs[i] for i in nonempty)
             )
             assert mediators == 1, (values, edges, value, legs, host, cocone)
@@ -243,8 +244,10 @@ def test_c10_glue_universality_small_scale():
     and constrain no cocone, so they cannot change any outcome.  Successes
     sharing (node placements forced by edges, value, legs) have identical
     cocone sets and factorizations, so each such class is verified once.
+    Each (needle, host) pair's offsets are found once and looked up after.
     """
-    index = _occurrence_index(MAX_TOTAL)
+    offsets = functools.cache(brute_offsets)
+    index = _occurrence_index(MAX_TOTAL, offsets)
     seen: set = set()
     successes = 0
     cocones = 0
@@ -256,7 +259,7 @@ def test_c10_glue_universality_small_scale():
                 for i in range(n)
                 for j in range(n)
                 if i != j and values[i]
-                for off in brute_offsets(values[i], values[j])
+                for off in offsets(values[i], values[j])
             ]
             for k in range(min(len(available), 4) + 1):
                 for edges in itertools.combinations(available, k):
@@ -274,7 +277,7 @@ def test_c10_glue_universality_small_scale():
                     seen.add(key)
                     groups += 1
                     cocones += _verify_universal(list(values), list(edges),
-                                                 value, legs, index)
+                                                 value, legs, index, offsets)
     assert (successes, groups, cocones) == (41515, 1657, 569729)
     _report(10, f"all {successes} successful gluings universal "
                 f"({groups} distinct cocone classes, {cocones} cocones checked)")

@@ -19,11 +19,11 @@ from tapecat.colimit import (
     NotLinear,
     canonical_diagram,
     density_check,
-    density_sweep,
     glue,
     glue_cells,
 )
 from tapecat.fincat import canonical_generators, string_inclusion
+from tapecat.kan import density_sweep
 from tapecat.tape import (
     DEFAULT_ALPHABET,
     Alphabet,
@@ -413,6 +413,26 @@ class TestDensity:
             failing += any(failure for _, failure in rows)
         assert failing == 3  # the empty generator identifies no cell: without it, all glue
         assert density_sweep(DEFAULT_ALPHABET, generators, -1) == []
+
+    def test_the_sweep_refuses_a_three_cell_generator(self, generators):
+        # its comma morphisms could identify cells that the pass's joins of
+        # one-cell-smaller generators miss
+        with pytest.raises(ValueError, match=r"^generator ### has more than two cells$"):
+            density_sweep(DEFAULT_ALPHABET, (*generators, ts("###")), 3)
+
+    def test_a_displaced_leg_is_named(self, generators, monkeypatch):
+        # ## glues to itself; shifting the leg of its node #@0 by one cell
+        # leaves the word right, so only the leg comparison can fail it
+        result = CellGluing.result
+
+        def shifted(gluing):
+            cells, legs = result(gluing)
+            legs[1] += 1
+            return cells, legs
+
+        monkeypatch.setattr(CellGluing, "result", shifted)
+        assert density_check(ts("##"), generators) == \
+            DensityResult(False, "leg of #@0 is # @ 1 in ##, expected # @ 0 in ##")
 
     def test_canonical_diagram_is_the_comma_category(self):
         # reference: the comma category (generators over x), enumerated by search

@@ -637,7 +637,7 @@ class TestEquivalenceSweep:
         # into two components and its step raises: 4 + 12 + 32 + 80 strings
         # of 5 to 8 cells, each evaluated once and each a 'glue failed'
         # line.  The 129th line is ###, which glues to the empty string.
-        evaluated = _counted(monkeypatch, "evaluate", tapecat.machine)
+        evaluated = _counted(monkeypatch, "evaluate")
         applied = _counted(monkeypatch, "apply", tapecat.machine)
         for shape, walk_failures, lines in ((spread_shape, 0, 0),
                                             (spread_shape.without_object("(#|###)"), 128, 129)):
@@ -652,7 +652,7 @@ class TestEquivalenceSweep:
         # a memo of one state, the start: every other string leaves the walk
         # and goes through evaluate, which goes on by _stretched
         monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
-        evaluated = _counted(monkeypatch, "evaluate", tapecat.machine)
+        evaluated = _counted(monkeypatch, "evaluate")
         for shape in [spread_shape, *(spread_shape.without_object(o.name)
                                       for o in spread_shape.objects)]:
             shape = ShapeCategory(shape.alphabet, shape.objects)  # a fresh memo
