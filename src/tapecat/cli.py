@@ -232,8 +232,10 @@ def _check_density(alphabet: Alphabet, max_len: int) -> list[tuple[str, bool, st
 @click.option("--suite", default="all", show_default=True, type=click.Choice(SUITES))
 @click.option("--max-len", default=10, show_default=True, type=click.IntRange(min=0),
               help="State bound for density and equivalence sweeps.")
-@click.option("--functor-len", default=6, show_default=True, type=click.IntRange(min=0))
-@click.option("--adj-len", default=8, show_default=True, type=click.IntRange(min=0))
+@click.option("--functor-len", default=6, show_default=True, type=click.IntRange(min=0),
+              help="String bound for the functor update row.")
+@click.option("--adj-len", default=8, show_default=True, type=click.IntRange(min=0),
+              help="State bound for the adjunction row.")
 @click.option("--mutate", default="none", type=click.Choice(MUTATIONS), hidden=True,
               help="Seed a fault; the named suite must then fail.")
 def check(machine_file: Path, suite: str, max_len: int, functor_len: int,

@@ -22,8 +22,7 @@ from typing import Mapping
 
 from . import tape
 from .colimit import GlueError
-from .fincat import (FunctorData, ValidationReport, canonical_generators, string_inclusion,
-                     validate_functor)
+from .fincat import ValidationReport, canonical_generators, occurrence_name
 from .kan import ShapeCategory, ShapeObject, evaluate_traced, walk
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeError, TapeString
 
@@ -372,54 +371,97 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
                         shape: ShapeCategory | None = None) -> SweepOutcome:
     """Check that gluing over the shape category (default: the machine's
     own) is a functor U on the occurrences among strings up to max_len, and
-    is the update: one case per string and per composable pair.  U(b) is b's
-    glued value; f: a -> b at offset k places a's windows k cells further in
-    b, so U(f) sits at leg_b(o, q + k) - leg_a(o, q), read at a's first node
-    (o, q) with a nonempty generator (at 0 when U(a) is empty).  U(f) must be
-    apply_morphism(f), and validate_functor's composition law reads legs at
-    two nodes of the middle string, so a cocone that is not natural fails
-    it.  A string that does not glue, or a U(f) that is no occurrence, fails
-    and leaves U undefined.  Differences of legs cannot see legs that are
-    all displaced alike, so where all else holds, each node's leg must
-    also be its window's offset in b, where the rule's update of that window
-    lands."""
+    is the update: one case per string and per composable pair, the
+    instances of the laws that validate_functor checks on
+    fincat.string_inclusion's presentation of those strings, which is never
+    built.  U(b) is b's glued value; f: a -> b at offset k places a's
+    windows k cells further in b, so U(f) sits at leg_b(o, q + k) -
+    leg_a(o, q), read at a's first node (o, q) with a nonempty generator
+    (at 0 when U(a) is empty).  Each U(f) must be apply_morphism(f).  On
+    these offsets each identity must go to 0 and, unless one does not,
+    each composite f;g, at k + j (0 out of the empty string), to U(f)'s
+    offset plus U(g)'s (0 when U(a) is empty): the composition law reads
+    legs at two nodes of the middle string, so a cocone that is not
+    natural fails it.  A string that does not glue, or a U(f) that is no
+    occurrence, fails and leaves U undefined.  Differences of legs cannot
+    see legs that are all displaced alike, so where all else holds, each
+    node's leg must also be its window's offset in b, where the rule's
+    update of that window lands.  Occurrences and names are built only to
+    spell failures."""
     shape = _shape_of(spec, shape)
-    inclusion = string_inclusion(spec.alphabet, tape.all_strings(spec.alphabet, max_len))
-    cat = inclusion.source
-    outcome = SweepOutcome(len(cat.objects) + len(cat.table))
-    values, legs = {}, {}
-    for name, b in inclusion.obj_map.items():
+    strings = tape.all_strings(spec.alphabet, max_len)
+    cells = [s.cells for s in strings]
+    index = {c: i for i, c in enumerate(cells)}
+    # per source string, its occurrences (target, offset) by target, then offset
+    homs: list[list[tuple[int, int]]] = [[] for _ in strings]
+    for b, cb in enumerate(cells):
+        homs[index[""]].append((b, 0))
+        for k in range(len(cb)):
+            for stop in range(k + 1, len(cb) + 1):
+                homs[index[cb[k:stop]]].append((b, k))
+    # a string of n cells receives 1 + n(n + 1)/2 occurrences, each composable with its hom
+    outcome = SweepOutcome(len(strings) + sum((1 + len(c) * (len(c) + 1) // 2) * len(hom)
+                                              for c, hom in zip(cells, homs)))
+    values, legs = [], []
+    for b in strings:
         try:
-            values[name], trace = evaluate_traced(shape, b)
+            value, trace = evaluate_traced(shape, b)
         except GlueError as exc:
             outcome.failures.append(f"{b}: glue failed: {exc}")
             continue
-        legs[name] = {node: leg for node, leg in zip(trace.nodes, trace.legs)
-                      if shape.objects[node[0]].generator.cells}
+        values.append(value)
+        legs.append({node: leg for node, leg in zip(trace.nodes, trace.legs)
+                     if shape.objects[node[0]].generator.cells})
     if outcome.failures:
         return outcome
-    images = {}
-    for name, f in inclusion.mor_map.items():
-        a, b = cat.dom(name), cat.cod(name)
+    applied = [_window_map(spec, c) for c in cells]
+    offsets: list[list[int]] = []  # per source string, U's offset for each of its occurrences
+    defined, bad_identities = True, []
+    for a, hom in enumerate(homs):
         node = next(iter(legs[a]), None)  # a's first node with a nonempty generator
-        off = legs[b][node[0], node[1] + f.offset] - legs[a][node] if node else 0
-        try:
-            images[name] = Occurrence(values[a], values[b], off)
-        except TapeError as exc:
-            outcome.failures.append(f"({f}): legs induce no occurrence: {exc}")
-            continue
-        want = apply_morphism(spec, f)
-        if images[name] != want:
-            outcome.failures.append(f"({f}): glued ({images[name]}), rule gives ({want})")
-    if len(images) == len(inclusion.mor_map):
-        report = validate_functor(FunctorData(cat, inclusion.target, values, images))
-        outcome.failures += [str(v) for v in report.violations]
+        if node:
+            (o, q), base = node, legs[a][node]
+            offsets.append([legs[b][o, q + k] - base for b, k in hom])
+        else:
+            offsets.append([0] * len(hom))
+        ua, want_a = values[a].cells, applied[a]
+        for (b, k), off in zip(hom, offsets[a]):
+            ub = values[b].cells
+            if not (0 <= off <= len(ub) - len(ua) and ub.startswith(ua, off) if ua else off == 0):
+                try:
+                    Occurrence(values[a], values[b], off)
+                except TapeError as exc:
+                    outcome.failures.append(f"({Occurrence(strings[a], strings[b], k)}): legs "
+                                            f"induce no occurrence: {exc}")
+                defined = False
+                continue
+            if ua != want_a or ub != applied[b] or off != (k if want_a else 0):
+                f = Occurrence(strings[a], strings[b], k)
+                outcome.failures.append(f"({f}): glued ({Occurrence(values[a], values[b], off)}),"
+                                        f" rule gives ({apply_morphism(spec, f)})")
+            if b == a and off:
+                bad_identities.append(f"identity: identity of {strings[a]} is not sent to an "
+                                      f"identity")
+    if defined and bad_identities:
+        outcome.failures += bad_identities
+    elif defined:
+        for a, hom in enumerate(homs):
+            if not values[a].cells:
+                continue  # every map out of an empty U(a) sits at 0, composites included
+            composite = dict(zip(hom, offsets[a]))
+            for (b, k), off_f in zip(hom, offsets[a]):
+                for (c, j), off_g in zip(homs[b], offsets[b]):
+                    if composite[c, k + j if cells[a] else 0] != off_f + off_g:
+                        f, g = (occurrence_name(str(strings[x]), str(strings[y]), n)
+                                for x, y, n in ((a, b, k), (b, c, j)))
+                        outcome.failures.append(f"composition: image of {f};{g} is not the "
+                                                f"composite of images")
     if not outcome.failures:
-        for name, b_legs in legs.items():
+        for b, b_legs in enumerate(legs):
             node = next((node for node, leg in b_legs.items() if leg != node[1]), None)
             if node:
-                outcome.failures.append(f"{name}: leg of {shape.objects[node[0]].name} placed at "
-                                        f"{node[1]} is {b_legs[node]}")
+                outcome.failures.append(f"{strings[b]}: leg of {shape.objects[node[0]].name} "
+                                        f"placed at {node[1]} is {b_legs[node]}")
     return outcome
 
 

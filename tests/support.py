@@ -7,12 +7,14 @@ from dataclasses import dataclass
 
 import tapecat.machine
 from tapecat import tape
-from tapecat.colimit import CellGluing, density_check
-from tapecat.fincat import FinCatPresentation, FunctorData, TapeCategory, canonical_generators
+from tapecat.colimit import CellGluing, GlueError, density_check
+from tapecat.fincat import (FinCatPresentation, FunctorData, TapeCategory, canonical_generators,
+                            string_inclusion, validate_functor)
+from tapecat.kan import ShapeCategory, evaluate_traced
 from tapecat.machine import (Explanation, MachineSpec, SweepOutcome, apply, apply_morphism,
                              causal_neighbourhood)
-from tapecat.tape import (DEFAULT_ALPHABET, Alphabet, InvalidOccurrence, Occurrence, TapeString,
-                          windows)
+from tapecat.tape import (DEFAULT_ALPHABET, Alphabet, InvalidOccurrence, Occurrence, TapeError,
+                          TapeString, windows)
 
 
 def ts(cells: str) -> TapeString:
@@ -215,6 +217,52 @@ def update_functoriality(spec: MachineSpec, max_len: int) -> SweepOutcome:
             outcome.cases += 1
             if image[tape.compose(f, g)] != tape.compose(image[f], image[g]):
                 outcome.failures.append(f"U(({f});({g})) != U({f});U({g})")
+    return outcome
+
+
+def table_functoriality(spec: MachineSpec, max_len: int,
+                        shape: ShapeCategory | None = None) -> SweepOutcome:
+    """Reference for tapecat.machine.functoriality_sweep: the same cases and
+    failure lines, read off string_inclusion's presentation of the strings
+    up to max_len, whose composition table validate_functor walks, with
+    an Occurrence and an apply_morphism per morphism."""
+    shape = tapecat.machine._shape_of(spec, shape)
+    inclusion = string_inclusion(spec.alphabet, tape.all_strings(spec.alphabet, max_len))
+    cat = inclusion.source
+    outcome = SweepOutcome(len(cat.objects) + len(cat.table))
+    values, legs = {}, {}
+    for name, b in inclusion.obj_map.items():
+        try:
+            values[name], trace = evaluate_traced(shape, b)
+        except GlueError as exc:
+            outcome.failures.append(f"{b}: glue failed: {exc}")
+            continue
+        legs[name] = {node: leg for node, leg in zip(trace.nodes, trace.legs)
+                      if shape.objects[node[0]].generator.cells}
+    if outcome.failures:
+        return outcome
+    images = {}
+    for name, f in inclusion.mor_map.items():
+        a, b = cat.dom(name), cat.cod(name)
+        node = next(iter(legs[a]), None)  # a's first node with a nonempty generator
+        off = legs[b][node[0], node[1] + f.offset] - legs[a][node] if node else 0
+        try:
+            images[name] = Occurrence(values[a], values[b], off)
+        except TapeError as exc:
+            outcome.failures.append(f"({f}): legs induce no occurrence: {exc}")
+            continue
+        want = apply_morphism(spec, f)
+        if images[name] != want:
+            outcome.failures.append(f"({f}): glued ({images[name]}), rule gives ({want})")
+    if len(images) == len(inclusion.mor_map):
+        report = validate_functor(FunctorData(cat, inclusion.target, values, images))
+        outcome.failures += [str(v) for v in report.violations]
+    if not outcome.failures:
+        for name, b_legs in legs.items():
+            node = next((node for node, leg in b_legs.items() if leg != node[1]), None)
+            if node:
+                outcome.failures.append(f"{name}: leg of {shape.objects[node[0]].name} placed at "
+                                        f"{node[1]} is {b_legs[node]}")
     return outcome
 
 

@@ -497,6 +497,15 @@ class TestCheck:
         assert result.exit_code == 0
         assert result.stdout == (PERFBENCH / "golden" / "equiv-sweep.stdout").read_text()
 
+    def test_every_bound_names_its_rows(self, runner):
+        result = runner.invoke(main, ["check", "--help"])
+        assert result.exit_code == 0
+        text = " ".join(result.stdout.split())
+        for help_line in ["--max-len INTEGER RANGE State bound for density and equivalence",
+                          "--functor-len INTEGER RANGE String bound for the functor update row.",
+                          "--adj-len INTEGER RANGE State bound for the adjunction row."]:
+            assert help_line in text
+
     def test_check_output_deterministic(self, runner):
         args = ["check", SPREAD, "--suite", "equivalence", "--max-len", "5"]
         assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout

@@ -222,7 +222,7 @@ class TestDensePresentation:
     @pytest.mark.parametrize("symbols, max_len", [
         (("#",), 4), ((".", "#"), 4), (("a", "b", "c"), 3)])
     def test_strings_of_the_functor_sweep_match_all_pairs(self, symbols, max_len):
-        # the strings machine.functoriality_sweep includes: all up to a length
+        # the strings of the functor sweep's table reference: all up to a length
         alphabet = Alphabet(symbols)
         assert_all_pairs_of_occurrences(alphabet, all_strings(alphabet, max_len))
 

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 import tapecat.colimit
+import tapecat.fincat
 import tapecat.machine
 from tapecat.fincat import (canonical_generators, string_inclusion, validate_category,
                             validate_functor)
@@ -43,7 +44,7 @@ from tapecat.tape import (
 
 from .conftest import max_machine, spread_rule
 from .support import (all_spans_universality, check_explanation, closed_form_windows, occ,
-                      random_machine, ts, update_functoriality)
+                      random_machine, table_functoriality, ts, update_functoriality)
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
 
@@ -183,20 +184,46 @@ class TestApplyMorphism:
         assert outcome.failures == ["U(id_#.#) != id_U(#.#)"]
 
 
+#: Faults in CellGluing.result's legs, each a leg as a function of the
+#: value's cells, the node's number, its honest leg and its generator value.
+LEG_FAULTS = {
+    # whenever the value is ###, the leg of held node 1 (the window on input
+    # cells [0, 3)) moves one cell right
+    "one-node": lambda cells, k, leg, value: leg + (cells == "###" and k == 1),
+    # every leg one cell further left, stopping at 0
+    "all-left": lambda cells, k, leg, value: max(leg - 1, 0),
+    # every nonempty leg one cell further right
+    "all-alike": lambda cells, k, leg, value: leg + bool(value),
+}
+
+
+def displace_legs(monkeypatch, fault: str) -> None:
+    """Keep every glued value but move its legs by LEG_FAULTS[fault]."""
+    honest = tapecat.colimit.CellGluing.result
+    move = LEG_FAULTS[fault]
+
+    def displaced(self):
+        cells, legs = honest(self)
+        return cells, [move(cells, k, leg, value)
+                       for k, (leg, value) in enumerate(zip(legs, self.values))]
+
+    monkeypatch.setattr(tapecat.colimit.CellGluing, "result", displaced)
+
+
+def against_table(spec: MachineSpec, max_len: int, shape=None) -> list[tuple]:
+    """(cases, failures) of the functor sweep, then of its table reference."""
+    return [(outcome.cases, outcome.failures)
+            for outcome in (functoriality_sweep(spec, max_len, shape),
+                            table_functoriality(spec, max_len, shape))]
+
+
 class TestFunctorialitySweep:
     """The functor row: gluing's action on occurrences, read off the legs."""
 
     def test_displaced_legs_fail_the_sweep(self, spread, monkeypatch):
-        # whenever the value is ###, the leg of held node 1 (the window on
-        # input cells [0, 3)) moves one cell right: every value is kept, so
-        # only the induced maps, and their composites, see the fault
-        honest = tapecat.colimit.CellGluing.result
-
-        def displaced(self):
-            cells, legs = honest(self)
-            return cells, [leg + (cells == "###" and k == 1) for k, leg in enumerate(legs)]
-
-        monkeypatch.setattr(tapecat.colimit.CellGluing, "result", displaced)
+        # every value is kept, so only the induced maps, and their
+        # composites, see the fault
+        displace_legs(monkeypatch, "one-node")
         assert equivalence_sweep(spread, 5).ok
         outcome = functoriality_sweep(spread, 5)
         assert (outcome.cases, len(outcome.failures)) == (3770, 61)
@@ -206,16 +233,9 @@ class TestFunctorialitySweep:
             "images" in outcome.failures
 
     def test_an_induced_map_that_is_no_occurrence_is_a_line(self, spread, monkeypatch):
-        # every leg one cell further left, stopping at 0: the legs of #...
-        # induce . at offset 0 in #., where it does not occur, so the
-        # functor is undefined and its laws go unchecked
-        honest = tapecat.colimit.CellGluing.result
-
-        def displaced(self):
-            cells, legs = honest(self)
-            return cells, [max(leg - 1, 0) for leg in legs]
-
-        monkeypatch.setattr(tapecat.colimit.CellGluing, "result", displaced)
+        # the legs of #... induce . at offset 0 in #., where it does not
+        # occur, so the functor is undefined and its laws go unchecked
+        displace_legs(monkeypatch, "all-left")
         outcome = functoriality_sweep(spread, 4)
         assert len(outcome.failures) == 16
         assert outcome.failures[1:3] == [
@@ -225,16 +245,9 @@ class TestFunctorialitySweep:
         assert not any(line.startswith(("identity", "composition")) for line in outcome.failures)
 
     def test_legs_displaced_alike_fail_the_row(self, spread, monkeypatch):
-        # every nonempty leg one cell further right: the values and every
-        # difference of legs are kept, so only the legs themselves, each
-        # against its window's offset, see the fault
-        honest = tapecat.colimit.CellGluing.result
-
-        def displaced(self):
-            cells, legs = honest(self)
-            return cells, [leg + bool(value) for leg, value in zip(legs, self.values)]
-
-        monkeypatch.setattr(tapecat.colimit.CellGluing, "result", displaced)
+        # the values and every difference of legs are kept, so only the
+        # legs themselves, each against its window's offset, see the fault
+        displace_legs(monkeypatch, "all-alike")
         assert equivalence_sweep(spread, 5).ok
         outcome = functoriality_sweep(spread, 4)
         assert outcome.cases == 986
@@ -255,6 +268,53 @@ class TestFunctorialitySweep:
         outcome = functoriality_sweep(spread, 4, spread_shape.without_object("(..|....)"))
         assert (outcome.cases, outcome.failures) == \
             (986, ["....: glue failed: quotient splits into 2 components"])
+
+    @pytest.mark.parametrize("machine, max_len", [
+        ("spread", 5), ("identity_machine", 5), ("parity_machine", 5), ("ternary_machine", 3),
+    ])
+    def test_matches_the_table_reference(self, machine, max_len, request):
+        got, want = against_table(request.getfixturevalue(machine), max_len)
+        assert got == want
+
+    @pytest.mark.parametrize("max_len", [4, 5])
+    def test_matches_the_table_reference_on_every_deletion(self, spread, spread_shape, max_len):
+        for o in spread_shape.objects:
+            got, want = against_table(spread, max_len, spread_shape.without_object(o.name))
+            assert got == want, o.name
+
+    @pytest.mark.parametrize("fault", sorted(LEG_FAULTS))
+    def test_matches_the_table_reference_on_displaced_legs(self, spread, fault, monkeypatch):
+        displace_legs(monkeypatch, fault)
+        got, want = against_table(spread, 5)
+        assert got == want
+
+    @pytest.mark.parametrize("symbols, radius, seed, max_len", [
+        (2, 1, 1, 5), (2, 2, 2, 5), (3, 1, 3, 3), (3, 1, 4, 3),
+    ])
+    def test_matches_the_table_reference_on_random_machines(self, symbols, radius, seed,
+                                                            max_len):
+        got, want = against_table(random_machine(symbols, radius, seed), max_len)
+        assert got == want
+
+    def test_builds_no_presentation(self, spread, monkeypatch):
+        # the composition table of the strings up to 5 cells has 3,707
+        # entries; the sweep checks its laws on offsets without it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the functor sweep built an occurrence category")
+
+        monkeypatch.setattr(tapecat.fincat, "occurrence_category", refuse)
+        outcome = functoriality_sweep(spread, 5)
+        assert (outcome.cases, outcome.failures) == (3770, [])
+
+    @pytest.mark.parametrize("symbols, max_len", [(("#",), 5), ((".", "#"), 5),
+                                                   (("a", "b", "c"), 3)])
+    def test_cases_are_the_presented_law_instances(self, symbols, max_len):
+        # one case per object and per composition-table entry
+        alphabet = Alphabet(symbols)
+        spec = MachineSpec(alphabet, 0, {s: s for s in symbols})
+        for n in range(max_len + 1):
+            cat = string_inclusion(alphabet, all_strings(alphabet, n)).source
+            assert functoriality_sweep(spec, n).cases == len(cat.objects) + len(cat.table)
 
 
 class TestCausalNeighbourhood:
