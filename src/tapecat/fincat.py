@@ -65,7 +65,7 @@ class FinCatPresentation:
     # -- construction ------------------------------------------------------
 
     def add_object(self, name: str) -> None:
-        if not name or any(ch.isspace() for ch in name):
+        if name.split() != [name]:  # empty, or holding a whitespace character
             raise ValueError(f"bad object name {name!r}")
         if name in self._object_set:
             raise ValueError(f"duplicate object {name!r}")
@@ -73,7 +73,7 @@ class FinCatPresentation:
         self._object_set.add(name)
 
     def add_morphism(self, name: str, dom: str, cod: str) -> None:
-        if not name or any(ch.isspace() for ch in name):
+        if name.split() != [name]:
             raise ValueError(f"bad morphism name {name!r}")
         if name in self._morphisms:
             raise ValueError(f"duplicate morphism {name!r}")
@@ -198,63 +198,67 @@ def validate_category(cat: FinCatPresentation) -> ValidationReport:
     """Check units, totality, closure and associativity of a presentation.
 
     Every violated instance becomes a report entry; an empty report means
-    the presentation is a lawful category.
+    the presentation is a lawful category.  Once the structural checks
+    pass, every composable pair has a listed composite, so the law checks
+    read the morphisms and the table directly.
     """
     report = ValidationReport("category")
-    names = cat.morphisms()
+    morphisms, table, identities = cat._morphisms, cat.table, cat.identities
     for obj in cat.objects:
-        ident = cat.identities.get(obj)
+        ident = identities.get(obj)
         if ident is None:
             report.add("identity-missing", f"object {obj} has no identity")
             continue
-        if cat.dom(ident) != obj or cat.cod(ident) != obj:
+        if morphisms[ident] != (obj, obj):
             report.add("identity-endpoints", f"identity {ident} of {obj} is not an endomorphism")
     by_dom: dict[str, list[str]] = {}
-    for m in names:
-        by_dom.setdefault(cat.dom(m), []).append(m)
+    for m, (dom, _) in morphisms.items():
+        by_dom.setdefault(dom, []).append(m)
     # junk: table keys that are not composable pairs of listed morphisms
     junk_after: dict[str, list[str]] = {}
     unknown: list[tuple[str, str]] = []
-    for g, f in cat.table:
-        if g not in cat._morphisms or f not in cat._morphisms:
+    for g, f in table:
+        if g not in morphisms or f not in morphisms:
             unknown.append((g, f))
-        elif cat.cod(f) != cat.dom(g):
+        elif morphisms[f][1] != morphisms[g][0]:
             junk_after.setdefault(f, []).append(g)
-    position = {m: i for i, m in enumerate(names)}
+    position = {m: i for i, m in enumerate(morphisms)}
     # totality and closure of the table, in the order of the pairs (f, g)
-    for f in names:
-        followers = by_dom.get(cat.cod(f), [])
+    for f, (f_dom, f_cod) in morphisms.items():
+        followers = by_dom.get(f_cod, [])
         if f in junk_after:
             followers = sorted(followers + junk_after[f], key=position.__getitem__)
         for g in followers:
-            if cat.cod(f) != cat.dom(g):
+            g_dom, g_cod = morphisms[g]
+            if f_cod != g_dom:
                 report.add("table-junk", f"table binds non-composable pair ({g}, {f})")
                 continue
-            h = cat.table.get((g, f))
+            h = table.get((g, f))
             if h is None:
                 report.add("table-missing", f"no composite for {f} then {g}")
                 continue
-            if h not in cat._morphisms:
+            endpoints = morphisms.get(h)
+            if endpoints is None:
                 report.add("closure", f"composite {h} of ({g}, {f}) is not a listed morphism")
                 continue
-            if cat.dom(h) != cat.dom(f) or cat.cod(h) != cat.cod(g):
+            if endpoints != (f_dom, g_cod):
                 report.add("closure", f"composite {h} of ({g}, {f}) has wrong endpoints")
     for g, f in unknown:
         report.add("table-junk", f"table binds non-composable pair ({g}, {f})")
     if not report.ok:
         return report
-    # unit laws
-    for f in names:
-        if cat.compose(cat.identity(cat.dom(f)), f) != f:
+    # unit laws; the table holds "f then g" at (g, f)
+    for f, (f_dom, f_cod) in morphisms.items():
+        if table[f, identities[f_dom]] != f:
             report.add("unit", f"id;{f} != {f}")
-        if cat.compose(f, cat.identity(cat.cod(f))) != f:
+        if table[identities[f_cod], f] != f:
             report.add("unit", f"{f};id != {f}")
     # associativity over all composable triples
-    for f in names:
-        for g in by_dom.get(cat.cod(f), ()):
-            fg = cat.compose(f, g)
-            for h in by_dom.get(cat.cod(g), ()):
-                if cat.compose(fg, h) != cat.compose(f, cat.compose(g, h)):
+    for f, (_, f_cod) in morphisms.items():
+        for g in by_dom.get(f_cod, ()):
+            fg = table[g, f]
+            for h in by_dom.get(morphisms[g][1], ()):
+                if table[h, fg] != table[table[h, g], f]:
                     report.add("associativity", f"({f};{g});{h} != {f};({g};{h})")
     return report
 

@@ -554,29 +554,38 @@ def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len:
     return list(zip(counts, failures))
 
 
+def glued_legs(shape: ShapeCategory, x: TapeString,
+                ) -> tuple[TapeString, dict[tuple[int, int], int]]:
+    """As evaluate, by the pass that closes nothing, also returning each
+    node's leg, the offset of its generator in the value, keyed by the
+    node's (object index, placement offset) and in that order, the node
+    order of evaluate_traced.  Raises the GlueError of that pass."""
+    cells, legs, state = _glued(shape, x)
+    lengths = shape.compiled.window_lengths
+    nodes = sorted(zip(((k, end - lengths[k]) for k, end in zip(state.placed, state.ends)),
+                       legs))
+    return TapeString(shape.alphabet, cells), dict(nodes)
+
+
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:
     """As evaluate, also returning the glued diagram as an EvalTrace.
 
-    The edges are read off the finished pass, which closes nothing: each
-    placed node is joined to the windows its object's joins name, which the
-    pass placed ending at the same cell or one before.  The trace renumbers
-    nodes by (object, offset) and edges by (morphism, target offset), the
-    order of the shape category's own enumeration.
+    The nodes and legs are glued_legs'.  Each node is joined to the windows
+    its object's joins name, which the pass placed ending at the same cell
+    or one before, so the edges are read off the nodes alone; they are
+    ordered by (morphism, target offset), the order of the shape category's
+    own enumeration.
     """
-    cells, legs, state = _glued(shape, x)
+    value, legs = glued_legs(shape, x)
     compiled = shape.compiled
     lengths = compiled.window_lengths
-    nodes = list(enumerate(zip(state.placed, state.ends)))
-    node_at = {(lengths[k], end): n for n, (k, end) in nodes}
-    edges = [(node_at[compiled.levels[level][0], end - lag], n, off, mor)
-             for n, (k, end) in nodes for level, lag, off, mor in compiled.joins[k]]
-    edges += [(src, n, 0, mor) for n, (k, _) in nodes for src, mor in compiled.unwindowed_joins[k]]
-    placements = [(k, end - lengths[k]) for k, end in zip(state.placed, state.ends)]
-    order = sorted(range(len(placements)), key=placements.__getitem__)
-    renumber = {old: new for new, old in enumerate(order)}
-    edges.sort(key=lambda e: (e[3], placements[e[1]][1]))
-    value = TapeString(shape.alphabet, cells)
-    return value, EvalTrace(
-        x, shape, [placements[i] for i in order],
-        [(renumber[s], renumber[d], off, mor) for s, d, off, mor in edges],
-        value, [legs[i] for i in order])
+    nodes = list(legs)
+    number = {node: n for n, node in enumerate(nodes)}
+    # a nonempty window names its node by its length and right end
+    node_at = {(lengths[k], q + lengths[k]): n for n, (k, q) in enumerate(nodes)}
+    edges = [(node_at[compiled.levels[level][0], q + lengths[k] - lag], n, off, mor)
+             for n, (k, q) in enumerate(nodes) for level, lag, off, mor in compiled.joins[k]]
+    edges += [(number[compiled.unwindowed[src], 0], n, 0, mor)
+              for n, (k, _) in enumerate(nodes) for src, mor in compiled.unwindowed_joins[k]]
+    edges.sort(key=lambda e: (e[3], nodes[e[1]][1]))
+    return value, EvalTrace(x, shape, nodes, edges, value, list(legs.values()))

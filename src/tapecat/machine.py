@@ -23,7 +23,7 @@ from typing import Mapping
 from . import tape
 from .colimit import GlueError
 from .fincat import ValidationReport, canonical_generators, occurrence_name
-from .kan import ShapeCategory, ShapeObject, evaluate_traced, walk
+from .kan import ShapeCategory, ShapeObject, glued_legs, walk
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeError, TapeString
 
 
@@ -377,17 +377,18 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     built.  U(b) is b's glued value; f: a -> b at offset k places a's
     windows k cells further in b, so U(f) sits at leg_b(o, q + k) -
     leg_a(o, q), read at a's first node (o, q) with a nonempty generator
-    (at 0 when U(a) is empty).  Each U(f) must be apply_morphism(f).  On
-    these offsets each identity must go to 0 and, unless one does not,
-    each composite f;g, at k + j (0 out of the empty string), to U(f)'s
-    offset plus U(g)'s (0 when U(a) is empty): the composition law reads
-    legs at two nodes of the middle string, so a cocone that is not
-    natural fails it.  A string that does not glue, or a U(f) that is no
-    occurrence, fails and leaves U undefined.  Differences of legs cannot
-    see legs that are all displaced alike, so where all else holds, each
-    node's leg must also be its window's offset in b, where the rule's
-    update of that window lands.  Occurrences and names are built only to
-    spell failures."""
+    (at 0 when U(a) is empty); the values and legs are kan.glued_legs'.
+    Each U(f) must be apply_morphism(f).  An identity's offset is a leg
+    less itself, so it goes to 0 by construction and counts as a case with
+    nothing to check.  Each composite f;g, at k + j (0 out of the empty
+    string), must go to U(f)'s offset plus U(g)'s (0 when U(a) is empty):
+    the composition law reads legs at two nodes of the middle string, so a
+    cocone that is not natural fails it.  A string that does not glue, or a
+    U(f) that is no occurrence, fails and leaves U undefined.  Differences
+    of legs cannot see legs that are all displaced alike, so where all else
+    holds, each node's leg must also be its window's offset in b, where the
+    rule's update of that window lands.  Occurrences and names are built
+    only to spell failures."""
     shape = _shape_of(spec, shape)
     strings = tape.all_strings(spec.alphabet, max_len)
     cells = [s.cells for s in strings]
@@ -402,21 +403,21 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     # a string of n cells receives 1 + n(n + 1)/2 occurrences, each composable with its hom
     outcome = SweepOutcome(len(strings) + sum((1 + len(c) * (len(c) + 1) // 2) * len(hom)
                                               for c, hom in zip(cells, homs)))
+    nonempty = [bool(o.generator.cells) for o in shape.objects]
     values, legs = [], []
     for b in strings:
         try:
-            value, trace = evaluate_traced(shape, b)
+            value, b_legs = glued_legs(shape, b)
         except GlueError as exc:
             outcome.failures.append(f"{b}: glue failed: {exc}")
             continue
         values.append(value)
-        legs.append({node: leg for node, leg in zip(trace.nodes, trace.legs)
-                     if shape.objects[node[0]].generator.cells})
+        legs.append({node: leg for node, leg in b_legs.items() if nonempty[node[0]]})
     if outcome.failures:
         return outcome
     applied = [_window_map(spec, c) for c in cells]
     offsets: list[list[int]] = []  # per source string, U's offset for each of its occurrences
-    defined, bad_identities = True, []
+    defined = True
     for a, hom in enumerate(homs):
         node = next(iter(legs[a]), None)  # a's first node with a nonempty generator
         if node:
@@ -439,12 +440,7 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
                 f = Occurrence(strings[a], strings[b], k)
                 outcome.failures.append(f"({f}): glued ({Occurrence(values[a], values[b], off)}),"
                                         f" rule gives ({apply_morphism(spec, f)})")
-            if b == a and off:
-                bad_identities.append(f"identity: identity of {strings[a]} is not sent to an "
-                                      f"identity")
-    if defined and bad_identities:
-        outcome.failures += bad_identities
-    elif defined:
+    if defined:
         for a, hom in enumerate(homs):
             if not values[a].cells:
                 continue  # every map out of an empty U(a) sits at 0, composites included
@@ -482,12 +478,16 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
     updated state up to max_state_len: one case per part, one failure line
     per failed part.
 
-    Each state is updated once, and the window that _neighbourhood reads off
-    it must be an object (part|window) of the shape category that evaluate
-    glues (default: shape_category(spec)), whose windows shape_table joins
-    from rule entries.  With mutate=True each displaced explanation goes
-    through universality_check instead, a state's hosts shared by its parts
-    and a part's first failure alone formatted; the sweep must then fail."""
+    Each state is updated once, and a part's window, the state's cells
+    [k, k + len(part) + 2r) for a part at offset k in the update (empty for
+    the empty part), as _neighbourhood reads it, must be an object
+    (part|window) of the shape category that evaluate glues (default:
+    shape_category(spec)), whose windows shape_table joins from rule
+    entries.  Each part is one slice of the state's cells and one set
+    lookup; an Occurrence is built only to spell a failure.  With
+    mutate=True each displaced explanation goes through universality_check
+    instead, a state's hosts shared by its parts and a part's first failure
+    alone formatted; the sweep must then fail."""
     generators = canonical_generators(spec.alphabet)
     outcome = SweepOutcome()
     if mutate:
@@ -503,13 +503,19 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
                         outcome.failures.append(report.failure(0))
         return outcome
     objects = {(o.generator.cells, o.window.cells) for o in _shape_of(spec, shape).objects}
+    two_r = 2 * spec.radius
     for x in tape.all_strings(spec.alphabet, max_state_len):
-        ux = apply(spec, x)
+        cells = x.cells
+        ux = _window_map(spec, cells)
         for a in generators:
-            for p in tape.hom(a, ux):
-                outcome.cases += 1
-                n = _neighbourhood(spec, p, x).window.source
-                if (a.cells, n.cells) not in objects:
+            a_cells = a.cells
+            offsets = tape.find_all(a_cells, ux) if a_cells else [0]
+            outcome.cases += len(offsets)
+            for k in offsets:
+                window = cells[k : k + len(a_cells) + two_r] if a_cells else ""
+                if (a_cells, window) not in objects:
+                    p = Occurrence(a, TapeString(spec.alphabet, ux), k)
+                    n = TapeString(spec.alphabet, window)
                     outcome.failures.append(f"part ({p}) over {x}: the shape category has "
                                             f"no object {ShapeObject(a, n).name}")
     return outcome

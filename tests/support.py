@@ -10,7 +10,7 @@ from tapecat import tape
 from tapecat.colimit import CellGluing, GlueError, density_check
 from tapecat.fincat import (FinCatPresentation, FunctorData, TapeCategory, canonical_generators,
                             string_inclusion, validate_functor)
-from tapecat.kan import ShapeCategory, evaluate_traced
+from tapecat.kan import ShapeCategory, ShapeObject, evaluate_traced
 from tapecat.machine import (Explanation, MachineSpec, SweepOutcome, apply, apply_morphism,
                              causal_neighbourhood)
 from tapecat.tape import (DEFAULT_ALPHABET, Alphabet, InvalidOccurrence, Occurrence, TapeError,
@@ -173,11 +173,12 @@ def check_explanation(spec: MachineSpec, expl: Explanation) -> list[str]:
 
 
 def closed_form_windows(spec: MachineSpec, max_state_len: int) -> SweepOutcome:
-    """Reference for the explanations that the adjunction sweep looks up:
+    """Reference tying the adjunction sweep's slices to the explanations:
     for every canonical generator part of every updated state up to
     max_state_len, the window that tapecat.machine._neighbourhood reads must
-    have the closed form universality_check's proof needs, x's cells from
-    the part's offset, len(part) + 2r long (empty for the empty part)."""
+    have the closed form that the sweep slices and universality_check's
+    proof needs, x's cells from the part's offset, len(part) + 2r long
+    (empty for the empty part)."""
     outcome = SweepOutcome()
     two_r = 2 * spec.radius
     for x in tape.all_strings(spec.alphabet, max_state_len):
@@ -192,6 +193,26 @@ def closed_form_windows(spec: MachineSpec, max_state_len: int) -> SweepOutcome:
                     outcome.failures.append(
                         f"part ({p}) over {x}: window ({window}) is not cells "
                         f"[{p.offset}, {p.offset + span}) of the state")
+    return outcome
+
+
+def occurrence_adjunction(spec: MachineSpec, max_state_len: int,
+                          shape: ShapeCategory | None = None) -> SweepOutcome:
+    """Reference for the honest tapecat.machine.adjunction_sweep: the same
+    cases and failure lines, with an Occurrence per part from tape.hom and
+    each window read off the state through _neighbourhood."""
+    objects = {(o.generator.cells, o.window.cells)
+               for o in tapecat.machine._shape_of(spec, shape).objects}
+    outcome = SweepOutcome()
+    for x in tape.all_strings(spec.alphabet, max_state_len):
+        ux = apply(spec, x)
+        for a in canonical_generators(spec.alphabet):
+            for p in tape.hom(a, ux):
+                outcome.cases += 1
+                n = tapecat.machine._neighbourhood(spec, p, x).window.source
+                if (a.cells, n.cells) not in objects:
+                    outcome.failures.append(f"part ({p}) over {x}: the shape category has "
+                                            f"no object {ShapeObject(a, n).name}")
     return outcome
 
 

@@ -327,6 +327,15 @@ class TestCommaEnumeration:
         assert all(len(o.mid.target) <= 3 for o in comma.objects)
 
 
+#: Names holding a whitespace character that is not ASCII (str.isspace
+#: holds for each): (character id, name, where the character sits).
+_ODD_SPACED_NAMES = [(space_id, name, where)
+                     for space_id, space in (("x1c", "\x1c"), ("nbsp", "\u00a0"),
+                                             ("u2028", "\u2028"), ("u3000", "\u3000"))
+                     for where, name in (("inside", f"A{space}B"), ("start", f"{space}AB"),
+                                         ("end", f"AB{space}"))]
+
+
 class TestSerialization:
     def test_round_trip(self, inclusion):
         text = inclusion.source.dumps()
@@ -339,11 +348,23 @@ class TestSerialization:
             FinCatPresentation.loads("object A\nfrobnicate B\n")
 
     @pytest.mark.parametrize("add, message", [
-        (lambda cat: cat.add_object(""), "bad object name ''"),
-        (lambda cat: cat.add_object("A B"), "bad object name 'A B'"),
-        (lambda cat: cat.add_morphism("", "A", "A"), "bad morphism name ''"),
-        (lambda cat: cat.add_morphism("f\tg", "A", "A"), "bad morphism name 'f\\tg'"),
-    ], ids=["empty-object", "spaced-object", "empty-morphism", "spaced-morphism"])
+        pytest.param(lambda cat: cat.add_object(""), "bad object name ''", id="empty-object"),
+        pytest.param(lambda cat: cat.add_object("A B"), "bad object name 'A B'",
+                     id="spaced-object"),
+        pytest.param(lambda cat: cat.add_morphism("", "A", "A"), "bad morphism name ''",
+                     id="empty-morphism"),
+        pytest.param(lambda cat: cat.add_morphism("f\tg", "A", "A"),
+                     "bad morphism name 'f\\tg'", id="spaced-morphism"),
+    ] + [
+        # whitespace beyond ASCII, inside a name and at each end
+        pytest.param(lambda cat, name=name: cat.add_object(name), f"bad object name {name!r}",
+                     id=f"object-{space_id}-{where}")
+        for space_id, name, where in _ODD_SPACED_NAMES
+    ] + [
+        pytest.param(lambda cat, name=name: cat.add_morphism(name, "A", "A"),
+                     f"bad morphism name {name!r}", id=f"morphism-{space_id}-{where}")
+        for space_id, name, where in _ODD_SPACED_NAMES
+    ])
     def test_bad_names_are_rejected(self, add, message):
         cat = FinCatPresentation()
         cat.add_object("A")

@@ -44,7 +44,8 @@ from tapecat.tape import (
 
 from .conftest import max_machine, spread_rule
 from .support import (all_spans_universality, check_explanation, closed_form_windows, occ,
-                      random_machine, table_functoriality, ts, update_functoriality)
+                      occurrence_adjunction, random_machine, table_functoriality, ts,
+                      update_functoriality)
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
 
@@ -215,6 +216,14 @@ def against_table(spec: MachineSpec, max_len: int, shape=None) -> list[tuple]:
     return [(outcome.cases, outcome.failures)
             for outcome in (functoriality_sweep(spec, max_len, shape),
                             table_functoriality(spec, max_len, shape))]
+
+
+def against_occurrences(spec: MachineSpec, max_len: int, shape=None) -> list[tuple]:
+    """(cases, failures) of the honest adjunction sweep, then of its
+    Occurrence-based reference."""
+    return [(outcome.cases, outcome.failures)
+            for outcome in (adjunction_sweep(spec, max_len, shape=shape),
+                            occurrence_adjunction(spec, max_len, shape))]
 
 
 class TestFunctorialitySweep:
@@ -544,6 +553,42 @@ class TestUniversality:
             "part (. @ 1 in #.) over #...: the shape category has no object (.|...)",
         ])
 
+    @pytest.mark.parametrize("machine, max_len", [
+        ("spread", 8), ("identity_machine", 6), ("parity_machine", 7), ("ternary_machine", 4),
+    ])
+    def test_matches_the_occurrence_reference(self, machine, max_len, request):
+        got, want = against_occurrences(request.getfixturevalue(machine), max_len)
+        assert got == want
+
+    @pytest.mark.parametrize("machine, max_len", [
+        ("spread", 5), ("parity_machine", 6), ("ternary_machine", 4),
+    ], ids=["spread", "parity", "ternary"])
+    def test_matches_the_occurrence_reference_on_every_deletion(self, machine, max_len,
+                                                                request):
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        for o in shape.objects:
+            got, want = against_occurrences(spec, max_len, shape.without_object(o.name))
+            assert got == want, o.name
+
+    @pytest.mark.parametrize("symbols, radius, seed, max_len", [
+        (2, 1, 1, 7), (2, 2, 2, 7), (3, 1, 3, 4), (3, 0, 4, 4),
+    ])
+    def test_matches_the_occurrence_reference_on_random_machines(self, symbols, radius, seed,
+                                                                 max_len):
+        got, want = against_occurrences(random_machine(symbols, radius, seed), max_len)
+        assert got == want
+
+    def test_honest_sweep_builds_no_occurrence_search_or_explanation(self, spread, monkeypatch):
+        # each part is a slice of the state's cells and one lookup
+        def refuse(*args, **kwargs):
+            raise AssertionError("the honest adjunction sweep built an explanation")
+
+        monkeypatch.setattr(tapecat.tape, "hom", refuse)
+        monkeypatch.setattr(tapecat.machine, "_neighbourhood", refuse)
+        outcome = adjunction_sweep(spread, 8)
+        assert (outcome.cases, outcome.failures) == (5143, [])
+
     @pytest.mark.parametrize("machine, max_len, cases", [
         ("spread", 8, 5143), ("identity_machine", 6, 1285), ("parity_machine", 8, 3167),
         ("ternary_machine", 4, 391),
@@ -553,9 +598,9 @@ class TestUniversality:
         assert (outcome.cases, outcome.failures) == (cases, [])
 
     def test_sweep_names_a_displaced_window(self, spread, monkeypatch):
-        # the sweep and the reference read explanations through
-        # _neighbourhood; one displaced as shifted_explanation does fails
-        # the reference's closed form
+        # the reference reads explanations through _neighbourhood; one
+        # displaced as shifted_explanation does is no longer the slice that
+        # the honest sweep looks up, and fails the closed form
         honest = tapecat.machine._neighbourhood
 
         def displaced(spec, p, x):
