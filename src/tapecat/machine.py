@@ -22,9 +22,9 @@ from typing import Mapping
 
 from . import tape
 from .colimit import GlueError
-from .fincat import ValidationReport, canonical_generators, occurrence_name
+from .fincat import ValidationReport, canonical_generators
 from .kan import ShapeCategory, ShapeObject, glued_legs, walk
-from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeError, TapeString
+from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
 class MachineError(Exception):
@@ -371,93 +371,50 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
                         shape: ShapeCategory | None = None) -> SweepOutcome:
     """Check that gluing over the shape category (default: the machine's
     own) is a functor U on the occurrences among strings up to max_len, and
-    is the update: one case per string and per composable pair, the
-    instances of the laws that validate_functor checks on
-    fincat.string_inclusion's presentation of those strings, which is never
-    built.  U(b) is b's glued value; f: a -> b at offset k places a's
-    windows k cells further in b, so U(f) sits at leg_b(o, q + k) -
-    leg_a(o, q), read at a's first node (o, q) with a nonempty generator
-    (at 0 when U(a) is empty); the values and legs are kan.glued_legs'.
-    Each U(f) must be apply_morphism(f).  An identity's offset is a leg
-    less itself, so it goes to 0 by construction and counts as a case with
-    nothing to check.  Each composite f;g, at k + j (0 out of the empty
-    string), must go to U(f)'s offset plus U(g)'s (0 when U(a) is empty):
-    the composition law reads legs at two nodes of the middle string, so a
-    cocone that is not natural fails it.  A string that does not glue, or a
-    U(f) that is no occurrence, fails and leaves U undefined.  Differences
-    of legs cannot see legs that are all displaced alike, so where all else
-    holds, each node's leg must also be its window's offset in b, where the
-    rule's update of that window lands.  Occurrences and names are built
-    only to spell failures."""
+    is the update, by two checks per string b: (i) b glues to apply(b), and
+    (ii) each node with a nonempty generator has its leg, read off
+    kan.glued_legs, at its placement offset.  A string that does not glue
+    fails as one line; otherwise it gives one line for the first of (i) and
+    (ii) it fails, (ii) naming its first displaced node.
+
+    The two checks decide every instance of the laws that validate_functor
+    checks on fincat.string_inclusion's presentation of those strings, which
+    is never built.  U(f) for f: a -> b at offset k sits at
+    leg_b(o, q + k) - leg_a(o, q), read at a node (o, q) of a with a nonempty
+    generator (at 0 when U(a) is empty), since a nonempty window names its
+    object and so is placed in b at q + k.  Given (i) and (ii), that is
+    (q + k) - q = k, which is apply_morphism(f), or 0 out of an empty U(a);
+    so U is the rule's update on every morphism, and a functor, as offsets
+    add.  Conversely, each identity's image checks (i), and (ii) is a check
+    in its own right: legs displaced alike keep every difference, so no
+    law instance sees them.  So the row fails exactly when some law
+    instance or some leg fails, and cases counts the instances, one per
+    string and one per composable pair, in closed form."""
     shape = _shape_of(spec, shape)
-    strings = tape.all_strings(spec.alphabet, max_len)
-    cells = [s.cells for s in strings]
-    index = {c: i for i, c in enumerate(cells)}
-    # per source string, its occurrences (target, offset) by target, then offset
-    homs: list[list[tuple[int, int]]] = [[] for _ in strings]
-    for b, cb in enumerate(cells):
-        homs[index[""]].append((b, 0))
-        for k in range(len(cb)):
-            for stop in range(k + 1, len(cb) + 1):
-                homs[index[cb[k:stop]]].append((b, k))
-    # a string of n cells receives 1 + n(n + 1)/2 occurrences, each composable with its hom
-    outcome = SweepOutcome(len(strings) + sum((1 + len(c) * (len(c) + 1) // 2) * len(hom)
-                                              for c, hom in zip(cells, homs)))
+    counts = [len(spec.alphabet) ** n for n in range(max_len + 1)]
+    strings = sum(counts)
+    # an m-cell string receives 1 + m(m + 1)/2 occurrences and sends one to
+    # each string if m = 0, else one per offset into each longer string
+    sent = [strings] + [sum((n - m + 1) * counts[n - m] for n in range(m, max_len + 1))
+                        for m in range(1, max_len + 1)]
+    outcome = SweepOutcome(strings + sum(count * (1 + m * (m + 1) // 2) * out
+                                         for m, (count, out) in enumerate(zip(counts, sent))))
     nonempty = [bool(o.generator.cells) for o in shape.objects]
-    values, legs = [], []
-    for b in strings:
+    for b in tape.all_strings(spec.alphabet, max_len):
         try:
-            value, b_legs = glued_legs(shape, b)
+            value, legs = glued_legs(shape, b)
         except GlueError as exc:
             outcome.failures.append(f"{b}: glue failed: {exc}")
             continue
-        values.append(value)
-        legs.append({node: leg for node, leg in b_legs.items() if nonempty[node[0]]})
-    if outcome.failures:
-        return outcome
-    applied = [_window_map(spec, c) for c in cells]
-    offsets: list[list[int]] = []  # per source string, U's offset for each of its occurrences
-    defined = True
-    for a, hom in enumerate(homs):
-        node = next(iter(legs[a]), None)  # a's first node with a nonempty generator
+        want = _window_map(spec, b.cells)
+        if value.cells != want:
+            outcome.failures.append(f"{b}: glued {value}, rule gives "
+                                    f"{TapeString(spec.alphabet, want)}")
+            continue
+        node = next(((o, q) for (o, q), leg in legs.items() if nonempty[o] and leg != q), None)
         if node:
-            (o, q), base = node, legs[a][node]
-            offsets.append([legs[b][o, q + k] - base for b, k in hom])
-        else:
-            offsets.append([0] * len(hom))
-        ua, want_a = values[a].cells, applied[a]
-        for (b, k), off in zip(hom, offsets[a]):
-            ub = values[b].cells
-            if not (0 <= off <= len(ub) - len(ua) and ub.startswith(ua, off) if ua else off == 0):
-                try:
-                    Occurrence(values[a], values[b], off)
-                except TapeError as exc:
-                    outcome.failures.append(f"({Occurrence(strings[a], strings[b], k)}): legs "
-                                            f"induce no occurrence: {exc}")
-                defined = False
-                continue
-            if ua != want_a or ub != applied[b] or off != (k if want_a else 0):
-                f = Occurrence(strings[a], strings[b], k)
-                outcome.failures.append(f"({f}): glued ({Occurrence(values[a], values[b], off)}),"
-                                        f" rule gives ({apply_morphism(spec, f)})")
-    if defined:
-        for a, hom in enumerate(homs):
-            if not values[a].cells:
-                continue  # every map out of an empty U(a) sits at 0, composites included
-            composite = dict(zip(hom, offsets[a]))
-            for (b, k), off_f in zip(hom, offsets[a]):
-                for (c, j), off_g in zip(homs[b], offsets[b]):
-                    if composite[c, k + j if cells[a] else 0] != off_f + off_g:
-                        f, g = (occurrence_name(str(strings[x]), str(strings[y]), n)
-                                for x, y, n in ((a, b, k), (b, c, j)))
-                        outcome.failures.append(f"composition: image of {f};{g} is not the "
-                                                f"composite of images")
-    if not outcome.failures:
-        for b, b_legs in enumerate(legs):
-            node = next((node for node, leg in b_legs.items() if leg != node[1]), None)
-            if node:
-                outcome.failures.append(f"{strings[b]}: leg of {shape.objects[node[0]].name} "
-                                        f"placed at {node[1]} is {b_legs[node]}")
+            outcome.failures.append(f"{b}: leg of {shape.objects[node[0]].name} placed at "
+                                    f"{node[1]} is {legs[node]}")
     return outcome
 
 

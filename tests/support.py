@@ -244,9 +244,10 @@ def update_functoriality(spec: MachineSpec, max_len: int) -> SweepOutcome:
 def table_functoriality(spec: MachineSpec, max_len: int,
                         shape: ShapeCategory | None = None) -> SweepOutcome:
     """Reference for tapecat.machine.functoriality_sweep: the same cases and
-    failure lines, read off string_inclusion's presentation of the strings
-    up to max_len, whose composition table validate_functor walks, with
-    an Occurrence and an apply_morphism per morphism."""
+    verdict, read off string_inclusion's presentation of the strings up to
+    max_len, whose composition table validate_functor walks, with an
+    Occurrence and an apply_morphism per morphism and a line per failed
+    law instance."""
     shape = tapecat.machine._shape_of(spec, shape)
     inclusion = string_inclusion(spec.alphabet, tape.all_strings(spec.alphabet, max_len))
     cat = inclusion.source

@@ -212,8 +212,9 @@ def displace_legs(monkeypatch, fault: str) -> None:
 
 
 def against_table(spec: MachineSpec, max_len: int, shape=None) -> list[tuple]:
-    """(cases, failures) of the functor sweep, then of its table reference."""
-    return [(outcome.cases, outcome.failures)
+    """(cases, verdict) of the functor sweep, then of its table reference,
+    which spells its failures per law instance."""
+    return [(outcome.cases, outcome.ok)
             for outcome in (functoriality_sweep(spec, max_len, shape),
                             table_functoriality(spec, max_len, shape))]
 
@@ -230,28 +231,24 @@ class TestFunctorialitySweep:
     """The functor row: gluing's action on occurrences, read off the legs."""
 
     def test_displaced_legs_fail_the_sweep(self, spread, monkeypatch):
-        # every value is kept, so only the induced maps, and their
-        # composites, see the fault
+        # every value is kept, so only the legs see the fault: each string
+        # that updates to ### names its displaced node
         displace_legs(monkeypatch, "one-node")
         assert equivalence_sweep(spread, 5).ok
         outcome = functoriality_sweep(spread, 5)
-        assert (outcome.cases, len(outcome.failures)) == (3770, 61)
-        assert outcome.failures[0] == \
-            "(..# @ 0 in ..#..): glued (# @ 1 in ###), rule gives (# @ 0 in ###)"
-        assert "composition: image of ..#>..#.@0;..#.>..#..@0 is not the composite of " \
-            "images" in outcome.failures
+        assert (outcome.cases, len(outcome.failures)) == (3770, 24)
+        assert outcome.failures[0] == "..#..: leg of (#|..#) placed at 0 is 1"
+        assert [line.split(":")[0] for line in outcome.failures] == \
+            [w for w in windows(DEFAULT_ALPHABET, 5) if apply(spread, ts(w)).cells == "###"]
 
-    def test_an_induced_map_that_is_no_occurrence_is_a_line(self, spread, monkeypatch):
-        # the legs of #... induce . at offset 0 in #., where it does not
-        # occur, so the functor is undefined and its laws go unchecked
+    def test_legs_displaced_left_fail_the_row(self, spread, monkeypatch):
+        # every leg past 0 moves one cell left; from 4 cells on, each string
+        # has a node placed at 1 whose leg reads 0
         displace_legs(monkeypatch, "all-left")
         outcome = functoriality_sweep(spread, 4)
-        assert len(outcome.failures) == 16
-        assert outcome.failures[1:3] == [
-            "(... @ 1 in #...): legs induce no occurrence: . does not occur at offset 0 in #.",
-            "(..# @ 1 in ...#): legs induce no occurrence: # does not occur at offset 0 in .#",
-        ]
-        assert not any(line.startswith(("identity", "composition")) for line in outcome.failures)
+        assert outcome.failures[:2] == ["....: leg of (.|...) placed at 1 is 0",
+                                        "...#: leg of (#|..#) placed at 1 is 0"]
+        assert len(outcome.failures) == 2**4  # every string of 4 cells
 
     def test_legs_displaced_alike_fail_the_row(self, spread, monkeypatch):
         # the values and every difference of legs are kept, so only the
@@ -307,7 +304,7 @@ class TestFunctorialitySweep:
 
     def test_builds_no_presentation(self, spread, monkeypatch):
         # the composition table of the strings up to 5 cells has 3,707
-        # entries; the sweep checks its laws on offsets without it
+        # entries; the sweep decides their laws per string without it
         def refuse(*args, **kwargs):
             raise AssertionError("the functor sweep built an occurrence category")
 
@@ -324,6 +321,25 @@ class TestFunctorialitySweep:
         for n in range(max_len + 1):
             cat = string_inclusion(alphabet, all_strings(alphabet, n)).source
             assert functoriality_sweep(spec, n).cases == len(cat.objects) + len(cat.table)
+
+    def test_cases_in_closed_form_beyond_the_presentation(self, spread):
+        # 138,234 law instances at 8 cells, none of them built; no strings below 0
+        for max_len, cases in ((8, 138234), (-1, 0)):
+            outcome = functoriality_sweep(spread, max_len)
+            assert (outcome.cases, outcome.failures) == (cases, [])
+
+    @pytest.mark.parametrize("machine", ["spread", "parity_machine"])
+    def test_value_lines_name_the_equivalence_mismatches(self, machine, request):
+        # on every one-object deletion, the strings that fail to glue or
+        # glue to the wrong value are those the equivalence sweep names
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        for o in shape.objects:
+            faulty = shape.without_object(o.name)
+            row = functoriality_sweep(spec, 5, faulty).failures
+            mismatches = equivalence_sweep(spec, 5, faulty).failures
+            assert [line.split(":")[0] for line in row if ": leg of " not in line] == \
+                [line.split(":")[0] for line in mismatches], o.name
 
 
 class TestCausalNeighbourhood:
