@@ -14,9 +14,10 @@ names its object, so at each right end one dictionary lookup per window
 length places a node; its generator is glued at once, through
 colimit.CellGluing, to those of its one-cell-smaller sub-windows, which
 ended at most one cell earlier.  The value is then read off the quotient.
-A traced evaluation reads its diagram off that same pass, the placed
-windows and the joins between them, and renumbers it in the shape
-category's order; nothing is glued a second time.
+evaluate_traced runs that pass without closing anything and reads the
+placed windows and their legs off it, in the shape category's order; its
+trace builds the diagram's edges, the joins between those windows, only
+when they are read, and nothing is glued a second time.
 
 Since a join's source window ends at most one cell before its target's, a
 class whose cells all lie in nodes ending two or more cells back can never
@@ -38,9 +39,8 @@ that would intern more than _MEMO_CAP states goes on from the last state
 it reached, closing after every _CLOSE_AT right ends instead of every one.
 One fallback keeps every answer that of the whole diagram: an input on
 which a step, or a close or the final read past a full memo, does not
-glue is glued again by a pass that closes nothing, whose value or error
-(class, message, nodes and cells) is the answer.  A traced evaluation
-closes nothing.
+glue is glued again by the pass that closes nothing, evaluate_traced,
+whose value or error (class, message, nodes and cells) is the answer.
 
 The pass is resumable: its state after the right ends of x is all that
 placing the windows of x·c needs (Hedlund 1969: the update at a cell
@@ -166,17 +166,35 @@ class ShapeCategory:
 class EvalTrace:
     """Audit record of one evaluation: the diagram evaluate glued, as raw data.
 
-    Nodes are (object index, placement offset) pairs, edges are (source
-    node, target node, offset, morphism index) tuples, and legs hold the
-    offset of each node's generator in the value.
+    Nodes are (object index, placement offset) pairs, in that order, and
+    legs hold the offset of each node's generator in the value.
     """
 
     input: TapeString
     shape: ShapeCategory
     nodes: list[tuple[int, int]]
-    edges: list[tuple[int, int, int, int]]
     value: TapeString
     legs: list[int]
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int, int, int]]:
+        """The (source node, target node, offset, morphism index) edges,
+        built on first read.  Each node is joined to the windows its
+        object's joins name, which the pass placed ending at the same cell
+        or one before, so the edges are read off the nodes alone; they are
+        ordered by (morphism, target offset), the order of the shape
+        category's own enumeration."""
+        compiled, nodes = self.shape.compiled, self.nodes
+        lengths = compiled.window_lengths
+        number = {node: n for n, node in enumerate(nodes)}
+        # a nonempty window names its node by its length and right end
+        node_at = {(lengths[k], q + lengths[k]): n for n, (k, q) in enumerate(nodes)}
+        edges = [(node_at[compiled.levels[level][0], q + lengths[k] - lag], n, off, mor)
+                 for n, (k, q) in enumerate(nodes) for level, lag, off, mor in compiled.joins[k]]
+        edges += [(number[compiled.unwindowed[src], 0], n, 0, mor)
+                  for n, (k, _) in enumerate(nodes) for src, mor in compiled.unwindowed_joins[k]]
+        edges.sort(key=lambda e: (e[3], nodes[e[1]][1]))
+        return edges
 
     def render(self) -> str:
         objects = [self.shape.objects[k] for k, _ in self.nodes]
@@ -409,26 +427,6 @@ def _place_and_glue(compiled: _CompiledShape, state: _Pass, x_cells: str, stop: 
     state.end = stop
 
 
-def _glued(shape: ShapeCategory, x: TapeString) -> tuple[str, list[int], _Pass]:
-    """Place the windows in x and glue their generators in one pass that
-    closes nothing: the value's cells, the leg offsets of the nodes and the
-    final pass.  A GlueError also names the input cells of its nodes'
-    window placements."""
-    if x.alphabet != shape.alphabet:
-        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
-    compiled = shape.compiled
-    state = _Pass(compiled)
-    _place_and_glue(compiled, state, x.cells, len(x) + 1)
-    try:
-        cells, legs = state.gluing.result()
-    except GlueError as exc:
-        lengths = compiled.window_lengths
-        exc.cells = tuple((state.ends[i] - lengths[state.placed[i]], state.ends[i])
-                          for i in exc.nodes)
-        raise
-    return cells, legs, state
-
-
 def _stretched(compiled: _CompiledShape, number: int, rest: str) -> str:
     """The cells that state ``number`` goes on to over the input's remaining
     cells ``rest``, on a copy of its representative pass that closes after
@@ -477,7 +475,7 @@ def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     try:
         cells = _transduced(shape.compiled, x.cells)
     except GlueError:
-        cells = _glued(shape, x)[0]
+        return evaluate_traced(shape, x)[0]
     return TapeString(shape.alphabet, cells)
 
 
@@ -554,38 +552,26 @@ def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len:
     return list(zip(counts, failures))
 
 
-def glued_legs(shape: ShapeCategory, x: TapeString,
-                ) -> tuple[TapeString, dict[tuple[int, int], int]]:
-    """As evaluate, by the pass that closes nothing, also returning each
-    node's leg, the offset of its generator in the value, keyed by the
-    node's (object index, placement offset) and in that order, the node
-    order of evaluate_traced.  Raises the GlueError of that pass."""
-    cells, legs, state = _glued(shape, x)
-    lengths = shape.compiled.window_lengths
-    nodes = sorted(zip(((k, end - lengths[k]) for k, end in zip(state.placed, state.ends)),
-                       legs))
-    return TapeString(shape.alphabet, cells), dict(nodes)
-
-
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:
-    """As evaluate, also returning the glued diagram as an EvalTrace.
-
-    The nodes and legs are glued_legs'.  Each node is joined to the windows
-    its object's joins name, which the pass placed ending at the same cell
-    or one before, so the edges are read off the nodes alone; they are
-    ordered by (morphism, target offset), the order of the shape category's
-    own enumeration.
-    """
-    value, legs = glued_legs(shape, x)
+    """As evaluate, by the pass that closes nothing, also returning the
+    glued diagram as an EvalTrace: each placed window's node, ordered by
+    (object index, placement offset), and its leg.  The trace builds its
+    edges only when they are read.  A GlueError also names the input cells
+    of its nodes' window placements."""
+    if x.alphabet != shape.alphabet:
+        raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
     compiled = shape.compiled
-    lengths = compiled.window_lengths
-    nodes = list(legs)
-    number = {node: n for n, node in enumerate(nodes)}
-    # a nonempty window names its node by its length and right end
-    node_at = {(lengths[k], q + lengths[k]): n for n, (k, q) in enumerate(nodes)}
-    edges = [(node_at[compiled.levels[level][0], q + lengths[k] - lag], n, off, mor)
-             for n, (k, q) in enumerate(nodes) for level, lag, off, mor in compiled.joins[k]]
-    edges += [(number[compiled.unwindowed[src], 0], n, 0, mor)
-              for n, (k, _) in enumerate(nodes) for src, mor in compiled.unwindowed_joins[k]]
-    edges.sort(key=lambda e: (e[3], nodes[e[1]][1]))
-    return value, EvalTrace(x, shape, nodes, edges, value, list(legs.values()))
+    state = _Pass(compiled)
+    _place_and_glue(compiled, state, x.cells, len(x) + 1)
+    placed, ends, lengths = state.placed, state.ends, compiled.window_lengths
+    try:
+        cells, legs = state.gluing.result()
+    except GlueError as exc:
+        exc.cells = tuple((ends[i] - lengths[placed[i]], ends[i]) for i in exc.nodes)
+        raise
+    # an object's windows have one length, so the pass placed them by
+    # offset, and a stable sort by object orders the nodes by (object, offset)
+    order = sorted(range(len(placed)), key=placed.__getitem__)
+    value = TapeString(shape.alphabet, cells)
+    return value, EvalTrace(x, shape, [(placed[i], ends[i] - lengths[placed[i]]) for i in order],
+                            value, [legs[i] for i in order])

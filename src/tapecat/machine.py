@@ -23,7 +23,7 @@ from typing import Mapping
 from . import tape
 from .colimit import GlueError
 from .fincat import ValidationReport, canonical_generators
-from .kan import ShapeCategory, ShapeObject, glued_legs, walk
+from .kan import ShapeCategory, ShapeObject, evaluate_traced, walk
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
@@ -372,8 +372,9 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     """Check that gluing over the shape category (default: the machine's
     own) is a functor U on the occurrences among strings up to max_len, and
     is the update, by two checks per string b: (i) b glues to apply(b), and
-    (ii) each node with a nonempty generator has its leg, read off
-    kan.glued_legs, at its placement offset.  A string that does not glue
+    (ii) each node with a nonempty generator has its leg, read off the
+    trace of kan.evaluate_traced, at its placement offset; the trace's
+    edges are never read, so never built.  A string that does not glue
     fails as one line; otherwise it gives one line for the first of (i) and
     (ii) it fails, (ii) naming its first displaced node.
 
@@ -402,7 +403,7 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     nonempty = [bool(o.generator.cells) for o in shape.objects]
     for b in tape.all_strings(spec.alphabet, max_len):
         try:
-            value, legs = glued_legs(shape, b)
+            value, trace = evaluate_traced(shape, b)
         except GlueError as exc:
             outcome.failures.append(f"{b}: glue failed: {exc}")
             continue
@@ -411,10 +412,11 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
             outcome.failures.append(f"{b}: glued {value}, rule gives "
                                     f"{TapeString(spec.alphabet, want)}")
             continue
-        node = next(((o, q) for (o, q), leg in legs.items() if nonempty[o] and leg != q), None)
-        if node:
-            outcome.failures.append(f"{b}: leg of {shape.objects[node[0]].name} placed at "
-                                    f"{node[1]} is {legs[node]}")
+        for (o, q), leg in zip(trace.nodes, trace.legs):
+            if nonempty[o] and leg != q:
+                outcome.failures.append(f"{b}: leg of {shape.objects[o].name} placed at "
+                                        f"{q} is {leg}")
+                break
     return outcome
 
 

@@ -193,6 +193,21 @@ class TestRun:
         assert result.stderr.startswith(f"error: cannot read {bad}: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("args", [["run", "#"], ["table", "--all"], ["explain", "#", "0"],
+                                      ["check"]], ids=["run", "table", "explain", "check"])
+    @pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])
+    def test_unreadable_machine_file_exits_1(self, runner, tmp_path, args, unreadable):
+        bad = tmp_path / "bad.machine"
+        if unreadable == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"alphabet: . #\nradius: 0\nrule:\n  . -> .\n  # -> \xff\n")
+        command, *rest = args
+        result = runner.invoke(main, [command, str(bad), *rest])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot read {bad}: ")
+
     def test_huge_window_space_fails_fast(self, tmp_path):
         # 2**61 and 2**20001 windows: totality must be decided without
         # enumerating them, and reported without spelling out their count

@@ -243,7 +243,7 @@ def _batch(shape, x):
     """The value of the pass over x that closes nothing, or its error as
     (class, message, nodes, cells)."""
     try:
-        return tapecat.kan._glued(shape, x)[0]
+        return tapecat.kan.evaluate_traced(shape, x)[0].cells
     except GlueError as exc:
         return type(exc), str(exc), exc.nodes, exc.cells
 
@@ -325,7 +325,7 @@ class TestClosing:
         spec = request.getfixturevalue(machine)
         shape = shape_category(spec)
         inputs = all_strings(spec.alphabet, 4) + _random_inputs(spec.alphabet, 20, seed=11)
-        glued = _counted(monkeypatch, "_glued")
+        glued = _counted(monkeypatch, "evaluate_traced")
         passes = _placed_passes(monkeypatch)
         for x in inputs:
             passes.clear()
@@ -438,7 +438,7 @@ class TestStepMemo:
         inputs = _random_inputs(spread.alphabet, 6, seed=19)
         assert all(inputs)
         stretched = _counted(monkeypatch, "_stretched")
-        glued = _counted(monkeypatch, "_glued")
+        glued = _counted(monkeypatch, "evaluate_traced")
         for shape in (shape_category(spread), spread_shape.without_object("(.|...)")):
             for x in inputs:
                 want = _batch(shape, x)
@@ -557,7 +557,7 @@ class TestStateKey:
         x = TapeString(spec.alphabet, "".join(random.Random(1).choices(spec.alphabet.symbols,
                                                                        k=15000)))
         stretched = _counted(monkeypatch, "_stretched")
-        glued = _counted(monkeypatch, "_glued")
+        glued = _counted(monkeypatch, "evaluate_traced")
         assert evaluate(shape, x) == apply(spec, x)
         assert (len(stretched), len(glued)) == (1, 0)
         assert len(shape.compiled.held) == tapecat.kan._MEMO_CAP == 4096
@@ -707,7 +707,7 @@ def _per_string_sweep(spec, max_len, shape):
     for x in inputs:
         want = apply(spec, x)
         try:
-            got = TapeString(spec.alphabet, tapecat.kan._glued(shape, x)[0])
+            got = tapecat.kan.evaluate_traced(shape, x)[0]
         except GlueError as exc:
             mismatches.append(f"{x}: glue failed: {exc}")
             continue
@@ -802,6 +802,13 @@ class TestTrace:
             assert trace.edges == want, str(x)
             traced += 1
         assert traced
+
+    def test_edges_are_built_once_on_first_read(self, spread_shape):
+        _, trace = evaluate_traced(spread_shape, ts("#...#."))
+        assert "edges" not in vars(trace)
+        rendered = trace.render()
+        assert trace.edges is trace.edges
+        assert trace.render() == rendered
 
     def test_render_is_deterministic(self, spread_shape):
         _, t1 = evaluate_traced(spread_shape, ts("#...#."))

@@ -8,6 +8,7 @@ import pytest
 
 import tapecat.colimit
 import tapecat.fincat
+import tapecat.kan
 import tapecat.machine
 from tapecat.fincat import (canonical_generators, string_inclusion, validate_category,
                             validate_functor)
@@ -311,6 +312,16 @@ class TestFunctorialitySweep:
         monkeypatch.setattr(tapecat.fincat, "occurrence_category", refuse)
         outcome = functoriality_sweep(spread, 5)
         assert (outcome.cases, outcome.failures) == (3770, [])
+
+    def test_builds_no_edges(self, spread, monkeypatch):
+        # the row reads each trace's nodes and legs, and a trace builds its
+        # edges only when they are read
+        def refuse(trace):
+            raise AssertionError("the functor sweep built a trace's edges")
+
+        monkeypatch.setattr(tapecat.kan.EvalTrace, "edges", property(refuse))
+        outcome = functoriality_sweep(spread, 6)
+        assert (outcome.cases, outcome.failures) == (13306, [])
 
     @pytest.mark.parametrize("symbols, max_len", [(("#",), 5), ((".", "#"), 5),
                                                    (("a", "b", "c"), 3)])

@@ -65,6 +65,13 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject's requires-python floor: a newer construct fails here
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted(root.glob("src/**/*.py")) + sorted(root.glob("tests/**/*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def _is_command(node: ast.AST) -> bool:
     """A function that click registers as a command or group by decorator."""
     return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
