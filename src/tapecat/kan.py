@@ -48,10 +48,15 @@ depends only on a bounded window).  So a memo miss copies a state's
 representative pass and glues one right end on it, instead of re-running
 the pass from the input's first cell.
 
-The same resumption lets walk serve every exhaustive sweep with one memo
-step per string: the equivalence sweep compares its values with the rule,
-density_sweep (the identity update over the generators' (g|g) shape)
-with the strings themselves.
+The same resumption lets walk serve every exhaustive sweep.  It extends
+each string by one memo step from its prefix's state, and extends the
+reference that the sweep compares it with by what the reference adds for
+the last cell: the rule's output for the last window in the equivalence
+sweep, the cell itself in density_sweep (the identity update over the
+generators' (g|g) shape).  Strings that reach one state, with the same
+last cells that the reference reads and as many cells left to the bound,
+have alike subtrees (Moore 1956: equivalent states of a machine).  So once
+such a subtree passed by memo steps alone, the walk skips the next one.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .colimit import CellGluing, GlueError, density_check
 from .fincat import (FinCatPresentation, FunctorData, MalformedDiagram, occurrence_category,
@@ -166,15 +171,35 @@ class ShapeCategory:
 class EvalTrace:
     """Audit record of one evaluation: the diagram evaluate glued, as raw data.
 
-    Nodes are (object index, placement offset) pairs, in that order, and
-    legs hold the offset of each node's generator in the value.
+    The pass gives its nodes in the order it placed them: per node its
+    object index, its window's right end and its leg, the offset of its
+    generator in the value.  nodes, (object index, placement offset) pairs,
+    and legs are ordered on first read, as edges are built.
     """
 
     input: TapeString
     shape: ShapeCategory
-    nodes: list[tuple[int, int]]
     value: TapeString
-    legs: list[int]
+    placed: list[int]
+    ends: list[int]
+    placed_legs: list[int]
+
+    @cached_property
+    def _order(self) -> list[int]:
+        # an object's windows have one length, so the pass placed them by
+        # offset, and a stable sort by object orders them by (object, offset)
+        return sorted(range(len(self.placed)), key=self.placed.__getitem__)
+
+    @cached_property
+    def nodes(self) -> list[tuple[int, int]]:
+        """(object index, placement offset) per node, in that order."""
+        placed, ends, lengths = self.placed, self.ends, self.shape.compiled.window_lengths
+        return [(placed[i], ends[i] - lengths[placed[i]]) for i in self._order]
+
+    @cached_property
+    def legs(self) -> list[int]:
+        """Each node's leg, in the order of nodes."""
+        return [self.placed_legs[i] for i in self._order]
 
     @cached_property
     def edges(self) -> list[tuple[int, int, int, int]]:
@@ -479,15 +504,35 @@ def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     return TapeString(shape.alphabet, cells)
 
 
-def walk(shape: ShapeCategory, max_len: int) -> Iterator[tuple[str, str | GlueError]]:
-    """Every string up to max_len over the shape category's alphabet, with
-    the cells evaluate gives it or the GlueError it raises; none for a
-    negative max_len.  Depth first by prefix extension, children in
-    alphabet order, so each length comes in tape.windows order and at most
-    max_len * (|alphabet| - 1) + 1 strings are held.  x·c takes one memo
-    step from x's state, as _transduced does; where a step finds the memo
-    full or does not glue, evaluate takes that string and its subtree.  A
-    state the walk reaches was closed, so its final read glues.
+def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookback: int,
+         ) -> Iterator[tuple[str, str | GlueError, str]]:
+    """Every string up to max_len over the shape category's alphabet whose
+    value, the cells evaluate gives it or the GlueError it raises, is not
+    its reference, as (cells, value, reference); none for a negative
+    max_len.  A string's reference is its prefix's followed by
+    extend(cells), and the empty string's is extend("").  extend must read
+    only the string's last cell, the lookback cells before it and, while
+    the string is shorter than that, its length.
+
+    Depth first by prefix extension, children in alphabet order, so each
+    length comes in tape.windows order.  x·c takes one memo step from x's
+    state, as _transduced does; where a step finds the memo full or does
+    not glue, evaluate takes that string and its subtree.  A state the walk
+    reaches was closed, so its final read glues.
+
+    Subtrees that passed are shared.  Once a string x in state s passed,
+    and so did every string of its subtree, each reached by memo steps, the
+    walk records the subtree's depth under the key (s, x's last lookback
+    cells).  A later string x' that passes, with that key and a subtree no
+    deeper, is not extended.  Memo entries never change, so x'·y would
+    replay x·y's steps and emit what x·y emits after x, and extend would
+    add what it adds after x.  x and x' each pass, so their emitted cells
+    fall short of their references by the same final word, and x'·y passes
+    as x·y did.  The skipped steps are memo hits, so the walk interns the
+    states that a walk of every string would, in the same order.  Strings
+    whose steps fail, and their subtrees, are walked one by one.  The stack
+    holds at most max_len * (|alphabet| - 1) + 1 strings, and an exit
+    marker per passing string on the current path, at most max_len + 1.
     """
     compiled, alphabet = shape.compiled, shape.alphabet
     steps, step, symbols = compiled.steps, compiled.step, alphabet.symbols
@@ -496,11 +541,23 @@ def walk(shape: ShapeCategory, max_len: int) -> Iterator[tuple[str, str | GlueEr
         start: int | None = compiled.start()
     except GlueError:
         start = None
-    # per string to visit: its cells, the cells the walk emitted on them
-    # and the state reached (None once a step failed)
-    stack = [("", "", start)] if max_len >= 0 else []
+    passed: dict[tuple[int, str], int] = {}  # per key, the deepest subtree that passed
+    misses = 0  # the strings walked so far that failed or left the memo
+    # per string to visit: its cells, the cells the walk emitted on them, the
+    # state reached (None once a step failed) and its prefix's reference; per
+    # passing string whose subtree is being walked, an exit marker: its key,
+    # depth and the misses before its subtree
+    stack: list[tuple] = [("", "", start, "")] if max_len >= 0 else []
     while stack:
-        cells, emitted, state = stack.pop()
+        entry = stack.pop()
+        if len(entry) == 3:  # an exit marker
+            key, depth, before = entry
+            if misses == before:
+                passed[key] = depth
+            continue
+        cells, emitted, state, reference = entry
+        reference += extend(cells)
+        depth = max_len - len(cells)
         value: str | GlueError
         if state is not None:
             value = emitted + (finals.get(state) or final(state))
@@ -509,8 +566,16 @@ def walk(shape: ShapeCategory, max_len: int) -> Iterator[tuple[str, str | GlueEr
                 value = evaluate(shape, TapeString(alphabet, cells)).cells
             except GlueError as exc:
                 value = exc
-        yield cells, value
-        if len(cells) == max_len:
+        if state is not None and value == reference:
+            key = (state, cells[max(len(cells) - lookback, 0):])
+            if passed.get(key, -1) >= depth:
+                continue
+            stack.append((key, depth, misses))
+        else:
+            misses += 1
+            if value != reference:
+                yield cells, value, reference
+        if not depth:
             continue
         children = []
         for c in symbols:
@@ -518,8 +583,8 @@ def walk(shape: ShapeCategory, max_len: int) -> Iterator[tuple[str, str | GlueEr
                 hit = None if state is None else steps[state].get(c) or step(state, c)
             except GlueError:
                 hit = None
-            children.append((cells + c, emitted + hit[0], hit[1]) if hit
-                            else (cells + c, "", None))
+            children.append((cells + c, emitted + hit[0], hit[1], reference) if hit
+                            else (cells + c, "", None, reference))
         stack += reversed(children)
 
 
@@ -530,34 +595,32 @@ def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len:
     density_check's detail (None when all pass).
 
     Density is evaluation by the identity update: walk over the shape of
-    the (g|g) objects, and a string passes when its word is itself.  For
-    generators of at most two cells (a longer one raises ValueError) the
-    only comma morphisms that identify cells are the one-cell-smaller
-    inclusions that the pass joins.  Every edge keeps each cell at its
-    position in x, so a linear quotient that spells x puts each leg at its
-    offset: checking the word is checking density.
+    the (g|g) objects, with each string its own reference, extended by its
+    last cell.  For generators of at most two cells (a longer one raises
+    ValueError) the only comma morphisms that identify cells are the
+    one-cell-smaller inclusions that the pass joins.  Every edge keeps each
+    cell at its position in x, so a linear quotient that spells x puts each
+    leg at its offset: checking the word is checking density.
     """
     longer = next((g for g in generators if len(g) > 2), None)
     if longer is not None:
         raise ValueError(f"generator {longer} has more than two cells")
     shape = ShapeCategory(alphabet, tuple(ShapeObject(g, g) for g in generators))
-    counts = [0] * (max_len + 1)
     failures: list[str | None] = [None] * (max_len + 1)
-    for cells, value in walk(shape, max_len):
-        n = len(cells)
-        counts[n] += 1
-        if failures[n] is None and value != cells:  # a GlueError is no word
+    for cells, _, _ in walk(shape, max_len, lambda cells: cells[-1:], 0):
+        if failures[len(cells)] is None:
             x = TapeString(alphabet, cells)
-            failures[n] = f"{x}: {density_check(x, generators).detail}"
-    return list(zip(counts, failures))
+            failures[len(cells)] = f"{x}: {density_check(x, generators).detail}"
+    return [(len(alphabet.symbols) ** n, failure) for n, failure in enumerate(failures)]
 
 
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:
     """As evaluate, by the pass that closes nothing, also returning the
-    glued diagram as an EvalTrace: each placed window's node, ordered by
-    (object index, placement offset), and its leg.  The trace builds its
-    edges only when they are read.  A GlueError also names the input cells
-    of its nodes' window placements."""
+    glued diagram as an EvalTrace: each placed window's node and its leg,
+    in placement order.  The trace orders its nodes and legs, and builds
+    its edges, only when they are read, so evaluate's fallback, which reads
+    the value alone, orders nothing.  A GlueError also names the input
+    cells of its nodes' window placements."""
     if x.alphabet != shape.alphabet:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
     compiled = shape.compiled
@@ -569,9 +632,5 @@ def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, Ev
     except GlueError as exc:
         exc.cells = tuple((ends[i] - lengths[placed[i]], ends[i]) for i in exc.nodes)
         raise
-    # an object's windows have one length, so the pass placed them by
-    # offset, and a stable sort by object orders the nodes by (object, offset)
-    order = sorted(range(len(placed)), key=placed.__getitem__)
     value = TapeString(shape.alphabet, cells)
-    return value, EvalTrace(x, shape, [(placed[i], ends[i] - lengths[placed[i]]) for i in order],
-                            value, [legs[i] for i in order])
+    return value, EvalTrace(x, shape, value, placed, ends, legs)

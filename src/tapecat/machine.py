@@ -7,9 +7,10 @@ operations: the neighbourhood through which all influence on an updated
 part must pass, a bounded checker for its universal property, the finite
 shape category (kan.ShapeCategory) built from the rule, and the sweeps
 of the laws.  The equivalence sweep compares the two engines on every
-string up to a bound: kan.walk gives the glued values, and the sweep
-extends only the rule's update from each string's prefix, so no gluing
-logic lives here.  The imports hold the firewall: kan imports nothing
+string up to a bound: kan.walk glues them and compares each with the
+rule's update, which it extends from the string's prefix by the output
+for the last window that the sweep hands it, so no gluing logic lives
+here.  The imports hold the firewall: kan imports nothing
 from here, so colimit evaluation sees the rule only through the shape
 category.
 """
@@ -488,29 +489,38 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     tape.windows order; a lawful machine must show none.  A negative
     max_len visits no string.
 
-    The glued values are kan.walk's.  apply maps every window, so the
-    rule's update of x·c is x's followed by the output for x·c's last
-    window, once it holds one; a window with no entry raises apply's
-    MachineError.  The walk is depth first, so the update last kept one
-    cell shallower is the prefix's.
+    kan.walk glues the strings and yields those whose value is not the
+    rule's update.  apply maps every window, so the rule's update of x·c is
+    x's followed by the output for x·c's last window, once it holds one;
+    the walk extends the update by that output, which reads x·c's last cell
+    and the w - 1 before it.  A window with no entry raises apply's
+    MachineError.
+
+    The walk skips the subtree of a string that passes when a string with
+    the same memo state and last w - 1 cells passed before it, with a
+    subtree at least as deep that passed by memo steps alone.  The skipped
+    verdicts follow by determinism alone, not from the exactness of the
+    memo's states: memo entries never change, so the skipped strings would
+    replay the steps of those that passed, and the rule's outputs read the
+    same windows.  The count of cases is the number of strings, in closed
+    form.
     """
     shape = _shape_of(spec, shape)
     alphabet, w, rule = spec.alphabet, spec.window_len, spec.rule_map.get
+
+    def extend(cells: str) -> str:
+        if len(cells) < w:
+            return ""
+        window = cells[-w:]  # _window_map raises apply's error on a window with no entry
+        return rule(window) or _window_map(spec, window)
+
     failures: list[list[str]] = [[] for _ in range(max_len + 1)]
-    applied = [""] * (max_len + 1)  # per length, the rule's update of the string walked last
-    cases = 0
-    for cells, got in walk(shape, max_len):
-        n = len(cells)
-        cases += 1
-        if n >= w:  # _window_map raises apply's error on a window with no entry
-            window = cells[-w:]
-            applied[n] = applied[n - 1] + (rule(window) or _window_map(spec, window))
-        if got == applied[n]:
-            continue
+    for cells, got, want in walk(shape, max_len, extend, w - 1):
         x = TapeString(alphabet, cells)
-        failures[n].append(f"{x}: glue failed: {got}" if isinstance(got, GlueError) else
-                           f"{x}: evaluated {TapeString(alphabet, got)}, rule gives "
-                           f"{TapeString(alphabet, applied[n])}")
+        failures[len(cells)].append(
+            f"{x}: glue failed: {got}" if isinstance(got, GlueError) else
+            f"{x}: evaluated {TapeString(alphabet, got)}, rule gives {TapeString(alphabet, want)}")
+    cases = sum(len(alphabet.symbols) ** n for n in range(max_len + 1))
     return SweepOutcome(cases, [line for lines in failures for line in lines])
 
 

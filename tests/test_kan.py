@@ -15,8 +15,8 @@ import pytest
 import tapecat.kan
 import tapecat.machine
 from tapecat.colimit import CellGluing, Disconnected, GlueError, MalformedDiagram, glue_cells
-from tapecat.fincat import occurrence_category
-from tapecat.kan import ShapeCategory, ShapeObject, evaluate, evaluate_traced
+from tapecat.fincat import canonical_generators, occurrence_category
+from tapecat.kan import ShapeCategory, ShapeObject, density_sweep, evaluate, evaluate_traced
 from tapecat.machine import (
     MachineError,
     MachineSpec,
@@ -614,6 +614,46 @@ class TestEquivalenceSweep:
             failing += not report.ok
         assert len(spread_shape.objects) == 25 and failing
 
+    @pytest.mark.parametrize("machine, max_len, memo_cap", [
+        ("parity_machine", 6, None), ("ternary_machine", 4, None), ("spread", 7, 3)])
+    def test_deletions_match_the_per_string_sweep(self, machine, max_len, memo_cap, request,
+                                                  monkeypatch):
+        # every one-object deletion, where the walk shares subtrees beside
+        # strings that fail; with a memo of three states, beside strings
+        # that leave the memo for evaluate
+        if memo_cap is not None:
+            monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", memo_cap)
+        spec = request.getfixturevalue(machine)
+        whole = shape_category(spec)
+        failing = 0
+        for o in whole.objects:
+            shape = whole.without_object(o.name)
+            report = equivalence_sweep(spec, max_len, shape)
+            assert (report.cases, report.failures) == _per_string_sweep(spec, max_len, shape), \
+                o.name
+            failing += not report.ok
+        assert failing
+
+    def test_a_failing_string_is_walked_where_its_key_passed(self, spread):
+        # a memo step made to emit one cell too many fails every string
+        # through it, though such strings reach the states and last cells
+        # of strings that passed before them: a key is looked up only at a
+        # string that passes, so each is still a line
+        shape = shape_category(spread)
+        compiled = shape.compiled
+        emitted, following = compiled.step(compiled.start(), "#")
+        compiled.steps[0]["#"] = emitted + "#", following
+        outcome = equivalence_sweep(spread, 6, shape)
+        assert len(outcome.failures) == 2**6 - 1
+        assert all(line.startswith("#") for line in outcome.failures)
+
+    def test_shared_subtrees_reach_forty_cells(self, spread):
+        # 2**41 - 1 strings, each decided: a subtree is walked once per memo
+        # state, last two cells and depth, and shared after that
+        assert equivalence_sweep(spread, 40) == SweepOutcome(2**41 - 1, [])
+        rows = density_sweep(DEFAULT_ALPHABET, canonical_generators(DEFAULT_ALPHABET), 40)
+        assert rows == [(2**n, None) for n in range(41)]
+
     def test_a_machine_over_another_alphabet_is_refused(self, spread_shape):
         spec = MachineSpec(Alphabet(("a", "b")), 0, {"a": "a", "b": "b"})
         with pytest.raises(AlphabetMismatch,
@@ -809,6 +849,29 @@ class TestTrace:
         rendered = trace.render()
         assert trace.edges is trace.edges
         assert trace.render() == rendered
+
+    def test_nodes_and_legs_are_ordered_once_on_first_read(self, spread_shape):
+        _, trace = evaluate_traced(spread_shape, ts("#...#."))
+        assert not {"nodes", "legs"} & set(vars(trace))
+        assert trace.nodes is trace.nodes and trace.legs is trace.legs
+        assert [k for k, _ in trace.nodes] == sorted(trace.placed)
+
+    def test_the_fallback_orders_nothing(self, spread, spread_shape, monkeypatch):
+        # evaluate's fallback reads only the value off the pass that closes
+        # nothing: with every memo walk failing and the trace's order
+        # refused, it still gives the rule's update
+        def stalled(compiled, cells):
+            raise GlueError("stalled")
+
+        def refuse(trace):
+            raise AssertionError("a trace was ordered")
+
+        monkeypatch.setattr(tapecat.kan, "_transduced", stalled)
+        monkeypatch.setattr(tapecat.kan.EvalTrace, "_order", property(refuse))
+        for x in all_strings(spread.alphabet, 5):
+            assert evaluate(spread_shape, x) == apply(spread, x)
+        with pytest.raises(AssertionError, match="a trace was ordered"):
+            evaluate_traced(spread_shape, ts("#...#."))[1].nodes
 
     def test_render_is_deterministic(self, spread_shape):
         _, t1 = evaluate_traced(spread_shape, ts("#...#."))
