@@ -435,22 +435,32 @@ def _shape_of(spec: MachineSpec, shape: ShapeCategory | None) -> ShapeCategory:
 def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False,
                      shape: ShapeCategory | None = None) -> SweepOutcome:
     """Check the explanation of every canonical generator part of every
-    updated state up to max_state_len: one case per part, one failure line
-    per failed part.
+    updated state up to max_state_len: one case per part, counted in closed
+    form, and one failure line per missing object.
 
-    Each state is updated once, and a part's window, the state's cells
-    [k, k + len(part) + 2r) for a part at offset k in the update (empty for
-    the empty part), as _neighbourhood reads it, must be an object
-    (part|window) of the shape category that evaluate glues (default:
-    shape_category(spec)), whose windows shape_table joins from rule
-    entries.  Each part is one slice of the state's cells and one set
-    lookup; an Occurrence is built only to spell a failure.  With
-    mutate=True each displaced explanation goes through universality_check
-    instead, a state's hosts shared by its parts and a part's first failure
-    alone formatted; the sweep must then fail."""
-    generators = canonical_generators(spec.alphabet)
-    outcome = SweepOutcome()
+    A part's window, the state's cells [k, k + len(part) + 2r) for a part
+    at offset k in the update (empty for the empty part), as _neighbourhood
+    reads it, must be an object (part|window) of the shape category that
+    evaluate glues (default: shape_category(spec)), whose windows
+    shape_table joins from rule entries.  The rule is local, so the part is
+    the window's own update, and the windows of the generators' parts are
+    those of 0, 2r + 1 and 2r + 2 cells.  Each such window is a state
+    within the bound and its whole update is a part, so the parts of all
+    states look up exactly the pairs (update(v), v) for those windows v:
+    each window is updated and looked up once, and the row's cost does not
+    grow with max_state_len.  A missing object's line names the window as
+    its state, the shortest state that holds it, so the lines come in the
+    order in which the states first show them.  With mutate=True each
+    displaced explanation goes through universality_check instead, a
+    state's hosts shared by its parts and a part's first failure alone
+    formatted; the sweep must then fail."""
+    k, w = len(spec.alphabet), spec.window_len
+    # an n-cell state's update holds the empty part, n - w + 1 one-cell
+    # parts and n - w two-cell ones
+    outcome = SweepOutcome(sum(k ** n * (1 + max(n - w + 1, 0) + max(n - w, 0))
+                               for n in range(max_state_len + 1)))
     if mutate:
+        generators = canonical_generators(spec.alphabet)
         for x in tape.all_strings(spec.alphabet, max_state_len):
             hosts = _hosts(spec, x)
             ux = TapeString(spec.alphabet, hosts[0][2])
@@ -458,26 +468,19 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
                 for p in tape.hom(a, ux):
                     expl = shifted_explanation(spec, p, x)
                     report = universality_check(spec, p, x, explanation=expl, hosts=hosts)
-                    outcome.cases += 1
                     if not report.ok:
                         outcome.failures.append(report.failure(0))
         return outcome
     objects = {(o.generator.cells, o.window.cells) for o in _shape_of(spec, shape).objects}
-    two_r = 2 * spec.radius
-    for x in tape.all_strings(spec.alphabet, max_state_len):
-        cells = x.cells
-        ux = _window_map(spec, cells)
-        for a in generators:
-            a_cells = a.cells
-            offsets = tape.find_all(a_cells, ux) if a_cells else [0]
-            outcome.cases += len(offsets)
-            for k in offsets:
-                window = cells[k : k + len(a_cells) + two_r] if a_cells else ""
-                if (a_cells, window) not in objects:
-                    p = Occurrence(a, TapeString(spec.alphabet, ux), k)
-                    n = TapeString(spec.alphabet, window)
-                    outcome.failures.append(f"part ({p}) over {x}: the shape category has "
-                                            f"no object {ShapeObject(a, n).name}")
+    for n in (0, w, w + 1):
+        if n > max_state_len:
+            break
+        for window in tape.windows(spec.alphabet, n):
+            part = _window_map(spec, window)
+            if (part, window) not in objects:
+                a, x = TapeString(spec.alphabet, part), TapeString(spec.alphabet, window)
+                outcome.failures.append(f"part ({tape.identity(a)}) over {x}: the shape "
+                                        f"category has no object {ShapeObject(a, x).name}")
     return outcome
 
 

@@ -222,10 +222,15 @@ def against_table(spec: MachineSpec, max_len: int, shape=None) -> list[tuple]:
 
 def against_occurrences(spec: MachineSpec, max_len: int, shape=None) -> list[tuple]:
     """(cases, failures) of the honest adjunction sweep, then of its
-    Occurrence-based reference."""
-    return [(outcome.cases, outcome.failures)
-            for outcome in (adjunction_sweep(spec, max_len, shape=shape),
-                            occurrence_adjunction(spec, max_len, shape))]
+    Occurrence-based reference, whose lines are kept only where they name
+    an object for the first time: the sweep reports each missing object
+    once."""
+    outcome = adjunction_sweep(spec, max_len, shape=shape)
+    reference = occurrence_adjunction(spec, max_len, shape)
+    first: dict[str, str] = {}
+    for line in reference.failures:
+        first.setdefault(line.rsplit(" ", 1)[1], line)
+    return [(outcome.cases, outcome.failures), (reference.cases, list(first.values()))]
 
 
 class TestFunctorialitySweep:
@@ -529,11 +534,12 @@ class TestUniversality:
         assert calls == outcome.cases
         assert candidates == 34577  # the spread count pinned above
 
-    @pytest.mark.parametrize("mutate, updates", [(False, 511), (True, 13820)])
+    @pytest.mark.parametrize("mutate, updates", [(False, 25), (True, 13820)])
     def test_sweep_updates_each_host_once(self, spread, monkeypatch, mutate, updates):
-        # the honest sweep updates each of the 511 states once; the displaced
-        # one updates each host of each state once, read off x by every
-        # part, and adds the displaced explanation's target check per part
+        # the honest sweep updates each window of 0, 3 and 4 cells once
+        # (1 + 8 + 16) and no state; the displaced one updates each host of
+        # each of the 511 states once, read off x by every part, and adds
+        # the displaced explanation's target check per part
         window_map = tapecat.machine._window_map
         calls = 0
 
@@ -571,14 +577,26 @@ class TestUniversality:
                        for line in outcome.failures), o.name
 
     def test_sweep_names_the_missing_object(self, spread, spread_shape):
+        # one line per missing object, naming the shortest state that holds
+        # its window: the window itself
         outcome = adjunction_sweep(spread, 4, shape=spread_shape.without_object("(.|...)"))
         assert (outcome.cases, outcome.failures) == (87, [
             "part (. @ 0 in .) over ...: the shape category has no object (.|...)",
-            "part (. @ 0 in ..) over ....: the shape category has no object (.|...)",
-            "part (. @ 1 in ..) over ....: the shape category has no object (.|...)",
-            "part (. @ 0 in .#) over ...#: the shape category has no object (.|...)",
-            "part (. @ 1 in #.) over #...: the shape category has no object (.|...)",
         ])
+
+    @pytest.mark.parametrize("machine", ["spread", "parity_machine", "ternary_machine"],
+                             ids=["spread", "parity", "ternary"])
+    def test_failures_do_not_grow_with_the_bound(self, machine, request):
+        # every window the row reads has at most 2r + 2 cells, so past that
+        # bound only the count of cases grows
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        reach = 2 * spec.radius + 2
+        assert all(adjunction_sweep(spec, n, shape=shape).ok for n in range(reach + 3))
+        for o in shape.objects:
+            faulty = shape.without_object(o.name)
+            near, far = (adjunction_sweep(spec, n, shape=faulty) for n in (reach, reach + 2))
+            assert near.failures == far.failures and near.cases < far.cases, o.name
 
     @pytest.mark.parametrize("machine, max_len", [
         ("spread", 8), ("identity_machine", 6), ("parity_machine", 7), ("ternary_machine", 4),
@@ -599,15 +617,21 @@ class TestUniversality:
             assert got == want, o.name
 
     @pytest.mark.parametrize("symbols, radius, seed, max_len", [
-        (2, 1, 1, 7), (2, 2, 2, 7), (3, 1, 3, 4), (3, 0, 4, 4),
+        (2, 1, 1, 7), (2, 2, 2, 7), (3, 1, 3, 4), (3, 0, 4, 4), (1, 0, 5, 4), (1, 2, 6, 7),
     ])
     def test_matches_the_occurrence_reference_on_random_machines(self, symbols, radius, seed,
                                                                  max_len):
-        got, want = against_occurrences(random_machine(symbols, radius, seed), max_len)
-        assert got == want
+        # the cases' closed form also at the edges: no state, the empty one
+        # alone, and bounds just short of, at and past a window
+        spec = random_machine(symbols, radius, seed)
+        w = spec.window_len
+        for bound in (max_len, -1, 0, w - 1, w, w + 1):
+            got, want = against_occurrences(spec, bound)
+            assert got == want, bound
 
     def test_honest_sweep_builds_no_occurrence_search_or_explanation(self, spread, monkeypatch):
-        # each part is a slice of the state's cells and one lookup
+        # each window is one update and one lookup, and no part is searched
+        # for in an update
         def refuse(*args, **kwargs):
             raise AssertionError("the honest adjunction sweep built an explanation")
 
@@ -615,6 +639,17 @@ class TestUniversality:
         monkeypatch.setattr(tapecat.machine, "_neighbourhood", refuse)
         outcome = adjunction_sweep(spread, 8)
         assert (outcome.cases, outcome.failures) == (5143, [])
+
+    def test_honest_sweep_enumerates_no_state(self, spread, spread_shape, monkeypatch):
+        # the row reads windows, not states, nor the parts of their updates
+        def refuse(*args, **kwargs):
+            raise AssertionError("the honest adjunction sweep enumerated states or parts")
+
+        monkeypatch.setattr(tapecat.tape, "all_strings", refuse)
+        monkeypatch.setattr(tapecat.tape, "find_all", refuse)
+        outcome = adjunction_sweep(spread, 8, shape=spread_shape.without_object("(#|#..)"))
+        assert (outcome.cases, outcome.failures) == (5143, [
+            "part (# @ 0 in #) over #..: the shape category has no object (#|#..)"])
 
     @pytest.mark.parametrize("machine, max_len, cases", [
         ("spread", 8, 5143), ("identity_machine", 6, 1285), ("parity_machine", 8, 3167),
