@@ -7,7 +7,9 @@ components) is an error: those colimits do not exist among tape strings,
 and the engine's job is to detect them, not invent them.  CellGluing holds
 that union-find incrementally, so a diagram can be glued while it is being
 built, and it can close the classes a builder has left behind, so that it
-holds only a frontier; glue_cells drives it over a finished diagram.  The
+holds only a frontier; glue_cells drives it over a finished diagram.  Its
+reader detects a fault in one pass over the held cells and locates it only
+when there is one, so reading a state that glues costs that pass.  The
 density check glues the comma diagram of generator occurrences in a string
 the same way, on node indices; glue wraps that core for diagrams whose
 nodes are named strings.  The density sweep over every string up to a
@@ -20,7 +22,7 @@ from bisect import bisect_right
 from itertools import compress, count
 from operator import eq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from . import tape
 from .fincat import MalformedDiagram
@@ -59,14 +61,19 @@ class CellGluing:
 
     ``add`` registers a node's cells and ``identify`` unites them at once
     with the cells of another node along an edge, so a diagram can be glued
-    while it is being built.  One reader serves ``result`` and ``close``: it
-    resolves every cell's root once, checks labels, linearity and
-    connectivity over those roots, and reads the quotient's classes off its
-    successor chain as one path; ``result`` spells the colimit word along it.
-    It locates each fault with the maps that detect it: a label clash at the
-    first cell whose label is not its root's, a fold or branch at the first
-    pair of consecutive cells that contradicts each root's first successor
-    and predecessor.
+    while it is being built.  One reader serves ``result`` and ``close``.
+    It resolves every cell's root once and detects in one pass: each cell
+    must carry its root's label; each root's successor and predecessor come
+    from its first pair of consecutive cells of a node, and the pass stops
+    at the first pair that is a self-loop or contradicts them; one class,
+    the closed word's successor's when a prefix is closed, must have no
+    predecessor, and the successor chain from it must reach every class.
+    That chain is the quotient's path; ``result`` spells the colimit word
+    along it.  Only a fault is located, by a second reading: a label clash
+    at the first cell whose label is not its root's, a fold or branch at
+    the first pair of consecutive cells that contradicts each root's first
+    successor and predecessor, LabelConflict before NotLinear before
+    Disconnected.
 
     A diagram built in order can also be glued in bounded memory: ``close``
     takes the leading classes of that path that no later edge can reach
@@ -153,7 +160,9 @@ class CellGluing:
         finished = starts[frontier] if frontier < len(starts) else len(self.parent)
         roots, labels, path = self._read()
         held = set(roots[finished:])
-        stop = [*map(held.__contains__, path[:-1]), True].index(True)
+        stop = 0
+        while stop < len(path) - 1 and path[stop] not in held:
+            stop += 1
         if stop:
             self.closed.append("".join(map(labels.__getitem__, path[:stop])))
         # renumber the held cells in order, each pointing at its class's
@@ -195,13 +204,55 @@ class CellGluing:
         """Read the held quotient: every held cell's root, the held labels,
         and the held classes in path order, which continues the closed word;
         raises LabelConflict, NotLinear or Disconnected, in that order of
-        priority, carrying the offending node indices."""
-        values, starts = self.values, self.starts
+        priority, carrying the offending node indices.
+
+        It detects in one pass over each node's consecutive cells and leaves
+        locating a fault to ``_locate``, which checks the same conditions."""
         roots = self._roots()
-        labels = "".join(values)
+        labels = "".join(self.values)
         if not labels:
             return roots, labels, []
+        # a root is a cell too: every cell must carry its root's label
+        if "".join(map(labels.__getitem__, roots)) != labels:
+            self._locate(roots, labels)
+        # each root's successor and predecessor in its first pair of
+        # consecutive cells of a node; any other pair must agree with them
+        succ: dict[int, int] = {}
+        pred: dict[int, int] = {}
+        start = 0
+        for value in self.values:
+            if len(value) > 1:
+                a = roots[start]
+                for b in roots[start + 1 : start + len(value)]:
+                    if a == b or succ.setdefault(a, b) != b or pred.setdefault(b, a) != a:
+                        self._locate(roots, labels)
+                    a = b
+            start += len(value)
+        # one class without a predecessor, the closed word's successor's,
+        # and a path from it through every class (a walk from a class with
+        # a predecessor could cycle, so ``after``'s is checked first)
+        classes = set(roots)
+        if len(pred) + 1 != len(classes):
+            self._locate(roots, labels)
+        if self.after is None:
+            (cur,) = classes.difference(pred)
+        else:
+            cur = roots[self.after]
+            if cur in pred:
+                self._locate(roots, labels)
+        path = [cur]
+        while cur in succ:
+            cur = succ[cur]
+            path.append(cur)
+        if len(path) != len(classes):
+            self._locate(roots, labels)
+        return roots, labels, path
 
+    def _locate(self, roots: list[int], labels: str) -> NoReturn:
+        """Raise the fault that ``_read`` detected in the held quotient with
+        these roots and labels, located by the first offending cell or pair;
+        LabelConflict before NotLinear before Disconnected."""
+        starts = self.starts
         first: dict[int, int] = {}  # root -> its first cell, built on the error paths
 
         def first_cell(r: int) -> int:
@@ -260,16 +311,15 @@ class CellGluing:
             )
         if not sources:
             raise NotLinear("quotient adjacency is a cycle", nodes=(rep(roots[0]),))
-        # every root has at most one predecessor, so no walk from a source cycles
+        # every root has at most one predecessor, so no walk from a source
+        # cycles: the fault left is a cycle apart from the path
         path: list[int] = []
         cur: int | None = sources.pop()
         while cur is not None:
             path.append(cur)
             cur = succ.get(cur)
-        if len(path) != len(classes):
-            stray = min(map(first_cell, classes - set(path)))
-            raise NotLinear("quotient contains a disconnected cycle", nodes=(node_of(stray),))
-        return roots, labels, path
+        stray = min(map(first_cell, classes - set(path)))
+        raise NotLinear("quotient contains a disconnected cycle", nodes=(node_of(stray),))
 
 
 def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],

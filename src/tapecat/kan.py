@@ -516,8 +516,10 @@ def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookb
 
     Depth first by prefix extension, children in alphabet order, so each
     length comes in tape.windows order.  x·c takes one memo step from x's
-    state, as _transduced does; where a step finds the memo full or does
-    not glue, evaluate takes that string and its subtree.  A state the walk
+    state, as _transduced does.  Where a step finds the memo full,
+    evaluate takes that string and its subtree, past the full memo.  Where
+    a step does not glue, evaluate would replay the memo to that step,
+    which raises again, so evaluate_traced takes them.  A state the walk
     reaches was closed, so its final read glues.
 
     Subtrees that passed are shared.  Once a string x in state s passed,
@@ -544,10 +546,11 @@ def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookb
     passed: dict[tuple[int, str], int] = {}  # per key, the deepest subtree that passed
     misses = 0  # the strings walked so far that failed or left the memo
     # per string to visit: its cells, the cells the walk emitted on them, the
-    # state reached (None once a step failed) and its prefix's reference; per
-    # passing string whose subtree is being walked, an exit marker: its key,
-    # depth and the misses before its subtree
-    stack: list[tuple] = [("", "", start, "")] if max_len >= 0 else []
+    # state reached (None once a step failed), whether that step found the
+    # memo full rather than raised, and its prefix's reference; per passing
+    # string whose subtree is being walked, an exit marker: its key, depth
+    # and the misses before its subtree
+    stack: list[tuple] = [("", "", start, False, "")] if max_len >= 0 else []
     while stack:
         entry = stack.pop()
         if len(entry) == 3:  # an exit marker
@@ -555,15 +558,16 @@ def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookb
             if misses == before:
                 passed[key] = depth
             continue
-        cells, emitted, state, reference = entry
+        cells, emitted, state, full, reference = entry
         reference += extend(cells)
         depth = max_len - len(cells)
         value: str | GlueError
         if state is not None:
             value = emitted + (finals.get(state) or final(state))
         else:
+            x = TapeString(alphabet, cells)
             try:
-                value = evaluate(shape, TapeString(alphabet, cells)).cells
+                value = (evaluate(shape, x) if full else evaluate_traced(shape, x)[0]).cells
             except GlueError as exc:
                 value = exc
         if state is not None and value == reference:
@@ -579,12 +583,15 @@ def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookb
             continue
         children = []
         for c in symbols:
-            try:
-                hit = None if state is None else steps[state].get(c) or step(state, c)
-            except GlueError:
-                hit = None
-            children.append((cells + c, emitted + hit[0], hit[1], reference) if hit
-                            else (cells + c, "", None, reference))
+            hit = None
+            if state is not None:
+                try:
+                    hit = steps[state].get(c) or step(state, c)
+                    full = hit is None
+                except GlueError:
+                    full = False
+            children.append((cells + c, emitted + hit[0], hit[1], False, reference) if hit
+                            else (cells + c, "", None, full, reference))
         stack += reversed(children)
 
 

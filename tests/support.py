@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import eq
 
 import tapecat.machine
 from tapecat import tape
-from tapecat.colimit import CellGluing, GlueError, density_check
+from tapecat.colimit import (CellGluing, Disconnected, GlueError, LabelConflict, NotLinear,
+                             density_check)
 from tapecat.fincat import (FinCatPresentation, FunctorData, TapeCategory, canonical_generators,
                             string_inclusion, validate_functor)
 from tapecat.kan import ShapeCategory, ShapeObject, evaluate_traced
@@ -124,6 +128,89 @@ def gluing_signature(gluing: CellGluing) -> tuple:
     classes = tuple(number.setdefault(r, len(number)) for r in roots)
     after = None if gluing.after is None else number[roots[gluing.after]]
     return tuple(gluing.values), tuple(gluing.starts), classes, after
+
+
+def reference_read(self: CellGluing) -> tuple[list[int], str, list[int]]:
+    """Reference for CellGluing._read: the reader as it was before it
+    detected in one pass and located faults apart, kept verbatim.  It reads
+    the held quotient: every held cell's root, the held labels, and the
+    held classes in path order, which continues the closed word; raises
+    LabelConflict, NotLinear or Disconnected, in that order of priority,
+    carrying the offending node indices."""
+    values, starts = self.values, self.starts
+    roots = self._roots()
+    labels = "".join(values)
+    if not labels:
+        return roots, labels, []
+
+    first: dict[int, int] = {}  # root -> its first cell, built on the error paths
+
+    def first_cell(r: int) -> int:
+        if not first:
+            first.update(zip(reversed(roots), range(len(roots) - 1, -1, -1)))
+        return first[r]
+
+    def node_of(c: int) -> int:
+        return bisect_right(starts, c) - 1
+
+    def rep(r: int) -> int:
+        return node_of(first_cell(r))
+
+    # a root is a cell too: every cell must carry its root's label
+    if "".join(map(labels.__getitem__, roots)) != labels:
+        c = next(c for c, r in enumerate(roots) if labels[c] != labels[first_cell(r)])
+        i, j = rep(roots[c]), node_of(c)
+        raise LabelConflict(
+            f"cells of nodes {i} and {j} are glued but labelled "
+            f"{labels[first_cell(roots[c])]!r} vs {labels[c]!r}",
+            nodes=(i, j),
+        )
+
+    # the adjacency: the roots of each pair of consecutive cells of a node
+    inner = bytearray(b"\x01") * len(roots)
+    inner[-1] = 0
+    for s in starts:
+        if s:
+            inner[s - 1] = 0
+    left, right = list(compress(roots, inner)), list(compress(roots[1:], inner))
+    # each root's successor and predecessor in its first pair: on a linear
+    # quotient its only ones; otherwise the first pair, in node order,
+    # that they contradict is where the quotient folds or branches
+    succ = dict(zip(reversed(left), reversed(right)))
+    pred = dict(zip(reversed(right), reversed(left)))
+    if (any(map(eq, left, right)) or list(map(succ.__getitem__, left)) != right
+            or list(map(pred.__getitem__, right)) != left):
+        c, a, b = next((c, a, b) for c, a, b in zip(compress(count(), inner), left, right)
+                       if a == b or succ[a] != b or pred[b] != a)
+        i = node_of(c)
+        if a == b:
+            raise NotLinear(f"node {i} glues onto itself (cycle)", nodes=(i,))
+        if succ[a] != b:
+            raise NotLinear(f"quotient branches after a cell of node {i}", nodes=(rep(a), i))
+        raise NotLinear(f"quotient branches before a cell of node {i}", nodes=(rep(b), i))
+
+    classes = set(roots)
+    sources = classes.difference(pred)
+    if self.after is not None and roots[self.after] not in sources:
+        raise NotLinear("quotient branches before the closed word's successor",
+                        nodes=(rep(roots[self.after]),))
+    if len(sources) > 1:
+        raise Disconnected(
+            f"quotient splits into {len(sources)} components",
+            nodes=tuple(sorted({rep(r) for r in sources})),
+        )
+    if not sources:
+        raise NotLinear("quotient adjacency is a cycle", nodes=(rep(roots[0]),))
+    # every root has at most one predecessor, so no walk from a source cycles
+    path: list[int] = []
+    cur: int | None = sources.pop()
+    while cur is not None:
+        path.append(cur)
+        cur = succ.get(cur)
+    if len(path) != len(classes):
+        stray = min(map(first_cell, classes - set(path)))
+        raise NotLinear("quotient contains a disconnected cycle", nodes=(node_of(stray),))
+    return roots, labels, path
 
 
 def per_string_density(alphabet: Alphabet, generators, max_len: int,

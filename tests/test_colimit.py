@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
@@ -39,8 +40,10 @@ from .support import (
     cocones_to,
     comma_over,
     count_mediators,
+    gluing_signature,
     occ,
     per_string_density,
+    reference_read,
     ts,
     unchecked_occurrence,
 )
@@ -354,35 +357,154 @@ def _assert_same_state(gluing, held):
         (held.values, held.starts, held.parent, held.closed, held.after)
 
 
+def _small_diagrams():
+    """Every diagram with <= 3 nodes of length <= 2 and <= 2 joining edges,
+    as (values, edges).  Empty-source and identity self-edges never join
+    cells, so they are not enumerated as joining edges."""
+    strings = [s.cells for s in all_strings(DEFAULT_ALPHABET, 2) if s.cells]
+    for n in range(1, 4):
+        for values in itertools.combinations_with_replacement(strings, n):
+            available = [
+                (i, j, off)
+                for i in range(n)
+                for j in range(n)
+                if i != j
+                for off in brute_offsets(values[i], values[j])
+            ]
+            for k in range(3):
+                for edges in itertools.combinations(available, k):
+                    yield list(values), list(edges)
+
+
+def _reading(gluing, reference):
+    """An independent copy of gluing that reads by the reference reader or
+    by its own."""
+    twin = gluing.copy()
+    if reference:
+        twin._read = reference_read.__get__(twin)
+    return twin
+
+
+def _read_outcomes(gluing, reference):
+    """What result gives, then what close gives at each frontier: a value
+    (for close, the nodes dropped, the signature of the state left and the
+    closed word) or the error's class, message and nodes."""
+    calls = [lambda g: g.result()] + [
+        lambda g, f=frontier: (g.close(f), gluing_signature(g), g.closed)
+        for frontier in range(len(gluing.values) + 1)]
+    outcomes = []
+    for call in calls:
+        try:
+            outcomes.append(call(_reading(gluing, reference)))
+        except GlueError as exc:
+            outcomes.append((type(exc), str(exc), exc.nodes))
+    return outcomes
+
+
+def _larger_gluings(seed, count):
+    """Seeded diagrams built in steps, as the evaluation pass builds them:
+    at step t, spans of 0-3 cells of a hidden word ending at cell t + 1,
+    each glued to the recent spans that hold it or that it holds, with
+    spans and edges left out, flipped labels and stray edges, at a rate
+    of 0, 3% or 10% per case.  Every other diagram is closed before each
+    step, as the pass closes it, while that glues, so that ``after`` is
+    set, and the rest is built on the held state."""
+    rng = random.Random(seed)
+    for case in range(count):
+        faults = (0, 0.03, 0.1)[case % 3]
+        word = "".join(rng.choices("#.", k=10))
+        gluing, spans, steps = CellGluing(), [], []
+        for t in range(rng.randint(2, 8)):
+            if case % 2:
+                trial = gluing.copy()
+                try:
+                    dropped = trial.close(bisect_left(steps, t - 1))
+                except GlueError:
+                    pass
+                else:  # a held node keeps the end of its span
+                    gluing, steps = trial, steps[dropped:]
+                    spans = [(stop - len(v), stop) for v, (_, stop)
+                             in zip(gluing.values, spans[dropped:])]
+            for n in rng.sample(range(4), rng.randint(1, 4)):
+                start, stop = max(t + 1 - n, 0), t + 1
+                value = word[start:stop]
+                if value and rng.random() < faults:
+                    value = value[:-1] + ("#" if value[-1] == "." else ".")
+                node = gluing.add(value)
+                for other in range(bisect_left(steps, t - 1), node):
+                    o_start, o_stop = spans[other]
+                    if rng.random() < faults:
+                        continue
+                    if o_start <= start and stop <= o_stop:
+                        gluing.identify(node, other, start - o_start)
+                    elif start <= o_start and o_stop <= stop:
+                        gluing.identify(other, node, o_start - start)
+                if rng.random() < 2 * faults:
+                    i, j = rng.choices(range(node + 1), k=2)
+                    room = len(gluing.values[j]) - len(gluing.values[i])
+                    if room >= 0:
+                        gluing.identify(i, j, rng.randint(0, room))
+                spans.append((start, stop))
+                steps.append(t)
+        yield gluing
+
+
+class TestReader:
+    """The reader that detects in one pass and locates a fault apart,
+    against the one that located as it detected (support.reference_read)."""
+
+    def test_every_small_diagram_reads_as_the_reference(self):
+        checked = failing = 0
+        for values, edges in _small_diagrams():
+            gluing = CellGluing()
+            for v in values:
+                gluing.add(v)
+            for i, j, off in edges:
+                gluing.identify(i, j, off)
+            got = _read_outcomes(gluing, False)
+            assert got == _read_outcomes(gluing, True), (values, edges)
+            checked += 1
+            failing += isinstance(got[0][0], type)
+        assert 0 < failing < checked
+
+    def test_larger_diagrams_read_as_the_reference(self):
+        # with empty nodes and, once a prefix closed, a set ``after``; with
+        # the ring of test_close_holds_a_cycle, alone and beside a path, and
+        # holding ``after`` or not, every fault the reader names is met
+        rings = []
+        for extra, after in itertools.product(("", "#", "##"), (None, 0)):
+            gluing = CellGluing()
+            for value in ("#.", ".#", ".", "#", extra):
+                gluing.add(value)
+            for i, j, off in [(2, 0, 1), (2, 1, 0), (3, 0, 0), (3, 1, 1)]:
+                gluing.identify(i, j, off)
+            gluing.after = after
+            rings.append(gluing)
+        kinds, after = Counter(), 0
+        for gluing in itertools.chain(_larger_gluings(3, 600), rings):
+            got = _read_outcomes(gluing, False)
+            assert got == _read_outcomes(gluing, True)
+            after += gluing.after is not None
+            kinds.update(re.sub(r"[0-9]+|'.'", "N", f"{o[0].__name__}: {o[1]}")
+                         if isinstance(o[0], type) else "glued" for o in got)
+        assert after > 50 and len(kinds) == 9, kinds
+
+
 class TestGlueUniversalitySmall:
     def test_exhaustive_small_diagrams(self):
-        # every diagram with <= 3 nodes of length <= 2 and <= 2 joining edges:
-        # when glue succeeds, the result must be the universal cocone.
-        # (empty-source and identity self-edges never join cells, so they are
-        # not enumerated as joining edges)
-        strings = [s.cells for s in all_strings(DEFAULT_ALPHABET, 2) if s.cells]
+        # every small diagram: when glue succeeds, the result must be the
+        # universal cocone
         checked = 0
-        for n in range(1, 4):
-            for values in itertools.combinations_with_replacement(strings, n):
-                available = [
-                    (i, j, off)
-                    for i in range(n)
-                    for j in range(n)
-                    if i != j
-                    for off in brute_offsets(values[i], values[j])
-                ]
-                for k in range(3):
-                    for edges in itertools.combinations(available, k):
-                        try:
-                            value, legs = glue_cells(list(values), list(edges))
-                        except GlueError:
-                            continue
-                        total = sum(len(v) for v in values)
-                        for w in all_strings(DEFAULT_ALPHABET, total):
-                            for cocone in cocones_to(list(values), list(edges), w.cells):
-                                assert count_mediators(list(values), value, legs,
-                                                       cocone, w.cells) == 1
-                        checked += 1
+        for values, edges in _small_diagrams():
+            try:
+                value, legs = glue_cells(values, edges)
+            except GlueError:
+                continue
+            total = sum(len(v) for v in values)
+            for w in all_strings(DEFAULT_ALPHABET, total):
+                for cocone in cocones_to(values, edges, w.cells):
+                    assert count_mediators(values, value, legs, cocone, w.cells) == 1
+            checked += 1
         assert checked > 100
 
 

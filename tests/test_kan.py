@@ -24,6 +24,7 @@ from tapecat.machine import (
     apply,
     equivalence_sweep,
     explain,
+    functoriality_sweep,
     shape_category,
 )
 from tapecat.tape import (
@@ -459,6 +460,20 @@ class TestStepMemo:
         assert (len(compiled.held), sum(map(len, compiled.steps)), len(compiled.finals)) \
             == interned
 
+    def test_a_lawful_read_never_locates(self, spread, parity_machine, monkeypatch):
+        # the reader locates only a fault it detected, so on lawful shapes,
+        # each with a cold memo, no close or read reaches the locating code
+        def refuse(gluing, roots, labels):
+            raise AssertionError("a lawful state was read as a fault")
+
+        monkeypatch.setattr(CellGluing, "_locate", refuse)
+        for spec in (spread, parity_machine):
+            assert equivalence_sweep(spec, 10, shape_category(spec)).ok
+            assert functoriality_sweep(spec, 6, shape_category(spec)).ok
+            rng = random.Random(17)
+            x = TapeString(spec.alphabet, "".join(rng.choices(spec.alphabet.symbols, k=2000)))
+            assert evaluate(shape_category(spec), x) == apply(spec, x)
+
 
 def _interned(monkeypatch):
     """Record every state that _intern numbers, as (compiled shape, number,
@@ -615,14 +630,17 @@ class TestEquivalenceSweep:
         assert len(spread_shape.objects) == 25 and failing
 
     @pytest.mark.parametrize("machine, max_len, memo_cap", [
-        ("parity_machine", 6, None), ("ternary_machine", 4, None), ("spread", 7, 3)])
+        ("parity_machine", 6, None), ("ternary_machine", 4, None), ("spread", 6, None),
+        ("spread", 7, 3)])
     def test_deletions_match_the_per_string_sweep(self, machine, max_len, memo_cap, request,
                                                   monkeypatch):
         # every one-object deletion, where the walk shares subtrees beside
-        # strings that fail; with a memo of three states, beside strings
-        # that leave the memo for evaluate
+        # strings that fail, which only the pass that closes nothing glues
+        # unless a memo step found the memo full; with a memo of three
+        # states, beside strings that leave the memo for evaluate
         if memo_cap is not None:
             monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", memo_cap)
+        evaluated = _counted(monkeypatch, "evaluate")
         spec = request.getfixturevalue(machine)
         whole = shape_category(spec)
         failing = 0
@@ -632,7 +650,7 @@ class TestEquivalenceSweep:
             assert (report.cases, report.failures) == _per_string_sweep(spec, max_len, shape), \
                 o.name
             failing += not report.ok
-        assert failing
+        assert failing and bool(evaluated) == (memo_cap is not None)
 
     def test_a_failing_string_is_walked_where_its_key_passed(self, spread):
         # a memo step made to emit one cell too many fails every string
@@ -670,21 +688,24 @@ class TestEquivalenceSweep:
 
     def test_sweep_evaluates_only_where_the_walk_fails(self, spread, spread_shape, monkeypatch):
         # the walk extends each string's rule update and memo state from its
-        # prefix's, so on a lawful shape it calls neither per-string engine,
-        # and it hands evaluate each string it cannot walk.  Without
-        # (#|###), nothing joins the nodes of the windows c### and ###d, so
-        # the state of a string holding ### with a cell on each side splits
-        # into two components and its step raises: 4 + 12 + 32 + 80 strings
-        # of 5 to 8 cells, each evaluated once and each a 'glue failed'
-        # line.  The 129th line is ###, which glues to the empty string.
+        # prefix's, so on a lawful shape it calls no per-string engine, and
+        # it hands the pass that closes nothing each string below a step
+        # that raises.  Without (#|###), nothing joins the nodes of the
+        # windows c### and ###d, so the state of a string holding ### with a
+        # cell on each side splits into two components and its step raises:
+        # 4 + 12 + 32 + 80 strings of 5 to 8 cells, each glued once and each
+        # a 'glue failed' line.  The 129th line is ###, which glues to the
+        # empty string.
         evaluated = _counted(monkeypatch, "evaluate")
+        traced = _counted(monkeypatch, "evaluate_traced")
         applied = _counted(monkeypatch, "apply", tapecat.machine)
         for shape, walk_failures, lines in ((spread_shape, 0, 0),
                                             (spread_shape.without_object("(#|###)"), 128, 129)):
             evaluated.clear()
+            traced.clear()
             outcome = equivalence_sweep(spread, 8, shape)
             assert (outcome.cases, len(outcome.failures)) == (511, lines)
-            assert (len(evaluated), len(applied)) == (walk_failures, 0)
+            assert (len(evaluated), len(traced), len(applied)) == (0, walk_failures, 0)
             assert sum("glue failed" in line for line in outcome.failures) == walk_failures
 
     def test_matches_the_per_string_sweep_past_a_full_memo(self, spread, spread_shape,
