@@ -8,21 +8,19 @@ and the engine's job is to detect them, not invent them.  CellGluing holds
 that union-find incrementally, so a diagram can be glued while it is being
 built, and it can close the classes a builder has left behind, so that it
 holds only a frontier; glue_cells drives it over a finished diagram.  Its
-reader detects a fault in one pass over the held cells and locates it only
-when there is one, so reading a state that glues costs that pass.  The
-density check glues the comma diagram of generator occurrences in a string
-the same way, on node indices; glue wraps that core for diagrams whose
-nodes are named strings.  The density sweep over every string up to a
-length is kan.density_sweep, which glues by the evaluation pass.
+reader decides in one pass over the held cells whether they glue, and the
+check that finds a fault names that fault's nodes.  The density check
+glues the comma diagram of generator occurrences in a string the same
+way, on node indices; glue wraps that core for diagrams whose nodes are
+named strings.  The density sweep over every string up to a length is
+kan.density_sweep, which glues by the evaluation pass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, count
-from operator import eq
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 from . import tape
 from .fincat import MalformedDiagram
@@ -69,11 +67,11 @@ class CellGluing:
     the closed word's successor's when a prefix is closed, must have no
     predecessor, and the successor chain from it must reach every class.
     That chain is the quotient's path; ``result`` spells the colimit word
-    along it.  Only a fault is located, by a second reading: a label clash
-    at the first cell whose label is not its root's, a fold or branch at
-    the first pair of consecutive cells that contradicts each root's first
-    successor and predecessor, LabelConflict before NotLinear before
-    Disconnected.
+    along it.  The pass names the nodes of the fault it finds: a label clash
+    at the first cell whose label is not its class's first cell's, a fold
+    or branch at the first pair of consecutive cells that contradicts each
+    root's first successor and predecessor, LabelConflict before NotLinear
+    before Disconnected.
 
     A diagram built in order can also be glued in bounded memory: ``close``
     takes the leading classes of that path that no later edge can reach
@@ -206,15 +204,27 @@ class CellGluing:
         raises LabelConflict, NotLinear or Disconnected, in that order of
         priority, carrying the offending node indices.
 
-        It detects in one pass over each node's consecutive cells and leaves
-        locating a fault to ``_locate``, which checks the same conditions."""
+        One pass over each node's consecutive cells detects a fault, and the
+        check that detects it names its nodes: the first cell not labelled
+        as its class's first cell, the first pair that contradicts the
+        successors and predecessors built before it, the sources, or a cycle
+        apart from the path.  It holds no comprehension or closure: one that
+        read a local would make that local a cell on every read."""
         roots = self._roots()
         labels = "".join(self.values)
         if not labels:
             return roots, labels, []
         # a root is a cell too: every cell must carry its root's label
         if "".join(map(labels.__getitem__, roots)) != labels:
-            self._locate(roots, labels)
+            first = self._first_cells(roots)
+            for c, r in enumerate(roots):
+                if labels[c] != labels[first[r]]:
+                    i, j = self._node_of(first[r]), self._node_of(c)
+                    raise LabelConflict(
+                        f"cells of nodes {i} and {j} are glued but labelled "
+                        f"{labels[first[r]]!r} vs {labels[c]!r}",
+                        nodes=(i, j),
+                    )
         # each root's successor and predecessor in its first pair of
         # consecutive cells of a node; any other pair must agree with them
         succ: dict[int, int] = {}
@@ -225,101 +235,56 @@ class CellGluing:
                 a = roots[start]
                 for b in roots[start + 1 : start + len(value)]:
                     if a == b or succ.setdefault(a, b) != b or pred.setdefault(b, a) != a:
-                        self._locate(roots, labels)
+                        i = self._node_of(start)
+                        if a == b:
+                            raise NotLinear(f"node {i} glues onto itself (cycle)", nodes=(i,))
+                        first = self._first_cells(roots)
+                        if succ[a] != b:
+                            raise NotLinear(f"quotient branches after a cell of node {i}",
+                                            nodes=(self._node_of(first[a]), i))
+                        raise NotLinear(f"quotient branches before a cell of node {i}",
+                                        nodes=(self._node_of(first[b]), i))
                     a = b
             start += len(value)
         # one class without a predecessor, the closed word's successor's,
         # and a path from it through every class (a walk from a class with
         # a predecessor could cycle, so ``after``'s is checked first)
         classes = set(roots)
+        if self.after is not None and roots[self.after] in pred:
+            raise NotLinear("quotient branches before the closed word's successor",
+                            nodes=(self._node_of(self._first_cells(roots)[roots[self.after]]),))
         if len(pred) + 1 != len(classes):
-            self._locate(roots, labels)
+            first = self._first_cells(roots)
+            sources = classes.difference(pred)
+            if sources:
+                raise Disconnected(
+                    f"quotient splits into {len(sources)} components",
+                    nodes=tuple(sorted(set(map(self._node_of, map(first.__getitem__, sources))))),
+                )
+            raise NotLinear("quotient adjacency is a cycle",
+                            nodes=(self._node_of(first[roots[0]]),))
         if self.after is None:
             (cur,) = classes.difference(pred)
         else:
             cur = roots[self.after]
-            if cur in pred:
-                self._locate(roots, labels)
         path = [cur]
         while cur in succ:
             cur = succ[cur]
             path.append(cur)
         if len(path) != len(classes):
-            self._locate(roots, labels)
+            stray = min(map(self._first_cells(roots).__getitem__, classes.difference(path)))
+            raise NotLinear("quotient contains a disconnected cycle",
+                            nodes=(self._node_of(stray),))
         return roots, labels, path
 
-    def _locate(self, roots: list[int], labels: str) -> NoReturn:
-        """Raise the fault that ``_read`` detected in the held quotient with
-        these roots and labels, located by the first offending cell or pair;
-        LabelConflict before NotLinear before Disconnected."""
-        starts = self.starts
-        first: dict[int, int] = {}  # root -> its first cell, built on the error paths
+    @staticmethod
+    def _first_cells(roots: list[int]) -> dict[int, int]:
+        """Each root's first cell; built only to name a fault's nodes."""
+        return dict(zip(reversed(roots), range(len(roots) - 1, -1, -1)))
 
-        def first_cell(r: int) -> int:
-            if not first:
-                first.update(zip(reversed(roots), range(len(roots) - 1, -1, -1)))
-            return first[r]
-
-        def node_of(c: int) -> int:
-            return bisect_right(starts, c) - 1
-
-        def rep(r: int) -> int:
-            return node_of(first_cell(r))
-
-        # a root is a cell too: every cell must carry its root's label
-        if "".join(map(labels.__getitem__, roots)) != labels:
-            c = next(c for c, r in enumerate(roots) if labels[c] != labels[first_cell(r)])
-            i, j = rep(roots[c]), node_of(c)
-            raise LabelConflict(
-                f"cells of nodes {i} and {j} are glued but labelled "
-                f"{labels[first_cell(roots[c])]!r} vs {labels[c]!r}",
-                nodes=(i, j),
-            )
-
-        # the adjacency: the roots of each pair of consecutive cells of a node
-        inner = bytearray(b"\x01") * len(roots)
-        inner[-1] = 0
-        for s in starts:
-            if s:
-                inner[s - 1] = 0
-        left, right = list(compress(roots, inner)), list(compress(roots[1:], inner))
-        # each root's successor and predecessor in its first pair: on a linear
-        # quotient its only ones; otherwise the first pair, in node order,
-        # that they contradict is where the quotient folds or branches
-        succ = dict(zip(reversed(left), reversed(right)))
-        pred = dict(zip(reversed(right), reversed(left)))
-        if (any(map(eq, left, right)) or list(map(succ.__getitem__, left)) != right
-                or list(map(pred.__getitem__, right)) != left):
-            c, a, b = next((c, a, b) for c, a, b in zip(compress(count(), inner), left, right)
-                           if a == b or succ[a] != b or pred[b] != a)
-            i = node_of(c)
-            if a == b:
-                raise NotLinear(f"node {i} glues onto itself (cycle)", nodes=(i,))
-            if succ[a] != b:
-                raise NotLinear(f"quotient branches after a cell of node {i}", nodes=(rep(a), i))
-            raise NotLinear(f"quotient branches before a cell of node {i}", nodes=(rep(b), i))
-
-        classes = set(roots)
-        sources = classes.difference(pred)
-        if self.after is not None and roots[self.after] not in sources:
-            raise NotLinear("quotient branches before the closed word's successor",
-                            nodes=(rep(roots[self.after]),))
-        if len(sources) > 1:
-            raise Disconnected(
-                f"quotient splits into {len(sources)} components",
-                nodes=tuple(sorted({rep(r) for r in sources})),
-            )
-        if not sources:
-            raise NotLinear("quotient adjacency is a cycle", nodes=(rep(roots[0]),))
-        # every root has at most one predecessor, so no walk from a source
-        # cycles: the fault left is a cycle apart from the path
-        path: list[int] = []
-        cur: int | None = sources.pop()
-        while cur is not None:
-            path.append(cur)
-            cur = succ.get(cur)
-        stray = min(map(first_cell, classes - set(path)))
-        raise NotLinear("quotient contains a disconnected cycle", nodes=(node_of(stray),))
+    def _node_of(self, cell: int) -> int:
+        """The node that holds a cell."""
+        return bisect_right(self.starts, cell) - 1
 
 
 def glue_cells(values: Sequence[str], edges: Iterable[tuple[int, int, int]],

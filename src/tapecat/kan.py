@@ -110,9 +110,11 @@ class ShapeCategory:
         self.objects = objects
         self._by_name = {o.name: o for o in objects}
         if len(self._by_name) != len(objects):  # only an object listed twice repeats a name
-            names = [o.name for o in objects]
-            twice = next(name for k, name in enumerate(names) if name in names[:k])
-            raise MalformedDiagram(f"{twice} is listed twice")
+            seen: set[str] = set()
+            for o in objects:
+                if o.name in seen:
+                    raise MalformedDiagram(f"{o.name} is listed twice")
+                seen.add(o.name)
         # a nonempty window names its object, so each sub-window is one lookup
         by_window: dict[str, ShapeObject] = {}
         for o in objects:
@@ -602,17 +604,18 @@ def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len:
     density_check's detail (None when all pass).
 
     Density is evaluation by the identity update: walk over the shape of
-    the (g|g) objects, with each string its own reference, extended by its
-    last cell.  For generators of at most two cells (a longer one raises
-    ValueError) the only comma morphisms that identify cells are the
-    one-cell-smaller inclusions that the pass joins.  Every edge keeps each
-    cell at its position in x, so a linear quotient that spells x puts each
-    leg at its offset: checking the word is checking density.
+    the (g|g) objects, one per generator however often it is listed, with
+    each string its own reference, extended by its last cell.  For
+    generators of at most two cells (a longer one raises ValueError) the
+    only comma morphisms that identify cells are the one-cell-smaller
+    inclusions that the pass joins.  Every edge keeps each cell at its
+    position in x, so a linear quotient that spells x puts each leg at its
+    offset: checking the word is checking density.
     """
     longer = next((g for g in generators if len(g) > 2), None)
     if longer is not None:
         raise ValueError(f"generator {longer} has more than two cells")
-    shape = ShapeCategory(alphabet, tuple(ShapeObject(g, g) for g in generators))
+    shape = ShapeCategory(alphabet, tuple(ShapeObject(g, g) for g in dict.fromkeys(generators)))
     failures: list[str | None] = [None] * (max_len + 1)
     for cells, _, _ in walk(shape, max_len, lambda cells: cells[-1:], 0):
         if failures[len(cells)] is None:

@@ -132,11 +132,12 @@ def gluing_signature(gluing: CellGluing) -> tuple:
 
 def reference_read(self: CellGluing) -> tuple[list[int], str, list[int]]:
     """Reference for CellGluing._read: the reader as it was before it
-    detected in one pass and located faults apart, kept verbatim.  It reads
-    the held quotient: every held cell's root, the held labels, and the
-    held classes in path order, which continues the closed word; raises
-    LabelConflict, NotLinear or Disconnected, in that order of priority,
-    carrying the offending node indices."""
+    detected in one pass, kept verbatim; it lists the roots of every pair
+    of consecutive cells before it checks any.  It reads the held quotient:
+    every held cell's root, the held labels, and the held classes in path
+    order, which continues the closed word; raises LabelConflict, NotLinear
+    or Disconnected, in that order of priority, carrying the offending node
+    indices."""
     values, starts = self.values, self.starts
     roots = self._roots()
     labels = "".join(values)

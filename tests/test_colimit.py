@@ -449,9 +449,43 @@ def _larger_gluings(seed, count):
         yield gluing
 
 
+def _rings():
+    """The ring of test_close_holds_a_cycle, alone and beside a path, and
+    holding ``after`` or not."""
+    for extra, after in itertools.product(("", "#", "##"), (None, 0)):
+        gluing = CellGluing()
+        for value in ("#.", ".#", ".", "#", extra):
+            gluing.add(value)
+        for i, j, off in [(2, 0, 1), (2, 1, 0), (3, 0, 0), (3, 1, 1)]:
+            gluing.identify(i, j, off)
+        gluing.after = after
+        yield gluing
+
+
+def _outcome_kind(outcome):
+    """A read outcome with its numbers and labels blanked: "glued", or the
+    error's class and message."""
+    if not isinstance(outcome[0], type):
+        return "glued"
+    return re.sub(r"[0-9]+|'.'", "N", f"{outcome[0].__name__}: {outcome[1]}")
+
+
+FAULT_KINDS = [
+    "LabelConflict: cells of nodes N and N are glued but labelled N vs N",
+    "NotLinear: node N glues onto itself (cycle)",
+    "NotLinear: quotient branches after a cell of node N",
+    "NotLinear: quotient branches before a cell of node N",
+    "NotLinear: quotient branches before the closed word's successor",
+    "Disconnected: quotient splits into N components",
+    "NotLinear: quotient adjacency is a cycle",
+    "NotLinear: quotient contains a disconnected cycle",
+]
+
+
 class TestReader:
-    """The reader that detects in one pass and locates a fault apart,
-    against the one that located as it detected (support.reference_read)."""
+    """The reader that names a fault's nodes where its one pass finds it,
+    against the one that checks the adjacency list by list
+    (support.reference_read)."""
 
     def test_every_small_diagram_reads_as_the_reference(self):
         checked = failing = 0
@@ -469,25 +503,49 @@ class TestReader:
 
     def test_larger_diagrams_read_as_the_reference(self):
         # with empty nodes and, once a prefix closed, a set ``after``; with
-        # the ring of test_close_holds_a_cycle, alone and beside a path, and
-        # holding ``after`` or not, every fault the reader names is met
-        rings = []
-        for extra, after in itertools.product(("", "#", "##"), (None, 0)):
-            gluing = CellGluing()
-            for value in ("#.", ".#", ".", "#", extra):
-                gluing.add(value)
-            for i, j, off in [(2, 0, 1), (2, 1, 0), (3, 0, 0), (3, 1, 1)]:
-                gluing.identify(i, j, off)
-            gluing.after = after
-            rings.append(gluing)
+        # the rings, every fault the reader names is met
         kinds, after = Counter(), 0
-        for gluing in itertools.chain(_larger_gluings(3, 600), rings):
+        for gluing in itertools.chain(_larger_gluings(3, 600), _rings()):
             got = _read_outcomes(gluing, False)
             assert got == _read_outcomes(gluing, True)
             after += gluing.after is not None
-            kinds.update(re.sub(r"[0-9]+|'.'", "N", f"{o[0].__name__}: {o[1]}")
-                         if isinstance(o[0], type) else "glued" for o in got)
+            kinds.update(map(_outcome_kind, got))
         assert after > 50 and len(kinds) == 9, kinds
+
+    @pytest.fixture(scope="class")
+    def first_faults(self):
+        """Each fault kind, with the first of the larger diagrams and rings
+        that raises it and the call that does: 0 for result, f + 1 for
+        close at frontier f."""
+        found = {}
+        for gluing in itertools.chain(_larger_gluings(3, 600), _rings()):
+            for call, outcome in enumerate(_read_outcomes(gluing, False)):
+                found.setdefault(_outcome_kind(outcome), (gluing, call))
+        return found
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_a_failing_state_is_read_once(self, kind, first_faults, monkeypatch):
+        # the check that finds the fault names its nodes: no second reading
+        # resolves the roots again or builds the first-cell map twice
+        gluing, call = first_faults[kind]
+        reads = Counter()
+        roots, first_cells = CellGluing._roots, CellGluing._first_cells
+
+        def counted_roots(g):
+            reads["roots"] += 1
+            return roots(g)
+
+        def counted_first_cells(r):
+            reads["first cells"] += 1
+            return first_cells(r)
+
+        monkeypatch.setattr(CellGluing, "_roots", counted_roots)
+        monkeypatch.setattr(CellGluing, "_first_cells", staticmethod(counted_first_cells))
+        twin = gluing.copy()
+        with pytest.raises(GlueError) as raised:
+            twin.close(call - 1) if call else twin.result()
+        assert _outcome_kind((type(raised.value), str(raised.value))) == kind
+        assert reads["roots"] == 1 and reads["first cells"] <= 1, reads
 
 
 class TestGlueUniversalitySmall:
@@ -528,6 +586,8 @@ class TestDensity:
         faulty = [strings[:3], (strings[0], strings[2]), strings[1:], (strings[0], *strings[3:])]
         runs = [(DEFAULT_ALPHABET, generators, 8), (ternary, canonical_generators(ternary), 5)] + [
             (DEFAULT_ALPHABET, gens, 6) for gens in faulty]
+        # a generator listed twice is one object of the sweep's shape
+        runs.append((DEFAULT_ALPHABET, generators + generators[1:2], 6))
         failing = 0
         for alphabet, gens, max_len in runs:
             rows = density_sweep(alphabet, gens, max_len)

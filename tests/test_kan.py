@@ -461,12 +461,13 @@ class TestStepMemo:
             == interned
 
     def test_a_lawful_read_never_locates(self, spread, parity_machine, monkeypatch):
-        # the reader locates only a fault it detected, so on lawful shapes,
-        # each with a cold memo, no close or read reaches the locating code
-        def refuse(gluing, roots, labels):
+        # the reader names a fault's nodes only once it found one, so on
+        # lawful shapes, each with a cold memo, no close or read builds the
+        # first-cell map that names them
+        def refuse(roots):
             raise AssertionError("a lawful state was read as a fault")
 
-        monkeypatch.setattr(CellGluing, "_locate", refuse)
+        monkeypatch.setattr(CellGluing, "_first_cells", staticmethod(refuse))
         for spec in (spread, parity_machine):
             assert equivalence_sweep(spec, 10, shape_category(spec)).ok
             assert functoriality_sweep(spec, 6, shape_category(spec)).ok
