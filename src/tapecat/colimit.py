@@ -9,11 +9,10 @@ that union-find incrementally, so a diagram can be glued while it is being
 built, and it can close the classes a builder has left behind, so that it
 holds only a frontier; glue_cells drives it over a finished diagram.  Its
 reader decides in one pass over the held cells whether they glue, and the
-check that finds a fault names that fault's nodes.  The density check
-glues the comma diagram of generator occurrences in a string the same
-way, on node indices; glue wraps that core for diagrams whose nodes are
-named strings.  The density sweep over every string up to a length is
-kan.density_sweep, which glues by the evaluation pass.
+check that finds a fault names that fault's nodes.  density_check glues the
+comma diagram of generator occurrences in a string the same way, on node
+indices, and glue wraps that core for diagrams of named strings; no library
+module calls either, as kan.density_sweep glues by the evaluation pass.
 """
 
 from __future__ import annotations

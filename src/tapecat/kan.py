@@ -33,20 +33,17 @@ evaluate runs the pass as one.  It closes at every right end and interns
 the held quotient, not the objects that built it, so passes that glue
 alike share one state (_CompiledShape._intern).  The compiled shape
 memoises per state and next cell the emitted cells and the next state,
-and per state the word held when the input ends.  The memo is
-filled only by gluing, so evaluate never reads the rule table.  An input
-that would intern more than _MEMO_CAP states goes on from the last state
-it reached, closing after every _CLOSE_AT right ends instead of every one.
-One fallback keeps every answer that of the whole diagram: an input on
-which a step, or a close or the final read past a full memo, does not
-glue is glued again by the pass that closes nothing, evaluate_traced,
-whose value or error (class, message, nodes and cells) is the answer.
+and per state the word held when the input ends.  The memo is filled only
+by gluing, so evaluate never reads the rule table.
 
 The pass is resumable: its state after the right ends of x is all that
 placing the windows of x·c needs (Hedlund 1969: the update at a cell
-depends only on a bounded window).  So a memo miss copies a state's
-representative pass and glues one right end on it, instead of re-running
-the pass from the input's first cell.
+depends only on a bounded window).  So a memo miss glues one right end on a
+copy of a state's representative pass, and past a full memo _value goes on
+from the last state reached, closing after every _CLOSE_AT right ends.
+Only where a step, or a close or the final read past a full memo, does not
+glue does the pass that closes nothing, evaluate_traced, glue the input
+again; its value or error (class, message, nodes and cells) is the answer.
 
 The same resumption lets walk serve every exhaustive sweep.  It extends
 each string by one memo step from its prefix's state, and extends the
@@ -62,11 +59,12 @@ such a subtree passed by memo steps alone, the walk skips the next one.
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .colimit import CellGluing, GlueError, density_check
+from .colimit import CellGluing, GlueError
 from .fincat import (FinCatPresentation, FunctorData, MalformedDiagram, occurrence_category,
                      occurrence_inclusion, occurrence_name)
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
@@ -118,6 +116,8 @@ class ShapeCategory:
         # a nonempty window names its object, so each sub-window is one lookup
         by_window: dict[str, ShapeObject] = {}
         for o in objects:
+            if {o.generator.alphabet.symbols, o.window.alphabet.symbols} != {alphabet.symbols}:
+                raise AlphabetMismatch(f"{o.name} is not over the shape category's alphabet")
             twin = by_window.setdefault(o.window.cells, o) if o.window.cells else o
             if twin is not o:
                 raise MalformedDiagram(f"{twin.name} and {o.name} have the same window {o.window}")
@@ -469,41 +469,48 @@ def _stretched(compiled: _CompiledShape, number: int, rest: str) -> str:
     return state.gluing.result()[0]
 
 
-def _transduced(compiled: _CompiledShape, x_cells: str) -> str:
-    """The value's cells by the step memo, closing at every right end: the
-    emitted cells, then the word the last state holds.  When a step would
-    intern a state the full memo has no room for, the pass goes on from the
-    last state reached (_stretched).  Raises GlueError when a step does, or
-    a close or the final read of _stretched."""
-    steps, state = compiled.steps, compiled.start()
-    chunks = []
-    for begin in range(0, len(x_cells), _JOIN_AT):
-        emitted = []
-        for cell in x_cells[begin : begin + _JOIN_AT]:
-            hit = steps[state].get(cell) or compiled.step(state, cell)
-            if hit is None:
-                rest = x_cells[begin + len(emitted):]
-                return "".join(chunks + emitted) + _stretched(compiled, state, rest)
-            cells, state = hit
-            emitted.append(cells)
-        chunks.append("".join(emitted))
-    chunks.append(compiled.final(state))
-    return "".join(chunks)
+def _transduced(compiled: _CompiledShape, x_cells: str) -> tuple[str, int | None, int]:
+    """Run x through the step memo, closing at every right end: the cells
+    emitted, the last state and the cells read, all unless a step finds the
+    memo full.  The state is None, with nothing emitted, where the start or
+    a step does not glue."""
+    steps, chunks = compiled.steps, []
+    try:
+        state = compiled.start()
+        for begin in range(0, len(x_cells), _JOIN_AT):
+            emitted = []
+            for cell in x_cells[begin : begin + _JOIN_AT]:
+                hit = steps[state].get(cell) or compiled.step(state, cell)
+                if hit is None:
+                    return "".join(chunks + emitted), state, begin + len(emitted)
+                cells, state = hit
+                emitted.append(cells)
+            chunks.append("".join(emitted))
+    except GlueError:
+        return "", None, 0
+    return "".join(chunks), state, len(x_cells)
+
+
+def _value(shape: ShapeCategory, cells: str, emitted: str, state: int | None, at: int) -> str:
+    """The value's cells of the input ``cells`` from where _transduced
+    stopped: ``emitted``, then the word ``state`` holds or, past a full
+    memo after ``at`` cells, what the pass resumed from it goes on to
+    (_stretched).  Where no state glues (None), or that pass does not, the
+    pass that closes nothing decides, and its GlueError names the fault."""
+    if state is not None:
+        with suppress(GlueError):  # a final read glues (_CompiledShape.final)
+            return emitted + (shape.compiled.final(state) if at == len(cells)
+                              else _stretched(shape.compiled, state, cells[at:]))
+    return evaluate_traced(shape, TapeString(shape.alphabet, cells))[0].cells
 
 
 def evaluate(shape: ShapeCategory, x: TapeString) -> TapeString:
     """Update x without consulting any rule: glue the generators of all
     windows placed in x along their aligned inclusions, by the step memo
-    (_transduced).  An input on which a step, or a close or the final read
-    past a full memo, does not glue is glued again without closing, for its
-    value or error."""
+    (_transduced), and read the value off where it stopped (_value)."""
     if x.alphabet != shape.alphabet:
         raise AlphabetMismatch(f"{x} is not over the shape category's alphabet")
-    try:
-        cells = _transduced(shape.compiled, x.cells)
-    except GlueError:
-        return evaluate_traced(shape, x)[0]
-    return TapeString(shape.alphabet, cells)
+    return TapeString(shape.alphabet, _value(shape, x.cells, *_transduced(shape.compiled, x.cells)))
 
 
 def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookback: int,
@@ -518,11 +525,8 @@ def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookb
 
     Depth first by prefix extension, children in alphabet order, so each
     length comes in tape.windows order.  x·c takes one memo step from x's
-    state, as _transduced does.  Where a step finds the memo full,
-    evaluate takes that string and its subtree, past the full memo.  Where
-    a step does not glue, evaluate would replay the memo to that step,
-    which raises again, so evaluate_traced takes them.  A state the walk
-    reaches was closed, so its final read glues.
+    state, whose final read glues as it was closed; each string off the
+    memo is decided by _value, as evaluate decides its input.
 
     Subtrees that passed are shared.  Once a string x in state s passed,
     and so did every string of its subtree, each reached by memo steps, the
@@ -533,26 +537,19 @@ def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookb
     add what it adds after x.  x and x' each pass, so their emitted cells
     fall short of their references by the same final word, and x'·y passes
     as x·y did.  The skipped steps are memo hits, so the walk interns the
-    states that a walk of every string would, in the same order.  Strings
-    whose steps fail, and their subtrees, are walked one by one.  The stack
+    states that a walk of every string would, in the same order.  The stack
     holds at most max_len * (|alphabet| - 1) + 1 strings, and an exit
     marker per passing string on the current path, at most max_len + 1.
     """
-    compiled, alphabet = shape.compiled, shape.alphabet
-    steps, step, symbols = compiled.steps, compiled.step, alphabet.symbols
-    finals, final = compiled.finals, compiled.final  # a read memo hit skips the call
-    try:
-        start: int | None = compiled.start()
-    except GlueError:
-        start = None
+    compiled, symbols = shape.compiled, shape.alphabet.symbols
+    steps, step, finals, final = compiled.steps, compiled.step, compiled.finals, compiled.final
     passed: dict[tuple[int, str], int] = {}  # per key, the deepest subtree that passed
     misses = 0  # the strings walked so far that failed or left the memo
-    # per string to visit: its cells, the cells the walk emitted on them, the
-    # state reached (None once a step failed), whether that step found the
-    # memo full rather than raised, and its prefix's reference; per passing
-    # string whose subtree is being walked, an exit marker: its key, depth
-    # and the misses before its subtree
-    stack: list[tuple] = [("", "", start, False, "")] if max_len >= 0 else []
+    # per string to visit: its cells, the memo's emitted cells, last state
+    # (None once a step failed) and cells read on them, as _transduced gives
+    # them, and its prefix's reference; per passing string whose subtree is
+    # being walked, an exit marker: its key, depth and the misses before it
+    stack: list[tuple] = [("", *_transduced(compiled, ""), "")] if max_len >= 0 else []
     while stack:
         entry = stack.pop()
         if len(entry) == 3:  # an exit marker
@@ -560,19 +557,18 @@ def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookb
             if misses == before:
                 passed[key] = depth
             continue
-        cells, emitted, state, full, reference = entry
+        cells, emitted, state, at, reference = entry
         reference += extend(cells)
         depth = max_len - len(cells)
-        value: str | GlueError
-        if state is not None:
-            value = emitted + (finals.get(state) or final(state))
+        on_memo = at == len(cells) and state is not None
+        if on_memo:  # a read memo hit skips the call
+            value: str | GlueError = emitted + (finals.get(state) or final(state))
         else:
-            x = TapeString(alphabet, cells)
             try:
-                value = (evaluate(shape, x) if full else evaluate_traced(shape, x)[0]).cells
+                value = _value(shape, cells, emitted, state, at)
             except GlueError as exc:
                 value = exc
-        if state is not None and value == reference:
+        if on_memo and value == reference:
             key = (state, cells[max(len(cells) - lookback, 0):])
             if passed.get(key, -1) >= depth:
                 continue
@@ -585,23 +581,24 @@ def walk(shape: ShapeCategory, max_len: int, extend: Callable[[str], str], lookb
             continue
         children = []
         for c in symbols:
-            hit = None
-            if state is not None:
+            hit, last = None, state
+            if on_memo:
                 try:
                     hit = steps[state].get(c) or step(state, c)
-                    full = hit is None
                 except GlueError:
-                    full = False
-            children.append((cells + c, emitted + hit[0], hit[1], False, reference) if hit
-                            else (cells + c, "", None, full, reference))
+                    last = None
+            children.append((cells + c, emitted + hit[0], hit[1], at + 1, reference) if hit
+                            else (cells + c, emitted, last, at, reference))
         stack += reversed(children)
 
 
 def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len: int,
                   ) -> list[tuple[int, str | None]]:
-    """density_check on every string of length <= max_len: per length, the
-    number of strings and the first failing one, in windows order, with
-    density_check's detail (None when all pass).
+    """The density check on every string of length <= max_len: per length,
+    the number of strings and the first failing one, in windows order, with
+    why it fails, read off the walk's value (None when all pass); a
+    GlueError names its nodes g@offset by their windows.  A generator over
+    another alphabet raises AlphabetMismatch before any string is glued.
 
     Density is evaluation by the identity update: walk over the shape of
     the (g|g) objects, one per generator however often it is listed, with
@@ -617,10 +614,14 @@ def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len:
         raise ValueError(f"generator {longer} has more than two cells")
     shape = ShapeCategory(alphabet, tuple(ShapeObject(g, g) for g in dict.fromkeys(generators)))
     failures: list[str | None] = [None] * (max_len + 1)
-    for cells, _, _ in walk(shape, max_len, lambda cells: cells[-1:], 0):
+    for cells, value, _ in walk(shape, max_len, lambda cells: cells[-1:], 0):
         if failures[len(cells)] is None:
             x = TapeString(alphabet, cells)
-            failures[len(cells)] = f"{x}: {density_check(x, generators).detail}"
+            if isinstance(value, GlueError):
+                named = ", ".join(f"{TapeString(alphabet, cells[a:b])}@{a}" for a, b in value.cells)
+                failures[len(cells)] = f"{x}: glue failed: {value} [nodes: {named}]"
+            else:
+                failures[len(cells)] = f"{x}: colimit is {TapeString(alphabet, value)}, not {x}"
     return [(len(alphabet.symbols) ** n, failure) for n, failure in enumerate(failures)]
 
 

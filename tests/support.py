@@ -222,9 +222,9 @@ def per_string_density(alphabet: Alphabet, generators, max_len: int,
     rows = []
     for n in range(max_len + 1):
         xs = [TapeString(alphabet, cells) for cells in windows(alphabet, n)]
-        failures = [f"{x}: {verdict.detail}" for x in xs
-                    if not (verdict := density_check(x, generators)).ok]
-        rows.append((len(xs), failures[0] if failures else None))
+        failures = (f"{x}: {verdict.detail}" for x in xs
+                    if not (verdict := density_check(x, generators)).ok)
+        rows.append((len(xs), next(failures, None)))
     return rows
 
 

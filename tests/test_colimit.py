@@ -595,6 +595,29 @@ class TestDensity:
             failing += any(failure for _, failure in rows)
         assert failing == 3  # the empty generator identifies no cell: without it, all glue
         assert density_sweep(DEFAULT_ALPHABET, generators, -1) == []
+        # every subset of the generators, in both orders: each line as the
+        # reference's but for the nodes it names, which the sweep reads off
+        # its own diagram's windows
+        def unnamed(rows):
+            return [(n, failure and re.sub(r" \[nodes: [^]]*\]$", "", failure))
+                    for n, failure in rows]
+
+        runs = 0
+        for k in range(len(generators) + 1):
+            for subset in itertools.combinations(generators, k):
+                for gens in dict.fromkeys((subset, subset[::-1])):
+                    assert unnamed(density_sweep(DEFAULT_ALPHABET, gens, 5)) == \
+                        unnamed(per_string_density(DEFAULT_ALPHABET, gens, 5)), \
+                        [str(g) for g in gens]
+                    runs += 1
+        assert runs == 2 * 2**7 - 8
+
+    def test_the_sweep_refuses_generators_over_another_alphabet(self):
+        # before any string is glued: over (. # a), no string of (. #)
+        # places an a, and every row would pass
+        with pytest.raises(AlphabetMismatch,
+                           match=r"^\(\|\) is not over the shape category's alphabet$"):
+            density_sweep(DEFAULT_ALPHABET, canonical_generators(Alphabet((".", "#", "a"))), 3)
 
     def test_the_sweep_refuses_a_three_cell_generator(self, generators):
         # its comma morphisms could identify cells that the pass's joins of

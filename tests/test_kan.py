@@ -52,6 +52,17 @@ class TestEvaluate:
                            match=r"^ab is not over the shape category's alphabet$"):
             engine(spread_shape, TapeString(Alphabet(("a", "b")), "ab"))
 
+    @pytest.mark.parametrize("generator, window", [("a", "#a#"), ("#", "#a#"), ("a", "###")])
+    def test_an_object_over_another_alphabet_is_refused(self, spread_shape, generator, window):
+        # each of its strings over (. # a), beside objects over (. #)
+        wide = Alphabet((".", "#", "a"))
+        foreign = ShapeObject(*(TapeString(wide if "a" in cells else DEFAULT_ALPHABET, cells)
+                                for cells in (generator, window)))
+        with pytest.raises(AlphabetMismatch,
+                           match=rf"^\({generator}\|{window}\) is not over the shape category's "
+                                 r"alphabet$"):
+            ShapeCategory(DEFAULT_ALPHABET, (*spread_shape.objects, foreign))
+
     def test_short_input_gives_empty(self, spread_shape):
         assert evaluate(spread_shape, ts("#")) == ts("")
         assert evaluate(spread_shape, ts("")) == ts("")
@@ -638,20 +649,26 @@ class TestEquivalenceSweep:
         # every one-object deletion, where the walk shares subtrees beside
         # strings that fail, which only the pass that closes nothing glues
         # unless a memo step found the memo full; with a memo of three
-        # states, beside strings that leave the memo for evaluate
+        # states, beside strings that leave the memo, each decided once
+        # from the last state the memo reached, never by evaluate
         if memo_cap is not None:
             monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", memo_cap)
         evaluated = _counted(monkeypatch, "evaluate")
+        resolved = _counted(monkeypatch, "_value")
         spec = request.getfixturevalue(machine)
         whole = shape_category(spec)
-        failing = 0
+        failing = resumed = 0
         for o in whole.objects:
             shape = whole.without_object(o.name)
+            resolved.clear()
             report = equivalence_sweep(spec, max_len, shape)
             assert (report.cases, report.failures) == _per_string_sweep(spec, max_len, shape), \
                 o.name
+            off_memo = sorted(_off_memo(shape, max_len))
+            assert sorted(cells for _, cells, *_ in resolved) == off_memo, o.name
             failing += not report.ok
-        assert failing and bool(evaluated) == (memo_cap is not None)
+            resumed += sum(state is not None for *_, state, _ in resolved)
+        assert failing and not evaluated and bool(resumed) == (memo_cap is not None)
 
     def test_a_failing_string_is_walked_where_its_key_passed(self, spread):
         # a memo step made to emit one cell too many fails every string
@@ -711,17 +728,23 @@ class TestEquivalenceSweep:
 
     def test_matches_the_per_string_sweep_past_a_full_memo(self, spread, spread_shape,
                                                             monkeypatch):
-        # a memo of one state, the start: every other string leaves the walk
-        # and goes through evaluate, which goes on by _stretched
+        # a memo of one state, the start: every other string leaves the
+        # memo and is decided once from the start state, by _stretched
+        # unless its first step did not glue, never by evaluate
         monkeypatch.setattr(tapecat.kan, "_MEMO_CAP", 1)
         evaluated = _counted(monkeypatch, "evaluate")
+        resolved = _counted(monkeypatch, "_value")
+        stretched = _counted(monkeypatch, "_stretched")
         for shape in [spread_shape, *(spread_shape.without_object(o.name)
                                       for o in spread_shape.objects)]:
             shape = ShapeCategory(shape.alphabet, shape.objects)  # a fresh memo
-            evaluated.clear()
+            resolved.clear()
+            stretched.clear()
             report = equivalence_sweep(spread, 6, shape)
             assert (report.cases, report.failures) == _per_string_sweep(spread, 6, shape)
-            assert len(evaluated) == report.cases - 1 and len(shape.compiled.held) == 1
+            assert not evaluated and len(resolved) == report.cases - 1
+            assert len(stretched) == sum(state is not None for *_, state, _ in resolved)
+            assert len(shape.compiled.held) == 1
 
     def test_matches_the_per_string_sweep_where_the_start_does_not_glue(self, spread,
                                                                           spread_shape):
@@ -776,6 +799,22 @@ def _per_string_sweep(spec, max_len, shape):
         if got != want:
             mismatches.append(f"{x}: evaluated {got}, rule gives {want}")
     return len(inputs), mismatches
+
+
+def _off_memo(shape, max_len):
+    """The strings up to max_len that the step memo does not read to their
+    end.  Read after a sweep: the memo then holds every step that the sweep
+    took, and lacks those that found it full or did not glue."""
+    steps, off = shape.compiled.steps, []
+    for x in all_strings(shape.alphabet, max_len):
+        state = 0 if steps else None
+        for c in x.cells:
+            if state is not None:
+                hit = steps[state].get(c)
+                state = hit and hit[1]
+        if state is None:
+            off.append(x.cells)
+    return off
 
 
 def _placement(shape, x, node):
@@ -883,7 +922,7 @@ class TestTrace:
         # nothing: with every memo walk failing and the trace's order
         # refused, it still gives the rule's update
         def stalled(compiled, cells):
-            raise GlueError("stalled")
+            return "", None, 0
 
         def refuse(trace):
             raise AssertionError("a trace was ordered")

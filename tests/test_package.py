@@ -47,6 +47,37 @@ def test_modules_import_only_earlier_layers():
     assert {name: found for name, found in breaches.items() if found} == {}
 
 
+def test_kan_imports_only_the_cell_gluing_from_colimit():
+    # evaluation and every sweep glue by CellGluing and phrase a fault from
+    # its GlueError; the comma-diagram front end is not theirs to call
+    tree = ast.parse(Path(tapecat.__file__).with_name("kan.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level and node.module == "colimit"
+                for alias in node.names}
+    assert imported == {"CellGluing", "GlueError"}
+
+
+def test_no_library_module_names_the_comma_diagram_path():
+    # colimit defines it and the package re-exports it; tests and the
+    # benchmark tracer are its only other callers
+    comma_path = {"glue", "glue_cells", "canonical_diagram", "density_check"}
+    named = {}
+    for path in sorted(Path(tapecat.__file__).parent.glob("*.py")):
+        if path.stem in ("colimit", "__init__"):
+            continue
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+        if found & comma_path:
+            named[path.stem] = sorted(found & comma_path)
+    assert named == {}
+
+
 def test_no_unused_imports():
     # a deleted last use must take its import with it
     unused = {}
