@@ -206,30 +206,15 @@ def shifted_explanation(spec: MachineSpec, p: Occurrence, x: TapeString) -> Expl
 
 @dataclass
 class UniversalityReport:
-    """The number of candidates checked and the failed candidates, each kept
-    raw and formatted as a line only when it is read."""
+    """The number of candidates checked and one line per candidate that has
+    no mediator, in the order found."""
 
-    part: TapeString
-    state: TapeString
     candidates: int = 0
-    failed: list[tuple[str, int, int, str, int, int]] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.failed
-
-    @property
-    def failures(self) -> list[str]:
-        return [self.failure(i) for i in range(len(self.failed))]
-
-    def failure(self, i: int) -> str:
-        """The line of the i-th failed candidate, which has no mediator."""
-        z_cells, g_off, m, um, a_off, b_off = self.failed[i]
-        z = TapeString(self.state.alphabet, z_cells)
-        g = Occurrence(TapeString(z.alphabet, z_cells[g_off : g_off + m]), z, g_off if m else 0)
-        a = Occurrence(self.part, TapeString(z.alphabet, um), a_off)
-        b = Occurrence(self.state, z, b_off if self.state.cells else 0)
-        return f"candidate g=({g}) a=({a}) b=({b}) has 0 mediators"
+        return not self.failures
 
 
 def _hosts(spec: MachineSpec, x: TapeString) -> list[tuple[str, int, str]]:
@@ -243,40 +228,44 @@ def _hosts(spec: MachineSpec, x: TapeString) -> list[tuple[str, int, str]]:
     return [(z, b_off, _window_map(spec, z)) for z, b_off in zs]
 
 
+def _spelled(source: str, offset: int, target: str) -> str:
+    """str(Occurrence) of these cells, without building one per failure."""
+    return f"{source or '(empty)'} @ {offset} in {target or '(empty)'}"
+
+
 def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
-                       explanation: Explanation | None = None,
-                       hosts: list[tuple[str, int, str]] | None = None) -> UniversalityReport:
+                       explanation: Explanation | None = None) -> UniversalityReport:
     """Bounded search for counterexamples to the neighbourhood's universality.
 
     Enumerates every candidate explanation of p: a span of at most
     len(part) + 2r + 2 cells in a host of at most len(x) + 2 cells that
     extends x.  It counts each candidate's factorizations through the given
-    (default: computed) explanation.  The check passes when every candidate
-    has exactly one.
+    (default: computed) explanation, with a line for each candidate that has
+    none.  The check passes when every candidate has exactly one.
 
     The rule is local, so each span's update is read off its host's update
-    (``hosts``, default ``_hosts(spec, x)``, lets a state's parts share them;
-    the first host is x).  No host needs filtering: the windows of a host
-    left + x + right from offset len(left) on begin with those of x, so its
-    update holds x's at that offset, and p lies in every host's update at
-    host offset lo = p.offset + len(left).  A nonempty part lies only in
-    spans [g, g + m) with g <= lo and lo + len(part) <= g + m - 2r, so only
-    those are visited, in the (m, g) order of the empty part's full scan.
+    (_hosts, whose first host is x).  No host needs filtering: the windows
+    of a host left + x + right from offset len(left) on begin with those of
+    x, so its update holds x's at that offset, and p lies in every host's
+    update at host offset lo = p.offset + len(left).  A nonempty part lies
+    only in spans [g, g + m) with g <= lo and lo + len(part) <= g + m - 2r,
+    so only those are visited, in the (m, g) order of the empty part's full
+    scan.
 
     With the explanation that _neighbourhood reads off x (the default), the
     check cannot fail, whatever the rule.  A nonempty part's window is then
     the host's own cells z[lo : lo + len(part) + 2r], and every visited span
     holds them, at u_off = lo - g = a_off, so both squares commute; the
     empty part's window is empty and lies in every span at offset 0.  Only
-    another explanation, such as shifted_explanation's, can fail it.
+    another explanation can fail it: shifted_explanation's, n_off = p.offset
+    +- 1, gives every candidate of a nonempty part u_off - a_off = +-1.
     """
-    if hosts is None:
-        hosts = _hosts(spec, x)
+    hosts = _hosts(spec, x)
     if p.target != TapeString(spec.alphabet, hosts[0][2]):
         raise TargetMismatch(f"({p}) does not live in the update of {x}")
     expl = explanation if explanation is not None else _neighbourhood(spec, p, x)
     a_cells, la = p.source.cells, p.source.length
-    report = UniversalityReport(p.source, x)
+    report = UniversalityReport()
     n_cells, n_off = expl.window.source.cells, expl.window.offset
     two_r = 2 * spec.radius
 
@@ -301,7 +290,10 @@ def universality_check(spec: MachineSpec, p: Occurrence, x: TapeString,
                         and (u_off == a_off or not a_cells)):
                     # a span shorter than a window updates to nothing (a negative stop)
                     um = uz[g_off : g_off + m - two_r] if m > two_r else ""
-                    report.failed.append((z_cells, g_off, m, um, a_off, b_off))
+                    g = _spelled(z_cells[g_off : g_off + m], g_off if m else 0, z_cells)
+                    a = _spelled(a_cells, a_off, um)
+                    b = _spelled(x.cells, b_off if x.cells else 0, z_cells)
+                    report.failures.append(f"candidate g=({g}) a=({a}) b=({b}) has 0 mediators")
     return report
 
 
@@ -358,7 +350,9 @@ def shape_category(spec: MachineSpec) -> ShapeCategory:
 
 @dataclass
 class SweepOutcome:
-    """The number of cases a sweep checked and one line per failed case."""
+    """The number of cases a sweep checked and its failure lines: one per
+    failing string (functor, equivalence), one per missing object
+    (adjunction), or one alone (adjunction under a shifted window)."""
 
     cases: int = 0
     failures: list[str] = field(default_factory=list)
@@ -450,26 +444,31 @@ def adjunction_sweep(spec: MachineSpec, max_state_len: int, mutate: bool = False
     each window is updated and looked up once, and the row's cost does not
     grow with max_state_len.  A missing object's line names the window as
     its state, the shortest state that holds it, so the lines come in the
-    order in which the states first show them.  With mutate=True each
-    displaced explanation goes through universality_check instead, a
-    state's hosts shared by its parts and a part's first failure alone
-    formatted; the sweep must then fail."""
+    order in which the states first show them.
+
+    With mutate=True each part's explanation is displaced as
+    shifted_explanation does, and the sweep must fail with one line: the
+    first failure of the first part, in state and generator order, that
+    universality_check refutes.  A nonempty part's window moves one cell
+    unless it fills its state, and then no candidate, of which x itself
+    hosts one, has a mediator; so a part fails exactly when it is nonempty
+    and its window, w = 2r + 1 cells for one cell and w + 1 for two, is
+    shorter than its state.  No state of at most w cells holds one.  The
+    first state of w + 1 cells, symbols[0] * (w + 1), updates to two equal
+    cells, so after its empty part, which passes, comes its one-cell part at
+    offset 0: the one part checked, whatever the bound from w + 1 on."""
     k, w = len(spec.alphabet), spec.window_len
     # an n-cell state's update holds the empty part, n - w + 1 one-cell
     # parts and n - w two-cell ones
     outcome = SweepOutcome(sum(k ** n * (1 + max(n - w + 1, 0) + max(n - w, 0))
                                for n in range(max_state_len + 1)))
     if mutate:
-        generators = canonical_generators(spec.alphabet)
-        for x in tape.all_strings(spec.alphabet, max_state_len):
-            hosts = _hosts(spec, x)
-            ux = TapeString(spec.alphabet, hosts[0][2])
-            for a in generators:
-                for p in tape.hom(a, ux):
-                    expl = shifted_explanation(spec, p, x)
-                    report = universality_check(spec, p, x, explanation=expl, hosts=hosts)
-                    if not report.ok:
-                        outcome.failures.append(report.failure(0))
+        if max_state_len > w:
+            x = TapeString(spec.alphabet, spec.alphabet.symbols[0] * (w + 1))
+            ux = apply(spec, x)
+            p = Occurrence(ux.segment(0, 1), ux, 0)
+            report = universality_check(spec, p, x, explanation=shifted_explanation(spec, p, x))
+            outcome.failures.extend(report.failures[:1])
         return outcome
     objects = {(o.generator.cells, o.window.cells) for o in _shape_of(spec, shape).objects}
     for n in (0, w, w + 1):

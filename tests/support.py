@@ -16,7 +16,7 @@ from tapecat.fincat import (FinCatPresentation, FunctorData, TapeCategory, canon
                             string_inclusion, validate_functor)
 from tapecat.kan import ShapeCategory, ShapeObject, evaluate_traced
 from tapecat.machine import (Explanation, MachineSpec, SweepOutcome, apply, apply_morphism,
-                             causal_neighbourhood)
+                             causal_neighbourhood, shifted_explanation, universality_check)
 from tapecat.tape import (DEFAULT_ALPHABET, Alphabet, InvalidOccurrence, Occurrence, TapeError,
                           TapeString, windows)
 
@@ -302,6 +302,25 @@ def occurrence_adjunction(spec: MachineSpec, max_state_len: int,
                     outcome.failures.append(f"part ({p}) over {x}: the shape category has "
                                             f"no object {ShapeObject(a, n).name}")
     return outcome
+
+
+def per_state_shift_adjunction(spec: MachineSpec, max_state_len: int) -> list[SweepOutcome]:
+    """Reference for tapecat.machine.adjunction_sweep with mutate=True, one
+    outcome per state length up to max_state_len: each canonical generator
+    part of each state, in state and generator order, checked by
+    universality_check against the displaced explanation of
+    shifted_explanation.  One case per part, and one line per failing part,
+    its first failure."""
+    outcomes = [SweepOutcome() for _ in range(max_state_len + 1)]
+    for x in tape.all_strings(spec.alphabet, max_state_len):
+        ux = apply(spec, x)
+        outcome = outcomes[x.length]
+        for a in canonical_generators(spec.alphabet):
+            for p in tape.hom(a, ux):
+                outcome.cases += 1
+                report = universality_check(spec, p, x, explanation=shifted_explanation(spec, p, x))
+                outcome.failures.extend(report.failures[:1])
+    return outcomes
 
 
 def update_functoriality(spec: MachineSpec, max_len: int) -> SweepOutcome:

@@ -1,9 +1,10 @@
 """`check --suite all` against recorded stdout and exit codes.
 
 Each case runs in process on a machine file, honest, with a dropped shape
-object, and with a shifted window at --adj-len 2r + 2, the shortest bound
-that reaches the shift.  The recorded files are the net under any rewrite
-of a law row: a row may change how it decides, not what `check` prints.
+object, and with a shifted window both at --adj-len 2r + 2, the shortest
+bound that reaches the shift, and at the default bound.  The recorded
+files are the net under any rewrite of a law row: a row may change how it
+decides, not what `check` prints.
 Regenerate them, from the code whose output they are to pin, with
 
     PYTHONPATH=src python -m tests.test_golden
@@ -37,6 +38,8 @@ def _cases() -> list[tuple[str, list[str]]]:
             bound = ["--adj-len", reach] if fault == "shift-window" else []
             cases.append((f"{path.stem}-{fault}",
                           ["check", str(path), "--suite", "all", *bound, "--mutate", fault]))
+        cases.append((f"{path.stem}-shift-window-default",
+                      ["check", str(path), "--suite", "all", "--mutate", "shift-window"]))
     return cases
 
 

@@ -45,8 +45,8 @@ from tapecat.tape import (
 
 from .conftest import max_machine, spread_rule
 from .support import (all_spans_universality, check_explanation, closed_form_windows, occ,
-                      occurrence_adjunction, random_machine, table_functoriality, ts,
-                      update_functoriality)
+                      occurrence_adjunction, per_state_shift_adjunction, random_machine,
+                      table_functoriality, ts, update_functoriality)
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
 
@@ -231,6 +231,23 @@ def against_occurrences(spec: MachineSpec, max_len: int, shape=None) -> list[tup
     for line in reference.failures:
         first.setdefault(line.rsplit(" ", 1)[1], line)
     return [(outcome.cases, outcome.failures), (reference.cases, list(first.values()))]
+
+
+def assert_shift_matches_per_state(spec: MachineSpec) -> None:
+    """The displaced adjunction sweep against its per-state reference at
+    each bound from -1 to 6 (to 5 over three symbols): the same cases,
+    verdict and first line, and failing parts numbered as the sweep's
+    argument predicts, the one-cell parts of states longer than a window
+    and the two-cell parts of states longer than theirs."""
+    k, w = len(spec.alphabet), spec.window_len
+    rows = per_state_shift_adjunction(spec, 5 if k > 2 else 6)
+    for bound in range(-1, len(rows)):
+        got = adjunction_sweep(spec, bound, mutate=True)
+        cases = sum(row.cases for row in rows[: bound + 1])
+        lines = [line for row in rows[: bound + 1] for line in row.failures]
+        assert (got.cases, got.ok, got.failures) == (cases, not lines, lines[:1]), bound
+        assert len(lines) == sum(k ** n * ((n > w) * (n - w + 1) + (n > w + 1) * (n - w))
+                                 for n in range(bound + 1)), bound
 
 
 class TestFunctorialitySweep:
@@ -482,33 +499,15 @@ class TestUniversality:
     ], ids=["spread", "identity", "parity", "ternary"])
     def test_matches_all_spans_reference(self, machine, max_len, request):
         # the span window yields the reference's candidates and failure
-        # lines in its order, with the state's hosts shared or built anew
+        # lines in its order
         spec = request.getfixturevalue(machine)
         for x in all_strings(spec.alphabet, max_len):
-            hosts = tapecat.machine._hosts(spec, x)
             for a in canonical_generators(spec.alphabet):
                 for p in hom(a, apply(spec, x)):
                     for expl in (None, shifted_explanation(spec, p, x)):
-                        want = all_spans_universality(spec, p, x, expl)
-                        for given in (None, hosts):
-                            report = universality_check(spec, p, x, explanation=expl,
-                                                        hosts=given)
-                            assert (report.candidates, report.failures) == want, (str(p), x)
-
-    def test_shared_hosts_supply_the_state_update(self, spread, monkeypatch):
-        x = ts("#...#.")
-        p = occ("#", "#.##", 0)
-        hosts = tapecat.machine._hosts(spread, x)
-        expl = causal_neighbourhood(spread, p, x)
-
-        def poisoned(spec, cells):
-            raise AssertionError("universality_check updated a string")
-
-        monkeypatch.setattr(tapecat.machine, "_window_map", poisoned)
-        assert universality_check(spread, p, x, explanation=expl, hosts=hosts).candidates == 75
-        assert universality_check(spread, p, x, hosts=hosts).candidates == 75
-        with pytest.raises(TargetMismatch):
-            universality_check(spread, occ("#", "#", 0), x, explanation=expl, hosts=hosts)
+                        report = universality_check(spec, p, x, explanation=expl)
+                        assert (report.candidates, report.failures) == \
+                            all_spans_universality(spec, p, x, expl), (str(p), x)
 
     def test_target_mismatch(self, spread):
         with pytest.raises(TargetMismatch):
@@ -517,7 +516,8 @@ class TestUniversality:
     def test_sweep_calls_the_module_level_check(self, spread, monkeypatch):
         # the benchmark's tracer counts checks and candidates by wrapping
         # tapecat.machine.universality_check, so the displaced sweep must
-        # call that name; the honest sweep checks the closed form instead
+        # call that name, once for its one part (#### has 17 hosts, 68
+        # candidates); the honest sweep checks the closed form instead
         check = tapecat.machine.universality_check
         calls = candidates = 0
 
@@ -530,16 +530,15 @@ class TestUniversality:
 
         monkeypatch.setattr(tapecat.machine, "universality_check", counting)
         assert adjunction_sweep(spread, 5).ok and calls == 0
-        outcome = adjunction_sweep(spread, 5, mutate=True)
-        assert calls == outcome.cases
-        assert candidates == 34577  # the spread count pinned above
+        assert not adjunction_sweep(spread, 5, mutate=True).ok
+        assert (calls, candidates) == (1, 68)
 
-    @pytest.mark.parametrize("mutate, updates", [(False, 25), (True, 13820)])
+    @pytest.mark.parametrize("mutate, updates", [(False, 25), (True, 19)])
     def test_sweep_updates_each_host_once(self, spread, monkeypatch, mutate, updates):
         # the honest sweep updates each window of 0, 3 and 4 cells once
-        # (1 + 8 + 16) and no state; the displaced one updates each host of
-        # each of the 511 states once, read off x by every part, and adds
-        # the displaced explanation's target check per part
+        # (1 + 8 + 16) and no state; the displaced one updates the 17 hosts
+        # of its one state, ...., once, that state for its part, and again
+        # for the displaced explanation's target check
         window_map = tapecat.machine._window_map
         calls = 0
 
@@ -551,6 +550,41 @@ class TestUniversality:
         monkeypatch.setattr(tapecat.machine, "_window_map", counting)
         adjunction_sweep(spread, 8, mutate=mutate)
         assert calls == updates
+
+    def test_shift_sweep_enumerates_no_state(self, spread, monkeypatch):
+        # the displaced row checks one part of one state, whatever the bound
+        check = tapecat.machine.universality_check
+        calls = 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return check(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the displaced adjunction sweep enumerated states or parts")
+
+        monkeypatch.setattr(tapecat.tape, "all_strings", refuse)
+        monkeypatch.setattr(tapecat.tape, "hom", refuse)
+        monkeypatch.setattr(tapecat.machine, "universality_check", counting)
+        counts = []
+        for bound in (spread.window_len + 1, 8):
+            calls = 0
+            assert not adjunction_sweep(spread, bound, mutate=True).ok
+            counts.append(calls)
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_shift_matches_the_per_state_reference(self, machine, request):
+        # ternary_machine is the rule of perfbench/machines/max3_r1.machine
+        assert_shift_matches_per_state(request.getfixturevalue(machine))
+
+    @pytest.mark.parametrize("symbols, radius, seed", [
+        (2, 1, 1), (2, 2, 2), (1, 0, 5), (1, 2, 6),
+    ])
+    def test_shift_matches_the_per_state_reference_on_random_machines(self, symbols, radius,
+                                                                      seed):
+        assert_shift_matches_per_state(random_machine(symbols, radius, seed))
 
     def test_sweep_small(self, spread):
         outcome = adjunction_sweep(spread, 5)
