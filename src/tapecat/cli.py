@@ -230,29 +230,41 @@ def _check_density(alphabet: Alphabet, max_len: int) -> list[tuple[str, bool, st
 @main.command()
 @click.argument("machine_file", type=click.Path(exists=True, path_type=Path))
 @click.option("--suite", default="all", show_default=True, type=click.Choice(SUITES))
-@click.option("--max-len", default=10, show_default=True, type=click.IntRange(min=0),
+@click.option("--max-len", type=click.IntRange(min=0), show_default="max(10, 2r + 2)",
               help="State bound for density and equivalence sweeps.")
-@click.option("--functor-len", default=6, show_default=True, type=click.IntRange(min=0),
+@click.option("--functor-len", type=click.IntRange(min=0), show_default="max(6, 2r + 2)",
               help="String bound for the functor update row.")
-@click.option("--adj-len", default=8, show_default=True, type=click.IntRange(min=0),
+@click.option("--adj-len", type=click.IntRange(min=0), show_default="max(8, 2r + 2)",
               help="State bound for the adjunction row.")
 @click.option("--mutate", default="none", type=click.Choice(MUTATIONS), hidden=True,
               help="Seed a fault; the named suite must then fail.")
-def check(machine_file: Path, suite: str, max_len: int, functor_len: int,
-          adj_len: int, mutate: str) -> None:
+def check(machine_file: Path, suite: str, max_len: int | None, functor_len: int | None,
+          adj_len: int | None, mutate: str) -> None:
     """Run the law-checking suites; nonzero exit on any violation.  The density
-    suite reads no rule: its verdict depends only on the alphabet's generators."""
+    suite reads no rule: its verdict depends only on the alphabet's generators.
+    A rule-facing row whose bound is below the window length 2r + 1 reads no
+    rule entry, so each default bound reaches 2r + 2 cells, and a shorter
+    bound given is warned of on stderr."""
     _refuse_inert(mutate != "none" and suite not in FAULT_SUITES[mutate],
                   f"--mutate {mutate}", f"--suite {suite}")
     spec = _load_machine(machine_file)
+    w = spec.window_len
+    max_len = max(10, w + 1) if max_len is None else max_len
+    functor_len = max(6, w + 1) if functor_len is None else functor_len
+    adj_len = max(8, w + 1) if adj_len is None else adj_len
+    # per suite, the bound of its rule-facing row
+    bounds = {"functor": ("--functor-len", functor_len), "adjunction": ("--adj-len", adj_len),
+              "equivalence": ("--max-len", max_len)}
     if mutate != "none":
         # a fault needs 2r + 1 cells (a dropped object's window), or 2r + 2 to shift a window
-        reach = spec.window_len + (mutate == "shift-window")
-        bounds = {"functor": ("--functor-len", functor_len), "adjunction": ("--adj-len", adj_len),
-                  "equivalence": ("--max-len", max_len)}
+        reach = w + (mutate == "shift-window")
         acted = [bounds[s] for s in bounds if s in FAULT_SUITES[mutate] and suite in (s, "all")]
         _refuse_inert(all(n < reach for _, n in acted), f"--mutate {mutate}",
                       " ".join(f"{option} {n}" for option, n in acted))
+    for s, (option, n) in bounds.items():
+        if suite in (s, "all") and n < w:
+            click.echo(f"warning: {option} {n} is below the window length {w}: its row reads "
+                       f"no rule entry", err=True)
     if suite in ("category", "functor", "all"):
         inclusion = string_inclusion(spec.alphabet, canonical_generators(spec.alphabet))
     started = time.perf_counter()

@@ -45,8 +45,8 @@ Only where a step, or a close or the final read past a full memo, does not
 glue does the pass that closes nothing, evaluate_traced, glue the input
 again; its value or error (class, message, nodes and cells) is the answer.
 
-The same resumption lets walk serve every exhaustive sweep.  It extends
-each string by one memo step from its prefix's state, and extends the
+The same resumption serves every exhaustive sweep.  walk extends each
+string by one memo step from its prefix's state, and extends the
 reference that the sweep compares it with by what the reference adds for
 the last cell: the rule's output for the last window in the equivalence
 sweep, the cell itself in density_sweep (the identity update over the
@@ -54,6 +54,8 @@ generators' (g|g) shape).  Strings that reach one state, with the same
 last cells that the reference reads and as many cells left to the bound,
 have alike subtrees (Moore 1956: equivalent states of a machine).  So once
 such a subtree passed by memo steps alone, the walk skips the next one.
+For the functor row's legs, which closing drops, walk_unclosed extends a
+copy of the prefix's pass that closes nothing by one right end (_read_pass).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .colimit import CellGluing, GlueError
@@ -625,6 +628,17 @@ def density_sweep(alphabet: Alphabet, generators: Sequence[TapeString], max_len:
     return [(len(alphabet.symbols) ** n, failure) for n, failure in enumerate(failures)]
 
 
+def _read_pass(compiled: _CompiledShape, state: _Pass) -> tuple[str, list[int]]:
+    """CellGluing.result of a pass that closed nothing, the one read of it; a
+    GlueError also names the input cells of its nodes' window placements."""
+    try:
+        return state.gluing.result()
+    except GlueError as exc:
+        placed, ends, lengths = state.placed, state.ends, compiled.window_lengths
+        exc.cells = tuple((ends[i] - lengths[placed[i]], ends[i]) for i in exc.nodes)
+        raise
+
+
 def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, EvalTrace]:
     """As evaluate, by the pass that closes nothing, also returning the
     glued diagram as an EvalTrace: each placed window's node and its leg,
@@ -637,11 +651,42 @@ def evaluate_traced(shape: ShapeCategory, x: TapeString) -> tuple[TapeString, Ev
     compiled = shape.compiled
     state = _Pass(compiled)
     _place_and_glue(compiled, state, x.cells, len(x) + 1)
-    placed, ends, lengths = state.placed, state.ends, compiled.window_lengths
-    try:
-        cells, legs = state.gluing.result()
-    except GlueError as exc:
-        exc.cells = tuple((ends[i] - lengths[placed[i]], ends[i]) for i in exc.nodes)
-        raise
+    cells, legs = _read_pass(compiled, state)
     value = TapeString(shape.alphabet, cells)
-    return value, EvalTrace(x, shape, value, placed, ends, legs)
+    return value, EvalTrace(x, shape, value, state.placed, state.ends, legs)
+
+
+def walk_unclosed(shape: ShapeCategory, max_len: int, extend: Callable[[str], str],
+                  ) -> Iterator[tuple[str, str | GlueError, str, tuple[int, int, int] | None]]:
+    """The strings up to max_len over the shape category's alphabet, in
+    walk's order and with references extended as walk extends them, that
+    fail a check on the pass that closes nothing: as (cells, value,
+    reference, None) where the value, or GlueError, is not the reference,
+    else as (cells, value, reference, (object index, offset, leg)) where a
+    node with a nonempty generator has its leg off its placement offset,
+    naming the first such node in (object, offset) order.
+
+    x·c's pass is a copy of x's with one right end more placed; no subtree
+    is shared, and the stack holds at most max_len * (|alphabet| - 1) + 1."""
+    compiled, symbols = shape.compiled, shape.alphabet.symbols
+    lengths, generators = compiled.window_lengths, compiled.generators
+    stack = [("", _Pass(compiled), "")] if max_len >= 0 else []
+    while stack:
+        cells, state, reference = stack.pop()
+        _place_and_glue(compiled, state, cells, len(cells) + 1)
+        reference += extend(cells)
+        try:
+            value, legs = _read_pass(compiled, state)
+        except GlueError as exc:
+            value, legs = exc, []
+        offsets = list(map(sub, state.ends, map(lengths.__getitem__, state.placed)))
+        if value != reference:
+            yield cells, value, reference, None
+        elif legs != offsets:  # equal on a lawful pass: an empty generator has leg and offset 0
+            displaced = min(((k, q, leg) for k, q, leg in zip(state.placed, offsets, legs)
+                             if generators[k] and leg != q), default=None)
+            if displaced:
+                yield cells, value, reference, displaced
+        if len(cells) < max_len:  # the last child, visited last, takes x's pass itself
+            stack += [(cells + c, state if c == symbols[-1] else state.copy(), reference)
+                      for c in reversed(symbols)]

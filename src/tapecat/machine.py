@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import tape
 from .colimit import GlueError
 from .fincat import ValidationReport, canonical_generators
-from .kan import ShapeCategory, ShapeObject, evaluate_traced, walk
+from .kan import ShapeCategory, ShapeObject, walk, walk_unclosed
 from .tape import Alphabet, AlphabetMismatch, Occurrence, TapeString
 
 
@@ -367,11 +367,13 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
     """Check that gluing over the shape category (default: the machine's
     own) is a functor U on the occurrences among strings up to max_len, and
     is the update, by two checks per string b: (i) b glues to apply(b), and
-    (ii) each node with a nonempty generator has its leg, read off the
-    trace of kan.evaluate_traced, at its placement offset; the trace's
-    edges are never read, so never built.  A string that does not glue
-    fails as one line; otherwise it gives one line for the first of (i) and
-    (ii) it fails, (ii) naming its first displaced node.
+    (ii) each node with a nonempty generator has its leg at its placement
+    offset.  kan.walk_unclosed makes both checks on each string's pass, its
+    prefix's with one right end more, extending the rule's update as the
+    equivalence sweep does, and yields only the strings that fail; no trace
+    is built.  A string that does not glue fails as one line; otherwise it
+    gives one line for the first of (i) and (ii) it fails, (ii) naming its
+    first displaced node.  The lines come in tape.all_strings order.
 
     The two checks decide every instance of the laws that validate_functor
     checks on fincat.string_inclusion's presentation of those strings, which
@@ -395,24 +397,24 @@ def functoriality_sweep(spec: MachineSpec, max_len: int,
                         for m in range(1, max_len + 1)]
     outcome = SweepOutcome(strings + sum(count * (1 + m * (m + 1) // 2) * out
                                          for m, (count, out) in enumerate(zip(counts, sent))))
-    nonempty = [bool(o.generator.cells) for o in shape.objects]
-    for b in tape.all_strings(spec.alphabet, max_len):
-        try:
-            value, trace = evaluate_traced(shape, b)
-        except GlueError as exc:
-            outcome.failures.append(f"{b}: glue failed: {exc}")
-            continue
-        want = _window_map(spec, b.cells)
-        if value.cells != want:
-            outcome.failures.append(f"{b}: glued {value}, rule gives "
-                                    f"{TapeString(spec.alphabet, want)}")
-            continue
-        for (o, q), leg in zip(trace.nodes, trace.legs):
-            if nonempty[o] and leg != q:
-                outcome.failures.append(f"{b}: leg of {shape.objects[o].name} placed at "
-                                        f"{q} is {leg}")
-                break
+    failures: list[list[str]] = [[] for _ in range(max_len + 1)]
+    for cells, got, want, node in walk_unclosed(shape, max_len, _extension(spec)):
+        b = TapeString(spec.alphabet, cells)
+        failures[len(cells)].append(
+            f"{b}: glue failed: {got}" if isinstance(got, GlueError) else
+            f"{b}: leg of {shape.objects[node[0]].name} placed at {node[1]} is {node[2]}" if node
+            else f"{b}: glued {TapeString(spec.alphabet, got)}, rule gives "
+                 f"{TapeString(spec.alphabet, want)}")
+    outcome.failures = [line for lines in failures for line in lines]
     return outcome
+
+
+def _extension(spec: MachineSpec) -> Callable[[str], str]:
+    """What the rule's update of x·c adds to x's, read off x·c's cells: the
+    output for its last window, once it holds one.  A window with no entry
+    raises apply's MachineError (_window_map)."""
+    w, rule = spec.window_len, spec.rule_map.get
+    return lambda cells: "" if len(cells) < w else rule(cells[-w:]) or _window_map(spec, cells[-w:])
 
 
 def _shape_of(spec: MachineSpec, shape: ShapeCategory | None) -> ShapeCategory:
@@ -508,16 +510,9 @@ def equivalence_sweep(spec: MachineSpec, max_len: int,
     form.
     """
     shape = _shape_of(spec, shape)
-    alphabet, w, rule = spec.alphabet, spec.window_len, spec.rule_map.get
-
-    def extend(cells: str) -> str:
-        if len(cells) < w:
-            return ""
-        window = cells[-w:]  # _window_map raises apply's error on a window with no entry
-        return rule(window) or _window_map(spec, window)
-
+    alphabet = spec.alphabet
     failures: list[list[str]] = [[] for _ in range(max_len + 1)]
-    for cells, got, want in walk(shape, max_len, extend, w - 1):
+    for cells, got, want in walk(shape, max_len, _extension(spec), spec.window_len - 1):
         x = TapeString(alphabet, cells)
         failures[len(cells)].append(
             f"{x}: glue failed: {got}" if isinstance(got, GlueError) else

@@ -323,6 +323,38 @@ def per_state_shift_adjunction(spec: MachineSpec, max_state_len: int) -> list[Sw
     return outcomes
 
 
+def per_string_functoriality(spec: MachineSpec, max_len: int,
+                             shape: ShapeCategory | None = None) -> SweepOutcome:
+    """Reference for tapecat.machine.functoriality_sweep, line for line:
+    each string of tape.all_strings glued on its own from its first cell by
+    evaluate_traced, then checked (i) against apply and (ii) leg by leg in
+    the trace's (object, offset) order; the law instances in closed form."""
+    shape = tapecat.machine._shape_of(spec, shape)
+    counts = [len(spec.alphabet) ** n for n in range(max_len + 1)]
+    strings = sum(counts)
+    sent = [strings] + [sum((n - m + 1) * counts[n - m] for n in range(m, max_len + 1))
+                        for m in range(1, max_len + 1)]
+    outcome = SweepOutcome(strings + sum(count * (1 + m * (m + 1) // 2) * out
+                                         for m, (count, out) in enumerate(zip(counts, sent))))
+    nonempty = [bool(o.generator.cells) for o in shape.objects]
+    for b in tape.all_strings(spec.alphabet, max_len):
+        try:
+            value, trace = evaluate_traced(shape, b)
+        except GlueError as exc:
+            outcome.failures.append(f"{b}: glue failed: {exc}")
+            continue
+        want = apply(spec, b)
+        if value != want:
+            outcome.failures.append(f"{b}: glued {value}, rule gives {want}")
+            continue
+        for (o, q), leg in zip(trace.nodes, trace.legs):
+            if nonempty[o] and leg != q:
+                outcome.failures.append(f"{b}: leg of {shape.objects[o].name} placed at "
+                                        f"{q} is {leg}")
+                break
+    return outcome
+
+
 def update_functoriality(spec: MachineSpec, max_len: int) -> SweepOutcome:
     """Reference for tapecat.machine.apply_morphism: updating must preserve
     identities and composition for all occurrences among strings up to

@@ -494,6 +494,46 @@ class TestCheck:
         assert [line.split(":")[0] for line in result.stdout.splitlines()
                 if line.startswith("FAIL")] == ["FAIL adjunction max_state_len=3"]
 
+    def test_default_bounds_reach_past_the_window(self, runner, tmp_path):
+        # at radius 3 a window has 7 cells, so a functor row at the old
+        # default of 6 cells reads no rule entry; each default reaches 2r + 2
+        alphabet = Alphabet((".", "#"))
+        rule = {w: "#" if "#" in w else "." for w in windows(alphabet, 7)}
+        path = tmp_path / "spread_r3.machine"
+        path.write_text(format_machine(MachineSpec(alphabet, 3, rule)))
+        result = runner.invoke(main, ["check", str(path)])
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        assert [lines[5], *lines[-2:]] == [
+            "PASS functor update max_len=8: cases=138234",
+            "PASS adjunction max_state_len=8: cases=1407",
+            "PASS equivalence max_len=10: inputs=2047 mismatches=0 max_len=10"]
+        assert lines[-3] == "PASS density len=10: inputs=1024"
+        assert result.stderr.startswith("elapsed=")
+        # the old default, given, runs as given, with one warning line
+        short = runner.invoke(main, ["check", str(path), "--functor-len", "6"])
+        assert short.exit_code == 0
+        assert short.stdout == result.stdout.replace("max_len=8: cases=138234",
+                                                     "max_len=6: cases=13306")
+        assert short.stderr.startswith("warning: --functor-len 6 is below the window length 7: "
+                                       "its row reads no rule entry\nelapsed=")
+
+    @pytest.mark.parametrize("args, rows", [
+        (["--suite", "functor", "--functor-len", "2"], ["--functor-len 2"]),
+        (["--suite", "adjunction", "--adj-len", "1"], ["--adj-len 1"]),
+        (["--max-len", "2", "--functor-len", "2", "--adj-len", "0"],
+         ["--functor-len 2", "--adj-len 0", "--max-len 2"]),
+        # the density rows read no rule, so a short bound of theirs is no warning
+        (["--suite", "density", "--max-len", "2"], []),
+    ], ids=["functor", "adjunction", "all", "density"])
+    def test_a_bound_below_the_window_is_warned_of(self, runner, args, rows):
+        result = runner.invoke(main, ["check", SPREAD, *args])
+        assert result.exit_code == 0
+        assert result.stderr.splitlines()[:-1] == [
+            f"warning: {row} is below the window length 3: its row reads no rule entry"
+            for row in rows]
+        assert all(line.startswith("PASS ") for line in result.stdout.splitlines())
+
     def test_check_laws_matches_the_benchmark_golden(self, runner):
         # the benchmark's check-laws workload checks this output against its
         # golden, read only here

@@ -300,6 +300,19 @@ def _counted(monkeypatch, name, module=tapecat.kan):
     return calls
 
 
+def _placed_ends(monkeypatch):
+    """Record how many right ends every _place_and_glue call places."""
+    placed = []
+    place = tapecat.kan._place_and_glue
+
+    def counting(compiled, state, x_cells, stop):
+        placed.append(stop - state.end)
+        place(compiled, state, x_cells, stop)
+
+    monkeypatch.setattr(tapecat.kan, "_place_and_glue", counting)
+    return placed
+
+
 def _random_inputs(alphabet, count, seed):
     rng = random.Random(seed)
     return [TapeString(alphabet, "".join(rng.choices(alphabet.symbols, k=rng.randint(0, 200))))
@@ -781,6 +794,18 @@ class TestEquivalenceSweep:
             tracemalloc.stop()
         assert outcome.ok and outcome.cases == 8191
         assert swept < listed / 2
+
+
+class TestFunctorWalk:
+    def test_each_string_places_one_right_end(self, spread, spread_shape, monkeypatch):
+        # the functor row extends each string's pass from its prefix's by
+        # one right end, and glues no string from its first cell
+        traced = _counted(monkeypatch, "evaluate_traced")
+        placed = _placed_ends(monkeypatch)
+        outcome = functoriality_sweep(spread, 6, spread_shape)
+        assert (outcome.cases, outcome.failures) == (13306, [])
+        assert not traced
+        assert placed == [1] * 127  # 2**7 - 1 strings up to 6 cells
 
 
 def _per_string_sweep(spec, max_len, shape):

@@ -45,8 +45,8 @@ from tapecat.tape import (
 
 from .conftest import max_machine, spread_rule
 from .support import (all_spans_universality, check_explanation, closed_form_windows, occ,
-                      occurrence_adjunction, per_state_shift_adjunction, random_machine,
-                      table_functoriality, ts, update_functoriality)
+                      occurrence_adjunction, per_state_shift_adjunction, per_string_functoriality,
+                      random_machine, table_functoriality, ts, update_functoriality)
 
 MACHINES = ["spread", "identity_machine", "parity_machine", "ternary_machine"]
 
@@ -316,6 +316,29 @@ class TestFunctorialitySweep:
         displace_legs(monkeypatch, fault)
         got, want = against_table(spread, 5)
         assert got == want
+        # and the per-string sweep line for line
+        row, reference = functoriality_sweep(spread, 5), per_string_functoriality(spread, 5)
+        assert (row.cases, row.failures) == (reference.cases, reference.failures)
+        assert not row.ok
+
+    @pytest.mark.parametrize("machine, max_len", [
+        ("spread", 5), ("parity_machine", 5), ("ternary_machine", 4),
+    ])
+    def test_matches_the_per_string_sweep_line_for_line(self, machine, max_len, request):
+        # the walk extends each string's pass from its prefix's; the
+        # reference glues each string from its first cell, honest and
+        # without each object in turn
+        spec = request.getfixturevalue(machine)
+        shape = shape_category(spec)
+        failed = 0
+        for faulty in [shape] + [shape.without_object(o.name) for o in shape.objects]:
+            got = functoriality_sweep(spec, max_len, faulty)
+            want = per_string_functoriality(spec, max_len, faulty)
+            assert (got.cases, got.failures) == (want.cases, want.failures), faulty.objects
+            failed += not got.ok
+        # exactly the deletions of nonempty objects whose windows fit fail
+        assert failed == sum(bool(o.generator.cells) and o.window.length <= max_len
+                             for o in shape.objects)
 
     @pytest.mark.parametrize("symbols, radius, seed, max_len", [
         (2, 1, 1, 5), (2, 2, 2, 5), (3, 1, 3, 3), (3, 1, 4, 3),

@@ -57,6 +57,16 @@ def test_kan_imports_only_the_cell_gluing_from_colimit():
     assert imported == {"CellGluing", "GlueError"}
 
 
+def test_machine_glues_only_by_the_walks():
+    # each rule-facing sweep extends every string's pass or memo state from
+    # its prefix's, so machine glues no string from its first cell
+    tree = ast.parse(Path(tapecat.__file__).with_name("machine.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level and node.module == "kan"
+                for alias in node.names}
+    assert imported == {"ShapeCategory", "ShapeObject", "walk", "walk_unclosed"}
+
+
 def test_no_library_module_names_the_comma_diagram_path():
     # colimit defines it and the package re-exports it; tests and the
     # benchmark tracer are its only other callers
